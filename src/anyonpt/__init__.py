@@ -41,6 +41,7 @@ from .spectra import (
     delocalization_margin,
     fit_localization_length,
     moving_bound_state,
+    nearest_eigenvalue,
     poschl_teller_energies,
     shifted_point_energy,
     solve_spectrum,

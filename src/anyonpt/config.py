@@ -11,6 +11,7 @@ exclusive with ``params.v``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import yaml
 from .errors import ConfigError
 from .lasermap import CavityParams
 from .model import Grid, PoschlTeller, Tabulated
+from .nonnormal import G_T_MAX_DIM
 from .propagation import AbsorberSpec, PropagatorConfig
 from .spectra import critical_velocity, poschl_teller_energies
 
@@ -71,9 +73,20 @@ def _require(mapping: dict, key: str, ctx: str):
 
 
 def _check_keys(mapping: dict, allowed: set, ctx: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{ctx}: must be a mapping, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+
+
+def _parse_grid(g: dict, ctx: str) -> Grid:
+    _check_keys(g, {"x_min", "x_max", "n_points"}, ctx)
+    x_min, x_max, n_points = (_require(g, k, ctx) for k in ("x_min", "x_max", "n_points"))
+    try:
+        return Grid(float(x_min), float(x_max), int(n_points))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 @dataclass
@@ -141,12 +154,7 @@ class ExperimentConfig:
         cfg.seed = int(raw.get("seed", 0))
 
         if "grid" in raw:
-            g = raw["grid"]
-            _check_keys(g, {"x_min", "x_max", "n_points"}, "grid")
-            try:
-                cfg.grid = Grid(float(g["x_min"]), float(g["x_max"]), int(g["n_points"]))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ConfigError(f"grid: {exc}") from exc
+            cfg.grid = _parse_grid(raw["grid"], "grid")
         cfg.boundary = raw.get("boundary", "periodic")
         if cfg.boundary not in ("dirichlet", "periodic"):
             raise ConfigError(f"boundary must be dirichlet or periodic, got {cfg.boundary!r}")
@@ -216,10 +224,21 @@ class ExperimentConfig:
             am = raw["amplify"]
             _check_keys(am, {"evolve", "g_t_times", "g_t_grid"}, "amplify")
             cfg.amplify_evolve = bool(am.get("evolve", False))
-            cfg.g_t_times = [float(t) for t in am.get("g_t_times", [])]
+            try:
+                cfg.g_t_times = [float(t) for t in _as_list(am.get("g_t_times", []))]
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"amplify.g_t_times: {exc}") from exc
+            if not all(0.0 <= t < math.inf for t in cfg.g_t_times):
+                raise ConfigError(
+                    f"amplify.g_t_times must be finite and >= 0, got {cfg.g_t_times}"
+                )
             if am.get("g_t_grid") is not None:
-                g = am["g_t_grid"]
-                cfg.g_t_grid = Grid(float(g["x_min"]), float(g["x_max"]), int(g["n_points"]))
+                cfg.g_t_grid = _parse_grid(am["g_t_grid"], "amplify.g_t_grid")
+                if cfg.g_t_grid.n_points > G_T_MAX_DIM:
+                    raise ConfigError(
+                        f"amplify.g_t_grid.n_points must be <= {G_T_MAX_DIM} "
+                        f"(dense propagator), got {cfg.g_t_grid.n_points}"
+                    )
 
         cfg.density_stride = int(raw.get("density_stride", 1))
         if cfg.density_stride < 1:

@@ -37,6 +37,7 @@ from .spectra import (
     critical_velocity,
     delocalization_margin,
     moving_bound_state,
+    nearest_eigenvalue,
     poschl_teller_energies,
     shifted_point_energy,
     solve_spectrum,
@@ -333,9 +334,8 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             gt_grid = cfg.g_t_grid if cfg.g_t_grid is not None else Grid(-30.0, 30.0, 1024)
             pot = cfg.potential(point.delta)
             h = build_h_eff(pot, params, gt_grid, boundary="dirichlet")
-            spec_res = solve_spectrum(h)
-            e_dom = spec_res.eigenvalues[spec_res.nearest(shifted_point_energy(e1, params))]
-            gt_rows = [(t, g_t(h, e_dom, t)) for t in cfg.g_t_times]
+            e_dom = nearest_eigenvalue(h, shifted_point_energy(e1, params))
+            gt_rows = list(zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times)))
 
         record = None
         sim_grid = None

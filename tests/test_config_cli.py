@@ -83,6 +83,56 @@ class TestConfigParsing:
             ExperimentConfig.from_dict({"experiment": "lasermap", "e1": -1.0})
 
 
+def minimal_amplify_dict(**amplify):
+    return {
+        "experiment": "amplify",
+        "grid": {"x_min": -40.0, "x_max": 40.0, "n_points": 1024},
+        "potential": {"kind": "poschl_teller", "nu": 1.0, "delta": 0.2},
+        "params": {"phi": math.pi / 3, "v_over_vc": [0.8]},
+        "amplify": {"evolve": False, "g_t_times": [0.5], **amplify},
+    }
+
+
+class TestAmplifyValidation:
+    """Bad amplify values exit 2 at parse time, before any eigensolve or expm."""
+
+    @pytest.mark.parametrize(
+        "amplify",
+        [
+            {"g_t_grid": {"x_min": -30.0, "n_points": 512}},  # missing x_max
+            {"g_t_grid": {"x_min": 30.0, "x_max": -30.0, "n_points": 512}},  # inverted
+            {"g_t_times": [-1.0]},
+            {"g_t_times": [0.5, math.nan]},
+            {"g_t_grid": {"x_min": -30.0, "x_max": 30.0, "n_points": 4096}},  # > 2048
+        ],
+        ids=["no-x_max", "inverted-grid", "negative-time", "nan-time", "oversized-grid"],
+    )
+    def test_bad_amplify_values_exit_2(self, tmp_path, amplify):
+        raw = minimal_amplify_dict(**amplify)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        outdir = tmp_path / "never"
+        assert cli_main(["amplify", "--config", str(path), "--output", str(outdir)]) == 2
+        assert not outdir.exists()
+
+    def test_cap_is_inclusive(self):
+        raw = minimal_amplify_dict(g_t_grid={"x_min": -30.0, "x_max": 30.0, "n_points": 2048})
+        assert ExperimentConfig.from_dict(raw).g_t_grid.n_points == 2048
+
+    def test_g_t_rows_follow_configured_order(self, tmp_path):
+        raw = minimal_amplify_dict(
+            g_t_times=[5.0, 0.0, 0.5, 5.0],
+            g_t_grid={"x_min": -12.0, "x_max": 12.0, "n_points": 256},
+        )
+        run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        rows = [r.split(",") for r in (tmp_path / "gt_000.csv").read_text().splitlines()[1:]]
+        assert [float(t) for t, _ in rows] == [5.0, 0.0, 0.5, 5.0]
+        gains = [float(g) for _, g in rows]
+        assert gains[1] == 1.0 and gains[0] == gains[3] > gains[2] > 1.0
+
+
 class TestIOFormat:
     def test_fmt_12_significant_digits(self):
         assert fmt(math.pi) == "3.14159265359"

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from anyonpt import (
     AnyonicParams,
     ContractError,
     DelocalizedError,
+    DivergenceError,
     DomainError,
     Grid,
     NumericalError,
@@ -19,6 +21,7 @@ from anyonpt import (
     g_infinity,
     g_infinity_poschl_teller,
     g_t,
+    nearest_eigenvalue,
     self_orthogonality,
     shifted_point_energy,
     solve_spectrum,
@@ -233,15 +236,15 @@ class TestGT:
         grid = Grid(-20.0, 20.0, 128)
         with pytest.warns(UserWarning):
             h = build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0), grid)
-        assert g_t(h, -1.0, 0.0) == 1.0
+        assert g_t(h, -1.0, [0.0]) == [1.0]
 
     def test_normal_operator_bound(self):
         grid = Grid(-30.0, 30.0, 600)
         h = build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0), grid)
         res = solve_spectrum(h)
         e1 = res.eigenvalues[res.nearest(-1.0)]
-        for t in (0.5, 2.0):
-            assert g_t(h, e1, t) <= 1.0 + 1e-6
+        for g in g_t(h, e1, [0.5, 2.0]):
+            assert g <= 1.0 + 1e-6
 
     def test_saturates_to_asymptotic_gain(self):
         # small drift: G_t at large t approaches the asymptotic gain ~ 1.2
@@ -253,21 +256,64 @@ class TestGT:
         res = solve_spectrum(h)
         e1 = res.eigenvalues[res.nearest(shifted_point_energy(-1.0, params))]
         ginf = g_infinity_poschl_teller(0.2, params)
-        got = g_t(h, e1, 20.0)
+        (got,) = g_t(h, e1, [20.0])
         assert got == pytest.approx(ginf, rel=0.2)
+
+    def test_matches_per_time_expm_oracle(self, monkeypatch):
+        # drifting non-normal operator; unsorted times with a duplicate, a
+        # zero, and the non-dyadic 1.3 that needs the remainder factor
+        params = AnyonicParams(phi=PHI3, v=0.8 * VC)
+        grid = Grid(-12.0, 12.0, 256)
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid)
+        e_dom = nearest_eigenvalue(h, shifted_point_energy(-1.0, params))
+        times = [2.0, 0.5, 5.0, 0.0, 2.0, 1.3]
+        expm_calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: expm_calls.append(1) or expm(a))
+        got = g_t(h, e_dom, times)
+        assert len(expm_calls) == 2  # base step plus the 1.3 remainder
+        monkeypatch.undo()
+        shifted = -1j * (h.entries - e_dom * np.eye(h.dim))
+        for t, g in zip(times, got):
+            oracle = float(scipy.linalg.svdvals(scipy.linalg.expm(shifted * t))[0]) ** 2
+            assert g == pytest.approx(oracle, rel=1e-10, abs=0.0)
+        assert got[3] == 1.0 and got[0] == got[4] and got[2] > got[0] > got[1] > 1.0
+
+    def test_dyadic_times_share_one_expm(self, monkeypatch):
+        grid = Grid(-12.0, 12.0, 256)
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), AnyonicParams(phi=PHI3, v=1.0), grid)
+        expm_calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: expm_calls.append(1) or expm(a))
+        g_t(h, -1.0, [0.5, 2.0, 5.0])
+        assert len(expm_calls) == 1
 
     def test_dimension_cap(self):
         grid = Grid(-30.0, 30.0, 2049)
         h = build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0), grid)
         with pytest.raises(ContractError):
-            g_t(h, -1.0, 1.0)
+            g_t(h, -1.0, [1.0])
 
     def test_negative_time_rejected(self):
         grid = Grid(-20.0, 20.0, 128)
         with pytest.warns(UserWarning):
             h = build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0), grid)
         with pytest.raises(DomainError):
-            g_t(h, -1.0, -1.0)
+            g_t(h, -1.0, [-1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        grid = Grid(-12.0, 12.0, 256)
+        h = build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0), grid)
+        with pytest.raises(DomainError):
+            g_t(h, -1.0, [1.0, bad])
+
+    def test_overflow_is_divergence(self):
+        # a shift far below the spectrum makes the propagator grow like e^{50 t}
+        grid = Grid(-12.0, 12.0, 256)
+        h = build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0), grid)
+        with pytest.raises(DivergenceError):
+            g_t(h, -1.0 - 50.0j, [100.0])
 
 
 class TestAmplificationReport:

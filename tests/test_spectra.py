@@ -1,5 +1,7 @@
 import cmath
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from anyonpt import (
     ContractError,
     DomainError,
     Grid,
+    HamiltonianMatrix,
+    NumericalError,
     PoschlTeller,
     analytic_bound_state_pt,
     build_h_eff,
@@ -20,6 +24,7 @@ from anyonpt import (
     delocalization_margin,
     fit_localization_length,
     moving_bound_state,
+    nearest_eigenvalue,
     poschl_teller_energies,
     shifted_point_energy,
     solve_spectrum,
@@ -221,6 +226,53 @@ class TestSolveSpectrum:
         rows = list(solve_spectrum(h).csv_rows())
         assert len(rows) == 64
         assert len(rows[0]) == 4
+
+
+class TestNearestEigenvalue:
+    """Shift-invert solve for one eigenvalue, against the dense oracle."""
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.8, 0.95])
+    def test_matches_dense_on_g_t_grid(self, fraction):
+        # the amplify runner's default G_t grid, Dirichlet ends
+        grid = Grid(-30.0, 30.0, 1024)
+        phi = math.pi / 3
+        params = AnyonicParams(phi=phi, v=fraction * critical_velocity(-1.0, phi))
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid, "dirichlet")
+        target = shifted_point_energy(-1.0, params)
+        dense = solve_spectrum(h)
+        expected = dense.eigenvalues[dense.nearest(target)]
+        got = nearest_eigenvalue(h, target)
+        assert abs(got - expected) <= 1e-10 * abs(expected)
+
+    def test_periodic_corners(self):
+        # a target on the drift-bent band, which only the periodic corners produce
+        grid = Grid(-20.0, 20.0, 512)
+        params = AnyonicParams(phi=math.pi / 3, v=1.0)
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid, "periodic")
+        target = continuous_dispersion(1.0, params)
+        dense = solve_spectrum(h)
+        expected = dense.eigenvalues[dense.nearest(target)]
+        assert abs(nearest_eigenvalue(h, target) - expected) <= 1e-10 * abs(expected)
+
+    def test_repeatable_bitwise(self):
+        grid = Grid(-30.0, 30.0, 1024)
+        params = AnyonicParams(phi=math.pi / 3, v=0.8 * critical_velocity(-1.0, math.pi / 3))
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid, "dirichlet")
+        target = shifted_point_energy(-1.0, params)
+        assert nearest_eigenvalue(h, target) == nearest_eigenvalue(h, target)
+
+    def test_singular_shift_is_numerical_error(self):
+        grid = Grid(-10.0, 10.0, 200)
+        h = HamiltonianMatrix(grid, np.zeros((200, 200)), "dirichlet", 0.0, 0.0)
+        with pytest.raises(NumericalError):
+            nearest_eigenvalue(h, 0.0)
+
+    def test_sparse_solver_not_imported_at_startup(self):
+        code = "import sys, anyonpt; print('scipy.sparse.linalg' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestLocalizationFit:
