@@ -17,7 +17,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import AnyonptError, ConfigError
 from .lasermap import CavityParams
 from .model import Grid, PoschlTeller, Tabulated
 from .nonnormal import G_T_MAX_DIM
@@ -102,6 +102,8 @@ class ExperimentConfig:
     delta: list = field(default_factory=lambda: [0.0])
     v0: float | None = None
     potential_file: str | None = None
+    # Samples of a tabulated potential, read once from potential_file.
+    tabulated: Tabulated | None = field(default=None, compare=False, repr=False)
     # Parameter axes.
     phi: list = field(default_factory=lambda: [0.0])
     v: list | None = None
@@ -130,6 +132,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
+        """Parse a config file; relative paths in it resolve against its directory."""
         path = Path(path)
         try:
             with path.open() as fh:
@@ -140,10 +143,24 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-        return cls.from_dict(raw)
+        return cls.from_dict(raw, base_dir=path.parent)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw: dict, base_dir=None) -> "ExperimentConfig":
+        """Parse a config tree; a relative potential.file resolves against ``base_dir``.
+
+        A value of the wrong type or form anywhere in the tree is a
+        ConfigError, never a bare ValueError or TypeError.
+        """
+        try:
+            return cls._parse(raw, base_dir)
+        except (ValueError, TypeError) as exc:
+            if isinstance(exc, AnyonptError):
+                raise
+            raise ConfigError(f"config: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, raw: dict, base_dir) -> "ExperimentConfig":
         _check_keys(raw, _TOP_KEYS, "config")
         experiment = _require(raw, "experiment", "config")
         if experiment not in EXPERIMENTS:
@@ -168,9 +185,15 @@ class ExperimentConfig:
             cfg.nu = float(p.get("nu", 1.0))
             cfg.delta = [float(d) for d in _as_list(p.get("delta", 0.0))]
             cfg.v0 = None if p.get("v0") is None else float(p["v0"])
-            cfg.potential_file = p.get("file")
-            if cfg.potential_kind == "tabulated" and not cfg.potential_file:
-                raise ConfigError("potential.kind tabulated requires potential.file")
+            if p.get("file") is not None:
+                cfg.potential_file = str(Path(base_dir or ".", p["file"]))
+            if cfg.potential_kind == "tabulated":
+                if not cfg.potential_file:
+                    raise ConfigError("potential.kind tabulated requires potential.file")
+                try:
+                    cfg.tabulated = Tabulated.from_csv(cfg.potential_file)
+                except (OSError, ValueError) as exc:  # ContractError is a ValueError
+                    raise ConfigError(f"potential.file: {exc}") from exc
 
         if "params" in raw:
             pr = raw["params"]
@@ -186,24 +209,25 @@ class ExperimentConfig:
             cfg.v = [0.0]
 
         if "propagator" in raw:
-            pp = dict(raw["propagator"])
+            pp = raw["propagator"]
             _check_keys(
                 pp, {"dt", "t_final", "frame", "snapshot_every", "absorber"}, "propagator"
             )
-            absorber = None
-            if pp.get("absorber") is not None:
-                ab = pp["absorber"]
+            ab = pp.get("absorber")
+            if ab is not None:
                 _check_keys(ab, {"width", "strength"}, "propagator.absorber")
-                absorber = AbsorberSpec(float(ab["width"]), float(ab["strength"]))
+                width, strength = (
+                    _require(ab, k, "propagator.absorber") for k in ("width", "strength")
+                )
             try:
                 cfg.propagator = PropagatorConfig(
                     dt=float(pp.get("dt", 0.005)),
                     t_final=float(pp.get("t_final", 10.0)),
                     frame=pp.get("frame", "moving"),
                     snapshot_every=int(pp.get("snapshot_every", 100)),
-                    absorber=absorber,
+                    absorber=None if ab is None else AbsorberSpec(float(width), float(strength)),
                 )
-            except ValueError as exc:
+            except ValueError as exc:  # ContractError is a ValueError
                 raise ConfigError(f"propagator: {exc}") from exc
 
         if "packet" in raw:
@@ -223,7 +247,11 @@ class ExperimentConfig:
         if "amplify" in raw:
             am = raw["amplify"]
             _check_keys(am, {"evolve", "g_t_times", "g_t_grid"}, "amplify")
-            cfg.amplify_evolve = bool(am.get("evolve", False))
+            cfg.amplify_evolve = am.get("evolve", False)
+            if not isinstance(cfg.amplify_evolve, bool):
+                raise ConfigError(
+                    f"amplify.evolve must be true or false, got {cfg.amplify_evolve!r}"
+                )
             try:
                 cfg.g_t_times = [float(t) for t in _as_list(am.get("g_t_times", []))]
             except (ValueError, TypeError) as exc:
@@ -326,7 +354,7 @@ class ExperimentConfig:
 
     def potential(self, delta: float):
         if self.potential_kind == "tabulated":
-            return Tabulated.from_csv(self.potential_file)
+            return self.tabulated
         return PoschlTeller(nu=self.nu, delta=delta, v0=self.v0)
 
     def packet(self, carrier: float):

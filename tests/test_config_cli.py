@@ -82,6 +82,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"experiment": "lasermap", "e1": -1.0})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"seed": "x"},
+            {"potential": {"nu": "deep"}},
+            {"params": {"phi": "a"}},
+            {"density_stride": "x"},
+            {"spectrum": {"k_points": [1]}},
+            {"detuning": {"start": 0.0, "stop": 1.0, "num": "x"}},
+            {"e1": "x"},
+            {"propagator": 3},
+            {"potential": {"kind": "tabulated", "file": 3}},
+        ],
+    )
+    def test_malformed_values_are_config_errors(self, tmp_path, bad):
+        raw = {"experiment": "lasermap", "e1": -1.0, "cavity": {"D": 1.0}, **bad}
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["lasermap", "--config", str(path), "--output", str(tmp_path)]) == 2
+
 
 def minimal_amplify_dict(**amplify):
     return {
@@ -131,6 +153,84 @@ class TestAmplifyValidation:
         assert [float(t) for t, _ in rows] == [5.0, 0.0, 0.5, 5.0]
         gains = [float(g) for _, g in rows]
         assert gains[1] == 1.0 and gains[0] == gains[3] > gains[2] > 1.0
+
+
+class TestPropagatorValidation:
+    @pytest.mark.parametrize(
+        "absorber",
+        [{"width": 8.0}, {"width": "wide", "strength": 0.05}, {"width": 8.0, "strength": 2.0}],
+        ids=["no-strength", "non-numeric-width", "strength-above-one"],
+    )
+    def test_bad_absorber_exits_2(self, tmp_path, absorber):
+        raw = minimal_scatter_dict()
+        raw["propagator"]["absorber"] = absorber
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["scatter", "--config", str(path), "--output", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("evolve", ["no", "off", 1])
+    def test_evolve_must_be_a_yaml_boolean(self, tmp_path, evolve):
+        raw = minimal_amplify_dict(evolve=evolve)
+        raw["propagator"] = {"dt": 0.01, "t_final": 1.0}
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["amplify", "--config", str(path), "--output", str(tmp_path)]) == 2
+
+    def test_unquoted_yaml_no_is_false(self):
+        raw = minimal_amplify_dict(**yaml.safe_load("{evolve: no}"))
+        assert ExperimentConfig.from_dict(raw).amplify_evolve is False
+
+
+def write_tabulated_config(directory: Path, file: str = "well.csv") -> Path:
+    directory.mkdir(parents=True, exist_ok=True)
+    x = [-10.0 + 20.0 * (i + 0.5) / 64 for i in range(64)]
+    rows = "".join(f"{xi},{-2.0 / math.cosh(xi) ** 2},0.0\n" for xi in x)
+    (directory / "well.csv").write_text("x,re,im\n" + rows)
+    cfg = {
+        "experiment": "spectrum",
+        "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 256},
+        "boundary": "dirichlet",
+        "potential": {"kind": "tabulated", "file": file},
+        "spectrum": {"k_max": 2.0, "k_points": 5},
+    }
+    path = directory / "tabulated.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+class TestTabulatedPotential:
+    def test_file_resolves_against_config_directory(self, tmp_path, monkeypatch):
+        path = write_tabulated_config(tmp_path / "configs")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        rc = cli_main(["spectrum", "--config", str(path), "--output", str(tmp_path / "out")])
+        assert rc == 0
+        eigs = (tmp_path / "out" / "eigs_000.csv").read_text().splitlines()
+        assert min(float(r.split(",")[0]) for r in eigs[1:]) == pytest.approx(-1.0, abs=0.01)
+
+    def test_loaded_once_at_parse_time(self, tmp_path, monkeypatch):
+        from anyonpt.model import Tabulated
+
+        loads = []
+        from_csv = Tabulated.from_csv
+        monkeypatch.setattr(
+            Tabulated, "from_csv", staticmethod(lambda p: loads.append(p) or from_csv(p))
+        )
+        cfg = ExperimentConfig.from_yaml(write_tabulated_config(tmp_path))
+        assert cfg.potential(0.0) is cfg.potential(0.5)
+        assert loads == [str(tmp_path / "well.csv")]
+
+    @pytest.mark.parametrize("file", ["missing.csv", "tabulated.yaml"], ids=["missing", "malformed"])
+    def test_unreadable_file_exits_2(self, tmp_path, file):
+        path = write_tabulated_config(tmp_path, file=file)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_yaml(path)
+        assert cli_main(["spectrum", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
 
 
 class TestIOFormat:

@@ -279,6 +279,61 @@ class TestGT:
             assert g == pytest.approx(oracle, rel=1e-10, abs=0.0)
         assert got[3] == 1.0 and got[0] == got[4] and got[2] > got[0] > got[1] > 1.0
 
+    @staticmethod
+    def drifting_h():
+        params = AnyonicParams(phi=PHI3, v=0.8 * VC)
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, Grid(-12.0, 12.0, 256))
+        return h, nearest_eigenvalue(h, shifted_point_energy(-1.0, params))
+
+    @staticmethod
+    def svdvals_oracle(h, e_dom, t):
+        shifted = -1j * (h.entries - e_dom * np.eye(h.dim))
+        return float(scipy.linalg.svdvals(scipy.linalg.expm(shifted * t))[0]) ** 2
+
+    def test_clustered_small_times_match_oracle(self):
+        # P(t) is close to the identity: its singular values cluster near one.
+        # At n = 256, t = 1e-4 exhausts the restarts and takes the dense
+        # fallback; t = 1e-2 converges in Lanczos.
+        h, e_dom = self.drifting_h()
+        times = [1e-4, 1e-2]
+        for t, g in zip(times, g_t(h, e_dom, times)):
+            assert g == pytest.approx(self.svdvals_oracle(h, e_dom, t), rel=1e-10, abs=0.0)
+
+    def test_arpack_failure_falls_back_to_dense_svd(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        h, e_dom = self.drifting_h()
+        times = [0.5, 2.0]
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("forced", np.empty(0), np.empty(0))
+
+        svdvals_calls = []
+        svdvals = scipy.linalg.svdvals
+        monkeypatch.setattr(
+            scipy.linalg, "svdvals", lambda a: svdvals_calls.append(1) or svdvals(a)
+        )
+        lanczos = g_t(h, e_dom, times)
+        assert svdvals_calls == []  # ARPACK converges at these times
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+        got = g_t(h, e_dom, times)
+        assert len(svdvals_calls) == len(times)
+        monkeypatch.undo()
+        assert got == pytest.approx(lanczos, rel=1e-12, abs=0.0)
+        for t, g in zip(times, got):
+            assert g == pytest.approx(self.svdvals_oracle(h, e_dom, t), rel=1e-10, abs=0.0)
+
+    def test_bitwise_repeatable_across_calls_and_threads(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        h, e_dom = self.drifting_h()
+        times = [0.5, 2.0, 5.0]
+        first = g_t(h, e_dom, times)
+        assert g_t(h, e_dom, times) == first
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for got in pool.map(lambda _: g_t(h, e_dom, times), range(2)):
+                assert got == first
+
     def test_dyadic_times_share_one_expm(self, monkeypatch):
         grid = Grid(-12.0, 12.0, 256)
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), AnyonicParams(phi=PHI3, v=1.0), grid)

@@ -268,7 +268,11 @@ class TestNearestEigenvalue:
             nearest_eigenvalue(h, 0.0)
 
     def test_sparse_solver_not_imported_at_startup(self):
-        code = "import sys, anyonpt; print('scipy.sparse.linalg' in sys.modules)"
+        # spectra.nearest_eigenvalue and nonnormal.g_t import it on first use
+        code = (
+            "import sys, anyonpt, anyonpt.cli, anyonpt.nonnormal, anyonpt.spectra; "
+            "print('scipy.sparse.linalg' in sys.modules)"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
