@@ -19,7 +19,7 @@ import yaml
 
 from .errors import AnyonptError, ConfigError
 from .lasermap import CavityParams
-from .model import Grid, PoschlTeller, Tabulated
+from .model import Grid, PoschlTeller, Tabulated, default_grid
 from .nonnormal import G_T_MAX_DIM
 from .propagation import AbsorberSpec, PropagatorConfig
 from .spectra import critical_velocity, poschl_teller_energies
@@ -168,6 +168,8 @@ class ExperimentConfig:
 
         cfg = cls(experiment=experiment)
         cfg.output_dir = raw.get("output_dir")
+        if cfg.output_dir is not None and not isinstance(cfg.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {cfg.output_dir!r}")
         cfg.seed = int(raw.get("seed", 0))
 
         if "grid" in raw:
@@ -327,6 +329,15 @@ class ExperimentConfig:
                 raise ConfigError("scatter: propagator and packet sections are required")
         if ex == "amplify" and self.amplify_evolve and self.propagator is None:
             raise ConfigError("amplify with evolve: true requires a propagator section")
+        if self.propagator is not None and self.propagator.absorber is not None:
+            # the grid the runners evolve on; AbsorberSpec.mask repeats this check
+            grid = self.grid if self.grid is not None else default_grid()
+            width = self.propagator.absorber.width
+            if width > grid.length / 4:
+                raise ConfigError(
+                    f"propagator.absorber.width {width} exceeds a quarter of the box "
+                    f"({grid.length / 4})"
+                )
         if ex == "lasermap":
             if self.cavity is None:
                 raise ConfigError("lasermap: cavity section is required")

@@ -246,11 +246,17 @@ def _sigma_max(p: np.ndarray) -> float:
     made (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  The
     fixed start vector makes repeated calls agree bitwise.  When ARPACK does
     not converge within LANCZOS_MAXITER restarts, or fails otherwise, the
-    dense ``svdvals`` of ``p`` is used instead.
+    dense ``svdvals`` of ``p`` is used instead.  It is also used directly
+    when the bound sqrt(||p||_1 ||p||_inf) on sigma reaches 2^511: there the
+    Gram product p^H p that ARPACK iterates on can overflow, and LAPACK then
+    prints to stderr before ARPACK fails.
     """
     # Imported here: scipy.sparse.linalg adds ~20 ms to every start-up.
     import scipy.sparse.linalg
 
+    bound = math.sqrt(scipy.linalg.norm(p, 1)) * math.sqrt(scipy.linalg.norm(p, np.inf))
+    if bound >= 2.0**511:
+        return float(scipy.linalg.svdvals(p)[0])
     op = scipy.sparse.linalg.LinearOperator(
         p.shape,
         matvec=lambda x: p @ x,
@@ -304,7 +310,7 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     gains = {0.0: 1.0}
     positive = sorted(set(times) - {0.0})
     if positive:
-        gen = -1j * h.entries
+        gen = -1j * h.dense()
         gen.flat[:: h.dim + 1] += 1j * e1
         norm1 = float(np.abs(gen).sum(axis=0).max())
         tau = positive[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .model import (
     AnyonicParams,
     GaugeFactors,
@@ -236,18 +236,17 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     (1 / integral |u|^4 for normalized u) is below 0.2 of the box length.
     """
     n = h.dim
-    if n > 8192:
-        raise ContractError(f"dense solve capped at dimension 8192, got {n}")
+    m = h.dense()
     try:
         if h.is_hermitian():
-            w, vecs = np.linalg.eigh(h.entries)
+            w, vecs = np.linalg.eigh(m)
             w = w.astype(complex)
             hermitian_path = True
         else:
-            w, vecs = np.linalg.eig(h.entries)
+            w, vecs = np.linalg.eig(m)
             hermitian_path = False
     except np.linalg.LinAlgError as exc:
-        norm1 = float(np.abs(h.entries).sum(axis=0).max())
+        norm1 = float(np.abs(m).sum(axis=0).max())
         raise NumericalError(
             f"eigensolver failed: {exc} (dim={n}, boundary={h.boundary}, "
             f"matrix 1-norm={norm1:.3e})"
@@ -292,10 +291,10 @@ def nearest_eigenvalue(h: HamiltonianMatrix, target: complex) -> complex:
     import scipy.sparse.linalg
 
     n = h.dim
-    offsets = [-1, 0, 1] + ([1 - n, n - 1] if h.boundary == "periodic" else [])
-    band = scipy.sparse.diags(
-        [np.diagonal(h.entries, k) for k in offsets], offsets, format="csc"
-    )
+    bands = {-1: h.lower, 0: h.diagonal, 1: h.upper}
+    if h.boundary == "periodic":
+        bands.update({1 - n: h.upper, n - 1: h.lower})
+    band = scipy.sparse.diags(list(bands.values()), list(bands), shape=(n, n), format="csc")
     try:
         (value,) = scipy.sparse.linalg.eigs(
             band, k=1, sigma=target, v0=np.ones(n, dtype=complex), return_eigenvectors=False

@@ -57,8 +57,8 @@ def test_criterion_01_poschl_teller_point_spectrum():
 def test_criterion_02_spectrum_rotation():
     grid = Grid(-40.0, 40.0, 800)
     well = PoschlTeller(nu=1.0, delta=0.2)
-    w0 = np.linalg.eigvals(build_h_eff(well, AnyonicParams(phi=0.0), grid).entries)
-    w1 = np.linalg.eigvals(build_h_eff(well, AnyonicParams(phi=PHI3), grid).entries)
+    w0 = np.linalg.eigvals(build_h_eff(well, AnyonicParams(phi=0.0), grid).dense())
+    w1 = np.linalg.eigvals(build_h_eff(well, AnyonicParams(phi=PHI3), grid).dense())
     rotated = w1 * complex(math.cos(PHI3), math.sin(PHI3))
     dist = np.abs(rotated[:, None] - w0[None, :])
     hausdorff = max(dist.min(axis=0).max(), dist.min(axis=1).max())

@@ -94,6 +94,7 @@ class TestConfigParsing:
             {"e1": "x"},
             {"propagator": 3},
             {"potential": {"kind": "tabulated", "file": 3}},
+            {"output_dir": 3},
         ],
     )
     def test_malformed_values_are_config_errors(self, tmp_path, bad):
@@ -158,8 +159,13 @@ class TestAmplifyValidation:
 class TestPropagatorValidation:
     @pytest.mark.parametrize(
         "absorber",
-        [{"width": 8.0}, {"width": "wide", "strength": 0.05}, {"width": 8.0, "strength": 2.0}],
-        ids=["no-strength", "non-numeric-width", "strength-above-one"],
+        [
+            {"width": 8.0},
+            {"width": "wide", "strength": 0.05},
+            {"width": 8.0, "strength": 2.0},
+            {"width": 40.0, "strength": 0.05},
+        ],
+        ids=["no-strength", "non-numeric-width", "strength-above-one", "wider-than-quarter-box"],
     )
     def test_bad_absorber_exits_2(self, tmp_path, absorber):
         raw = minimal_scatter_dict()
@@ -168,7 +174,9 @@ class TestPropagatorValidation:
             ExperimentConfig.from_dict(raw)
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(raw))
-        assert cli_main(["scatter", "--config", str(path), "--output", str(tmp_path)]) == 2
+        outdir = tmp_path / "out"
+        assert cli_main(["scatter", "--config", str(path), "--output", str(outdir)]) == 2
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("evolve", ["no", "off", 1])
     def test_evolve_must_be_a_yaml_boolean(self, tmp_path, evolve):

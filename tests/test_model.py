@@ -20,7 +20,6 @@ from anyonpt import (
     check_pt_condition,
     eval_potential,
 )
-from anyonpt.model import _drift_matrix
 
 
 class TestGrid:
@@ -138,13 +137,13 @@ class TestGaugeFactors:
 class TestBuildHEff:
     def test_hermitian_limit_is_symmetric_real(self, sym_grid):
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.0), AnyonicParams(phi=0.0), sym_grid)
-        m = h.entries
+        m = h.dense()
         assert np.array_equal(m, m.conj().T)
         assert np.abs(m.imag).max() == 0.0
 
     def test_pt_case_complex_symmetric(self, sym_grid):
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.3), AnyonicParams(phi=0.0), sym_grid)
-        m = h.entries
+        m = h.dense()
         assert np.array_equal(m, m.T)
         assert np.abs(m.imag).max() > 0.0
 
@@ -153,7 +152,7 @@ class TestBuildHEff:
         grid = Grid(-20.0, 20.0, 128)
         params = AnyonicParams(phi=math.pi / 5, v=0.7)
         h = build_h_eff(PoschlTeller(v0=0.0), params, grid, boundary="periodic")
-        w = np.linalg.eigvals(h.entries)
+        w = np.linalg.eigvals(h.dense())
         k = grid.k
         rot = cmath.exp(-1j * params.phi)
         exact = rot * (2.0 - 2.0 * np.cos(k * grid.dx)) / grid.dx**2 - params.v * np.sin(
@@ -167,13 +166,56 @@ class TestBuildHEff:
         grid = Grid(-40.0, 40.0, 1024)
         params = AnyonicParams(phi=math.pi / 3, v=1.0)
         h = build_h_eff(PoschlTeller(v0=0.0), params, grid, boundary="periodic")
-        w = np.linalg.eigvals(h.entries)
+        w = np.linalg.eigvals(h.dense())
         rot = cmath.exp(-1j * params.phi)
         for j in (4, 13, 26):  # on-grid modes; off-grid k only exists up to quantization
             k = grid.k[j]
             target = rot * k * k - k * params.v
             bound = (k**4 / 12 + abs(params.v) * abs(k) ** 3 / 6) * grid.dx**2 * 2
             assert np.abs(w - target).min() < bound
+
+    @staticmethod
+    def dense_oracle(spec, params, grid, boundary):
+        """Reference assembly: dense kinetic + potential stencil plus a dense i v D1."""
+        n = grid.n_points
+        rot = complex(math.cos(params.phi), -math.sin(params.phi))
+        h = np.zeros((n, n), dtype=complex)
+        idx = np.arange(n)
+        h[idx, idx] = 2.0 * rot / grid.dx**2 + rot * np.asarray(spec(grid.x), dtype=complex)
+        off = -rot / grid.dx**2
+        h[idx[:-1], idx[:-1] + 1] = off
+        h[idx[:-1] + 1, idx[:-1]] = off
+        c = 1j * params.v / (2.0 * grid.dx)
+        d = np.zeros((n, n), dtype=complex)
+        d[idx[:-1], idx[:-1] + 1] = c
+        d[idx[:-1] + 1, idx[:-1]] = -c
+        if boundary == "periodic":
+            h[0, -1] = h[-1, 0] = off
+            d[-1, 0] = c
+            d[0, -1] = -c
+        return h + d
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 8, math.pi / 3, math.pi / 2])
+    @pytest.mark.parametrize("v", [0.0, -0.0, 1.3, -2.0])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("kind", ["well", "barrier", "tabulated"])
+    def test_dense_matches_reference_assembly_bitwise(self, phi, v, boundary, kind, rng):
+        grid = Grid(-10.0, 10.0, 200)
+        if kind == "tabulated":
+            vals = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+            vals[::5] = complex(1.0, -0.0)  # -0.0 parts: the signs must match too
+            vals[::7] = complex(-0.0, -0.0)
+            spec = Tabulated(grid, vals)
+        elif kind == "well":
+            spec = PoschlTeller(nu=1.4, delta=0.35)
+        else:
+            spec = PoschlTeller(delta=-0.5, v0=3.0)
+        params = AnyonicParams(phi=phi, v=v)
+        h = build_h_eff(spec, params, grid, boundary)
+        assert h.dense().tobytes() == self.dense_oracle(spec, params, grid, boundary).tobytes()
+        # the drift couplings are the antisymmetric pair +/- i v/(2 dx)
+        assert (h.upper - h.lower) / 2 == pytest.approx(1j * v / (2 * grid.dx), rel=1e-12)
+        assert (h.upper + h.lower) / 2 == pytest.approx(-cmath.exp(-1j * phi) / grid.dx**2)
 
     def test_coarse_grid_warns(self):
         grid = Grid(-40.0, 40.0, 128)
@@ -231,7 +273,3 @@ class TestWaveFunction:
         psi = WaveFunction(sym_grid, np.ones(sym_grid.n_points, dtype=complex))
         with pytest.raises(ValueError):
             psi.values[0] = 2.0
-
-    def test_drift_matrix_antisymmetric(self, sym_grid):
-        d = _drift_matrix(sym_grid, 1.7, "periodic")
-        assert np.abs(d + d.T).max() == 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from anyonpt import (
     shifted_point_energy,
     solve_spectrum,
 )
-from anyonpt.nonnormal import AmplificationReport, amplification_grid_for
+from anyonpt.nonnormal import AmplificationReport, _sigma_max, amplification_grid_for
 
 PHI3 = math.pi / 3
 VC = 2.0 / math.sin(PHI3)
@@ -273,7 +274,7 @@ class TestGT:
         got = g_t(h, e_dom, times)
         assert len(expm_calls) == 2  # base step plus the 1.3 remainder
         monkeypatch.undo()
-        shifted = -1j * (h.entries - e_dom * np.eye(h.dim))
+        shifted = -1j * (h.dense() - e_dom * np.eye(h.dim))
         for t, g in zip(times, got):
             oracle = float(scipy.linalg.svdvals(scipy.linalg.expm(shifted * t))[0]) ** 2
             assert g == pytest.approx(oracle, rel=1e-10, abs=0.0)
@@ -287,7 +288,7 @@ class TestGT:
 
     @staticmethod
     def svdvals_oracle(h, e_dom, t):
-        shifted = -1j * (h.entries - e_dom * np.eye(h.dim))
+        shifted = -1j * (h.dense() - e_dom * np.eye(h.dim))
         return float(scipy.linalg.svdvals(scipy.linalg.expm(shifted * t))[0]) ** 2
 
     def test_clustered_small_times_match_oracle(self):
@@ -369,6 +370,15 @@ class TestGT:
         h = build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0), grid)
         with pytest.raises(DivergenceError):
             g_t(h, -1.0 - 50.0j, [100.0])
+
+    def test_huge_propagator_skips_lanczos_quietly(self, capfd, rng):
+        # sigma ~ 1e161: the Gram product that ARPACK iterates on would overflow
+        p = 1e160 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigma_max(p)
+        assert got == float(scipy.linalg.svdvals(p)[0])
+        assert capfd.readouterr() == ("", "")
 
 
 class TestAmplificationReport:

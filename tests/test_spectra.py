@@ -2,6 +2,7 @@ import cmath
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,8 +199,8 @@ class TestSolveSpectrum:
         phi = math.pi / 3
         h0 = build_h_eff(well, AnyonicParams(phi=0.0), grid)
         h1 = build_h_eff(well, AnyonicParams(phi=phi), grid)
-        w0 = np.linalg.eigvals(h0.entries)
-        w1 = np.linalg.eigvals(h1.entries) * cmath.exp(1j * phi)
+        w0 = np.linalg.eigvals(h0.dense())
+        w1 = np.linalg.eigvals(h1.dense()) * cmath.exp(1j * phi)
         # multiset equality within tolerance (sorting is unstable for
         # conjugate pairs with machine-equal real parts)
         dist = np.abs(w1[:, None] - w0[None, :])
@@ -226,6 +227,20 @@ class TestSolveSpectrum:
         rows = list(solve_spectrum(h).csv_rows())
         assert len(rows) == 64
         assert len(rows[0]) == 4
+
+    def test_oversized_grid_capped_before_dense_allocation(self):
+        n = 10_000
+        tracemalloc.start()
+        try:
+            h = build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=0.3, v=0.5), Grid(-40, 40, n))
+            held = sum(a.nbytes for a in vars(h).values() if isinstance(a, np.ndarray))
+            assert held <= 16 * n
+            with pytest.raises(ContractError, match="8192"):
+                solve_spectrum(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 16 * n  # one n x n complex matrix is 1.6 GB
 
 
 class TestNearestEigenvalue:
@@ -263,7 +278,7 @@ class TestNearestEigenvalue:
 
     def test_singular_shift_is_numerical_error(self):
         grid = Grid(-10.0, 10.0, 200)
-        h = HamiltonianMatrix(grid, np.zeros((200, 200)), "dirichlet", 0.0, 0.0)
+        h = HamiltonianMatrix(grid, np.zeros(200), 0.0, 0.0, "dirichlet", 0.0, 0.0)
         with pytest.raises(NumericalError):
             nearest_eigenvalue(h, 0.0)
 
