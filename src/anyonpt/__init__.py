@@ -53,7 +53,6 @@ from .propagation import (
     evolve,
     gauge_growth_factor,
     gauge_transform_check,
-    step_split_fourier,
 )
 from .scattering import (
     PacketSpec,

@@ -17,11 +17,12 @@ from pathlib import Path
 
 import yaml
 
-from .errors import AnyonptError, ConfigError
+from .errors import AnyonptError, ConfigError, ContractError
 from .lasermap import CavityParams
-from .model import Grid, PoschlTeller, Tabulated, default_grid
+from .model import DENSE_MAX_DIM, AnyonicParams, Grid, PoschlTeller, Tabulated, default_grid
 from .nonnormal import G_T_MAX_DIM
 from .propagation import AbsorberSpec, PropagatorConfig
+from .scattering import PacketSpec
 from .spectra import critical_velocity, poschl_teller_energies
 
 __all__ = ["ExperimentConfig", "SweepPoint", "EXPERIMENTS"]
@@ -32,7 +33,6 @@ MAX_SWEEP_POINTS = 10_000
 _TOP_KEYS = {
     "experiment",
     "output_dir",
-    "seed",
     "grid",
     "boundary",
     "potential",
@@ -95,7 +95,6 @@ class ExperimentConfig:
     grid: Grid | None = None
     boundary: str = "periodic"
     output_dir: str | None = None
-    seed: int = 0
     # Potential axis values; delta may hold several sweep values.
     potential_kind: str = "poschl_teller"
     nu: float = 1.0
@@ -170,7 +169,6 @@ class ExperimentConfig:
         cfg.output_dir = raw.get("output_dir")
         if cfg.output_dir is not None and not isinstance(cfg.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {cfg.output_dir!r}")
-        cfg.seed = int(raw.get("seed", 0))
 
         if "grid" in raw:
             cfg.grid = _parse_grid(raw["grid"], "grid")
@@ -348,12 +346,36 @@ class ExperimentConfig:
                 raise ConfigError("v_over_vc needs a poschl_teller well (negative amplitude)")
             if any(p == 0.0 for p in self.phi):
                 raise ConfigError("v_over_vc is undefined at phi = 0 (no finite v_c)")
-        n = len(self.sweep_points())
-        if n > MAX_SWEEP_POINTS:
-            raise ConfigError(f"sweep has {n} points, cap is {MAX_SWEEP_POINTS}")
+        points = self.sweep_points()
+        if len(points) > MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep has {len(points)} points, cap is {MAX_SWEEP_POINTS}")
+        # the grids these runners hand to the dense eigensolver
+        if ex in ("spectrum", "delocalize"):
+            n = max(self.grid_for_point(p).n_points for p in points)
+        elif ex == "amplify" and not self.closed_form_well():
+            n = self.grid.n_points
+        else:
+            n = 0
+        if n > DENSE_MAX_DIM:
+            raise ConfigError(
+                f"{ex}: the dense eigensolve would run on {n} points, above the cap of "
+                f"{DENSE_MAX_DIM} (spectrum and delocalize double the box above 0.9 v_c)"
+            )
+        if ex == "scatter":
+            for p in points:
+                try:
+                    packet = self.packet(p.carrier)
+                    packet.validate_on(self.grid)
+                    packet.check_approach(AnyonicParams(phi=p.phi, v=p.v), self.separatrix)
+                except ContractError as exc:
+                    raise ConfigError(f"sweep point {p.index}: {exc}") from exc
 
     def effective_amplitude(self) -> float:
         return self.v0 if self.v0 is not None else -self.nu * (self.nu + 1.0)
+
+    def closed_form_well(self) -> bool:
+        """The nu = 1 well has a closed-form bound state; others need an eigensolve."""
+        return self.nu == 1.0 and self.v0 is None
 
     # ------------------------------------------------------------------ access
 
@@ -363,14 +385,22 @@ class ExperimentConfig:
             raise ConfigError("ground-state energy needs a poschl_teller well")
         return poschl_teller_energies(self.nu).energies[0]
 
+    def grid_for_point(self, point: SweepPoint) -> Grid:
+        """Eigensolve grid: a doubled box near v_c, where localization lengths diverge."""
+        try:
+            e1 = self.ground_state_energy()
+        except ConfigError:
+            return self.grid
+        if point.phi > 0 and abs(point.v) > 0.9 * critical_velocity(e1, point.phi):
+            return self.grid.scaled(2.0, 2.0)
+        return self.grid
+
     def potential(self, delta: float):
         if self.potential_kind == "tabulated":
             return self.tabulated
         return PoschlTeller(nu=self.nu, delta=delta, v0=self.v0)
 
-    def packet(self, carrier: float):
-        from .scattering import PacketSpec
-
+    def packet(self, carrier: float) -> PacketSpec:
         return PacketSpec(center=self.packet_center, width=self.packet_width, carrier=carrier)
 
     def sweep_points(self) -> list:
@@ -400,7 +430,7 @@ class ExperimentConfig:
     # ------------------------------------------------------------------ output
 
     def to_dict(self) -> dict:
-        out: dict = {"experiment": self.experiment, "seed": self.seed}
+        out: dict = {"experiment": self.experiment}
         if self.output_dir is not None:
             out["output_dir"] = self.output_dir
         if self.grid is not None:
@@ -476,9 +506,3 @@ class ExperimentConfig:
         if self.e1 is not None:
             out["e1"] = self.e1
         return out
-
-    def to_yaml(self, path):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            yaml.safe_dump(self.to_dict(), fh, sort_keys=True)

@@ -46,6 +46,8 @@ __all__ = [
 
 # |x| beyond which sech-type profiles underflow double precision anyway.
 _SECH_CUTOFF = 350.0
+# Dense operators are n x n complex: one 8192^2 matrix is 1 GiB.
+DENSE_MAX_DIM = 8192
 
 
 @dataclass(frozen=True)
@@ -340,8 +342,8 @@ class HamiltonianMatrix:
     def dense(self) -> np.ndarray:
         """The full n x n matrix, for the dense algorithms that need one."""
         n = self.dim
-        if n > 8192:  # one 8192^2 complex matrix is 1 GiB
-            raise ContractError(f"dense matrix capped at dimension 8192, got {n}")
+        if n > DENSE_MAX_DIM:
+            raise ContractError(f"dense matrix capped at dimension {DENSE_MAX_DIM}, got {n}")
         m = np.zeros((n, n), dtype=complex)
         idx = np.arange(n)
         m[idx, idx] = self.diagonal

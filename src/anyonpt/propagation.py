@@ -23,7 +23,6 @@ __all__ = [
     "AbsorberSpec",
     "PropagatorConfig",
     "EvolutionRecord",
-    "step_split_fourier",
     "evolve",
     "gauge_transform_check",
     "gauge_growth_factor",
@@ -99,34 +98,12 @@ def _kinetic_multiplier(grid, params: AnyonicParams, dt: float, drift: bool) -> 
     return np.exp(-1j * symbol * dt)
 
 
-def _potential_half_factor(vvals: np.ndarray, phi: float, dt: float) -> np.ndarray:
-    rot = complex(math.cos(phi), -math.sin(phi))
-    return np.exp(-0.5j * rot * vvals * dt)
-
-
 def _guard(values: np.ndarray):
     m = float(np.abs(values).max())
     if not math.isfinite(m) or m > AMPLITUDE_GUARD:
         raise DivergenceError(
             f"field amplitude {m:.3e} exceeded the guard; broken phase or dt too large"
         )
-
-
-def step_split_fourier(
-    psi: WaveFunction,
-    spec: PotentialSpec,
-    params: AnyonicParams,
-    dt: float,
-) -> WaveFunction:
-    """One Strang step of the moving-frame equation i psi_t = H_eff psi."""
-    grid = psi.grid
-    half_v = _potential_half_factor(np.asarray(spec(grid.x), dtype=complex), params.phi, dt)
-    mult_k = _kinetic_multiplier(grid, params, dt, drift=True)
-    out = half_v * psi.values
-    out = np.fft.ifft(mult_k * np.fft.fft(out))
-    out = half_v * out
-    _guard(out)
-    return WaveFunction(grid, out)
 
 
 def evolve(
@@ -139,8 +116,10 @@ def evolve(
 
     Moving frame: static potential V(x) plus the drift term folded into the
     Fourier multiplier.  Lab frame: no drift term, potential V(x - v t)
-    re-evaluated at the step endpoints (frozen-coefficient Strang), which
-    preserves second-order accuracy for the rigid drift.
+    evaluated at the step endpoints (frozen-coefficient Strang), which
+    preserves second-order accuracy for the rigid drift; the closing factor
+    of one step is the opening factor of the next, so V is evaluated once
+    per step time.
     """
     grid = psi0.grid
     dt = config.dt
@@ -156,13 +135,11 @@ def evolve(
 
     moving = config.frame == "moving"
     mult_k = _kinetic_multiplier(grid, params, dt, drift=moving)
-    if moving:
-        half_v = _potential_half_factor(np.asarray(spec(grid.x), dtype=complex), params.phi, dt)
+    rot = complex(math.cos(params.phi), -math.sin(params.phi))
 
-    def potential_at(t: float) -> np.ndarray:
-        return _potential_half_factor(
-            np.asarray(spec(grid.x - params.v * t), dtype=complex), params.phi, dt
-        )
+    def half_v_at(t: float) -> np.ndarray:
+        x = grid.x if moving else grid.x - params.v * t
+        return np.exp(-0.5j * rot * np.asarray(spec(x), dtype=complex) * dt)
 
     psi = psi0.values.copy()
     times = [0.0]
@@ -170,16 +147,13 @@ def evolve(
     snaps = [WaveFunction(grid, psi)]
 
     n_steps = config.n_steps()
+    half_v = half_v_at(0.0)
     for step in range(n_steps):
-        t = step * dt
-        if moving:
-            a = b = half_v
-        else:
-            a = potential_at(t)
-            b = potential_at(t + dt)
-        psi = a * psi
+        psi = half_v * psi
         psi = np.fft.ifft(mult_k * np.fft.fft(psi))
-        psi = b * psi
+        if not moving:
+            half_v = half_v_at((step + 1) * dt)
+        psi = half_v * psi
         if mask is not None:
             psi = mask * psi
         _guard(psi)

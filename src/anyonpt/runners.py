@@ -10,6 +10,7 @@ by sweep index.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -20,7 +21,7 @@ from ._io import write_csv, write_ndjson
 from .config import ExperimentConfig, SweepPoint
 from .errors import ConfigError
 from .lasermap import map_to_anyonic, mode_locking_threshold
-from .model import AnyonicParams, Grid, build_h_eff, default_grid
+from .model import AnyonicParams, Grid, build_h_eff
 from .nonnormal import (
     amplification_grid_for,
     analytic_bound_state_pt,
@@ -31,10 +32,9 @@ from .nonnormal import (
 )
 from .nonnormal import AmplificationReport
 from .propagation import evolve
-from .scattering import gaussian_packet, group_velocity, report_from_final, stationary_rt
+from .scattering import group_velocity, run_packet_scattering, stationary_rt
 from .spectra import (
     DispersionCurve,
-    critical_velocity,
     delocalization_margin,
     moving_bound_state,
     nearest_eigenvalue,
@@ -53,23 +53,30 @@ def _map_points(fn, points, jobs: int):
         return list(pool.map(fn, points))
 
 
-def _grid_for_point(cfg: ExperimentConfig, point: SweepPoint) -> Grid:
-    """Near-threshold drifts get a doubled box: localization lengths diverge."""
-    grid = cfg.grid if cfg.grid is not None else default_grid()
-    try:
-        e1 = cfg.ground_state_energy()
-    except ConfigError:
-        return grid
-    vc = critical_velocity(e1, point.phi) if point.phi > 0 else None
-    if vc is not None and abs(point.v) > 0.9 * vc:
-        return grid.scaled(2.0, 2.0)
-    return grid
+def _write_evolution(outdir: Path, tag: str, record, stride: int, divisors) -> list:
+    """Write evolution_<tag>.ndjson and norm_<tag>.csv for one evolution record.
+
+    Each snapshot's density is divided by its entry of ``divisors`` and
+    sampled at every ``stride``-th grid point.
+    """
+    ndjson = [
+        {
+            "t": float(t),
+            "norm": float(norm),
+            "density": [float(d) for d in (snap.density() / div)[::stride]],
+        }
+        for t, norm, snap, div in zip(record.times, record.norm, record.snapshots, divisors)
+    ]
+    return [
+        write_ndjson(outdir / f"evolution_{tag}.ndjson", ndjson),
+        write_csv(outdir / f"norm_{tag}.csv", ("t", "norm"), zip(record.times, record.norm)),
+    ]
 
 
 def _stationary_ground_state(cfg: ExperimentConfig, delta: float, grid: Grid):
     """Bound state of the stationary well: closed form at nu = 1, else numeric."""
     e1 = cfg.ground_state_energy()
-    if cfg.nu == 1.0 and cfg.v0 is None:
+    if cfg.closed_form_well():
         return analytic_bound_state_pt(grid, delta), e1
     pot = cfg.potential(delta)
     h = build_h_eff(pot, AnyonicParams(phi=0.0, v=0.0), grid, boundary="dirichlet")
@@ -86,7 +93,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 
     def compute(point: SweepPoint):
         params = AnyonicParams(phi=point.phi, v=point.v)
-        grid = _grid_for_point(cfg, point)
+        grid = cfg.grid_for_point(point)
         pot = cfg.potential(point.delta)
         h = build_h_eff(pot, params, grid, boundary=cfg.boundary)
         result = solve_spectrum(h)
@@ -148,7 +155,7 @@ def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 
     def compute(point: SweepPoint):
         params = AnyonicParams(phi=point.phi, v=point.v)
-        grid = _grid_for_point(cfg, point)
+        grid = cfg.grid_for_point(point)
         u1, e1 = _stationary_ground_state(cfg, point.delta, grid)
         dressed = moving_bound_state(u1, e1, params)
         margin = delocalization_margin(e1, params)
@@ -213,47 +220,44 @@ def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 
 def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     points = cfg.sweep_points()
-    grid = cfg.grid if cfg.grid is not None else default_grid()
 
     def compute(point: SweepPoint):
-        params = AnyonicParams(phi=point.phi, v=point.v)
-        pot = cfg.potential(point.delta)
-        packet = cfg.packet(point.carrier if point.carrier is not None else 0.0)
-        vg = group_velocity(packet.carrier, params)
-        side = math.copysign(1.0, packet.center - cfg.separatrix)
-        if vg * side >= 0:
-            raise ConfigError(
-                f"sweep point {point.index}: packet does not approach the separatrix "
-                f"(center {packet.center}, group velocity {vg:+.3g})"
-            )
-        psi0 = gaussian_packet(grid, packet)
-        record = evolve(psi0, pot, params, cfg.propagator)
-        report = report_from_final(record.final(), packet, params, cfg.separatrix)
-        return record, report
+        return run_packet_scattering(
+            cfg.potential(point.delta),
+            AnyonicParams(phi=point.phi, v=point.v),
+            cfg.packet(point.carrier),
+            cfg.propagator,
+            cfg.grid,
+            cfg.separatrix,
+        )
 
     computed = _map_points(compute, points, jobs)
 
-    stride = cfg.density_stride
+    triples = []
+    if cfg.rt_sweep is not None:
+        # stationary r(k), t(k) spectra, one file per distinct (phi, v, delta)
+        ks = np.linspace(cfg.rt_sweep["k_min"], cfg.rt_sweep["k_max"], cfg.rt_sweep["num"])
+        triples = sorted({(p.phi, p.v, p.delta) for p in points})
+
+    def rt_rows(triple):
+        phi, v, delta = triple
+        params = AnyonicParams(phi=phi, v=v)
+        pot = cfg.potential(delta)
+        rows = []
+        for k in ks:
+            if group_velocity(float(k), params) <= 0:
+                continue  # not a left-incident channel
+            r, t = stationary_rt(pot, params, float(k), grid=cfg.grid)
+            rows.append((float(k), r.real, r.imag, t.real, t.imag))
+        return rows
+
+    rt_tables = _map_points(rt_rows, triples, jobs)
+
     written = []
     report_rows = []
     for point, (record, report) in zip(points, computed):
         tag = f"{point.index:03d}"
-        ndjson = []
-        for t, norm, snap in zip(record.times, record.norm, record.snapshots):
-            rho = snap.density()
-            ndjson.append(
-                {
-                    "t": float(t),
-                    "norm": float(norm),
-                    "density": [float(d) for d in rho[::stride]],
-                }
-            )
-        written.append(write_ndjson(outdir / f"evolution_{tag}.ndjson", ndjson))
-        written.append(
-            write_csv(
-                outdir / f"norm_{tag}.csv", ("t", "norm"), zip(record.times, record.norm)
-            )
-        )
+        written += _write_evolution(outdir, tag, record, cfg.density_stride, itertools.repeat(1.0))
         report_rows.append(
             (
                 point.index,
@@ -286,25 +290,10 @@ def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             report_rows,
         )
     )
-
-    if cfg.rt_sweep is not None:
-        # stationary r(k), t(k) spectra, one file per distinct (phi, v, delta)
-        ks = np.linspace(cfg.rt_sweep["k_min"], cfg.rt_sweep["k_max"], cfg.rt_sweep["num"])
-        triples = sorted({(p.phi, p.v, p.delta) for p in points})
-        for i, (phi, v, delta) in enumerate(triples):
-            params = AnyonicParams(phi=phi, v=v)
-            pot = cfg.potential(delta)
-            rows = []
-            for k in ks:
-                if group_velocity(float(k), params) <= 0:
-                    continue  # not a left-incident channel
-                r, t = stationary_rt(pot, params, float(k), grid=grid)
-                rows.append((float(k), r.real, r.imag, t.real, t.imag))
-            written.append(
-                write_csv(
-                    outdir / f"rt_{i:03d}.csv", ("k", "re_r", "im_r", "re_t", "im_t"), rows
-                )
-            )
+    for i, rows in enumerate(rt_tables):
+        written.append(
+            write_csv(outdir / f"rt_{i:03d}.csv", ("k", "re_r", "im_r", "re_t", "im_t"), rows)
+        )
     return written
 
 
@@ -318,14 +307,12 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         params = AnyonicParams(phi=point.phi, v=point.v)
         e1 = cfg.ground_state_energy()
         margin = delocalization_margin(e1, params)
-        if cfg.nu == 1.0 and cfg.v0 is None:
+        if cfg.closed_form_well():
             # Closed-form state on an auto-widened quadrature grid.
             ginf = g_infinity_poschl_teller(point.delta, params)
             u1 = analytic_bound_state_pt(amplification_grid_for(e1, params), point.delta)
         else:
-            u1, e1 = _stationary_ground_state(
-                cfg, point.delta, cfg.grid if cfg.grid is not None else default_grid()
-            )
+            u1, e1 = _stationary_ground_state(cfg, point.delta, cfg.grid)
             ginf = g_infinity(u1, params, e1=e1)
         sorth = self_orthogonality(u1)
 
@@ -338,12 +325,10 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             gt_rows = list(zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times)))
 
         record = None
-        sim_grid = None
         if cfg.amplify_evolve:
             # Evolution runs honor the configured box as-is; automatic box
             # doubling is reserved for eigensolve localization studies.
-            sim_grid = cfg.grid if cfg.grid is not None else default_grid()
-            u1_sim, _ = _stationary_ground_state(cfg, point.delta, sim_grid)
+            u1_sim, _ = _stationary_ground_state(cfg, point.delta, cfg.grid)
             dressed = moving_bound_state(u1_sim, e1, params)
             if dressed is None:
                 raise ConfigError(
@@ -357,14 +342,13 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             self_orthogonality=sorth,
             delocalization_margin=margin,
         )
-        return report, record, sim_grid
+        return report, record
 
     computed = _map_points(compute, points, jobs)
 
     written = []
     rows = []
-    stride = cfg.density_stride
-    for point, (report, record, sim_grid) in zip(points, computed):
+    for point, (report, record) in zip(points, computed):
         tag = f"{point.index:03d}"
         rows.append(
             (
@@ -381,23 +365,8 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
                 write_csv(outdir / f"gt_{tag}.csv", ("t", "g_t"), report.g_t_samples)
             )
         if record is not None:
-            ndjson = []
-            for t, norm, snap in zip(record.times, record.norm, record.snapshots):
-                rho = snap.density()
-                total = float(np.trapezoid(rho, dx=sim_grid.dx))
-                ndjson.append(
-                    {
-                        "t": float(t),
-                        "norm": float(norm),
-                        "density": [float(d) for d in (rho / total)[::stride]],
-                    }
-                )
-            written.append(write_ndjson(outdir / f"evolution_{tag}.ndjson", ndjson))
-            written.append(
-                write_csv(
-                    outdir / f"norm_{tag}.csv", ("t", "norm"), zip(record.times, record.norm)
-                )
-            )
+            # densities normalized by N(t), so only their shape evolves
+            written += _write_evolution(outdir, tag, record, cfg.density_stride, record.norm)
     written.append(
         write_csv(
             outdir / "ginf.csv",

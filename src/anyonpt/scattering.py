@@ -24,7 +24,7 @@ from .model import (
     default_grid,
     trapz,
 )
-from .propagation import PropagatorConfig, evolve
+from .propagation import EvolutionRecord, PropagatorConfig, evolve
 from .spectra import continuous_dispersion
 
 __all__ = [
@@ -68,6 +68,15 @@ class PacketSpec:
             raise ContractError(
                 "packet support must fit inside the grid: "
                 f"|center| + 3 width = {abs(self.center) + 3 * self.width} >= {grid.x_max}"
+            )
+
+    def check_approach(self, params: AnyonicParams, separatrix: float = 0.0):
+        """The carrier's group velocity must carry the packet toward the separatrix."""
+        vg = group_velocity(self.carrier, params)
+        if vg * math.copysign(1.0, self.center - separatrix) >= 0:
+            raise ContractError(
+                f"packet at {self.center} with group velocity {vg:+.3g} does not "
+                "approach the separatrix; flip the carrier, drift, or start side"
             )
 
 
@@ -218,8 +227,8 @@ def run_packet_scattering(
     config: PropagatorConfig,
     grid: Grid | None = None,
     separatrix: float = 0.0,
-) -> ScatteringReport:
-    """Scatter a Gaussian packet off the potential and report power fractions.
+) -> tuple[EvolutionRecord, ScatteringReport]:
+    """Scatter a Gaussian packet off the potential; return the run and its power fractions.
 
     The packet must start on one side of the separatrix with group velocity
     carrying it toward the potential (moving frame: the barrier sits at the
@@ -228,13 +237,6 @@ def run_packet_scattering(
     """
     if grid is None:
         grid = default_grid()
-    vg = group_velocity(packet.carrier, params)
-    side = math.copysign(1.0, packet.center - separatrix)
-    if vg * side >= 0:
-        raise ContractError(
-            f"packet at {packet.center} with group velocity {vg:+.3g} does not "
-            "approach the separatrix; flip the carrier, drift, or start side"
-        )
-    psi0 = gaussian_packet(grid, packet)
-    record = evolve(psi0, spec, params, config)
-    return report_from_final(record.final(), packet, params, separatrix)
+    packet.check_approach(params, separatrix)
+    record = evolve(gaussian_packet(grid, packet), spec, params, config)
+    return record, report_from_final(record.final(), packet, params, separatrix)

@@ -121,7 +121,7 @@ def test_criterion_06_non_hermitian_transparency():
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / name)
         for point in cfg.sweep_points():
             params = AnyonicParams(phi=point.phi, v=point.v)
-            rep = run_packet_scattering(
+            _, rep = run_packet_scattering(
                 cfg.potential(point.delta),
                 params,
                 cfg.packet(point.carrier),

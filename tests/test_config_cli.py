@@ -156,28 +156,75 @@ class TestAmplifyValidation:
         assert gains[1] == 1.0 and gains[0] == gains[3] > gains[2] > 1.0
 
 
-class TestPropagatorValidation:
+def scatter_with(section: str, **values):
+    raw = minimal_scatter_dict()
+    raw[section].update(values)
+    return raw
+
+
+def spectrum_dict(n_points: int, phi: float = 0.0, v_over_vc: float | None = None):
+    params = {"phi": phi, "v": 0.0} if v_over_vc is None else {"phi": phi, "v_over_vc": v_over_vc}
+    return {
+        "experiment": "spectrum",
+        "grid": {"x_min": -40.0, "x_max": 40.0, "n_points": n_points},
+        "potential": {"kind": "poschl_teller", "nu": 1.0, "delta": 0.2},
+        "params": params,
+    }
+
+
+def amplify_on_grid(n_points: int, nu: float):
+    raw = minimal_amplify_dict()
+    raw["grid"]["n_points"] = n_points
+    raw["potential"]["nu"] = nu
+    return raw
+
+
+class TestParseTimeRejection:
+    """Configs that cannot run exit 2 before the output directory is made."""
+
     @pytest.mark.parametrize(
-        "absorber",
+        "raw",
         [
-            {"width": 8.0},
-            {"width": "wide", "strength": 0.05},
-            {"width": 8.0, "strength": 2.0},
-            {"width": 40.0, "strength": 0.05},
+            scatter_with("propagator", absorber={"width": 8.0}),
+            scatter_with("propagator", absorber={"width": "wide", "strength": 0.05}),
+            scatter_with("propagator", absorber={"width": 8.0, "strength": 2.0}),
+            scatter_with("propagator", absorber={"width": 40.0, "strength": 0.05}),
+            scatter_with("packet", center=20.0),
+            scatter_with("packet", center=-50.0),
+            spectrum_dict(10_000),
+            spectrum_dict(4097, phi=math.pi / 3, v_over_vc=0.95),
+            amplify_on_grid(10_000, nu=2.0),
         ],
-        ids=["no-strength", "non-numeric-width", "strength-above-one", "wider-than-quarter-box"],
+        ids=[
+            "absorber-no-strength",
+            "absorber-non-numeric-width",
+            "absorber-strength-above-one",
+            "absorber-wider-than-quarter-box",
+            "packet-moving-away",
+            "packet-outside-grid",
+            "spectrum-over-dense-cap",
+            "spectrum-doubled-box-over-dense-cap",
+            "amplify-eigensolve-over-dense-cap",
+        ],
     )
-    def test_bad_absorber_exits_2(self, tmp_path, absorber):
-        raw = minimal_scatter_dict()
-        raw["propagator"]["absorber"] = absorber
+    def test_bad_config_exits_2_without_output(self, tmp_path, raw):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(raw))
         outdir = tmp_path / "out"
-        assert cli_main(["scatter", "--config", str(path), "--output", str(outdir)]) == 2
+        assert cli_main([raw["experiment"], "--config", str(path), "--output", str(outdir)]) == 2
         assert not outdir.exists()
 
+    def test_grids_within_the_dense_cap_parse(self):
+        ExperimentConfig.from_dict(spectrum_dict(8192))
+        ExperimentConfig.from_dict(spectrum_dict(4096, phi=math.pi / 3, v_over_vc=0.95))
+        ExperimentConfig.from_dict(spectrum_dict(5000, phi=math.pi / 3, v_over_vc=0.5))
+        # the closed-form nu = 1 well needs no eigensolve on the amplify grid
+        ExperimentConfig.from_dict(amplify_on_grid(10_000, nu=1.0))
+
+
+class TestPropagatorValidation:
     @pytest.mark.parametrize("evolve", ["no", "off", 1])
     def test_evolve_must_be_a_yaml_boolean(self, tmp_path, evolve):
         raw = minimal_amplify_dict(evolve=evolve)
@@ -264,10 +311,23 @@ class TestRunnersAndCLI:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
-    def test_jobs_do_not_change_results(self, tmp_path):
-        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "regression_amplify.yaml")
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            yaml.safe_load((CONFIG_DIR / "regression_amplify.yaml").read_text()),
+            minimal_scatter_dict(
+                potential={"kind": "poschl_teller", "v0": 0.5, "delta": -0.3},
+                params={"phi": 0.0, "v": [-0.3, -0.6]},
+                rt_sweep={"k_min": 0.5, "k_max": 2.0, "num": 4},
+            ),
+        ],
+        ids=["regression_amplify", "scatter-rt_sweep"],
+    )
+    def test_jobs_do_not_change_results(self, tmp_path, raw):
+        cfg = ExperimentConfig.from_dict(raw)
         a = run_experiment(cfg, tmp_path / "serial", jobs=1)
         b = run_experiment(cfg, tmp_path / "parallel", jobs=3)
+        assert [p.name for p in a] == [p.name for p in b]
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 

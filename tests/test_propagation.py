@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from anyonpt import (
     gauge_growth_factor,
     gauge_transform_check,
     gaussian_packet,
-    step_split_fourier,
 )
 from anyonpt.spectra import continuous_dispersion
 
@@ -30,6 +30,15 @@ def single_mode(grid: Grid, j: int) -> WaveFunction:
     return WaveFunction(grid, np.exp(1j * grid.k[j] * grid.x)).normalized()
 
 
+def strang_steps(psi, spec, params, dt, n_steps) -> WaveFunction:
+    """The field after n_steps moving-frame steps of evolve."""
+    cfg = PropagatorConfig(dt=dt, t_final=n_steps * dt, snapshot_every=10**9)
+    assert cfg.n_steps() == n_steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # these steps sit above the dt accuracy guideline
+        return evolve(psi, spec, params, cfg).final()
+
+
 class TestSplitStep:
     def test_free_mode_exact(self):
         grid = Grid(-20.0, 20.0, 256)
@@ -37,7 +46,7 @@ class TestSplitStep:
         dt = 0.05
         for j in (1, 7, 40):
             psi = single_mode(grid, j)
-            out = step_split_fourier(psi, FREE, params, dt)
+            out = strang_steps(psi, FREE, params, dt, 1)
             expected = psi.values * np.exp(
                 -1j * continuous_dispersion(grid.k[j], params) * dt
             )
@@ -48,8 +57,7 @@ class TestSplitStep:
         well = PoschlTeller(nu=1.0, delta=0.0)
         psi = gaussian_packet(grid, PacketSpec(center=-5.0, width=3.0, carrier=1.0))
         params = AnyonicParams(phi=0.0, v=0.7)
-        for _ in range(200):
-            psi = step_split_fourier(psi, well, params, 0.01)
+        psi = strang_steps(psi, well, params, 0.01, 200)
         assert abs(psi.norm() - 1.0) < 1e-10
 
     def test_high_k_damping_matches_dispersion(self):
@@ -60,9 +68,7 @@ class TestSplitStep:
         psi = gaussian_packet(grid, PacketSpec(center=0.0, width=1.0, carrier=0.0))
         t, dt = 1.0, 0.01
         spec0 = np.fft.fft(psi.values)
-        out = psi
-        for _ in range(int(t / dt)):
-            out = step_split_fourier(out, FREE, params, dt)
+        out = strang_steps(psi, FREE, params, dt, int(t / dt))
         spec1 = np.fft.fft(out.values)
         # restrict to modes whose damped value stays above the float noise floor
         sel = (np.abs(spec0) > 1e-6 * np.abs(spec0).max()) & (np.abs(grid.k) <= 3.0)
@@ -77,9 +83,37 @@ class TestSplitStep:
         psi = gaussian_packet(grid, PacketSpec(center=0.0, width=2.0))
         params = AnyonicParams(phi=0.0, v=0.0)
         with pytest.raises(DivergenceError):
-            out = psi
-            for _ in range(2000):
-                out = step_split_fourier(out, gain, params, 0.01)
+            strang_steps(psi, gain, params, 0.01, 2000)
+
+    def test_lab_frame_evaluates_potential_once_per_step_time(self):
+        grid = Grid(-20.0, 20.0, 256)
+        well = PoschlTeller(nu=1.0, delta=0.2)
+        params = AnyonicParams(phi=math.pi / 8, v=-1.0)
+        psi = gaussian_packet(grid, PacketSpec(center=0.0, width=2.0))
+        samples = []
+
+        def counted(x):
+            samples.append(x)
+            return well(x)
+
+        cfg = PropagatorConfig(dt=0.01, t_final=0.5, frame="lab", snapshot_every=10)
+        final = evolve(psi, counted, params, cfg).final().values
+        assert len(samples) == cfg.n_steps() + 1
+        for n, x in enumerate(samples):
+            assert np.allclose(x, grid.x - params.v * n * cfg.dt, rtol=0.0, atol=1e-12)
+
+        # reference: both half-step factors evaluated afresh in every step
+        rot = complex(math.cos(params.phi), -math.sin(params.phi))
+        mult_k = np.exp(-1j * rot * grid.k**2 * cfg.dt)
+
+        def half_v(t):
+            return np.exp(-0.5j * rot * well(grid.x - params.v * t) * cfg.dt)
+
+        ref = psi.values
+        for n in range(cfg.n_steps()):
+            t = n * cfg.dt
+            ref = half_v(t + cfg.dt) * np.fft.ifft(mult_k * np.fft.fft(half_v(t) * ref))
+        assert np.abs(final - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestEvolve:

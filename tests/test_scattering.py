@@ -112,7 +112,7 @@ class TestStationaryRT:
 class TestPacketRuns:
     def test_free_packet_fully_transmitted(self):
         grid = Grid(-120.0, 120.0, 3072)
-        report = run_packet_scattering(
+        _, report = run_packet_scattering(
             PoschlTeller(v0=0.0),
             AnyonicParams(phi=0.0, v=0.0),
             PacketSpec(center=-32.0, width=10.0, carrier=1.0),
@@ -130,7 +130,7 @@ class TestPacketRuns:
         k = 0.3
         r, t = stationary_rt(barrier, params, k)
         grid = Grid(-160.0, 160.0, 8192)
-        report = run_packet_scattering(
+        _, report = run_packet_scattering(
             barrier,
             params,
             PacketSpec(center=-40.0, width=10.0, carrier=k),
