@@ -28,8 +28,6 @@ from .model import (
     check_anyonic_symmetry,
     check_pt_condition,
     default_grid,
-    eval_potential,
-    inner,
 )
 from .spectra import (
     BoundStateFamily,
@@ -51,6 +49,7 @@ from .propagation import (
     EvolutionRecord,
     PropagatorConfig,
     evolve,
+    evolve_batch,
     gauge_growth_factor,
     gauge_transform_check,
 )

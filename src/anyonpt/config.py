@@ -17,9 +17,9 @@ from pathlib import Path
 
 import yaml
 
-from .errors import AnyonptError, ConfigError, ContractError
+from .errors import AnyonptError, ConfigError, ContractError, DomainError
 from .lasermap import CavityParams
-from .model import DENSE_MAX_DIM, AnyonicParams, Grid, PoschlTeller, Tabulated, default_grid
+from .model import DENSE_MAX_DIM, AnyonicParams, Grid, PoschlTeller, Tabulated
 from .nonnormal import G_T_MAX_DIM
 from .propagation import AbsorberSpec, PropagatorConfig
 from .scattering import PacketSpec
@@ -252,10 +252,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"amplify.evolve must be true or false, got {cfg.amplify_evolve!r}"
                 )
-            try:
-                cfg.g_t_times = [float(t) for t in _as_list(am.get("g_t_times", []))]
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"amplify.g_t_times: {exc}") from exc
+            cfg.g_t_times = [float(t) for t in _as_list(am.get("g_t_times", []))]
             if not all(0.0 <= t < math.inf for t in cfg.g_t_times):
                 raise ConfigError(
                     f"amplify.g_t_times must be finite and >= 0, got {cfg.g_t_times}"
@@ -327,26 +324,27 @@ class ExperimentConfig:
                 raise ConfigError("scatter: propagator and packet sections are required")
         if ex == "amplify" and self.amplify_evolve and self.propagator is None:
             raise ConfigError("amplify with evolve: true requires a propagator section")
-        if self.propagator is not None and self.propagator.absorber is not None:
-            # the grid the runners evolve on; AbsorberSpec.mask repeats this check
-            grid = self.grid if self.grid is not None else default_grid()
-            width = self.propagator.absorber.width
-            if width > grid.length / 4:
-                raise ConfigError(
-                    f"propagator.absorber.width {width} exceeds a quarter of the box "
-                    f"({grid.length / 4})"
-                )
+        absorber = self.propagator.absorber if self.propagator is not None else None
+        if absorber is not None and self.grid is not None:
+            try:  # the width check evolve makes on the grid it runs on
+                absorber.mask(self.grid)
+            except ContractError as exc:
+                raise ConfigError(f"propagator.absorber: {exc}") from exc
         if ex == "lasermap":
             if self.cavity is None:
                 raise ConfigError("lasermap: cavity section is required")
             if self.e1 is None:
                 raise ConfigError("lasermap: e1 (well depth for the threshold) is required")
-        if self.v_over_vc is not None:
-            if self.potential_kind != "poschl_teller" or self.effective_amplitude() >= 0:
-                raise ConfigError("v_over_vc needs a poschl_teller well (negative amplitude)")
-            if any(p == 0.0 for p in self.phi):
-                raise ConfigError("v_over_vc is undefined at phi = 0 (no finite v_c)")
-        points = self.sweep_points()
+        if self.v_over_vc is not None or ex in ("amplify", "delocalize"):
+            self.ground_state_energy()  # ConfigError without a bound well
+        if self.v_over_vc is not None and any(p == 0.0 for p in self.phi):
+            raise ConfigError("v_over_vc is undefined at phi = 0 (no finite v_c)")
+        try:
+            points = self.sweep_points()
+            for p in points:
+                AnyonicParams(phi=p.phi, v=p.v)
+        except DomainError as exc:
+            raise ConfigError(f"params: {exc}") from exc
         if len(points) > MAX_SWEEP_POINTS:
             raise ConfigError(f"sweep has {len(points)} points, cap is {MAX_SWEEP_POINTS}")
         # the grids these runners hand to the dense eigensolver
@@ -382,7 +380,7 @@ class ExperimentConfig:
     def ground_state_energy(self) -> float:
         """E_1 of the configured well (needs a poschl_teller well)."""
         if self.potential_kind != "poschl_teller" or self.effective_amplitude() >= 0:
-            raise ConfigError("ground-state energy needs a poschl_teller well")
+            raise ConfigError("the ground state needs a poschl_teller well (negative amplitude)")
         return poschl_teller_energies(self.nu).energies[0]
 
     def grid_for_point(self, point: SweepPoint) -> Grid:
@@ -406,25 +404,16 @@ class ExperimentConfig:
     def sweep_points(self) -> list:
         """Cartesian product of the list-valued axes, resolved to scalars."""
         carriers = self.carrier if self.carrier is not None else [None]
-        if self.v_over_vc is not None:
-            e1 = self.ground_state_energy()
-            v_axis = [("frac", f) for f in self.v_over_vc]
-        else:
-            v_axis = [("abs", v) for v in (self.v if self.v is not None else [0.0])]
+        fractional = self.v_over_vc is not None
+        v_axis = self.v_over_vc if fractional else (self.v if self.v is not None else [0.0])
+        e1 = self.ground_state_energy() if fractional else None
         points = []
-        for i, (delta, phi, (vkind, vval), carrier) in enumerate(
+        for i, (delta, phi, vval, carrier) in enumerate(
             itertools.product(self.delta, self.phi, v_axis, carriers)
         ):
-            if vkind == "frac":
-                vc = critical_velocity(e1, phi)
-                v = vval * vc
-                frac = vval
-            else:
-                v = vval
-                frac = None
-            points.append(
-                SweepPoint(index=i, phi=phi, v=v, delta=delta, carrier=carrier, v_over_vc=frac)
-            )
+            v = vval * critical_velocity(e1, phi) if fractional else vval
+            frac = vval if fractional else None
+            points.append(SweepPoint(i, phi, v, delta, carrier=carrier, v_over_vc=frac))
         return points
 
     # ------------------------------------------------------------------ output

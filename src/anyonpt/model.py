@@ -36,11 +36,9 @@ __all__ = [
     "WaveFunction",
     "HamiltonianMatrix",
     "default_grid",
-    "eval_potential",
     "check_pt_condition",
     "build_h_eff",
     "check_anyonic_symmetry",
-    "inner",
     "trapz",
 ]
 
@@ -247,11 +245,6 @@ class Tabulated:
 PotentialSpec = Union[PoschlTeller, Tabulated]
 
 
-def eval_potential(spec: PotentialSpec, x):
-    """Evaluate a potential at a point or array of points."""
-    return spec(x)
-
-
 def trapz(values: np.ndarray, dx: float) -> float:
     """Trapezoidal quadrature, the integration rule used throughout."""
     return float(np.trapezoid(values, dx=dx))
@@ -295,13 +288,6 @@ class WaveFunction:
         rho = self.density()
         n2 = trapz(rho, self.grid.dx)
         return trapz(self.grid.x * rho, self.grid.dx) / n2
-
-
-def inner(bra: WaveFunction, ket: WaveFunction) -> complex:
-    """L2 inner product <bra|ket> = integral conj(bra) ket dx."""
-    if bra.grid != ket.grid:
-        raise ContractError("inner product requires a common grid")
-    return complex(np.trapezoid(np.conj(bra.values) * ket.values, dx=bra.grid.dx))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ by sweep index.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +24,7 @@ from .errors import ConfigError
 from .lasermap import map_to_anyonic, mode_locking_threshold
 from .model import AnyonicParams, Grid, build_h_eff
 from .nonnormal import (
+    AmplificationReport,
     amplification_grid_for,
     analytic_bound_state_pt,
     g_infinity,
@@ -30,7 +32,6 @@ from .nonnormal import (
     g_t,
     self_orthogonality,
 )
-from .nonnormal import AmplificationReport
 from .propagation import evolve
 from .scattering import group_velocity, run_packet_scattering, stationary_rt
 from .spectra import (
@@ -220,18 +221,19 @@ def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 
 def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     points = cfg.sweep_points()
-
-    def compute(point: SweepPoint):
-        return run_packet_scattering(
-            cfg.potential(point.delta),
-            AnyonicParams(phi=point.phi, v=point.v),
-            cfg.packet(point.carrier),
-            cfg.propagator,
-            cfg.grid,
-            cfg.separatrix,
-        )
-
-    computed = _map_points(compute, points, jobs)
+    cases = [
+        (cfg.potential(p.delta), AnyonicParams(phi=p.phi, v=p.v), cfg.packet(p.carrier))
+        for p in points
+    ]
+    # one batched evolution per worker, over contiguous runs of sweep points
+    n = min(jobs, len(cases))
+    chunks = [cases[len(cases) * j // n : len(cases) * (j + 1) // n] for j in range(n)]
+    batches = _map_points(
+        lambda chunk: run_packet_scattering(chunk, cfg.propagator, cfg.grid, cfg.separatrix),
+        chunks,
+        jobs,
+    )
+    computed = list(itertools.chain.from_iterable(batches))
 
     triples = []
     if cfg.rt_sweep is not None:
@@ -242,14 +244,11 @@ def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     def rt_rows(triple):
         phi, v, delta = triple
         params = AnyonicParams(phi=phi, v=v)
-        pot = cfg.potential(delta)
-        rows = []
-        for k in ks:
-            if group_velocity(float(k), params) <= 0:
-                continue  # not a left-incident channel
-            r, t = stationary_rt(pot, params, float(k), grid=cfg.grid)
-            rows.append((float(k), r.real, r.imag, t.real, t.imag))
-        return rows
+        incident = ks[group_velocity(ks, params) > 0]  # left-incident channels only
+        if not len(incident):
+            return []
+        r, t = stationary_rt(cfg.potential(delta), params, incident, cfg.grid)
+        return list(zip(incident, r.real, r.imag, t.real, t.imag))
 
     rt_tables = _map_points(rt_rows, triples, jobs)
 
@@ -403,10 +402,7 @@ def run_lasermap(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         table = []
         for ratio in np.linspace(d["start"], d["stop"], d["num"]):
             c = cfg.cavity
-            cav = type(c)(
-                D=c.D, Dg=c.Dg, delta1=c.delta1, delta2=c.delta2,
-                g=c.g, l=c.l, Tm=ratio * c.TR, TR=c.TR,
-            )
+            cav = dataclasses.replace(c, Tm=ratio * c.TR)
             m = map_to_anyonic(cav)
             thr = mode_locking_threshold(cav, cfg.e1)
             delocalized = thr is not None and abs(m.params.v) >= thr

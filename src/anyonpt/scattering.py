@@ -16,15 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InconclusiveError, NumericalError
-from .model import (
-    AnyonicParams,
-    Grid,
-    PotentialSpec,
-    WaveFunction,
-    default_grid,
-    trapz,
-)
-from .propagation import EvolutionRecord, PropagatorConfig, evolve
+from .model import AnyonicParams, Grid, PotentialSpec, WaveFunction, trapz
+from .propagation import PropagatorConfig, evolve_batch
 from .spectra import continuous_dispersion
 
 __all__ = [
@@ -123,32 +116,34 @@ def _auto_range(spec: PotentialSpec, tail_tol: float = 1e-10) -> float:
 def stationary_rt(
     spec: PotentialSpec,
     params: AnyonicParams,
-    k: float,
-    grid: Grid | None = None,
+    k,
+    grid: Grid,
     l0: float | None = None,
 ):
-    """Reflection and transmission amplitudes of a stationary scattering state.
+    """Reflection and transmission amplitudes of stationary scattering states.
 
-    Integrates H_eff u = E(k) u as a second-order ODE from the transmitted
-    side (pure t e^{i k x} at x = +L0) down to x = -L0 with fixed-step RK4 at
-    dx/4 substeps, then decomposes onto the exact two-mode basis
-    {e^{i k x}, e^{i k_r x}}; the basis handles evanescent k_r as-is.  The
-    incident amplitude is scaled to one, so r is the coefficient of the
-    (possibly evanescent) reflected mode and t the transmitted one.
+    For every incident wavenumber in ``k`` (scalar or array), integrates
+    H_eff u = E(k) u as a second-order ODE from the transmitted side (pure
+    t e^{i k x} at x = +L0) down to x = -L0 with fixed-step RK4 at dx/4
+    substeps, all k in one loop, then decomposes onto the exact two-mode
+    basis {e^{i k x}, e^{i k_r x}}; the basis handles evanescent k_r as-is.
+    The incident amplitude is scaled to one, so r is the coefficient of the
+    (possibly evanescent) reflected mode and t the transmitted one.  Returns
+    complex arrays (r, t) shaped like ``k``.
     """
+    shape = np.shape(k)
+    k = np.asarray(k, dtype=float).reshape(-1)
     vg = group_velocity(k, params)
-    if vg <= 0:
-        raise ContractError(f"incident k must have positive group velocity, got v_g = {vg}")
-    if grid is None:
-        grid = default_grid()
+    if np.any(vg <= 0):
+        raise ContractError(f"incident k needs positive group velocity, got v_g = {vg.min()}")
     if l0 is None:
         l0 = _auto_range(spec)
     kr = reflected_wavenumber(k, params)
-    if abs(k - kr) < 1e-6:
+    if np.any(np.abs(k - kr) < 1e-6):
         raise NumericalError("incident and reflected modes nearly degenerate; decomposition ill-conditioned")
 
-    energy = continuous_dispersion(k, params)
     eip = complex(math.cos(params.phi), math.sin(params.phi))
+    shift = eip * continuous_dispersion(k, params)
     drift = 1j * params.v * eip
 
     h = grid.dx / 4.0
@@ -156,13 +151,13 @@ def stationary_rt(
     h = -2.0 * l0 / n_steps  # negative: right to left
     # Potential tabulated at half-substep resolution for the RK4 stages.
     xs = l0 + np.arange(2 * n_steps + 1) * (h / 2.0)
-    coeff = np.asarray(spec(xs), dtype=complex) - eip * energy
+    pot = np.asarray(spec(xs), dtype=complex)
 
-    x = l0
-    u = complex(np.exp(1j * k * l0))
+    u = np.exp(1j * k * l0)
     up = 1j * k * u
+    c1 = pot[0] - shift
     for i in range(n_steps):
-        c0, cm, c1 = coeff[2 * i], coeff[2 * i + 1], coeff[2 * i + 2]
+        c0, cm, c1 = c1, pot[2 * i + 1] - shift, pot[2 * i + 2] - shift
         k1u, k1p = up, c0 * u + drift * up
         u2, p2 = u + h / 2 * k1u, up + h / 2 * k1p
         k2u, k2p = p2, cm * u2 + drift * p2
@@ -172,14 +167,14 @@ def stationary_rt(
         k4u, k4p = p4, c1 * u4 + drift * p4
         u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
         up = up + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        x += h
 
+    x = xs[-1]
     det = 1j * (kr - k)
     a_inc = (1j * kr * u - up) / det * np.exp(-1j * k * x)
     b_ref = (up - 1j * k * u) / det * np.exp(-1j * kr * x)
-    if abs(a_inc) == 0.0:
+    if np.any(a_inc == 0.0):
         raise NumericalError("vanishing incident amplitude; cannot normalize r, t")
-    return complex(b_ref / a_inc), complex(1.0 / a_inc)
+    return (b_ref / a_inc).reshape(shape), (1.0 / a_inc).reshape(shape)
 
 
 def report_from_final(
@@ -220,23 +215,23 @@ def report_from_final(
     )
 
 
-def run_packet_scattering(
-    spec: PotentialSpec,
-    params: AnyonicParams,
-    packet: PacketSpec,
-    config: PropagatorConfig,
-    grid: Grid | None = None,
-    separatrix: float = 0.0,
-) -> tuple[EvolutionRecord, ScatteringReport]:
-    """Scatter a Gaussian packet off the potential; return the run and its power fractions.
+def run_packet_scattering(cases, config: PropagatorConfig, grid: Grid, separatrix: float = 0.0):
+    """Scatter Gaussian packets off potentials; one (record, report) per case.
 
-    The packet must start on one side of the separatrix with group velocity
-    carrying it toward the potential (moving frame: the barrier sits at the
-    origin); the run is conclusive once the surviving density's centroid has
-    cleared five packet widths.
+    ``cases`` is a sequence of ``(spec, params, packet)``, all evolved on
+    ``grid`` through one batched Strang loop.  Each packet must start on one
+    side of the separatrix with group velocity carrying it toward the
+    potential (moving frame: the barrier sits at the origin); a run is
+    conclusive once the surviving density's centroid has cleared five packet
+    widths.
     """
-    if grid is None:
-        grid = default_grid()
-    packet.check_approach(params, separatrix)
-    record = evolve(gaussian_packet(grid, packet), spec, params, config)
-    return record, report_from_final(record.final(), packet, params, separatrix)
+    for _, params, packet in cases:
+        packet.check_approach(params, separatrix)
+    records = evolve_batch(
+        [(gaussian_packet(grid, packet), spec, params) for spec, params, packet in cases],
+        config,
+    )
+    return [
+        (record, report_from_final(record.final(), packet, params, separatrix))
+        for record, (_, params, packet) in zip(records, cases)
+    ]

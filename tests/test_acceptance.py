@@ -119,16 +119,13 @@ def test_criterion_06_non_hermitian_transparency():
     fractions = {}
     for name in ("scatter_barrier_k0.yaml", "scatter_barrier_k1.yaml"):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / name)
-        for point in cfg.sweep_points():
-            params = AnyonicParams(phi=point.phi, v=point.v)
-            _, rep = run_packet_scattering(
-                cfg.potential(point.delta),
-                params,
-                cfg.packet(point.carrier),
-                cfg.propagator,
-                grid=cfg.grid,
-                separatrix=cfg.separatrix,
-            )
+        points = cfg.sweep_points()
+        cases = [
+            (cfg.potential(p.delta), AnyonicParams(phi=p.phi, v=p.v), cfg.packet(p.carrier))
+            for p in points
+        ]
+        results = run_packet_scattering(cases, cfg.propagator, cfg.grid, cfg.separatrix)
+        for point, (_, rep) in zip(points, results):
             fractions[(round(point.phi, 6), point.carrier)] = rep.reflected_power_fraction
     phi8 = round(math.pi / 8, 6)
     assert fractions[(0.0, 0.0)] > 0.5

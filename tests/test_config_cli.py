@@ -194,6 +194,11 @@ class TestParseTimeRejection:
             spectrum_dict(10_000),
             spectrum_dict(4097, phi=math.pi / 3, v_over_vc=0.95),
             amplify_on_grid(10_000, nu=2.0),
+            spectrum_dict(256, phi=2.0),
+            spectrum_dict(256, phi=2.0, v_over_vc=0.5),
+            scatter_with("params", phi=-0.1),
+            {**minimal_amplify_dict(), "potential": {"kind": "poschl_teller", "v0": 3.0}},
+            {**spectrum_dict(256), "experiment": "delocalize", "potential": {"v0": 3.0}},
         ],
         ids=[
             "absorber-no-strength",
@@ -205,6 +210,11 @@ class TestParseTimeRejection:
             "spectrum-over-dense-cap",
             "spectrum-doubled-box-over-dense-cap",
             "amplify-eigensolve-over-dense-cap",
+            "phi-above-pi-over-2",
+            "phi-above-pi-over-2-with-v_over_vc",
+            "phi-negative",
+            "amplify-barrier-has-no-ground-state",
+            "delocalize-barrier-has-no-ground-state",
         ],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, raw):
@@ -280,6 +290,19 @@ class TestTabulatedPotential:
         assert cfg.potential(0.0) is cfg.potential(0.5)
         assert loads == [str(tmp_path / "well.csv")]
 
+    @pytest.mark.parametrize("experiment", ["amplify", "delocalize"])
+    def test_runners_needing_a_ground_state_reject_tables(self, tmp_path, experiment):
+        path = write_tabulated_config(tmp_path)
+        raw = yaml.safe_load(path.read_text())
+        raw.update(experiment=experiment, params={"phi": 0.5, "v": 0.2})
+        raw.pop("spectrum")
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_yaml(path)
+        outdir = tmp_path / "out"
+        assert cli_main([experiment, "--config", str(path), "--output", str(outdir)]) == 2
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("file", ["missing.csv", "tabulated.yaml"], ids=["missing", "malformed"])
     def test_unreadable_file_exits_2(self, tmp_path, file):
         path = write_tabulated_config(tmp_path, file=file)
@@ -317,19 +340,21 @@ class TestRunnersAndCLI:
             yaml.safe_load((CONFIG_DIR / "regression_amplify.yaml").read_text()),
             minimal_scatter_dict(
                 potential={"kind": "poschl_teller", "v0": 0.5, "delta": -0.3},
-                params={"phi": 0.0, "v": [-0.3, -0.6]},
+                params={"phi": 0.0, "v": [-0.1, -0.3, -0.6]},
                 rt_sweep={"k_min": 0.5, "k_max": 2.0, "num": 4},
             ),
         ],
         ids=["regression_amplify", "scatter-rt_sweep"],
     )
     def test_jobs_do_not_change_results(self, tmp_path, raw):
+        # three sweep points: jobs 2 splits the scatter batch unevenly (2 + 1)
         cfg = ExperimentConfig.from_dict(raw)
         a = run_experiment(cfg, tmp_path / "serial", jobs=1)
-        b = run_experiment(cfg, tmp_path / "parallel", jobs=3)
-        assert [p.name for p in a] == [p.name for p in b]
-        for pa, pb in zip(a, b):
-            assert pa.read_bytes() == pb.read_bytes()
+        for jobs in (2, 3):
+            b = run_experiment(cfg, tmp_path / f"jobs{jobs}", jobs=jobs)
+            assert [p.name for p in a] == [p.name for p in b]
+            for pa, pb in zip(a, b):
+                assert pa.read_bytes() == pb.read_bytes()
 
     def test_cli_success_and_output_flag(self, tmp_path, capsys):
         rc = cli_main(

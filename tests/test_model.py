@@ -18,7 +18,6 @@ from anyonpt import (
     build_h_eff,
     check_anyonic_symmetry,
     check_pt_condition,
-    eval_potential,
 )
 
 
@@ -43,13 +42,13 @@ class TestGrid:
 
 class TestPotentials:
     def test_well_at_origin(self):
-        assert eval_potential(PoschlTeller(nu=1.0, delta=0.0), 0.0) == pytest.approx(-2.0)
+        assert PoschlTeller(nu=1.0, delta=0.0)(0.0) == pytest.approx(-2.0)
 
     def test_barrier_complex_shift_oracle(self):
         # independent evaluation through cmath
         spec = PoschlTeller(delta=-0.5, v0=3.0)
         expected = 3.0 / cmath.cosh(0.0 - 1j * (-0.5)) ** 2
-        got = eval_potential(spec, 0.0)
+        got = spec(0.0)
         assert abs(got - expected) < 1e-12
         assert got.imag == pytest.approx(0.0, abs=1e-14)  # cosh(i d) is real
 

@@ -17,10 +17,13 @@ from anyonpt import (
     WaveFunction,
     analytic_bound_state_pt,
     evolve,
+    evolve_batch,
     gauge_growth_factor,
     gauge_transform_check,
     gaussian_packet,
 )
+from anyonpt.model import trapz
+from anyonpt.propagation import AMPLITUDE_GUARD, _guard
 from anyonpt.spectra import continuous_dispersion
 
 FREE = PoschlTeller(v0=0.0)
@@ -207,6 +210,113 @@ class TestEvolve:
                 dt=0.005, t_final=0.1, absorber=AbsorberSpec(width=30.0, strength=0.1)
             )
             evolve(psi, FREE, AnyonicParams(phi=0.0, v=0.0), bad)
+
+
+def reference_evolve(psi0, spec, params, cfg):
+    """One field through the Strang loop, fresh arrays and both half factors every step."""
+    grid, dt, moving = psi0.grid, cfg.dt, cfg.frame == "moving"
+    rot = complex(math.cos(params.phi), -math.sin(params.phi))
+    symbol = rot * grid.k * grid.k
+    if moving:
+        symbol = symbol - params.v * grid.k
+    mult_k = np.exp(-1j * symbol * dt)
+    mask = cfg.absorber.mask(grid) if cfg.absorber is not None else None
+
+    def half_v(t):
+        x = grid.x if moving else grid.x - params.v * t
+        return np.exp(-0.5j * rot * np.asarray(spec(x), dtype=complex) * dt)
+
+    psi = psi0.values
+    snaps, norms = [psi], [trapz(np.abs(psi) ** 2, grid.dx)]
+    n_steps = cfg.n_steps()
+    for step in range(n_steps):
+        psi = half_v(step * dt) * psi
+        psi = np.fft.ifft(mult_k * np.fft.fft(psi))
+        psi = half_v((step + 1) * dt) * psi
+        if mask is not None:
+            psi = mask * psi
+        if (step + 1) % cfg.snapshot_every == 0 or step + 1 == n_steps:
+            snaps.append(psi)
+            norms.append(trapz(np.abs(psi) ** 2, grid.dx))
+    return snaps, norms
+
+
+class TestEvolveBatch:
+    @pytest.mark.parametrize("frame", ["moving", "lab"])
+    def test_rows_bitwise_equal_single_field_loops(self, frame):
+        grid = Grid(-30.0, 30.0, 512)
+        fields = [
+            (
+                gaussian_packet(grid, PacketSpec(center=-5.0, width=2.0, carrier=0.8)),
+                PoschlTeller(nu=1.0, delta=0.2),
+                AnyonicParams(phi=math.pi / 8, v=-1.0),
+            ),
+            (
+                gaussian_packet(grid, PacketSpec(center=-8.0, width=3.0, carrier=0.0)),
+                PoschlTeller(delta=-0.5, v0=3.0),
+                AnyonicParams(phi=0.0, v=-2.0),
+            ),
+            (
+                gaussian_packet(grid, PacketSpec(center=4.0, width=2.5, carrier=-1.0)),
+                PoschlTeller(nu=1.6, delta=0.0),
+                AnyonicParams(phi=math.pi / 3, v=0.5),
+            ),
+        ]
+        cfg = PropagatorConfig(
+            dt=0.01,
+            t_final=1.0,
+            frame=frame,
+            snapshot_every=30,  # the last snapshot falls off the stride
+            absorber=AbsorberSpec(width=5.0, strength=0.1),
+        )
+        records = evolve_batch(fields, cfg)
+        assert len(records) == 3
+        for record, field in zip(records, fields):
+            snaps, norms = reference_evolve(*field, cfg)
+            assert len(record.snapshots) == len(snaps) == 5
+            assert np.array_equal(record.norm, np.asarray(norms))
+            for snap, ref in zip(record.snapshots, snaps):
+                assert np.array_equal(snap.values, ref)
+        single = evolve(*fields[2], cfg)
+        assert np.array_equal(single.final().values, records[2].final().values)
+
+    def test_fields_must_share_a_grid(self):
+        psi_a = gaussian_packet(Grid(-20.0, 20.0, 256), PacketSpec(center=0.0, width=2.0))
+        psi_b = gaussian_packet(Grid(-25.0, 25.0, 256), PacketSpec(center=0.0, width=2.0))
+        params = AnyonicParams(phi=0.0, v=0.0)
+        with pytest.raises(ContractError):
+            evolve_batch([(psi_a, FREE, params), (psi_b, FREE, params)], PropagatorConfig())
+
+    def test_guard_matches_exact_modulus_test(self):
+        base = np.full((2, 64), 0.3 + 0.4j)
+        edge = AMPLITUDE_GUARD / math.sqrt(2.0)  # |Re| = |Im| puts |z| at the guard
+        cases = {
+            "nan-re": complex(math.nan, 0.0),
+            "nan-im": complex(0.0, math.nan),
+            "inf-re": complex(math.inf, 0.0),
+            "-inf-im": complex(0.0, -math.inf),
+            "just-above": complex(edge * (1 + 1e-12), -edge * (1 + 1e-12)),
+            "just-below": complex(-edge * (1 - 1e-12), edge * (1 - 1e-12)),
+            "real-just-below": complex(AMPLITUDE_GUARD * (1 - 1e-12), 0.0),
+            "real-just-above": complex(-AMPLITUDE_GUARD * (1 + 1e-12), 0.0),
+            "tame": 0.5 - 0.5j,
+        }
+        verdicts = {}
+        for name, z in cases.items():
+            values = base.copy()
+            values[1, 17] = z
+            m = float(np.abs(values).max())
+            exact = not math.isfinite(m) or m > AMPLITUDE_GUARD
+            try:
+                _guard(values)
+                raised = False
+            except DivergenceError:
+                raised = True
+            assert raised == exact, name
+            verdicts[name] = raised
+        assert verdicts["just-above"] and not verdicts["just-below"]
+        assert verdicts["real-just-above"] and not verdicts["real-just-below"]
+        assert not verdicts["tame"]
 
 
 class TestGauge:

@@ -13,12 +13,13 @@ from anyonpt import (
     PoschlTeller,
     PropagatorConfig,
     Tabulated,
+    default_grid,
     group_velocity,
     reflected_wavenumber,
     run_packet_scattering,
     stationary_rt,
 )
-from anyonpt.scattering import report_from_final, gaussian_packet
+from anyonpt.scattering import _auto_range, gaussian_packet, report_from_final
 from anyonpt.spectra import continuous_dispersion
 
 
@@ -66,58 +67,118 @@ class TestGroupVelocity:
 
 class TestStationaryRT:
     def test_free_passthrough(self):
-        r, t = stationary_rt(PoschlTeller(v0=0.0), AnyonicParams(phi=0.0, v=0.0), 1.0)
+        r, t = stationary_rt(
+            PoschlTeller(v0=0.0), AnyonicParams(phi=0.0, v=0.0), 1.0, default_grid()
+        )
         assert abs(r) < 1e-8
         assert abs(t - 1.0) < 1e-8
 
     @pytest.mark.parametrize("k", [0.3, 1.0, 2.5])
     def test_integer_nu_reflectionless(self, k):
-        r, t = stationary_rt(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0, v=0.0), k)
+        r, t = stationary_rt(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0, v=0.0), k, default_grid())
         assert abs(r) < 1e-8
 
     def test_hermitian_unitarity_sweep(self):
         spec = PoschlTeller(nu=1.6)
         p = AnyonicParams(phi=0.0, v=0.0)
-        for k in np.linspace(0.2, 3.0, 8):
-            r, t = stationary_rt(spec, p, float(k))
-            assert abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) < 1e-6
+        r, t = stationary_rt(spec, p, np.linspace(0.2, 3.0, 8), default_grid())
+        assert np.all(np.abs(np.abs(r) ** 2 + np.abs(t) ** 2 - 1.0) < 1e-6)
 
     def test_evanescent_reflection_channel(self):
         barrier = PoschlTeller(delta=-0.5, v0=3.0)
         p = AnyonicParams(phi=math.pi / 8, v=-2.0)
         kr = reflected_wavenumber(0.5, p)
         assert abs(kr.imag) > 1e-3
-        r, t = stationary_rt(barrier, p, 0.5)
+        r, t = stationary_rt(barrier, p, 0.5, default_grid())
         # finite amplitudes on the evanescent basis; the channel carries no flux
         assert np.isfinite(abs(r)) and np.isfinite(abs(t))
         assert abs(r) > 0
 
     def test_wrong_direction_rejected(self):
         with pytest.raises(ContractError):
-            stationary_rt(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0, v=2.0), 0.5)
+            stationary_rt(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0, v=2.0), 0.5, default_grid())
 
     def test_degenerate_basis_rejected(self):
         p = AnyonicParams(phi=0.0, v=2.0)
         k = 1.0 + 2.5e-7  # v_g > 0 but k_r within 1e-6 of k
         with pytest.raises(NumericalError):
-            stationary_rt(PoschlTeller(nu=1.0), p, k)
+            stationary_rt(PoschlTeller(nu=1.0), p, k, default_grid())
 
     def test_nondecaying_tail_rejected(self):
         grid = Grid(-30.0, 30.0, 600)
         flat = Tabulated(grid, np.full(grid.n_points, 0.5 + 0.0j))
         with pytest.raises(ContractError):
-            stationary_rt(flat, AnyonicParams(phi=0.0, v=0.0), 1.0)
+            stationary_rt(flat, AnyonicParams(phi=0.0, v=0.0), 1.0, default_grid())
+
+
+def scalar_rt(spec, params, k, grid):
+    """One k at a time: RK4 from +L0 to -L0 at dx/4 substeps, then the two-mode split."""
+    l0 = _auto_range(spec)
+    kr = reflected_wavenumber(k, params)
+    eip = complex(math.cos(params.phi), math.sin(params.phi))
+    drift = 1j * params.v * eip
+    n_steps = int(math.ceil(2.0 * l0 / (grid.dx / 4.0)))
+    h = -2.0 * l0 / n_steps
+    xs = l0 + np.arange(2 * n_steps + 1) * (h / 2.0)
+    coeff = spec(xs) - eip * continuous_dispersion(k, params)
+    u = complex(np.exp(1j * k * l0))
+    up = 1j * k * u
+    for i in range(n_steps):
+        c0, cm, c1 = coeff[2 * i], coeff[2 * i + 1], coeff[2 * i + 2]
+        k1u, k1p = up, c0 * u + drift * up
+        k2u, k2p = up + h / 2 * k1p, cm * (u + h / 2 * k1u) + drift * (up + h / 2 * k1p)
+        k3u, k3p = up + h / 2 * k2p, cm * (u + h / 2 * k2u) + drift * (up + h / 2 * k2p)
+        k4u, k4p = up + h * k3p, c1 * (u + h * k3u) + drift * (up + h * k3p)
+        u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        up = up + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    det = 1j * (kr - k)
+    a_inc = (1j * kr * u - up) / det * np.exp(1j * k * l0)
+    b_ref = (up - 1j * k * u) / det * np.exp(1j * kr * l0)
+    return b_ref / a_inc, 1.0 / a_inc
+
+
+class TestStationaryRTVector:
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 8])
+    def test_matches_scalar_rk4_per_k(self, phi):
+        grid = Grid(-40.0, 40.0, 512)
+        barrier = PoschlTeller(delta=-0.5, v0=3.0)
+        params = AnyonicParams(phi=phi, v=-2.0)
+        ks = np.linspace(0.0, 2.0, 6)
+        r, t = stationary_rt(barrier, params, ks, grid)
+        assert r.shape == t.shape == ks.shape
+        for j, k in enumerate(ks):
+            r_ref, t_ref = scalar_rt(barrier, params, float(k), grid)
+            assert abs(r[j] - r_ref) <= 1e-10 * abs(r_ref)
+            assert abs(t[j] - t_ref) <= 1e-10 * abs(t_ref)
+
+    def test_scalar_k_gives_scalar_shaped_arrays(self):
+        r, t = stationary_rt(PoschlTeller(nu=1.6), AnyonicParams(phi=0.0, v=0.0), 1.0, default_grid())
+        assert r.shape == t.shape == ()
+        rs, ts = stationary_rt(
+            PoschlTeller(nu=1.6), AnyonicParams(phi=0.0, v=0.0), [0.5, 1.0], default_grid()
+        )
+        assert abs(rs[1] - r) <= 1e-13 * abs(r) and abs(ts[1] - t) <= 1e-13 * abs(t)
+
+    def test_one_backward_k_rejects_the_sweep(self):
+        with pytest.raises(ContractError):
+            stationary_rt(
+                PoschlTeller(nu=1.0), AnyonicParams(phi=0.0, v=2.0), [2.0, 0.5], default_grid()
+            )
 
 
 class TestPacketRuns:
     def test_free_packet_fully_transmitted(self):
         grid = Grid(-120.0, 120.0, 3072)
-        _, report = run_packet_scattering(
-            PoschlTeller(v0=0.0),
-            AnyonicParams(phi=0.0, v=0.0),
-            PacketSpec(center=-32.0, width=10.0, carrier=1.0),
+        [(_, report)] = run_packet_scattering(
+            [
+                (
+                    PoschlTeller(v0=0.0),
+                    AnyonicParams(phi=0.0, v=0.0),
+                    PacketSpec(center=-32.0, width=10.0, carrier=1.0),
+                )
+            ],
             PropagatorConfig(dt=0.005, t_final=42.0, snapshot_every=10**9),
-            grid=grid,
+            grid,
         )
         assert report.transmitted_power_fraction > 0.999
         assert not report.reflected_is_evanescent
@@ -128,14 +189,12 @@ class TestPacketRuns:
         barrier = PoschlTeller(delta=0.0, v0=3.0)
         params = AnyonicParams(phi=0.0, v=-2.0)
         k = 0.3
-        r, t = stationary_rt(barrier, params, k)
+        r, t = stationary_rt(barrier, params, k, default_grid())
         grid = Grid(-160.0, 160.0, 8192)
-        _, report = run_packet_scattering(
-            barrier,
-            params,
-            PacketSpec(center=-40.0, width=10.0, carrier=k),
+        [(_, report)] = run_packet_scattering(
+            [(barrier, params, PacketSpec(center=-40.0, width=10.0, carrier=k))],
             PropagatorConfig(dt=0.005, t_final=44.0, snapshot_every=10**9),
-            grid=grid,
+            grid,
         )
         assert report.reflected_power_fraction == pytest.approx(abs(r) ** 2, rel=0.10)
 
@@ -143,22 +202,30 @@ class TestPacketRuns:
         grid = Grid(-120.0, 120.0, 2048)
         with pytest.raises(InconclusiveError):
             run_packet_scattering(
-                PoschlTeller(v0=0.0),
-                AnyonicParams(phi=0.0, v=0.0),
-                PacketSpec(center=-32.0, width=10.0, carrier=1.0),
+                [
+                    (
+                        PoschlTeller(v0=0.0),
+                        AnyonicParams(phi=0.0, v=0.0),
+                        PacketSpec(center=-32.0, width=10.0, carrier=1.0),
+                    )
+                ],
                 PropagatorConfig(dt=0.005, t_final=5.0, snapshot_every=10**9),
-                grid=grid,
+                grid,
             )
 
     def test_wrong_direction_rejected(self):
         grid = Grid(-120.0, 120.0, 2048)
         with pytest.raises(ContractError):
             run_packet_scattering(
-                PoschlTeller(v0=0.0),
-                AnyonicParams(phi=0.0, v=0.0),
-                PacketSpec(center=32.0, width=10.0, carrier=1.0),  # moving away
+                [
+                    (
+                        PoschlTeller(v0=0.0),
+                        AnyonicParams(phi=0.0, v=0.0),
+                        PacketSpec(center=32.0, width=10.0, carrier=1.0),  # moving away
+                    )
+                ],
                 PropagatorConfig(dt=0.005, t_final=5.0),
-                grid=grid,
+                grid,
             )
 
     def test_report_sides_follow_incidence(self):
