@@ -50,7 +50,6 @@ from .propagation import (
     PropagatorConfig,
     evolve,
     evolve_batch,
-    gauge_growth_factor,
     gauge_transform_check,
 )
 from .scattering import (

@@ -6,14 +6,21 @@ may be a list; the runner takes the cartesian product as its sweep, capped at
 10^4 points.  ``params.v_over_vc`` expresses the drift as a fraction of the
 critical velocity of the configured well's ground state and is mutually
 exclusive with ``params.v``.
+
+The table ``_KEYS`` states every key once: the field it fills, its kind, its
+default and its bound.  Parsing and ``to_dict`` both walk it.  Ranges that a
+domain type checks (``Grid``, ``PoschlTeller``, ``PropagatorConfig``, ...)
+stay in that type; rules that span several keys are code in ``validate``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -29,25 +36,8 @@ __all__ = ["ExperimentConfig", "SweepPoint", "EXPERIMENTS"]
 
 EXPERIMENTS = ("spectrum", "delocalize", "scatter", "amplify", "lasermap")
 MAX_SWEEP_POINTS = 10_000
-
-_TOP_KEYS = {
-    "experiment",
-    "output_dir",
-    "grid",
-    "boundary",
-    "potential",
-    "params",
-    "propagator",
-    "packet",
-    "separatrix",
-    "density_stride",
-    "rt_sweep",
-    "spectrum",
-    "amplify",
-    "cavity",
-    "detuning",
-    "e1",
-}
+# 128x the largest shipped grid; caps grids and band samples before allocation.
+MAX_GRID_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -62,31 +52,146 @@ class SweepPoint:
     v_over_vc: float | None = None
 
 
-def _as_list(value):
-    return list(value) if isinstance(value, (list, tuple)) else [value]
+_AXIS = "axis"  # kind of a sweep axis: a non-empty list of finite floats
+_REQUIRED = object()
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _require(mapping: dict, key: str, ctx: str):
-    if key not in mapping:
-        raise ConfigError(f"{ctx}: missing required key {key!r}")
-    return mapping[key]
+class _Key(NamedTuple):
+    """One key of the tree.
+
+    ``kind`` is float (finite), int (integral, not a bool), bool, str, list
+    (finite floats), ``_AXIS`` or a tuple of choices.  ``bound`` is a flat
+    ``(op, limit, ...)`` tuple checked on the value, or on each list element.
+    """
+
+    key: str  # dotted path in the YAML tree
+    kind: object
+    default: object = None  # None: the field keeps its own default
+    bound: tuple = ()
+    field: str | None = None  # attribute path from ExperimentConfig, if not ``key``
+
+    @property
+    def attrs(self) -> list:
+        return (self.field or self.key).split(".")
 
 
-def _check_keys(mapping: dict, allowed: set, ctx: str):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{ctx}: must be a mapping, got {mapping!r}")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+_SWEEP_CAP = (">=", 1, "<=", MAX_SWEEP_POINTS)
+_KEYS = (
+    _Key("experiment", EXPERIMENTS, _REQUIRED),
+    _Key("output_dir", str),
+    _Key("grid.x_min", float, _REQUIRED),
+    _Key("grid.x_max", float, _REQUIRED),
+    _Key("grid.n_points", int, _REQUIRED, ("<=", MAX_GRID_POINTS)),
+    _Key("boundary", ("dirichlet", "periodic")),
+    _Key("potential.kind", ("poschl_teller", "tabulated"), field="potential_kind"),
+    _Key("potential.nu", float, field="nu"),
+    _Key("potential.delta", _AXIS, field="delta"),
+    _Key("potential.v0", float, field="v0"),
+    _Key("potential.file", str, field="potential_file"),
+    _Key("params.phi", _AXIS, field="phi"),
+    _Key("params.v", _AXIS, field="v"),
+    _Key("params.v_over_vc", _AXIS, field="v_over_vc"),
+    _Key("propagator.dt", float),
+    _Key("propagator.t_final", float),
+    _Key("propagator.frame", str),
+    _Key("propagator.snapshot_every", int),
+    _Key("propagator.absorber.width", float, _REQUIRED),
+    _Key("propagator.absorber.strength", float, _REQUIRED),
+    _Key("packet.center", float, _REQUIRED, field="packet_center"),
+    _Key("packet.width", float, _REQUIRED, field="packet_width"),
+    _Key("packet.carrier", _AXIS, 0.0, field="carrier"),
+    _Key("separatrix", float),
+    _Key("density_stride", int, bound=(">=", 1)),
+    _Key("rt_sweep.k_min", float, _REQUIRED),
+    _Key("rt_sweep.k_max", float, _REQUIRED),
+    _Key("rt_sweep.num", int, _REQUIRED, _SWEEP_CAP),
+    _Key("spectrum.k_max", float, field="k_max"),
+    _Key("spectrum.k_points", int, bound=(">=", 1, "<=", MAX_GRID_POINTS), field="k_points"),
+    _Key("amplify.evolve", bool, field="amplify_evolve"),
+    _Key("amplify.g_t_times", list, bound=(">=", 0.0), field="g_t_times"),
+    _Key("amplify.g_t_grid.x_min", float, _REQUIRED, field="g_t_grid.x_min"),
+    _Key("amplify.g_t_grid.x_max", float, _REQUIRED, field="g_t_grid.x_max"),
+    # the dense propagator's cap
+    _Key("amplify.g_t_grid.n_points", int, _REQUIRED, ("<=", G_T_MAX_DIM), "g_t_grid.n_points"),
+    _Key("cavity.D", float, _REQUIRED),
+    *(_Key(f"cavity.{name}", float) for name in ("Dg", "delta1", "delta2", "g", "l", "Tm", "TR")),
+    _Key("detuning.start", float, _REQUIRED, (">", 0.0)),
+    _Key("detuning.stop", float, _REQUIRED, (">", 0.0)),
+    _Key("detuning.num", int, _REQUIRED, _SWEEP_CAP),
+    _Key("e1", float, bound=("<", 0.0)),
+)
+_SECTIONS = dict.fromkeys(k.key.rpartition(".")[0] for k in _KEYS)
+# Sections that build a domain type, which checks its own ranges; the keys of
+# every other section fill ExperimentConfig fields directly.
+_BUILDS = {"grid": Grid, "propagator": PropagatorConfig, "propagator.absorber": AbsorberSpec,
+           "amplify.g_t_grid": Grid, "cavity": CavityParams, "rt_sweep": dict, "detuning": dict}
+# The fields each runner needs set (amplify with evolve: true also a propagator).
+_NEEDS = {"spectrum": ("grid",), "delocalize": ("grid",), "amplify": ("grid",),
+          "scatter": ("grid", "propagator", "packet_center"), "lasermap": ("cavity", "e1")}
 
 
-def _parse_grid(g: dict, ctx: str) -> Grid:
-    _check_keys(g, {"x_min", "x_max", "n_points"}, ctx)
-    x_min, x_max, n_points = (_require(g, k, ctx) for k in ("x_min", "x_max", "n_points"))
+def _number(value, path: str, kind=float):
     try:
-        return Grid(float(x_min), float(x_max), int(n_points))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
+        number = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not math.isfinite(number):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    if kind is int and not number.is_integer():
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return value if kind is int and isinstance(value, int) else kind(number)
+
+
+def _coerce(key: _Key, value):
+    """Turn a YAML value into the key's kind, then check the key's bound."""
+    kind, path = key.kind, key.key
+    if kind in (float, int):
+        value = _number(value, path, kind)
+    elif kind in (list, _AXIS):
+        value = [_number(v, path) for v in (value if isinstance(value, (list, tuple)) else [value])]
+        if kind is _AXIS and not value:
+            raise ConfigError(f"{path} must not be empty")
+    elif isinstance(kind, tuple) and value not in kind:
+        raise ConfigError(f"{path} must be one of {kind}, got {value!r}")
+    elif isinstance(kind, type) and not isinstance(value, kind):
+        raise ConfigError(f"{path} must be a {kind.__name__}, got {value!r}")
+    for op, limit in zip(key.bound[::2], key.bound[1::2]):
+        for item in value if isinstance(value, list) else [value]:
+            if not _OPS[op](item, limit):
+                raise ConfigError(f"{path} must be {op} {limit}, got {item!r}")
+    return value
+
+
+def _read(raw, section: str = "") -> dict:
+    """Check and coerce one mapping of the tree; return the fields it sets.
+
+    A null value counts as an absent key.  Each subsection is read in turn,
+    then built into its domain type or merged into the result.
+    """
+    where = section or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: must be a mapping, got {raw!r}")
+    keys = {k.key.rpartition(".")[2]: k for k in _KEYS if k.key.rpartition(".")[0] == section}
+    subs = {s.rpartition(".")[2]: s for s in _SECTIONS if s and s.rpartition(".")[0] == section}
+    unknown = set(raw) - set(keys) - set(subs)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(map(str, unknown))}")
+    out = {}
+    for name, key in keys.items():
+        value = key.default if raw.get(name) is None else raw[name]
+        if value is _REQUIRED:
+            raise ConfigError(f"{where}: missing required key {name!r}")
+        if value is not None:
+            out[key.attrs[-1]] = _coerce(key, value)
+    for name, sub in subs.items():
+        if raw.get(name) is not None:
+            fields = _read(raw[name], sub)
+            try:
+                out.update({name: _BUILDS[sub](**fields)} if sub in _BUILDS else fields)
+            except ValueError as exc:  # ContractError and DomainError are ValueErrors
+                raise ConfigError(f"{sub}: {exc}") from exc
+    return out
 
 
 @dataclass
@@ -95,19 +200,16 @@ class ExperimentConfig:
     grid: Grid | None = None
     boundary: str = "periodic"
     output_dir: str | None = None
-    # Potential axis values; delta may hold several sweep values.
     potential_kind: str = "poschl_teller"
-    nu: float = 1.0
-    delta: list = field(default_factory=lambda: [0.0])
+    nu: float = PoschlTeller.nu
+    delta: list = field(default_factory=lambda: [PoschlTeller.delta])
     v0: float | None = None
     potential_file: str | None = None
     # Samples of a tabulated potential, read once from potential_file.
     tabulated: Tabulated | None = field(default=None, compare=False, repr=False)
-    # Parameter axes.
     phi: list = field(default_factory=lambda: [0.0])
     v: list | None = None
     v_over_vc: list | None = None
-    # Propagation / scattering.
     propagator: PropagatorConfig | None = None
     packet_center: float | None = None
     packet_width: float | None = None
@@ -115,14 +217,11 @@ class ExperimentConfig:
     separatrix: float = 0.0
     density_stride: int = 1
     rt_sweep: dict | None = None
-    # Spectrum products.
     k_max: float = 6.0
     k_points: int = 601
-    # Amplification products.
     amplify_evolve: bool = False
     g_t_times: list = field(default_factory=list)
     g_t_grid: Grid | None = None
-    # Laser mapping.
     cavity: CavityParams | None = None
     detuning: dict | None = None
     e1: float | None = None
@@ -140,8 +239,6 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
         return cls.from_dict(raw, base_dir=path.parent)
 
     @classmethod
@@ -152,41 +249,11 @@ class ExperimentConfig:
         ConfigError, never a bare ValueError or TypeError.
         """
         try:
-            return cls._parse(raw, base_dir)
-        except (ValueError, TypeError) as exc:
-            if isinstance(exc, AnyonptError):
-                raise
-            raise ConfigError(f"config: {exc}") from exc
-
-    @classmethod
-    def _parse(cls, raw: dict, base_dir) -> "ExperimentConfig":
-        _check_keys(raw, _TOP_KEYS, "config")
-        experiment = _require(raw, "experiment", "config")
-        if experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENTS}")
-
-        cfg = cls(experiment=experiment)
-        cfg.output_dir = raw.get("output_dir")
-        if cfg.output_dir is not None and not isinstance(cfg.output_dir, str):
-            raise ConfigError(f"output_dir must be a string, got {cfg.output_dir!r}")
-
-        if "grid" in raw:
-            cfg.grid = _parse_grid(raw["grid"], "grid")
-        cfg.boundary = raw.get("boundary", "periodic")
-        if cfg.boundary not in ("dirichlet", "periodic"):
-            raise ConfigError(f"boundary must be dirichlet or periodic, got {cfg.boundary!r}")
-
-        if "potential" in raw:
-            p = raw["potential"]
-            _check_keys(p, {"kind", "nu", "delta", "v0", "file"}, "potential")
-            cfg.potential_kind = p.get("kind", "poschl_teller")
-            if cfg.potential_kind not in ("poschl_teller", "tabulated"):
-                raise ConfigError(f"potential.kind must be poschl_teller or tabulated")
-            cfg.nu = float(p.get("nu", 1.0))
-            cfg.delta = [float(d) for d in _as_list(p.get("delta", 0.0))]
-            cfg.v0 = None if p.get("v0") is None else float(p["v0"])
-            if p.get("file") is not None:
-                cfg.potential_file = str(Path(base_dir or ".", p["file"]))
+            cfg = cls(**_read(raw))
+            if cfg.v is None and cfg.v_over_vc is None:
+                cfg.v = [0.0]
+            if cfg.potential_file is not None:
+                cfg.potential_file = str(Path(base_dir or ".", cfg.potential_file))
             if cfg.potential_kind == "tabulated":
                 if not cfg.potential_file:
                     raise ConfigError("potential.kind tabulated requires potential.file")
@@ -194,157 +261,45 @@ class ExperimentConfig:
                     cfg.tabulated = Tabulated.from_csv(cfg.potential_file)
                 except (OSError, ValueError) as exc:  # ContractError is a ValueError
                     raise ConfigError(f"potential.file: {exc}") from exc
-
-        if "params" in raw:
-            pr = raw["params"]
-            _check_keys(pr, {"phi", "v", "v_over_vc"}, "params")
-            cfg.phi = [float(p) for p in _as_list(pr.get("phi", 0.0))]
-            if "v" in pr and "v_over_vc" in pr:
-                raise ConfigError("params: give either v or v_over_vc, not both")
-            if "v_over_vc" in pr:
-                cfg.v_over_vc = [float(f) for f in _as_list(pr["v_over_vc"])]
-            else:
-                cfg.v = [float(f) for f in _as_list(pr.get("v", 0.0))]
-        if cfg.v is None and cfg.v_over_vc is None:
-            cfg.v = [0.0]
-
-        if "propagator" in raw:
-            pp = raw["propagator"]
-            _check_keys(
-                pp, {"dt", "t_final", "frame", "snapshot_every", "absorber"}, "propagator"
-            )
-            ab = pp.get("absorber")
-            if ab is not None:
-                _check_keys(ab, {"width", "strength"}, "propagator.absorber")
-                width, strength = (
-                    _require(ab, k, "propagator.absorber") for k in ("width", "strength")
-                )
-            try:
-                cfg.propagator = PropagatorConfig(
-                    dt=float(pp.get("dt", 0.005)),
-                    t_final=float(pp.get("t_final", 10.0)),
-                    frame=pp.get("frame", "moving"),
-                    snapshot_every=int(pp.get("snapshot_every", 100)),
-                    absorber=None if ab is None else AbsorberSpec(float(width), float(strength)),
-                )
-            except ValueError as exc:  # ContractError is a ValueError
-                raise ConfigError(f"propagator: {exc}") from exc
-
-        if "packet" in raw:
-            pk = raw["packet"]
-            _check_keys(pk, {"center", "width", "carrier"}, "packet")
-            cfg.packet_center = float(_require(pk, "center", "packet"))
-            cfg.packet_width = float(_require(pk, "width", "packet"))
-            cfg.carrier = [float(c) for c in _as_list(pk.get("carrier", 0.0))]
-        cfg.separatrix = float(raw.get("separatrix", 0.0))
-
-        if "spectrum" in raw:
-            sp = raw["spectrum"]
-            _check_keys(sp, {"k_max", "k_points"}, "spectrum")
-            cfg.k_max = float(sp.get("k_max", 6.0))
-            cfg.k_points = int(sp.get("k_points", 601))
-
-        if "amplify" in raw:
-            am = raw["amplify"]
-            _check_keys(am, {"evolve", "g_t_times", "g_t_grid"}, "amplify")
-            cfg.amplify_evolve = am.get("evolve", False)
-            if not isinstance(cfg.amplify_evolve, bool):
-                raise ConfigError(
-                    f"amplify.evolve must be true or false, got {cfg.amplify_evolve!r}"
-                )
-            cfg.g_t_times = [float(t) for t in _as_list(am.get("g_t_times", []))]
-            if not all(0.0 <= t < math.inf for t in cfg.g_t_times):
-                raise ConfigError(
-                    f"amplify.g_t_times must be finite and >= 0, got {cfg.g_t_times}"
-                )
-            if am.get("g_t_grid") is not None:
-                cfg.g_t_grid = _parse_grid(am["g_t_grid"], "amplify.g_t_grid")
-                if cfg.g_t_grid.n_points > G_T_MAX_DIM:
-                    raise ConfigError(
-                        f"amplify.g_t_grid.n_points must be <= {G_T_MAX_DIM} "
-                        f"(dense propagator), got {cfg.g_t_grid.n_points}"
-                    )
-
-        cfg.density_stride = int(raw.get("density_stride", 1))
-        if cfg.density_stride < 1:
-            raise ConfigError("density_stride must be >= 1")
-
-        if "rt_sweep" in raw:
-            rt = raw["rt_sweep"]
-            _check_keys(rt, {"k_min", "k_max", "num"}, "rt_sweep")
-            cfg.rt_sweep = {
-                "k_min": float(_require(rt, "k_min", "rt_sweep")),
-                "k_max": float(_require(rt, "k_max", "rt_sweep")),
-                "num": int(_require(rt, "num", "rt_sweep")),
-            }
-            if not (1 <= cfg.rt_sweep["num"] <= MAX_SWEEP_POINTS):
-                raise ConfigError("rt_sweep.num out of range")
-
-        if "cavity" in raw:
-            cv = raw["cavity"]
-            _check_keys(cv, {"D", "Dg", "delta1", "delta2", "g", "l", "Tm", "TR"}, "cavity")
-            try:
-                cfg.cavity = CavityParams(
-                    D=float(_require(cv, "D", "cavity")),
-                    Dg=float(cv.get("Dg", 0.0)),
-                    delta1=float(cv.get("delta1", 0.0)),
-                    delta2=float(cv.get("delta2", 0.0)),
-                    g=float(cv.get("g", 0.0)),
-                    l=float(cv.get("l", 0.0)),
-                    Tm=float(cv.get("Tm", 1.0)),
-                    TR=float(cv.get("TR", 1.0)),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"cavity: {exc}") from exc
-        if "detuning" in raw:
-            dt_ = raw["detuning"]
-            _check_keys(dt_, {"start", "stop", "num"}, "detuning")
-            cfg.detuning = {
-                "start": float(_require(dt_, "start", "detuning")),
-                "stop": float(_require(dt_, "stop", "detuning")),
-                "num": int(_require(dt_, "num", "detuning")),
-            }
-            if cfg.detuning["num"] < 1 or cfg.detuning["num"] > MAX_SWEEP_POINTS:
-                raise ConfigError("detuning.num out of range")
-        if raw.get("e1") is not None:
-            cfg.e1 = float(raw["e1"])
-
-        cfg.validate()
+            cfg.validate()
+        except (ValueError, TypeError) as exc:
+            if isinstance(exc, AnyonptError):
+                raise
+            raise ConfigError(f"config: {exc}") from exc
         return cfg
 
     # ------------------------------------------------------------------ checks
 
     def validate(self):
+        """The rules that span several keys; single-key rules live in ``_KEYS``."""
         ex = self.experiment
-        if ex in ("spectrum", "delocalize", "scatter", "amplify"):
-            if self.grid is None:
-                raise ConfigError(f"{ex}: grid section is required")
-        if ex == "scatter":
-            if self.propagator is None or self.packet_center is None:
-                raise ConfigError("scatter: propagator and packet sections are required")
-        if ex == "amplify" and self.amplify_evolve and self.propagator is None:
-            raise ConfigError("amplify with evolve: true requires a propagator section")
+        if self.v is not None and self.v_over_vc is not None:
+            raise ConfigError("params: give either v or v_over_vc, not both")
+        needs = _NEEDS[ex] + (("propagator",) if ex == "amplify" and self.amplify_evolve else ())
+        missing = [name for name in needs if getattr(self, name) is None]
+        if missing:
+            raise ConfigError(f"{ex}: {missing[0]} is required")
         absorber = self.propagator.absorber if self.propagator is not None else None
         if absorber is not None and self.grid is not None:
             try:  # the width check evolve makes on the grid it runs on
                 absorber.mask(self.grid)
             except ContractError as exc:
                 raise ConfigError(f"propagator.absorber: {exc}") from exc
-        if ex == "lasermap":
-            if self.cavity is None:
-                raise ConfigError("lasermap: cavity section is required")
-            if self.e1 is None:
-                raise ConfigError("lasermap: e1 (well depth for the threshold) is required")
-        if self.v_over_vc is not None or ex in ("amplify", "delocalize"):
-            self.ground_state_energy()  # ConfigError without a bound well
         if self.v_over_vc is not None and any(p == 0.0 for p in self.phi):
             raise ConfigError("v_over_vc is undefined at phi = 0 (no finite v_c)")
-        try:
+        try:  # the domain types' own checks on every sweep point
+            if self.v_over_vc is not None or ex in ("amplify", "delocalize"):
+                self.ground_state_energy()  # ConfigError without a bound well
             points = self.sweep_points()
             for p in points:
-                AnyonicParams(phi=p.phi, v=p.v)
-        except DomainError as exc:
-            raise ConfigError(f"params: {exc}") from exc
+                self.potential(p.delta)
+                params = AnyonicParams(phi=p.phi, v=p.v)
+                if ex == "scatter":  # the packet fits the grid and meets the separatrix
+                    packet = self.packet(p.carrier)
+                    packet.validate_on(self.grid)
+                    packet.check_approach(params, self.separatrix)
+        except (ContractError, DomainError) as exc:
+            raise ConfigError(f"sweep: {exc}") from exc
         if len(points) > MAX_SWEEP_POINTS:
             raise ConfigError(f"sweep has {len(points)} points, cap is {MAX_SWEEP_POINTS}")
         # the grids these runners hand to the dense eigensolver
@@ -359,17 +314,6 @@ class ExperimentConfig:
                 f"{ex}: the dense eigensolve would run on {n} points, above the cap of "
                 f"{DENSE_MAX_DIM} (spectrum and delocalize double the box above 0.9 v_c)"
             )
-        if ex == "scatter":
-            for p in points:
-                try:
-                    packet = self.packet(p.carrier)
-                    packet.validate_on(self.grid)
-                    packet.check_approach(AnyonicParams(phi=p.phi, v=p.v), self.separatrix)
-                except ContractError as exc:
-                    raise ConfigError(f"sweep point {p.index}: {exc}") from exc
-
-    def effective_amplitude(self) -> float:
-        return self.v0 if self.v0 is not None else -self.nu * (self.nu + 1.0)
 
     def closed_form_well(self) -> bool:
         """The nu = 1 well has a closed-form bound state; others need an eigensolve."""
@@ -379,7 +323,7 @@ class ExperimentConfig:
 
     def ground_state_energy(self) -> float:
         """E_1 of the configured well (needs a poschl_teller well)."""
-        if self.potential_kind != "poschl_teller" or self.effective_amplitude() >= 0:
+        if self.potential_kind != "poschl_teller" or self.potential(0.0).amplitude >= 0:
             raise ConfigError("the ground state needs a poschl_teller well (negative amplitude)")
         return poschl_teller_energies(self.nu).energies[0]
 
@@ -405,7 +349,7 @@ class ExperimentConfig:
         """Cartesian product of the list-valued axes, resolved to scalars."""
         carriers = self.carrier if self.carrier is not None else [None]
         fractional = self.v_over_vc is not None
-        v_axis = self.v_over_vc if fractional else (self.v if self.v is not None else [0.0])
+        v_axis = self.v_over_vc if fractional else self.v
         e1 = self.ground_state_energy() if fractional else None
         points = []
         for i, (delta, phi, vval, carrier) in enumerate(
@@ -419,79 +363,17 @@ class ExperimentConfig:
     # ------------------------------------------------------------------ output
 
     def to_dict(self) -> dict:
-        out: dict = {"experiment": self.experiment}
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
-        if self.grid is not None:
-            out["grid"] = {
-                "x_min": self.grid.x_min,
-                "x_max": self.grid.x_max,
-                "n_points": self.grid.n_points,
-            }
-            out["boundary"] = self.boundary
-        pot: dict = {"kind": self.potential_kind, "nu": self.nu, "delta": list(self.delta)}
-        if self.v0 is not None:
-            pot["v0"] = self.v0
-        if self.potential_file is not None:
-            pot["file"] = self.potential_file
-        out["potential"] = pot
-        params: dict = {"phi": list(self.phi)}
-        if self.v_over_vc is not None:
-            params["v_over_vc"] = list(self.v_over_vc)
-        else:
-            params["v"] = list(self.v if self.v is not None else [0.0])
-        out["params"] = params
-        if self.propagator is not None:
-            pp: dict = {
-                "dt": self.propagator.dt,
-                "t_final": self.propagator.t_final,
-                "frame": self.propagator.frame,
-                "snapshot_every": self.propagator.snapshot_every,
-            }
-            if self.propagator.absorber is not None:
-                pp["absorber"] = {
-                    "width": self.propagator.absorber.width,
-                    "strength": self.propagator.absorber.strength,
-                }
-            out["propagator"] = pp
-        if self.packet_center is not None:
-            out["packet"] = {
-                "center": self.packet_center,
-                "width": self.packet_width,
-                "carrier": list(self.carrier or [0.0]),
-            }
-            out["separatrix"] = self.separatrix
-        if self.density_stride != 1:
-            out["density_stride"] = self.density_stride
-        if self.rt_sweep is not None:
-            out["rt_sweep"] = dict(self.rt_sweep)
-        if self.experiment == "spectrum":
-            out["spectrum"] = {"k_max": self.k_max, "k_points": self.k_points}
-        if self.experiment == "amplify":
-            am: dict = {"evolve": self.amplify_evolve}
-            if self.g_t_times:
-                am["g_t_times"] = list(self.g_t_times)
-            if self.g_t_grid is not None:
-                am["g_t_grid"] = {
-                    "x_min": self.g_t_grid.x_min,
-                    "x_max": self.g_t_grid.x_max,
-                    "n_points": self.g_t_grid.n_points,
-                }
-            out["amplify"] = am
-        if self.cavity is not None:
-            c = self.cavity
-            out["cavity"] = {
-                "D": c.D,
-                "Dg": c.Dg,
-                "delta1": c.delta1,
-                "delta2": c.delta2,
-                "g": c.g,
-                "l": c.l,
-                "Tm": c.Tm,
-                "TR": c.TR,
-            }
-        if self.detuning is not None:
-            out["detuning"] = dict(self.detuning)
-        if self.e1 is not None:
-            out["e1"] = self.e1
+        """The tree that ``from_dict`` reads back to an equal config."""
+        out: dict = {}
+        for key in _KEYS:
+            value = self
+            for name in key.attrs:  # None once a section is unset
+                value = value.get(name) if isinstance(value, dict) else getattr(value, name, None)
+            if value is None:
+                continue
+            *sections, name = key.key.split(".")
+            node = out
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[name] = list(value) if isinstance(value, list) else value
         return out

@@ -29,13 +29,13 @@ class CavityParams:
     """Round-trip parameters of an actively mode-locked cavity."""
 
     D: float
-    Dg: float
-    delta1: float
-    delta2: float
-    g: float
-    l: float
-    Tm: float
-    TR: float
+    Dg: float = 0.0
+    delta1: float = 0.0
+    delta2: float = 0.0
+    g: float = 0.0
+    l: float = 0.0
+    Tm: float = 1.0
+    TR: float = 1.0
 
     def __post_init__(self):
         if self.TR <= 0 or self.Tm <= 0:

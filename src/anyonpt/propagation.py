@@ -26,7 +26,6 @@ __all__ = [
     "evolve",
     "evolve_batch",
     "gauge_transform_check",
-    "gauge_growth_factor",
 ]
 
 AMPLITUDE_GUARD = 1e150
@@ -232,16 +231,3 @@ def gauge_transform_check(
     recomposed = np.exp(1j * alpha * grid.x - 1j * beta * t) * static.values
     return float(np.abs(drifted.values - recomposed).max())
 
-
-def gauge_growth_factor(x, t, params: AnyonicParams):
-    """Density weight exp(-v x sin phi) exp((v^2/2) t sin phi) of the gauge factor.
-
-    This is the unbounded operator that forbids the gauge transformation for
-    phi != 0; it quantifies how strongly the transformation would distort
-    densities at position x and time t.
-    """
-    s = math.sin(params.phi)
-    out = np.exp(-params.v * np.asarray(x, dtype=float) * s) * np.exp(
-        0.5 * params.v**2 * np.asarray(t, dtype=float) * s
-    )
-    return float(out) if out.ndim == 0 else out

@@ -100,7 +100,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         result = solve_spectrum(h)
         curve = DispersionCurve.sample(params, cfg.k_max, cfg.k_points)
         bound_rows = []
-        if cfg.potential_kind == "poschl_teller" and cfg.effective_amplitude() < 0:
+        if cfg.potential_kind == "poschl_teller" and pot.amplitude < 0:
             family = poschl_teller_energies(cfg.nu)
             for n, e_n in enumerate(family.energies, start=1):
                 shifted = shifted_point_energy(e_n, params)
@@ -325,9 +325,12 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 
         record = None
         if cfg.amplify_evolve:
-            # Evolution runs honor the configured box as-is; automatic box
-            # doubling is reserved for eigensolve localization studies.
-            u1_sim, _ = _stationary_ground_state(cfg, point.delta, cfg.grid)
+            # Evolution runs honor the configured box as-is, where the numeric
+            # state above already lives; automatic box doubling is reserved
+            # for eigensolve localization studies.
+            u1_sim = u1
+            if cfg.closed_form_well():
+                u1_sim, _ = _stationary_ground_state(cfg, point.delta, cfg.grid)
             dressed = moving_bound_state(u1_sim, e1, params)
             if dressed is None:
                 raise ConfigError(
@@ -382,6 +385,17 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 def run_lasermap(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     mapping = map_to_anyonic(cfg.cavity)
     threshold = mode_locking_threshold(cfg.cavity, cfg.e1)
+    table = []
+    if cfg.detuning is not None:
+        d = cfg.detuning
+        for ratio in np.linspace(d["start"], d["stop"], d["num"]):
+            c = cfg.cavity
+            cav = dataclasses.replace(c, Tm=ratio * c.TR)
+            m = map_to_anyonic(cav)
+            thr = mode_locking_threshold(cav, cfg.e1)
+            delocalized = thr is not None and abs(m.params.v) >= thr
+            table.append((ratio, m.params.v, thr if thr is not None else math.inf, delocalized))
+
     written = [
         write_csv(
             outdir / "mapping.csv",
@@ -398,15 +412,6 @@ def run_lasermap(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         )
     ]
     if cfg.detuning is not None:
-        d = cfg.detuning
-        table = []
-        for ratio in np.linspace(d["start"], d["stop"], d["num"]):
-            c = cfg.cavity
-            cav = dataclasses.replace(c, Tm=ratio * c.TR)
-            m = map_to_anyonic(cav)
-            thr = mode_locking_threshold(cav, cfg.e1)
-            delocalized = thr is not None and abs(m.params.v) >= thr
-            table.append((ratio, m.params.v, thr if thr is not None else math.inf, delocalized))
         written.append(
             write_csv(
                 outdir / "threshold_table.csv",

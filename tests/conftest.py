@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from anyonpt import Grid, PoschlTeller
+
+# CI runs with --hypothesis-profile=ci, so a failing example replays from the log.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
+import copy
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anyonpt import ConfigError, ExperimentConfig
+from anyonpt import ConfigError, DomainError, ExperimentConfig
 from anyonpt._io import fmt, write_csv, write_ndjson
 from anyonpt.cli import main as cli_main
 from anyonpt.runners import run_experiment
@@ -179,6 +183,10 @@ def amplify_on_grid(n_points: int, nu: float):
     return raw
 
 
+def lasermap_dict(**overrides):
+    return {"experiment": "lasermap", "e1": -1.0, "cavity": {"D": 1.0, "Dg": 1.0}, **overrides}
+
+
 class TestParseTimeRejection:
     """Configs that cannot run exit 2 before the output directory is made."""
 
@@ -199,6 +207,25 @@ class TestParseTimeRejection:
             scatter_with("params", phi=-0.1),
             {**minimal_amplify_dict(), "potential": {"kind": "poschl_teller", "v0": 3.0}},
             {**spectrum_dict(256), "experiment": "delocalize", "potential": {"v0": 3.0}},
+            {**spectrum_dict(256), "potential": {"nu": math.inf}},
+            {**spectrum_dict(256), "spectrum": {"k_points": -1}},
+            {**spectrum_dict(256), "spectrum": {"k_points": 10**12}},
+            scatter_with("propagator", t_final=math.inf),
+            scatter_with("grid", n_points=10**13),
+            {**spectrum_dict(256), "potential": {"nu": -1.0}},
+            {**spectrum_dict(256), "potential": {"v0": math.nan}},
+            {**spectrum_dict(256), "experiment": "delocalize", "potential": {"delta": 2.0}},
+            scatter_with("packet", center=math.nan),
+            lasermap_dict(e1=0.5),
+            lasermap_dict(detuning={"start": -1.0, "stop": 1.0, "num": 3}),
+            spectrum_dict(100.7),
+            {**minimal_scatter_dict(), "density_stride": 2.5},
+            {**minimal_scatter_dict(), "rt_sweep": {"k_min": 0.5, "k_max": 2.0, "num": 2.5}},
+            {**minimal_scatter_dict(), "separatrix": math.nan},
+            {**spectrum_dict(256), "spectrum": {"k_max": math.nan}},
+            {**minimal_scatter_dict(), "rt_sweep": {"k_min": 0.5, "k_max": math.nan, "num": 4}},
+            scatter_with("params", phi=[]),
+            {**minimal_amplify_dict(), "params": {"phi": math.pi / 3, "v_over_vc": []}},
         ],
         ids=[
             "absorber-no-strength",
@@ -215,6 +242,25 @@ class TestParseTimeRejection:
             "phi-negative",
             "amplify-barrier-has-no-ground-state",
             "delocalize-barrier-has-no-ground-state",
+            "nu-infinite",
+            "k_points-negative",
+            "k_points-above-cap",
+            "t_final-infinite",
+            "grid-above-point-cap",
+            "nu-negative",
+            "v0-nan",
+            "delocalize-delta-beyond-pole",
+            "packet-center-nan",
+            "lasermap-e1-positive",
+            "lasermap-detuning-negative",
+            "n_points-fractional",
+            "density_stride-fractional",
+            "rt_sweep-num-fractional",
+            "separatrix-nan",
+            "k_max-nan",
+            "rt_sweep-k_max-nan",
+            "scatter-phi-empty",
+            "amplify-v_over_vc-empty",
         ],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, raw):
@@ -226,12 +272,63 @@ class TestParseTimeRejection:
         assert cli_main([raw["experiment"], "--config", str(path), "--output", str(outdir)]) == 2
         assert not outdir.exists()
 
+    def test_empty_axis_names_its_key(self):
+        with pytest.raises(ConfigError, match="potential.delta must not be empty"):
+            ExperimentConfig.from_dict({**spectrum_dict(256), "potential": {"delta": []}})
+
+    def test_integral_floats_are_integers(self):
+        cfg = ExperimentConfig.from_dict(spectrum_dict(256.0))
+        assert cfg.grid.n_points == 256 and isinstance(cfg.grid.n_points, int)
+
     def test_grids_within_the_dense_cap_parse(self):
         ExperimentConfig.from_dict(spectrum_dict(8192))
         ExperimentConfig.from_dict(spectrum_dict(4096, phi=math.pi / 3, v_over_vc=0.95))
         ExperimentConfig.from_dict(spectrum_dict(5000, phi=math.pi / 3, v_over_vc=0.5))
         # the closed-form nu = 1 well needs no eigensolve on the amplify grid
         ExperimentConfig.from_dict(amplify_on_grid(10_000, nu=1.0))
+
+
+MUTANT_VALUES = [None, "x", [], {}, True, 2.5, -1, 0, math.nan, math.inf]
+
+
+def key_paths(tree: dict, prefix=()):
+    for key, value in tree.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+class TestConfigFuzz:
+    """One mutation of a shipped config either parses or is a config error."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.yaml")))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mutated_tree_parses_or_exits_2(self, name, data):
+        tree = yaml.safe_load((CONFIG_DIR / name).read_text())
+        runner = tree["experiment"]
+        *parents, leaf = data.draw(st.sampled_from(list(key_paths(tree))), label="key")
+        node = tree
+        for key in parents:
+            node = node[key]
+        action = data.draw(st.sampled_from(["drop", "add", "set"]), label="action")
+        if action == "drop":
+            del node[leaf]
+        elif action == "add":
+            node["unknown_key"] = 1.0
+        else:
+            node[leaf] = copy.deepcopy(data.draw(st.sampled_from(MUTANT_VALUES), label="value"))
+        try:
+            cfg = ExperimentConfig.from_dict(tree, base_dir=CONFIG_DIR)
+        except ConfigError:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "mutant.yaml"
+                path.write_text(yaml.safe_dump(tree))
+                outdir = Path(tmp) / "out"
+                assert cli_main([runner, "--config", str(path), "--output", str(outdir)]) == 2
+                assert not outdir.exists()
+        else:
+            assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestPropagatorValidation:
@@ -355,6 +452,38 @@ class TestRunnersAndCLI:
             assert [p.name for p in a] == [p.name for p in b]
             for pa, pb in zip(a, b):
                 assert pa.read_bytes() == pb.read_bytes()
+
+    def test_amplify_solves_each_ground_state_once(self, tmp_path, monkeypatch):
+        import anyonpt.runners as runners
+
+        solves = []
+        solve = runners.solve_spectrum
+        monkeypatch.setattr(runners, "solve_spectrum", lambda h: solves.append(h) or solve(h))
+        raw = amplify_on_grid(128, nu=2.0)
+        raw["grid"].update(x_min=-12.0, x_max=12.0)
+        raw["params"]["v_over_vc"] = [0.2, 0.5]
+        raw["amplify"] = {"evolve": True}
+        raw["propagator"] = {"dt": 0.01, "t_final": 0.05, "snapshot_every": 5}
+        run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        assert len(solves) == 2  # one per sweep point
+
+    def test_lasermap_failure_writes_nothing(self, tmp_path, monkeypatch):
+        import anyonpt.runners as runners
+
+        calls = []
+        threshold = runners.mode_locking_threshold
+
+        def fail_second(cavity, e1):
+            calls.append(cavity)
+            if len(calls) == 2:
+                raise DomainError("injected")
+            return threshold(cavity, e1)
+
+        monkeypatch.setattr(runners, "mode_locking_threshold", fail_second)
+        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "lasermap_detuning.yaml")
+        with pytest.raises(DomainError):
+            run_experiment(cfg, tmp_path / "out")
+        assert not list((tmp_path / "out").iterdir())
 
     def test_cli_success_and_output_flag(self, tmp_path, capsys):
         rc = cli_main(

@@ -18,7 +18,6 @@ from anyonpt import (
     analytic_bound_state_pt,
     evolve,
     evolve_batch,
-    gauge_growth_factor,
     gauge_transform_check,
     gaussian_packet,
 )
@@ -343,9 +342,3 @@ class TestGauge:
         psi0 = gaussian_packet(grid, PacketSpec(center=0.0, width=2.0))
         with pytest.raises(ContractError):
             gauge_transform_check(FREE, AnyonicParams(phi=0.1, v=1.0), psi0, t=1.0)
-
-    def test_growth_factor(self):
-        assert gauge_growth_factor(3.0, 5.0, AnyonicParams(phi=0.0, v=2.0)) == 1.0
-        got = gauge_growth_factor(0.0, 1.0, AnyonicParams(phi=math.pi / 2, v=2.0))
-        assert got == pytest.approx(math.e**2, rel=1e-12)
-        assert gauge_growth_factor(-12.0, 0.0, AnyonicParams(phi=math.pi / 2, v=2.0)) > 1e10
