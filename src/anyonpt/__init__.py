@@ -39,7 +39,7 @@ from .spectra import (
     delocalization_margin,
     fit_localization_length,
     moving_bound_state,
-    nearest_eigenvalue,
+    point_states,
     poschl_teller_energies,
     shifted_point_energy,
     solve_spectrum,

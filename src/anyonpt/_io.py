@@ -1,8 +1,9 @@
 """Deterministic file output: fixed-format CSV and NDJSON with atomic writes.
 
-Floats are rendered with 12 significant digits so that identical configs
-produce byte-identical files.  Every file is written to a temporary sibling
-and renamed into place, so a failing run never leaves partial output.
+Floats carry 12 significant digits (CSV cells are formatted here, NDJSON
+records arrive rounded) so that identical configs produce byte-identical
+files.  Every file is written to a temporary sibling and renamed into
+place, so a failing run never leaves partial output.
 """
 
 from __future__ import annotations
@@ -50,18 +51,9 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def write_ndjson(path, records) -> Path:
+    """One compact JSON line per record; callers round floats to 12 digits first."""
     path = Path(path)
-    lines = [json.dumps(_round_floats(rec), separators=(",", ":")) for rec in records]
+    lines = [json.dumps(rec, separators=(",", ":")) for rec in records]
     _atomic_write(path, "\n".join(lines) + "\n")
     return path

@@ -302,18 +302,12 @@ class ExperimentConfig:
             raise ConfigError(f"sweep: {exc}") from exc
         if len(points) > MAX_SWEEP_POINTS:
             raise ConfigError(f"sweep has {len(points)} points, cap is {MAX_SWEEP_POINTS}")
-        # the grids these runners hand to the dense eigensolver
+        # spectrum solves densely, delocalize by shift-invert; both double the box near v_c
         if ex in ("spectrum", "delocalize"):
             n = max(self.grid_for_point(p).n_points for p in points)
-        elif ex == "amplify" and not self.closed_form_well():
-            n = self.grid.n_points
-        else:
-            n = 0
-        if n > DENSE_MAX_DIM:
-            raise ConfigError(
-                f"{ex}: the dense eigensolve would run on {n} points, above the cap of "
-                f"{DENSE_MAX_DIM} (spectrum and delocalize double the box above 0.9 v_c)"
-            )
+            cap = DENSE_MAX_DIM if ex == "spectrum" else MAX_GRID_POINTS
+            if n > cap:
+                raise ConfigError(f"{ex}: eigensolve grid of {n} points (doubled near v_c) > {cap}")
 
     def closed_form_well(self) -> bool:
         """The nu = 1 well has a closed-form bound state; others need an eigensolve."""
@@ -321,11 +315,16 @@ class ExperimentConfig:
 
     # ------------------------------------------------------------------ access
 
-    def ground_state_energy(self) -> float:
-        """E_1 of the configured well (needs a poschl_teller well)."""
+    def bound_energies(self) -> tuple:
+        """E_1 < E_2 < ... of the configured well, with nu from v0 = -nu (nu + 1) if set."""
         if self.potential_kind != "poschl_teller" or self.potential(0.0).amplitude >= 0:
             raise ConfigError("the ground state needs a poschl_teller well (negative amplitude)")
-        return poschl_teller_energies(self.nu).energies[0]
+        nu = self.nu if self.v0 is None else (math.sqrt(1.0 - 4.0 * self.v0) - 1.0) / 2.0
+        return poschl_teller_energies(nu).energies
+
+    def ground_state_energy(self) -> float:
+        """E_1 of the configured well (needs a poschl_teller well)."""
+        return self.bound_energies()[0]
 
     def grid_for_point(self, point: SweepPoint) -> Grid:
         """Eigensolve grid: a doubled box near v_c, where localization lengths diverge."""

@@ -26,7 +26,7 @@ __all__ = ["CavityParams", "LaserMapping", "map_to_anyonic", "mode_locking_thres
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Round-trip parameters of an actively mode-locked cavity."""
+    """Round-trip parameters of a cavity that ``map_to_anyonic`` can carry."""
 
     D: float
     Dg: float = 0.0
@@ -42,6 +42,12 @@ class CavityParams:
             raise DomainError("round-trip and modulation periods must be positive")
         if self.Dg < 0:
             raise DomainError("spectral filtering Dg must be nonnegative")
+        if self.D == 0:
+            raise DomainError("degenerate dispersion: D = 0 leaves the phase undefined")
+        if self.delta1 == 0 and self.delta2 != 0:
+            raise DomainError("pure AM modulation (Delta1 = 0) leaves the tuning ratio undefined")
+        if math.atan(self.Dg / self.D) < 0:
+            raise DomainError("anomalous dispersion D < 0 maps outside the phase range [0, pi/2]")
 
 
 @dataclass(frozen=True)
@@ -56,20 +62,12 @@ class LaserMapping:
 def map_to_anyonic(c: CavityParams, tol: float = 1e-9) -> LaserMapping:
     """Map cavity parameters to (phi, v) with validity flags attached.
 
-    The mapping requires normal dispersion D > 0 so that phi lands in
-    [0, pi/2).  Flags record whether the reduction to a pure Hamiltonian
-    flow holds: |g - l| < tol and |Delta2/Delta1 - Dg/D| < tol (cavities
-    without modulation, Delta1 = Delta2 = 0, count as trivially tuned).
+    ``CavityParams`` ensures phi lands in [0, pi/2).  Flags record whether
+    the reduction to a pure Hamiltonian flow holds: |g - l| < tol and
+    |Delta2/Delta1 - Dg/D| < tol (cavities without modulation,
+    Delta1 = Delta2 = 0, count as trivially tuned).
     """
-    if c.D == 0:
-        raise DomainError("degenerate dispersion: D = 0 leaves the phase undefined")
-    if c.delta1 == 0 and c.delta2 != 0:
-        raise DomainError("pure AM modulation (Delta1 = 0) leaves the tuning ratio undefined")
     phi = math.atan(c.Dg / c.D)
-    if phi < 0:
-        raise DomainError(
-            "anomalous dispersion D < 0 maps outside the phase range [0, pi/2]"
-        )
     v = 1.0 - c.Tm / c.TR
     gain_balanced = abs(c.g - c.l) < tol
     if c.delta1 == 0 and c.delta2 == 0:

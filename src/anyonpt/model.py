@@ -284,11 +284,6 @@ class WaveFunction:
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 
-    def centroid(self) -> float:
-        rho = self.density()
-        n2 = trapz(rho, self.grid.dx)
-        return trapz(self.grid.x * rho, self.grid.dx) / n2
-
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianMatrix:

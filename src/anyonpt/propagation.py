@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 AMPLITUDE_GUARD = 1e150
+MAX_STEPS = 10**6  # about 120x the longest shipped evolution (8400 steps)
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,9 @@ class PropagatorConfig:
             raise ContractError(f"frame must be 'moving' or 'lab', got {self.frame!r}")
         if self.snapshot_every < 1:
             raise ContractError("snapshot_every must be >= 1")
+        steps = self.t_final / self.dt
+        if not steps <= MAX_STEPS + 0.5:  # n_steps() <= MAX_STEPS, and t_final finite
+            raise ContractError(f"t_final / dt gives {steps:.3g} steps, cap is {MAX_STEPS}")
 
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))

@@ -38,8 +38,7 @@ from .spectra import (
     DispersionCurve,
     delocalization_margin,
     moving_bound_state,
-    nearest_eigenvalue,
-    poschl_teller_energies,
+    point_states,
     shifted_point_energy,
     solve_spectrum,
 )
@@ -60,11 +59,11 @@ def _write_evolution(outdir: Path, tag: str, record, stride: int, divisors) -> l
     Each snapshot's density is divided by its entry of ``divisors`` and
     sampled at every ``stride``-th grid point.
     """
-    ndjson = [
+    ndjson = [  # rounded once to the 12 significant digits of every output
         {
-            "t": float(t),
-            "norm": float(norm),
-            "density": [float(d) for d in (snap.density() / div)[::stride]],
+            "t": float(f"{t:.12g}"),
+            "norm": float(f"{norm:.12g}"),
+            "density": [float(f"{d:.12g}") for d in (snap.density() / div)[::stride].tolist()],
         }
         for t, norm, snap, div in zip(record.times, record.norm, record.snapshots, divisors)
     ]
@@ -79,11 +78,8 @@ def _stationary_ground_state(cfg: ExperimentConfig, delta: float, grid: Grid):
     e1 = cfg.ground_state_energy()
     if cfg.closed_form_well():
         return analytic_bound_state_pt(grid, delta), e1
-    pot = cfg.potential(delta)
-    h = build_h_eff(pot, AnyonicParams(phi=0.0, v=0.0), grid, boundary="dirichlet")
-    result = solve_spectrum(h)
-    idx = result.nearest(complex(e1))
-    return result.eigenvector(idx), e1
+    h = build_h_eff(cfg.potential(delta), AnyonicParams(phi=0.0, v=0.0), grid, "dirichlet")
+    return point_states(h, [e1]).eigenvector(0), e1
 
 
 # --------------------------------------------------------------------- spectrum
@@ -101,8 +97,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         curve = DispersionCurve.sample(params, cfg.k_max, cfg.k_points)
         bound_rows = []
         if cfg.potential_kind == "poschl_teller" and pot.amplitude < 0:
-            family = poschl_teller_energies(cfg.nu)
-            for n, e_n in enumerate(family.energies, start=1):
+            for n, e_n in enumerate(cfg.bound_energies(), start=1):
                 shifted = shifted_point_energy(e_n, params)
                 survives = delocalization_margin(e_n, params) > 0
                 bound_rows.append((n, e_n, shifted.real, shifted.imag, survives))
@@ -162,7 +157,7 @@ def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         margin = delocalization_margin(e1, params)
         pot = cfg.potential(point.delta)
         h = build_h_eff(pot, params, grid, boundary=cfg.boundary)
-        result = solve_spectrum(h)
+        result = point_states(h, [shifted_point_energy(e, params) for e in cfg.bound_energies()])
         loc_num = math.inf
         pts = result.point_indices()
         if len(pts):
@@ -320,7 +315,7 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             gt_grid = cfg.g_t_grid if cfg.g_t_grid is not None else Grid(-30.0, 30.0, 1024)
             pot = cfg.potential(point.delta)
             h = build_h_eff(pot, params, gt_grid, boundary="dirichlet")
-            e_dom = nearest_eigenvalue(h, shifted_point_energy(e1, params))
+            e_dom = point_states(h, [shifted_point_energy(e1, params)]).eigenvalues[0]
             gt_rows = list(zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times)))
 
         record = None

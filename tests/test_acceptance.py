@@ -30,6 +30,7 @@ from anyonpt import (
     moving_bound_state,
     reflected_wavenumber,
     run_packet_scattering,
+    point_states,
     shifted_point_energy,
     solve_spectrum,
 )
@@ -80,11 +81,11 @@ def test_criterion_04_delocalization_transition():
     def solve(v_frac, half, n):
         params = AnyonicParams(phi=PHI3, v=v_frac * VC3)
         grid = Grid(-half, half, n)
-        res = solve_spectrum(build_h_eff(well, params, grid, boundary="periodic"))
+        target = shifted_point_energy(-1.0, params)
+        res = point_states(build_h_eff(well, params, grid, boundary="periodic"), [target])
         loc = math.inf
         pts = res.point_indices()
         if len(pts):
-            target = shifted_point_energy(-1.0, params)
             best = pts[np.argmin(np.abs(res.eigenvalues[pts] - target))]
             loc = float(res.localization_length[best])
         return res.point_count, loc

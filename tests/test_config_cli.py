@@ -3,15 +3,16 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonpt import ConfigError, DomainError, ExperimentConfig
+from anyonpt import AnyonicParams, ConfigError, DomainError, ExperimentConfig, build_h_eff
 from anyonpt._io import fmt, write_csv, write_ndjson
 from anyonpt.cli import main as cli_main
-from anyonpt.runners import run_experiment
+from anyonpt.runners import _stationary_ground_state, _write_evolution, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -81,6 +82,16 @@ class TestConfigParsing:
         pts = cfg.sweep_points()
         vc = 2.0 / math.sin(cfg.phi[0])
         assert [p.v for p in pts] == pytest.approx([0.2 * vc, 0.8 * vc, 0.95 * vc])
+
+    def test_well_given_by_v0_takes_nu_from_its_amplitude(self):
+        raw = minimal_amplify_dict()
+        raw["potential"]["v0"] = -6.0  # the nu = 2 well, whatever nu says
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.ground_state_energy() == -4.0
+        u, _ = _stationary_ground_state(cfg, 0.2, cfg.grid)
+        h = build_h_eff(cfg.potential(0.2), AnyonicParams(phi=0.0, v=0.0), cfg.grid)
+        energy = np.vdot(u.values, h.dense() @ u.values) / np.vdot(u.values, u.values)
+        assert abs(energy + 4.0) < 1e-2
 
     def test_lasermap_requires_cavity(self):
         with pytest.raises(ConfigError):
@@ -176,6 +187,11 @@ def spectrum_dict(n_points: int, phi: float = 0.0, v_over_vc: float | None = Non
     }
 
 
+def near_vc_delocalize_dict(n_points: int):
+    # 0.95 v_c: the runner doubles the box and the point count
+    return {**spectrum_dict(n_points, phi=math.pi / 3, v_over_vc=0.95), "experiment": "delocalize"}
+
+
 def amplify_on_grid(n_points: int, nu: float):
     raw = minimal_amplify_dict()
     raw["grid"]["n_points"] = n_points
@@ -201,7 +217,7 @@ class TestParseTimeRejection:
             scatter_with("packet", center=-50.0),
             spectrum_dict(10_000),
             spectrum_dict(4097, phi=math.pi / 3, v_over_vc=0.95),
-            amplify_on_grid(10_000, nu=2.0),
+            near_vc_delocalize_dict(2**19 + 1),
             spectrum_dict(256, phi=2.0),
             spectrum_dict(256, phi=2.0, v_over_vc=0.5),
             scatter_with("params", phi=-0.1),
@@ -211,6 +227,8 @@ class TestParseTimeRejection:
             {**spectrum_dict(256), "spectrum": {"k_points": -1}},
             {**spectrum_dict(256), "spectrum": {"k_points": 10**12}},
             scatter_with("propagator", t_final=math.inf),
+            scatter_with("propagator", t_final=1e300),
+            scatter_with("propagator", t_final=2e5),  # 2e7 steps at dt = 0.01
             scatter_with("grid", n_points=10**13),
             {**spectrum_dict(256), "potential": {"nu": -1.0}},
             {**spectrum_dict(256), "potential": {"v0": math.nan}},
@@ -218,6 +236,9 @@ class TestParseTimeRejection:
             scatter_with("packet", center=math.nan),
             lasermap_dict(e1=0.5),
             lasermap_dict(detuning={"start": -1.0, "stop": 1.0, "num": 3}),
+            lasermap_dict(cavity={"D": 0.0}),
+            lasermap_dict(cavity={"D": 1.0, "delta1": 0.0, "delta2": 0.3}),
+            lasermap_dict(cavity={"D": -1.0, "Dg": 0.5}),
             spectrum_dict(100.7),
             {**minimal_scatter_dict(), "density_stride": 2.5},
             {**minimal_scatter_dict(), "rt_sweep": {"k_min": 0.5, "k_max": 2.0, "num": 2.5}},
@@ -236,7 +257,7 @@ class TestParseTimeRejection:
             "packet-outside-grid",
             "spectrum-over-dense-cap",
             "spectrum-doubled-box-over-dense-cap",
-            "amplify-eigensolve-over-dense-cap",
+            "delocalize-doubled-box-over-point-cap",
             "phi-above-pi-over-2",
             "phi-above-pi-over-2-with-v_over_vc",
             "phi-negative",
@@ -246,6 +267,8 @@ class TestParseTimeRejection:
             "k_points-negative",
             "k_points-above-cap",
             "t_final-infinite",
+            "t_final-1e300",
+            "steps-2e7",
             "grid-above-point-cap",
             "nu-negative",
             "v0-nan",
@@ -253,6 +276,9 @@ class TestParseTimeRejection:
             "packet-center-nan",
             "lasermap-e1-positive",
             "lasermap-detuning-negative",
+            "cavity-D-zero",
+            "cavity-pure-AM",
+            "cavity-anomalous-dispersion",
             "n_points-fractional",
             "density_stride-fractional",
             "rt_sweep-num-fractional",
@@ -284,8 +310,10 @@ class TestParseTimeRejection:
         ExperimentConfig.from_dict(spectrum_dict(8192))
         ExperimentConfig.from_dict(spectrum_dict(4096, phi=math.pi / 3, v_over_vc=0.95))
         ExperimentConfig.from_dict(spectrum_dict(5000, phi=math.pi / 3, v_over_vc=0.5))
-        # the closed-form nu = 1 well needs no eigensolve on the amplify grid
+        # amplify and delocalize solve by shift-invert, beyond the dense cap
         ExperimentConfig.from_dict(amplify_on_grid(10_000, nu=1.0))
+        ExperimentConfig.from_dict(amplify_on_grid(10_000, nu=2.0))
+        assert ExperimentConfig.from_dict(near_vc_delocalize_dict(4097)).grid.n_points == 4097
 
 
 MUTANT_VALUES = [None, "x", [], {}, True, 2.5, -1, 0, math.nan, math.inf]
@@ -417,8 +445,18 @@ class TestIOFormat:
     def test_csv_and_ndjson_writers(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", ("a", "b"), [(1.0 / 3.0, "x")])
         assert p.read_text() == "a,b\n0.333333333333,x\n"
-        q = write_ndjson(tmp_path / "t.ndjson", [{"t": 1.0 / 3.0, "v": [1.0, 2.0]}])
-        assert q.read_text() == '{"t":0.333333333333,"v":[1.0,2.0]}\n'
+        q = write_ndjson(tmp_path / "t.ndjson", [{"t": 0.25, "v": [1.0, 2.0]}])
+        assert q.read_text() == '{"t":0.25,"v":[1.0,2.0]}\n'
+
+    def test_evolution_records_carry_12_digits(self, tmp_path):
+        from anyonpt import EvolutionRecord, Grid, WaveFunction
+
+        snap = WaveFunction(Grid(0.0, 1.0, 16), np.full(16, np.sqrt(1.0 / 3.0), dtype=complex))
+        record = EvolutionRecord(np.array([1.0 / 3.0]), np.array([2.0 / 3.0]), (snap,))
+        _write_evolution(tmp_path, "000", record, 8, [1.0])
+        assert (tmp_path / "evolution_000.ndjson").read_text() == (
+            '{"t":0.333333333333,"norm":0.666666666667,"density":[0.333333333333,0.333333333333]}\n'
+        )
 
 
 class TestRunnersAndCLI:
@@ -457,8 +495,8 @@ class TestRunnersAndCLI:
         import anyonpt.runners as runners
 
         solves = []
-        solve = runners.solve_spectrum
-        monkeypatch.setattr(runners, "solve_spectrum", lambda h: solves.append(h) or solve(h))
+        solve = runners.point_states
+        monkeypatch.setattr(runners, "point_states", lambda h, t: solves.append(h) or solve(h, t))
         raw = amplify_on_grid(128, nu=2.0)
         raw["grid"].update(x_min=-12.0, x_max=12.0)
         raw["params"]["v_over_vc"] = [0.2, 0.5]

@@ -22,7 +22,7 @@ from anyonpt import (
     g_infinity,
     g_infinity_poschl_teller,
     g_t,
-    nearest_eigenvalue,
+    point_states,
     self_orthogonality,
     shifted_point_energy,
     solve_spectrum,
@@ -225,7 +225,7 @@ class TestGInfinity:
         # moderate margin: numerically solved ground state agrees with closed form
         grid = Grid(-40.0, 40.0, 1600)
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), AnyonicParams(phi=0.0), grid)
-        res = solve_spectrum(h)
+        res = point_states(h, [-1.0])
         u1 = res.eigenvector(res.nearest(-1.0))
         p = AnyonicParams(phi=PHI3, v=0.5 * VC)
         got = g_infinity(u1, p, e1=-1.0)
@@ -266,7 +266,7 @@ class TestGT:
         params = AnyonicParams(phi=PHI3, v=0.8 * VC)
         grid = Grid(-12.0, 12.0, 256)
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid)
-        e_dom = nearest_eigenvalue(h, shifted_point_energy(-1.0, params))
+        (e_dom,) = point_states(h, [shifted_point_energy(-1.0, params)]).eigenvalues
         times = [2.0, 0.5, 5.0, 0.0, 2.0, 1.3]
         expm_calls = []
         expm = scipy.linalg.expm
@@ -284,7 +284,7 @@ class TestGT:
     def drifting_h():
         params = AnyonicParams(phi=PHI3, v=0.8 * VC)
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, Grid(-12.0, 12.0, 256))
-        return h, nearest_eigenvalue(h, shifted_point_energy(-1.0, params))
+        return h, point_states(h, [shifted_point_energy(-1.0, params)]).eigenvalues[0]
 
     @staticmethod
     def svdvals_oracle(h, e_dom, t):
