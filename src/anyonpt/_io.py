@@ -1,16 +1,14 @@
-"""Deterministic file output: fixed-format CSV and NDJSON with atomic writes.
+"""Deterministic file output: fixed-format CSV and NDJSON.
 
 Floats carry 12 significant digits (CSV cells are formatted here, NDJSON
 records arrive rounded) so that identical configs produce byte-identical
-files.  Every file is written to a temporary sibling and renamed into
-place, so a failing run never leaves partial output.
+files.  The writers write in place; ``runners.run_experiment`` points them
+at a staging directory and publishes a run's files only once it succeeds.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,25 +27,12 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_csv(path, header, rows) -> Path:
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -55,5 +40,5 @@ def write_ndjson(path, records) -> Path:
     """One compact JSON line per record; callers round floats to 12 digits first."""
     path = Path(path)
     lines = [json.dumps(rec, separators=(",", ":")) for rec in records]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     return path

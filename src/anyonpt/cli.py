@@ -1,9 +1,9 @@
 """Command-line front end: ``anyonpt <runner> --config FILE [--jobs N] [--output DIR]``.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
-failures.  The output directory resolves as --output, then the
-ANYONPT_OUTPUT environment variable, then the config's output_dir, then
-./anyonpt_out/<experiment>.
+Exit codes: 0 on success, 2 for configuration problems and unusable output
+paths, 3 for numerical failures.  The output directory resolves as --output,
+then the ANYONPT_OUTPUT environment variable, then the config's output_dir,
+then ./anyonpt_out/<experiment>.
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ def main(argv=None) -> int:
     except AnyonptError as exc:
         print(f"anyonpt: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # an output path that is a file, under one, or unwritable
+        print(f"anyonpt: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for path in written:
         print(path)
     return EXIT_OK

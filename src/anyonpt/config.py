@@ -287,6 +287,9 @@ class ExperimentConfig:
                 raise ConfigError(f"propagator.absorber: {exc}") from exc
         if self.v_over_vc is not None and any(p == 0.0 for p in self.phi):
             raise ConfigError("v_over_vc is undefined at phi = 0 (no finite v_c)")
+        size = math.prod(map(len, self._axes()))  # before any point is built
+        if size > MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep has {size} points, cap is {MAX_SWEEP_POINTS}")
         try:  # the domain types' own checks on every sweep point
             if self.v_over_vc is not None or ex in ("amplify", "delocalize"):
                 self.ground_state_energy()  # ConfigError without a bound well
@@ -300,8 +303,6 @@ class ExperimentConfig:
                     packet.check_approach(params, self.separatrix)
         except (ContractError, DomainError) as exc:
             raise ConfigError(f"sweep: {exc}") from exc
-        if len(points) > MAX_SWEEP_POINTS:
-            raise ConfigError(f"sweep has {len(points)} points, cap is {MAX_SWEEP_POINTS}")
         # spectrum solves densely, delocalize by shift-invert; both double the box near v_c
         if ex in ("spectrum", "delocalize"):
             n = max(self.grid_for_point(p).n_points for p in points)
@@ -344,16 +345,17 @@ class ExperimentConfig:
     def packet(self, carrier: float) -> PacketSpec:
         return PacketSpec(center=self.packet_center, width=self.packet_width, carrier=carrier)
 
+    def _axes(self) -> tuple:
+        """The sweep axes in product order: delta, phi, v (or v/v_c), carrier."""
+        v_axis = self.v_over_vc if self.v_over_vc is not None else self.v
+        return self.delta, self.phi, v_axis, self.carrier if self.carrier is not None else [None]
+
     def sweep_points(self) -> list:
         """Cartesian product of the list-valued axes, resolved to scalars."""
-        carriers = self.carrier if self.carrier is not None else [None]
         fractional = self.v_over_vc is not None
-        v_axis = self.v_over_vc if fractional else self.v
         e1 = self.ground_state_energy() if fractional else None
         points = []
-        for i, (delta, phi, vval, carrier) in enumerate(
-            itertools.product(self.delta, self.phi, v_axis, carriers)
-        ):
+        for i, (delta, phi, vval, carrier) in enumerate(itertools.product(*self._axes())):
             v = vval * critical_velocity(e1, phi) if fractional else vval
             frac = vval if fractional else None
             points.append(SweepPoint(i, phi, v, delta, carrier=carrier, v_over_vc=frac))

@@ -1,11 +1,13 @@
 """Figure-level experiment runners driven by ExperimentConfig.
 
-Each runner resolves the config's sweep, computes every sweep point (in
-parallel worker threads when jobs > 1), and only then writes its output
-files, so a failure anywhere leaves no partial products.  Outputs are CSV
-for curves and tables, NDJSON for space-time fields; all floats at 12
-significant digits, file names indexed by sweep position, merges ordered
-by sweep index.
+Each runner resolves the config's sweep and computes its points (in
+parallel worker threads when jobs > 1); a point's files are written as soon
+as it is done, and a summary table of one row per point follows in sweep
+order.  ``run_experiment`` hands every runner a hidden staging directory
+inside the output directory and moves the files into place only once the
+runner returns, so a failed run leaves nothing behind.  Outputs are CSV for
+curves and tables, NDJSON for space-time fields; all floats at 12
+significant digits, file names indexed by sweep position.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import shutil
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -28,7 +32,6 @@ from .nonnormal import (
     amplification_grid_for,
     analytic_bound_state_pt,
     g_infinity,
-    g_infinity_poschl_teller,
     g_t,
     self_orthogonality,
 )
@@ -51,6 +54,15 @@ def _map_points(fn, points, jobs: int):
         return [fn(p) for p in points]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, points))
+
+
+def _with_summary(outdir: Path, name: str, header, computed) -> list:
+    """The points' files in sweep order, then table ``name`` of their summary rows.
+
+    ``computed`` holds one ``(paths, summary_row)`` per sweep point.
+    """
+    written = [path for paths, _ in computed for path in paths]
+    return written + [write_csv(outdir / name, header, [row for _, row in computed])]
 
 
 def _write_evolution(outdir: Path, tag: str, record, stride: int, divisors) -> list:
@@ -86,8 +98,6 @@ def _stationary_ground_state(cfg: ExperimentConfig, delta: float, grid: Grid):
 
 
 def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
-    points = cfg.sweep_points()
-
     def compute(point: SweepPoint):
         params = AnyonicParams(phi=point.phi, v=point.v)
         grid = cfg.grid_for_point(point)
@@ -101,54 +111,38 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
                 shifted = shifted_point_energy(e_n, params)
                 survives = delocalization_margin(e_n, params) > 0
                 bound_rows.append((n, e_n, shifted.real, shifted.imag, survives))
-        return result, curve, bound_rows
-
-    computed = _map_points(compute, points, jobs)
-
-    written = []
-    manifest = []
-    for point, (result, curve, bound_rows) in zip(points, computed):
         tag = f"{point.index:03d}"
-        written.append(
+        paths = [
             write_csv(
                 outdir / f"continuum_{tag}.csv",
                 ("k", "re_e", "im_e"),
                 zip(curve.k_samples, curve.energy.real, curve.energy.imag),
-            )
-        )
-        written.append(
+            ),
             write_csv(
                 outdir / f"bound_{tag}.csv",
                 ("n", "e_stationary", "re_e", "im_e", "survives"),
                 bound_rows,
-            )
-        )
-        written.append(
+            ),
             write_csv(
                 outdir / f"eigs_{tag}.csv",
                 ("re_e", "im_e", "classification", "localization_length"),
                 result.csv_rows(),
-            )
-        )
-        manifest.append(
-            (point.index, point.phi, point.v, point.delta, result.point_count)
-        )
-    written.append(
-        write_csv(
-            outdir / "manifest.csv",
-            ("index", "phi", "v", "delta", "numerical_point_count"),
-            manifest,
-        )
+            ),
+        ]
+        return paths, (point.index, point.phi, point.v, point.delta, result.point_count)
+
+    return _with_summary(
+        outdir,
+        "manifest.csv",
+        ("index", "phi", "v", "delta", "numerical_point_count"),
+        _map_points(compute, cfg.sweep_points(), jobs),
     )
-    return written
 
 
 # ------------------------------------------------------------------- delocalize
 
 
 def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
-    points = cfg.sweep_points()
-
     def compute(point: SweepPoint):
         params = AnyonicParams(phi=point.phi, v=point.v)
         grid = cfg.grid_for_point(point)
@@ -164,51 +158,41 @@ def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             target = shifted_point_energy(e1, params)
             best = pts[np.argmin(np.abs(result.eigenvalues[pts] - target))]
             loc_num = float(result.localization_length[best])
-        return grid, dressed, margin, result.point_count, loc_num
-
-    computed = _map_points(compute, points, jobs)
-
-    written = []
-    metrics = []
-    for point, (grid, dressed, margin, count, loc_num) in zip(points, computed):
-        tag = f"{point.index:03d}"
+        paths = []
         if dressed is not None:
-            written.append(
+            paths.append(
                 write_csv(
-                    outdir / f"profile_{tag}.csv",
+                    outdir / f"profile_{point.index:03d}.csv",
                     ("x", "density"),
                     zip(grid.x, dressed.density()),
                 )
             )
-        metrics.append(
-            (
-                point.index,
-                point.phi,
-                point.v,
-                point.delta,
-                margin,
-                (1.0 / margin) if margin > 0 else math.inf,
-                count,
-                loc_num,
-            )
+        return paths, (
+            point.index,
+            point.phi,
+            point.v,
+            point.delta,
+            margin,
+            (1.0 / margin) if margin > 0 else math.inf,
+            result.point_count,
+            loc_num,
         )
-    written.append(
-        write_csv(
-            outdir / "metrics.csv",
-            (
-                "index",
-                "phi",
-                "v",
-                "delta",
-                "margin",
-                "analytic_localization_length",
-                "numerical_point_count",
-                "numerical_localization_length",
-            ),
-            metrics,
-        )
+
+    return _with_summary(
+        outdir,
+        "metrics.csv",
+        (
+            "index",
+            "phi",
+            "v",
+            "delta",
+            "margin",
+            "analytic_localization_length",
+            "numerical_point_count",
+            "numerical_localization_length",
+        ),
+        _map_points(compute, cfg.sweep_points(), jobs),
     )
-    return written
 
 
 # ---------------------------------------------------------------------- scatter
@@ -216,44 +200,19 @@ def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 
 def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     points = cfg.sweep_points()
-    cases = [
-        (cfg.potential(p.delta), AnyonicParams(phi=p.phi, v=p.v), cfg.packet(p.carrier))
-        for p in points
-    ]
-    # one batched evolution per worker, over contiguous runs of sweep points
-    n = min(jobs, len(cases))
-    chunks = [cases[len(cases) * j // n : len(cases) * (j + 1) // n] for j in range(n)]
-    batches = _map_points(
-        lambda chunk: run_packet_scattering(chunk, cfg.propagator, cfg.grid, cfg.separatrix),
-        chunks,
-        jobs,
-    )
-    computed = list(itertools.chain.from_iterable(batches))
 
-    triples = []
-    if cfg.rt_sweep is not None:
-        # stationary r(k), t(k) spectra, one file per distinct (phi, v, delta)
-        ks = np.linspace(cfg.rt_sweep["k_min"], cfg.rt_sweep["k_max"], cfg.rt_sweep["num"])
-        triples = sorted({(p.phi, p.v, p.delta) for p in points})
-
-    def rt_rows(triple):
-        phi, v, delta = triple
-        params = AnyonicParams(phi=phi, v=v)
-        incident = ks[group_velocity(ks, params) > 0]  # left-incident channels only
-        if not len(incident):
-            return []
-        r, t = stationary_rt(cfg.potential(delta), params, incident, cfg.grid)
-        return list(zip(incident, r.real, r.imag, t.real, t.imag))
-
-    rt_tables = _map_points(rt_rows, triples, jobs)
-
-    written = []
-    report_rows = []
-    for point, (record, report) in zip(points, computed):
-        tag = f"{point.index:03d}"
-        written += _write_evolution(outdir, tag, record, cfg.density_stride, itertools.repeat(1.0))
-        report_rows.append(
-            (
+    def scatter(chunk):
+        cases = [
+            (cfg.potential(p.delta), AnyonicParams(phi=p.phi, v=p.v), cfg.packet(p.carrier))
+            for p in chunk
+        ]
+        computed = []
+        for point, (record, report) in zip(
+            chunk, run_packet_scattering(cases, cfg.propagator, cfg.grid, cfg.separatrix)
+        ):
+            tag = f"{point.index:03d}"
+            paths = _write_evolution(outdir, tag, record, cfg.density_stride, itertools.repeat(1.0))
+            row = (
                 point.index,
                 point.phi,
                 point.v,
@@ -265,113 +224,95 @@ def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
                 report.transmitted_power_fraction,
                 report.reflected_is_evanescent,
             )
-        )
-    written.append(
-        write_csv(
-            outdir / "report.csv",
-            (
-                "index",
-                "phi",
-                "v",
-                "delta",
-                "k",
-                "re_k_r",
-                "im_k_r",
-                "reflected_fraction",
-                "transmitted_fraction",
-                "evanescent",
-            ),
-            report_rows,
-        )
+            computed.append((paths, row))
+        return computed
+
+    # one batched evolution per worker, over contiguous runs of sweep points
+    n = min(jobs, len(points))
+    chunks = [points[len(points) * j // n : len(points) * (j + 1) // n] for j in range(n)]
+    written = _with_summary(
+        outdir,
+        "report.csv",
+        (
+            "index",
+            "phi",
+            "v",
+            "delta",
+            "k",
+            "re_k_r",
+            "im_k_r",
+            "reflected_fraction",
+            "transmitted_fraction",
+            "evanescent",
+        ),
+        list(itertools.chain.from_iterable(_map_points(scatter, chunks, jobs))),
     )
-    for i, rows in enumerate(rt_tables):
-        written.append(
-            write_csv(outdir / f"rt_{i:03d}.csv", ("k", "re_r", "im_r", "re_t", "im_t"), rows)
-        )
-    return written
+    if cfg.rt_sweep is None:
+        return written
+
+    # stationary r(k), t(k) spectra, one file per distinct (phi, v, delta)
+    ks = np.linspace(cfg.rt_sweep["k_min"], cfg.rt_sweep["k_max"], cfg.rt_sweep["num"])
+
+    def rt_file(item):
+        i, (phi, v, delta) = item
+        params = AnyonicParams(phi=phi, v=v)
+        incident = ks[group_velocity(ks, params) > 0]  # left-incident channels only
+        rows = []
+        if len(incident):
+            r, t = stationary_rt(cfg.potential(delta), params, incident, cfg.grid)
+            rows = zip(incident, r.real, r.imag, t.real, t.imag)
+        return write_csv(outdir / f"rt_{i:03d}.csv", ("k", "re_r", "im_r", "re_t", "im_t"), rows)
+
+    triples = sorted({(p.phi, p.v, p.delta) for p in points})
+    return written + _map_points(rt_file, list(enumerate(triples)), jobs)
 
 
 # ---------------------------------------------------------------------- amplify
 
 
 def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
-    points = cfg.sweep_points()
-
     def compute(point: SweepPoint):
         params = AnyonicParams(phi=point.phi, v=point.v)
         e1 = cfg.ground_state_energy()
         margin = delocalization_margin(e1, params)
-        if cfg.closed_form_well():
-            # Closed-form state on an auto-widened quadrature grid.
-            ginf = g_infinity_poschl_teller(point.delta, params)
-            u1 = analytic_bound_state_pt(amplification_grid_for(e1, params), point.delta)
-        else:
-            u1, e1 = _stationary_ground_state(cfg, point.delta, cfg.grid)
-            ginf = g_infinity(u1, params, e1=e1)
+        # the closed-form state on an auto-widened quadrature grid
+        grid = amplification_grid_for(e1, params) if cfg.closed_form_well() else cfg.grid
+        u1, e1 = _stationary_ground_state(cfg, point.delta, grid)
+        ginf = g_infinity(u1, params, e1=e1)
         sorth = self_orthogonality(u1)
 
-        gt_rows = []
+        tag = f"{point.index:03d}"
+        paths = []
+        gt_rows = ()
         if cfg.g_t_times:
             gt_grid = cfg.g_t_grid if cfg.g_t_grid is not None else Grid(-30.0, 30.0, 1024)
-            pot = cfg.potential(point.delta)
-            h = build_h_eff(pot, params, gt_grid, boundary="dirichlet")
+            h = build_h_eff(cfg.potential(point.delta), params, gt_grid, boundary="dirichlet")
             e_dom = point_states(h, [shifted_point_energy(e1, params)]).eigenvalues[0]
-            gt_rows = list(zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times)))
-
-        record = None
+            gt_rows = tuple(zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times)))
+            paths.append(write_csv(outdir / f"gt_{tag}.csv", ("t", "g_t"), gt_rows))
         if cfg.amplify_evolve:
             # Evolution runs honor the configured box as-is, where the numeric
             # state above already lives; automatic box doubling is reserved
             # for eigensolve localization studies.
-            u1_sim = u1
             if cfg.closed_form_well():
-                u1_sim, _ = _stationary_ground_state(cfg, point.delta, cfg.grid)
-            dressed = moving_bound_state(u1_sim, e1, params)
+                u1, _ = _stationary_ground_state(cfg, point.delta, cfg.grid)
+            dressed = moving_bound_state(u1, e1, params)
             if dressed is None:
                 raise ConfigError(
                     f"amplify evolve: no normalizable initial state at v = {point.v}"
                 )
-            pot = cfg.potential(point.delta)
-            record = evolve(dressed, pot, params, cfg.propagator)
-        report = AmplificationReport(
-            g_infinity=ginf,
-            g_t_samples=tuple(gt_rows),
-            self_orthogonality=sorth,
-            delocalization_margin=margin,
-        )
-        return report, record
-
-    computed = _map_points(compute, points, jobs)
-
-    written = []
-    rows = []
-    for point, (report, record) in zip(points, computed):
-        tag = f"{point.index:03d}"
-        rows.append(
-            (
-                point.phi,
-                point.v,
-                point.delta,
-                report.g_infinity,
-                report.self_orthogonality,
-                report.delocalization_margin,
-            )
-        )
-        if report.g_t_samples:
-            written.append(
-                write_csv(outdir / f"gt_{tag}.csv", ("t", "g_t"), report.g_t_samples)
-            )
-        if record is not None:
+            record = evolve(dressed, cfg.potential(point.delta), params, cfg.propagator)
             # densities normalized by N(t), so only their shape evolves
-            written += _write_evolution(outdir, tag, record, cfg.density_stride, record.norm)
-    written.append(
-        write_csv(
-            outdir / "ginf.csv",
-            ("phi", "v", "delta", "g_infinity", "self_orthogonality", "margin"),
-            rows,
-        )
+            paths += _write_evolution(outdir, tag, record, cfg.density_stride, record.norm)
+        AmplificationReport(ginf, gt_rows, sorth, margin)  # checks G >= 1 and G(t) >= 0
+        return paths, (point.phi, point.v, point.delta, ginf, sorth, margin)
+
+    return _with_summary(
+        outdir,
+        "ginf.csv",
+        ("phi", "v", "delta", "g_infinity", "self_orthogonality", "margin"),
+        _map_points(compute, cfg.sweep_points(), jobs),
     )
-    return written
 
 
 # --------------------------------------------------------------------- lasermap
@@ -380,17 +321,6 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 def run_lasermap(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     mapping = map_to_anyonic(cfg.cavity)
     threshold = mode_locking_threshold(cfg.cavity, cfg.e1)
-    table = []
-    if cfg.detuning is not None:
-        d = cfg.detuning
-        for ratio in np.linspace(d["start"], d["stop"], d["num"]):
-            c = cfg.cavity
-            cav = dataclasses.replace(c, Tm=ratio * c.TR)
-            m = map_to_anyonic(cav)
-            thr = mode_locking_threshold(cav, cfg.e1)
-            delocalized = thr is not None and abs(m.params.v) >= thr
-            table.append((ratio, m.params.v, thr if thr is not None else math.inf, delocalized))
-
     written = [
         write_csv(
             outdir / "mapping.csv",
@@ -407,6 +337,14 @@ def run_lasermap(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         )
     ]
     if cfg.detuning is not None:
+        d = cfg.detuning
+        table = []
+        for ratio in np.linspace(d["start"], d["stop"], d["num"]):
+            cav = dataclasses.replace(cfg.cavity, Tm=ratio * cfg.cavity.TR)
+            m = map_to_anyonic(cav)
+            thr = mode_locking_threshold(cav, cfg.e1)
+            delocalized = thr is not None and abs(m.params.v) >= thr
+            table.append((ratio, m.params.v, thr if thr is not None else math.inf, delocalized))
         written.append(
             write_csv(
                 outdir / "threshold_table.csv",
@@ -427,6 +365,22 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1) -> list:
+    """Run ``cfg``'s runner and publish its files in ``outdir``: all of them or none.
+
+    The runner writes into a hidden ``.partial-*`` directory inside
+    ``outdir``, so each final rename stays on one filesystem.  On any
+    exception that directory is removed, and so is every directory this call
+    created; files already in ``outdir`` are left as they are.
+    """
     outdir = Path(outdir)
+    made = next((d for d in [*reversed(outdir.parents), outdir] if not d.exists()), None)
     outdir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.experiment](cfg, outdir, jobs=jobs)
+    stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=outdir))
+    try:
+        staged = _RUNNERS[cfg.experiment](cfg, stage, jobs=jobs)
+        written = [path.replace(outdir / path.name) for path in staged]
+        stage.rmdir()
+    except BaseException:
+        shutil.rmtree(made or stage, ignore_errors=True)
+        raise
+    return written

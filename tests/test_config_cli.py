@@ -9,7 +9,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonpt import AnyonicParams, ConfigError, DomainError, ExperimentConfig, build_h_eff
+from anyonpt import (
+    AnyonicParams,
+    ConfigError,
+    DomainError,
+    ExperimentConfig,
+    NumericalError,
+    build_h_eff,
+)
 from anyonpt._io import fmt, write_csv, write_ndjson
 from anyonpt.cli import main as cli_main
 from anyonpt.runners import _stationary_ground_state, _write_evolution, run_experiment
@@ -75,6 +82,18 @@ class TestConfigParsing:
         d = minimal_scatter_dict()
         d["params"] = {"phi": [0.001 * i for i in range(101)], "v": [0.1 * i for i in range(101)]}
         with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(d)
+
+    def test_sweep_cap_is_checked_before_points_are_built(self, monkeypatch):
+        def never(cfg):
+            raise AssertionError("sweep_points ran before the cap check")
+
+        monkeypatch.setattr(ExperimentConfig, "sweep_points", never)
+        d = minimal_scatter_dict()
+        axis = [0.01 * i for i in range(100)]
+        d["potential"]["delta"] = axis
+        d["params"] = {"phi": axis, "v": axis}
+        with pytest.raises(ConfigError, match="sweep has 1000000 points"):
             ExperimentConfig.from_dict(d)
 
     def test_sweep_points_resolve_fraction(self):
@@ -478,8 +497,12 @@ class TestRunnersAndCLI:
                 params={"phi": 0.0, "v": [-0.1, -0.3, -0.6]},
                 rt_sweep={"k_min": 0.5, "k_max": 2.0, "num": 4},
             ),
+            {  # periodic; the 0.95 v_c point doubles its box to 512 points
+                **spectrum_dict(256, phi=math.pi / 3, v_over_vc=[0.0, 0.5, 0.95]),
+                "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 256},
+            },
         ],
-        ids=["regression_amplify", "scatter-rt_sweep"],
+        ids=["regression_amplify", "scatter-rt_sweep", "spectrum-doubled-box"],
     )
     def test_jobs_do_not_change_results(self, tmp_path, raw):
         # three sweep points: jobs 2 splits the scatter batch unevenly (2 + 1)
@@ -521,7 +544,77 @@ class TestRunnersAndCLI:
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "lasermap_detuning.yaml")
         with pytest.raises(DomainError):
             run_experiment(cfg, tmp_path / "out")
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
+        import anyonpt.runners as runners
+
+        calls = []
+
+        def fail_second(path, header, rows):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("injected")
+            return write_csv(path, header, rows)
+
+        monkeypatch.setattr(runners, "write_csv", fail_second)
+        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "null_spectrum.yaml")
+        with pytest.raises(OSError, match="injected"):
+            run_experiment(cfg, tmp_path / "a" / "out")
+        assert list(tmp_path.iterdir()) == []  # nor the parent this run made
+
+    def test_failed_run_keeps_existing_files(self, tmp_path):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "manifest.csv").write_text("kept\n")
+        bad = minimal_scatter_dict()
+        bad["propagator"]["t_final"] = 2.0  # inconclusive scattering window
+        with pytest.raises(NumericalError):
+            run_experiment(ExperimentConfig.from_dict(bad), outdir)
+        assert [p.name for p in outdir.iterdir()] == ["manifest.csv"]
+        assert (outdir / "manifest.csv").read_text() == "kept\n"
+
+    def test_published_files_replace_existing_ones(self, tmp_path):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "mapping.csv").write_text("old\n")
+        (outdir / "notes.txt").write_text("kept\n")
+        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "null_lasermap.yaml")
+        written = run_experiment(cfg, outdir)
+        assert written == [outdir / "mapping.csv"]
+        assert sorted(p.name for p in outdir.iterdir()) == ["mapping.csv", "notes.txt"]
+        assert (outdir / "mapping.csv").read_text().startswith("phi,v,")
+
+    @pytest.mark.parametrize("case", ["output-is-a-file", "output-under-a-file", "write-fails"])
+    def test_cli_unusable_output_exits_2(self, tmp_path, monkeypatch, capsys, case):
+        import anyonpt.runners as runners
+
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        outdir = {"output-is-a-file": blocker, "output-under-a-file": blocker / "out"}.get(
+            case, tmp_path / "out"
+        )
+        ran = []
+        run = runners._RUNNERS["lasermap"]
+
+        def counted(*args, **kwargs):
+            ran.append(1)
+            return run(*args, **kwargs)
+
+        def full_disk(path, header, rows):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setitem(runners._RUNNERS, "lasermap", counted)
+        if case == "write-fails":
+            monkeypatch.setattr(runners, "write_csv", full_disk)
+        config = str(CONFIG_DIR / "null_lasermap.yaml")
+        rc = cli_main(["lasermap", "--config", config, "--output", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("anyonpt: cannot write output: ") and "Traceback" not in err
+        assert ran == ([1] if case == "write-fails" else [])  # path cases fail before computing
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+        assert blocker.read_text() == ""
 
     def test_cli_success_and_output_flag(self, tmp_path, capsys):
         rc = cli_main(
@@ -559,7 +652,7 @@ class TestRunnersAndCLI:
         outdir = tmp_path / "never"
         rc = cli_main(["scatter", "--config", str(path), "--output", str(outdir)])
         assert rc == 3
-        assert not list(outdir.glob("*.csv")) and not list(outdir.glob("*.ndjson"))
+        assert not outdir.exists()
 
     def test_cli_invalid_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"
