@@ -29,9 +29,7 @@ def fmt(value) -> str:
 
 def write_csv(path, header, rows) -> Path:
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -12,6 +12,7 @@ significant digits, file names indexed by sweep position.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -367,20 +368,26 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1) -> list:
     """Run ``cfg``'s runner and publish its files in ``outdir``: all of them or none.
 
-    The runner writes into a hidden ``.partial-*`` directory inside
-    ``outdir``, so each final rename stays on one filesystem.  On any
-    exception that directory is removed, and so is every directory this call
-    created; files already in ``outdir`` are left as they are.
+    The runner writes into a hidden ``.partial-*`` directory inside ``outdir``,
+    so each final rename stays on one filesystem; no file moves if a target is
+    a directory.  A failure removes the stage, then each directory this call
+    created, deepest first, until one is not empty; other files stay as they are.
     """
     outdir = Path(outdir)
-    made = next((d for d in [*reversed(outdir.parents), outdir] if not d.exists()), None)
+    made = list(itertools.takewhile(lambda d: not d.exists(), [outdir, *outdir.parents]))
     outdir.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=outdir))
     try:
         staged = _RUNNERS[cfg.experiment](cfg, stage, jobs=jobs)
+        for target in (outdir / path.name for path in staged):
+            if target.is_dir():
+                raise IsADirectoryError(f"{target} is a directory")
         written = [path.replace(outdir / path.name) for path in staged]
         stage.rmdir()
     except BaseException:
-        shutil.rmtree(made or stage, ignore_errors=True)
+        shutil.rmtree(stage, ignore_errors=True)
+        with contextlib.suppress(OSError):  # a directory others wrote into stays
+            for d in made:
+                d.rmdir()
         raise
     return written

@@ -563,6 +563,36 @@ class TestRunnersAndCLI:
             run_experiment(cfg, tmp_path / "a" / "out")
         assert list(tmp_path.iterdir()) == []  # nor the parent this run made
 
+    def test_failed_run_keeps_files_others_wrote_in_new_parents(self, tmp_path, monkeypatch):
+        import anyonpt.runners as runners
+
+        results = tmp_path / "results"
+
+        def sibling_then_fail(cfg, stage, jobs):
+            (results / "b").mkdir()  # a second run publishes beside this one
+            (results / "b" / "mapping.csv").write_text("sibling\n")
+            (stage / "mapping.csv").write_text("partial\n")
+            raise DomainError("injected")
+
+        monkeypatch.setitem(runners._RUNNERS, "lasermap", sibling_then_fail)
+        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "null_lasermap.yaml")
+        with pytest.raises(DomainError, match="injected"):
+            run_experiment(cfg, results / "a")
+        assert [p.name for p in results.iterdir()] == ["b"]  # stage and empty outdir gone
+        assert [p.name for p in (results / "b").iterdir()] == ["mapping.csv"]
+        assert (results / "b" / "mapping.csv").read_text() == "sibling\n"
+
+    def test_directory_in_the_way_moves_no_file(self, tmp_path):
+        outdir = tmp_path / "out"
+        (outdir / "threshold_table.csv").mkdir(parents=True)
+        (outdir / "mapping.csv").write_text("old\n")
+        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "lasermap_detuning.yaml")
+        with pytest.raises(IsADirectoryError):
+            run_experiment(cfg, outdir)
+        assert sorted(p.name for p in outdir.iterdir()) == ["mapping.csv", "threshold_table.csv"]
+        assert (outdir / "mapping.csv").read_text() == "old\n"
+        assert list((outdir / "threshold_table.csv").iterdir()) == []
+
     def test_failed_run_keeps_existing_files(self, tmp_path):
         outdir = tmp_path / "out"
         outdir.mkdir()
