@@ -30,7 +30,7 @@ from .model import DENSE_MAX_DIM, AnyonicParams, Grid, PoschlTeller, Tabulated
 from .nonnormal import G_T_MAX_DIM
 from .propagation import AbsorberSpec, PropagatorConfig
 from .scattering import PacketSpec
-from .spectra import critical_velocity, poschl_teller_energies
+from .spectra import critical_velocity, delocalization_margin, poschl_teller_energies
 
 __all__ = ["ExperimentConfig", "SweepPoint", "EXPERIMENTS"]
 
@@ -42,12 +42,19 @@ MAX_GRID_POINTS = 2**20
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One resolved cell of the sweep (all axes scalar)."""
+    """One resolved cell of the sweep: its scalar axes, drift and potential.
+
+    ``params`` is the point's (phi, v); ``potential`` is its PoschlTeller
+    well, or the config's Tabulated samples.  ``v_over_vc`` is set when the
+    drift was given as a fraction of v_c, ``carrier`` for a scatter sweep.
+    """
 
     index: int
     phi: float
     v: float
     delta: float
+    params: AnyonicParams
+    potential: PoschlTeller | Tabulated
     carrier: float | None = None
     v_over_vc: float | None = None
 
@@ -221,7 +228,7 @@ class ExperimentConfig:
     k_points: int = 601
     amplify_evolve: bool = False
     g_t_times: list = field(default_factory=list)
-    g_t_grid: Grid | None = None
+    g_t_grid: Grid = Grid(-30.0, 30.0, 1024)
     cavity: CavityParams | None = None
     detuning: dict | None = None
     e1: float | None = None
@@ -290,17 +297,19 @@ class ExperimentConfig:
         size = math.prod(map(len, self._axes()))  # before any point is built
         if size > MAX_SWEEP_POINTS:
             raise ConfigError(f"sweep has {size} points, cap is {MAX_SWEEP_POINTS}")
-        try:  # the domain types' own checks on every sweep point
+        try:  # the domain types' own checks, as sweep_points builds every point
             if self.v_over_vc is not None or ex in ("amplify", "delocalize"):
-                self.ground_state_energy()  # ConfigError without a bound well
+                e1 = self.ground_state_energy()  # ConfigError without a bound well
             points = self.sweep_points()
             for p in points:
-                self.potential(p.delta)
-                params = AnyonicParams(phi=p.phi, v=p.v)
                 if ex == "scatter":  # the packet fits the grid and meets the separatrix
                     packet = self.packet(p.carrier)
                     packet.validate_on(self.grid)
-                    packet.check_approach(params, self.separatrix)
+                    packet.check_approach(p.params, self.separatrix)
+                # g_infinity integrates the drifting state, normalizable only below v_c
+                if ex == "amplify" and delocalization_margin(e1, p.params) <= 0:
+                    vc = critical_velocity(e1, p.phi)
+                    raise ConfigError(f"amplify: v = {p.v:.12g} is at or beyond v_c = {vc:.12g}")
         except (ContractError, DomainError) as exc:
             raise ConfigError(f"sweep: {exc}") from exc
         # spectrum solves densely, delocalize by shift-invert; both double the box near v_c
@@ -334,7 +343,8 @@ class ExperimentConfig:
         except ConfigError:
             return self.grid
         if point.phi > 0 and abs(point.v) > 0.9 * critical_velocity(e1, point.phi):
-            return self.grid.scaled(2.0, 2.0)
+            g = self.grid
+            return Grid(2.0 * g.x_min, 2.0 * g.x_max, 2 * g.n_points)
         return self.grid
 
     def potential(self, delta: float):
@@ -351,14 +361,15 @@ class ExperimentConfig:
         return self.delta, self.phi, v_axis, self.carrier if self.carrier is not None else [None]
 
     def sweep_points(self) -> list:
-        """Cartesian product of the list-valued axes, resolved to scalars."""
+        """Cartesian product of the list-valued axes, each point with its params and potential."""
         fractional = self.v_over_vc is not None
         e1 = self.ground_state_energy() if fractional else None
         points = []
         for i, (delta, phi, vval, carrier) in enumerate(itertools.product(*self._axes())):
             v = vval * critical_velocity(e1, phi) if fractional else vval
             frac = vval if fractional else None
-            points.append(SweepPoint(i, phi, v, delta, carrier=carrier, v_over_vc=frac))
+            params, potential = AnyonicParams(phi=phi, v=v), self.potential(delta)
+            points.append(SweepPoint(i, phi, v, delta, params, potential, carrier, frac))
         return points
 
     # ------------------------------------------------------------------ output

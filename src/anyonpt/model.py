@@ -95,14 +95,6 @@ class Grid:
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         return abs(self.x_min + self.x_max) < tol
 
-    def scaled(self, extent_factor: float = 2.0, point_factor: float = 2.0) -> "Grid":
-        """Wider copy of this grid (used when localization lengths blow up)."""
-        return Grid(
-            self.x_min * extent_factor,
-            self.x_max * extent_factor,
-            int(round(self.n_points * point_factor)),
-        )
-
 
 def default_grid() -> Grid:
     """Grid that resolves unit-width sech^2 features and their bound-state tails."""

@@ -46,6 +46,8 @@ __all__ = [
 # Weighted-integrand samples below this fraction of the peak are noise-dominated
 # for numerically obtained eigenvectors and are excluded from the quadrature.
 INTEGRAND_FLOOR = 1e-14
+# Sample spacing of the widened quadrature grids of amplification_grid_for.
+QUADRATURE_DX = 0.02
 
 # Dense propagators are n x n complex; g_t refuses larger operators.
 G_T_MAX_DIM = 2048
@@ -77,15 +79,13 @@ class AmplificationReport:
             raise ContractError("g_t samples must be nonnegative")
 
 
-def analytic_bound_state_pt(grid: Grid, delta: float, nu: float = 1.0) -> WaveFunction:
+def analytic_bound_state_pt(grid: Grid, delta: float) -> WaveFunction:
     """Closed-form ground state sech(x - i delta) of the unit sech^2 well, normalized.
 
     Only the nu = 1 well has this one-line form; the state exists for
     |delta| < pi/2 and degenerates into the self-orthogonal 1/(x + i eps)
     profile as delta approaches pi/2.
     """
-    if nu != 1.0:
-        raise ContractError("closed-form bound state only available for nu = 1")
     if not abs(delta) < math.pi / 2:
         raise DomainError(f"|delta| must be < pi/2, got {delta} (broken phase)")
     return WaveFunction(grid, _sech_complex(grid.x, delta)).normalized()
@@ -201,7 +201,7 @@ def g_infinity_forms(u1: WaveFunction, params: AnyonicParams, e1: float = -1.0):
     return g_weighted, g_biortho
 
 
-def amplification_grid_for(e1: float, params: AnyonicParams, dx: float = 0.02) -> Grid:
+def amplification_grid_for(e1: float, params: AnyonicParams) -> Grid:
     """Grid wide enough that the weighted integrands decay to the 1e-14 floor.
 
     The slow side of |u|^2 e^{+|s| x} decays at 2 * margin, so the half-width
@@ -211,22 +211,18 @@ def amplification_grid_for(e1: float, params: AnyonicParams, dx: float = 0.02) -
     if margin <= 0.0:
         raise DomainError("no finite quadrature domain at or beyond the critical drift")
     half = max(40.0, -math.log(INTEGRAND_FLOOR) / (2.0 * margin) + 20.0)
-    n = int(2 ** math.ceil(math.log2(2.0 * half / dx)))
+    n = int(2 ** math.ceil(math.log2(2.0 * half / QUADRATURE_DX)))
     return Grid(-half, half, n)
 
 
-def g_infinity_poschl_teller(
-    delta: float, params: AnyonicParams, nu: float = 1.0, dx: float = 0.02
-) -> float:
+def g_infinity_poschl_teller(delta: float, params: AnyonicParams) -> float:
     """Gain factor for the nu = 1 sech^2 well using the closed-form bound state.
 
     Builds the analytic state on an automatically widened quadrature grid, so
     it stays accurate arbitrarily close to the critical drift.
     """
-    e1 = -(nu**2)
-    grid = amplification_grid_for(e1, params, dx=dx)
-    u1 = analytic_bound_state_pt(grid, delta, nu=nu)
-    return g_infinity(u1, params, e1=e1)
+    u1 = analytic_bound_state_pt(amplification_grid_for(-1.0, params), delta)
+    return g_infinity(u1, params, e1=-1.0)
 
 
 def _flush_tiny(p: np.ndarray) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Figure-level experiment runners driven by ExperimentConfig.
 
-Each runner resolves the config's sweep and computes its points (in
-parallel worker threads when jobs > 1); a point's files are written as soon
-as it is done, and a summary table of one row per point follows in sweep
-order.  ``run_experiment`` hands every runner a hidden staging directory
-inside the output directory and moves the files into place only once the
-runner returns, so a failed run leaves nothing behind.  Outputs are CSV for
-curves and tables, NDJSON for space-time fields; all floats at 12
-significant digits, file names indexed by sweep position.
+Each runner takes the config's sweep points, which arrive with their drift
+parameters and potential built, and computes them (in parallel worker
+threads when jobs > 1); a point's files are written as soon as it is done,
+and a summary table follows in sweep order, one row per point, each row a
+mapping from column name to value.  ``run_experiment`` hands every runner a
+hidden staging directory inside the output directory and moves the files
+into place only once the runner returns, so a failed run leaves nothing
+behind.  Outputs are CSV for curves and tables, NDJSON for space-time
+fields; all floats at 12 significant digits, file names indexed by sweep
+position.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from ._io import write_csv, write_ndjson
 from .config import ExperimentConfig, SweepPoint
-from .errors import ConfigError
 from .lasermap import map_to_anyonic, mode_locking_threshold
 from .model import AnyonicParams, Grid, build_h_eff
 from .nonnormal import (
@@ -57,13 +58,20 @@ def _map_points(fn, points, jobs: int):
         return list(pool.map(fn, points))
 
 
-def _with_summary(outdir: Path, name: str, header, computed) -> list:
+def _point_columns(point: SweepPoint) -> dict:
+    """The leading columns of a summary row."""
+    return {"index": point.index, "phi": point.phi, "v": point.v, "delta": point.delta}
+
+
+def _with_summary(outdir: Path, name: str, computed) -> list:
     """The points' files in sweep order, then table ``name`` of their summary rows.
 
-    ``computed`` holds one ``(paths, summary_row)`` per sweep point.
+    ``computed`` holds one ``(paths, row)`` per sweep point; the first row's
+    keys are the table's header.
     """
     written = [path for paths, _ in computed for path in paths]
-    return written + [write_csv(outdir / name, header, [row for _, row in computed])]
+    rows = [row for _, row in computed]
+    return written + [write_csv(outdir / name, list(rows[0]), [r.values() for r in rows])]
 
 
 def _write_evolution(outdir: Path, tag: str, record, stride: int, divisors) -> list:
@@ -86,13 +94,12 @@ def _write_evolution(outdir: Path, tag: str, record, stride: int, divisors) -> l
     ]
 
 
-def _stationary_ground_state(cfg: ExperimentConfig, delta: float, grid: Grid):
-    """Bound state of the stationary well: closed form at nu = 1, else numeric."""
-    e1 = cfg.ground_state_energy()
+def _stationary_ground_state(cfg: ExperimentConfig, point: SweepPoint, grid: Grid):
+    """Bound state of the point's well at rest: closed form at nu = 1, else numeric."""
     if cfg.closed_form_well():
-        return analytic_bound_state_pt(grid, delta), e1
-    h = build_h_eff(cfg.potential(delta), AnyonicParams(phi=0.0, v=0.0), grid, "dirichlet")
-    return point_states(h, [e1]).eigenvector(0), e1
+        return analytic_bound_state_pt(grid, point.delta)
+    h = build_h_eff(point.potential, AnyonicParams(phi=0.0, v=0.0), grid, "dirichlet")
+    return point_states(h, [cfg.ground_state_energy()]).eigenvector(0)
 
 
 # --------------------------------------------------------------------- spectrum
@@ -100,14 +107,12 @@ def _stationary_ground_state(cfg: ExperimentConfig, delta: float, grid: Grid):
 
 def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     def compute(point: SweepPoint):
-        params = AnyonicParams(phi=point.phi, v=point.v)
-        grid = cfg.grid_for_point(point)
-        pot = cfg.potential(point.delta)
-        h = build_h_eff(pot, params, grid, boundary=cfg.boundary)
+        params = point.params
+        h = build_h_eff(point.potential, params, cfg.grid_for_point(point), boundary=cfg.boundary)
         result = solve_spectrum(h)
         curve = DispersionCurve.sample(params, cfg.k_max, cfg.k_points)
         bound_rows = []
-        if cfg.potential_kind == "poschl_teller" and pot.amplitude < 0:
+        if cfg.potential_kind == "poschl_teller" and point.potential.amplitude < 0:
             for n, e_n in enumerate(cfg.bound_energies(), start=1):
                 shifted = shifted_point_energy(e_n, params)
                 survives = delocalization_margin(e_n, params) > 0
@@ -130,14 +135,9 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
                 result.csv_rows(),
             ),
         ]
-        return paths, (point.index, point.phi, point.v, point.delta, result.point_count)
+        return paths, {**_point_columns(point), "numerical_point_count": result.point_count}
 
-    return _with_summary(
-        outdir,
-        "manifest.csv",
-        ("index", "phi", "v", "delta", "numerical_point_count"),
-        _map_points(compute, cfg.sweep_points(), jobs),
-    )
+    return _with_summary(outdir, "manifest.csv", _map_points(compute, cfg.sweep_points(), jobs))
 
 
 # ------------------------------------------------------------------- delocalize
@@ -145,13 +145,12 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 
 def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     def compute(point: SweepPoint):
-        params = AnyonicParams(phi=point.phi, v=point.v)
+        params = point.params
         grid = cfg.grid_for_point(point)
-        u1, e1 = _stationary_ground_state(cfg, point.delta, grid)
-        dressed = moving_bound_state(u1, e1, params)
+        e1 = cfg.ground_state_energy()
+        dressed = moving_bound_state(_stationary_ground_state(cfg, point, grid), e1, params)
         margin = delocalization_margin(e1, params)
-        pot = cfg.potential(point.delta)
-        h = build_h_eff(pot, params, grid, boundary=cfg.boundary)
+        h = build_h_eff(point.potential, params, grid, boundary=cfg.boundary)
         result = point_states(h, [shifted_point_energy(e, params) for e in cfg.bound_energies()])
         loc_num = math.inf
         pts = result.point_indices()
@@ -168,32 +167,15 @@ def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
                     zip(grid.x, dressed.density()),
                 )
             )
-        return paths, (
-            point.index,
-            point.phi,
-            point.v,
-            point.delta,
-            margin,
-            (1.0 / margin) if margin > 0 else math.inf,
-            result.point_count,
-            loc_num,
-        )
+        return paths, {
+            **_point_columns(point),
+            "margin": margin,
+            "analytic_localization_length": (1.0 / margin) if margin > 0 else math.inf,
+            "numerical_point_count": result.point_count,
+            "numerical_localization_length": loc_num,
+        }
 
-    return _with_summary(
-        outdir,
-        "metrics.csv",
-        (
-            "index",
-            "phi",
-            "v",
-            "delta",
-            "margin",
-            "analytic_localization_length",
-            "numerical_point_count",
-            "numerical_localization_length",
-        ),
-        _map_points(compute, cfg.sweep_points(), jobs),
-    )
+    return _with_summary(outdir, "metrics.csv", _map_points(compute, cfg.sweep_points(), jobs))
 
 
 # ---------------------------------------------------------------------- scatter
@@ -203,51 +185,30 @@ def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     points = cfg.sweep_points()
 
     def scatter(chunk):
-        cases = [
-            (cfg.potential(p.delta), AnyonicParams(phi=p.phi, v=p.v), cfg.packet(p.carrier))
-            for p in chunk
-        ]
+        cases = [(p.potential, p.params, cfg.packet(p.carrier)) for p in chunk]
         computed = []
         for point, (record, report) in zip(
             chunk, run_packet_scattering(cases, cfg.propagator, cfg.grid, cfg.separatrix)
         ):
             tag = f"{point.index:03d}"
             paths = _write_evolution(outdir, tag, record, cfg.density_stride, itertools.repeat(1.0))
-            row = (
-                point.index,
-                point.phi,
-                point.v,
-                point.delta,
-                report.k_incident,
-                report.k_reflected.real,
-                report.k_reflected.imag,
-                report.reflected_power_fraction,
-                report.transmitted_power_fraction,
-                report.reflected_is_evanescent,
-            )
+            row = {
+                **_point_columns(point),
+                "k": report.k_incident,
+                "re_k_r": report.k_reflected.real,
+                "im_k_r": report.k_reflected.imag,
+                "reflected_fraction": report.reflected_power_fraction,
+                "transmitted_fraction": report.transmitted_power_fraction,
+                "evanescent": report.reflected_is_evanescent,
+            }
             computed.append((paths, row))
         return computed
 
     # one batched evolution per worker, over contiguous runs of sweep points
     n = min(jobs, len(points))
     chunks = [points[len(points) * j // n : len(points) * (j + 1) // n] for j in range(n)]
-    written = _with_summary(
-        outdir,
-        "report.csv",
-        (
-            "index",
-            "phi",
-            "v",
-            "delta",
-            "k",
-            "re_k_r",
-            "im_k_r",
-            "reflected_fraction",
-            "transmitted_fraction",
-            "evanescent",
-        ),
-        list(itertools.chain.from_iterable(_map_points(scatter, chunks, jobs))),
-    )
+    computed = itertools.chain.from_iterable(_map_points(scatter, chunks, jobs))
+    written = _with_summary(outdir, "report.csv", list(computed))
     if cfg.rt_sweep is None:
         return written
 
@@ -255,17 +216,17 @@ def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     ks = np.linspace(cfg.rt_sweep["k_min"], cfg.rt_sweep["k_max"], cfg.rt_sweep["num"])
 
     def rt_file(item):
-        i, (phi, v, delta) = item
-        params = AnyonicParams(phi=phi, v=v)
-        incident = ks[group_velocity(ks, params) > 0]  # left-incident channels only
+        i, point = item
+        incident = ks[group_velocity(ks, point.params) > 0]  # left-incident channels only
         rows = []
         if len(incident):
-            r, t = stationary_rt(cfg.potential(delta), params, incident, cfg.grid)
+            r, t = stationary_rt(point.potential, point.params, incident, cfg.grid)
             rows = zip(incident, r.real, r.imag, t.real, t.imag)
         return write_csv(outdir / f"rt_{i:03d}.csv", ("k", "re_r", "im_r", "re_t", "im_t"), rows)
 
-    triples = sorted({(p.phi, p.v, p.delta) for p in points})
-    return written + _map_points(rt_file, list(enumerate(triples)), jobs)
+    by_triple = {(p.phi, p.v, p.delta): p for p in points}
+    distinct = [by_triple[triple] for triple in sorted(by_triple)]
+    return written + _map_points(rt_file, list(enumerate(distinct)), jobs)
 
 
 # ---------------------------------------------------------------------- amplify
@@ -273,12 +234,12 @@ def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 
 def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     def compute(point: SweepPoint):
-        params = AnyonicParams(phi=point.phi, v=point.v)
+        params = point.params
         e1 = cfg.ground_state_energy()
         margin = delocalization_margin(e1, params)
         # the closed-form state on an auto-widened quadrature grid
         grid = amplification_grid_for(e1, params) if cfg.closed_form_well() else cfg.grid
-        u1, e1 = _stationary_ground_state(cfg, point.delta, grid)
+        u1 = _stationary_ground_state(cfg, point, grid)
         ginf = g_infinity(u1, params, e1=e1)
         sorth = self_orthogonality(u1)
 
@@ -286,8 +247,7 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         paths = []
         gt_rows = ()
         if cfg.g_t_times:
-            gt_grid = cfg.g_t_grid if cfg.g_t_grid is not None else Grid(-30.0, 30.0, 1024)
-            h = build_h_eff(cfg.potential(point.delta), params, gt_grid, boundary="dirichlet")
+            h = build_h_eff(point.potential, params, cfg.g_t_grid, boundary="dirichlet")
             e_dom = point_states(h, [shifted_point_energy(e1, params)]).eigenvalues[0]
             gt_rows = tuple(zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times)))
             paths.append(write_csv(outdir / f"gt_{tag}.csv", ("t", "g_t"), gt_rows))
@@ -296,24 +256,16 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             # state above already lives; automatic box doubling is reserved
             # for eigensolve localization studies.
             if cfg.closed_form_well():
-                u1, _ = _stationary_ground_state(cfg, point.delta, cfg.grid)
-            dressed = moving_bound_state(u1, e1, params)
-            if dressed is None:
-                raise ConfigError(
-                    f"amplify evolve: no normalizable initial state at v = {point.v}"
-                )
-            record = evolve(dressed, cfg.potential(point.delta), params, cfg.propagator)
+                u1 = _stationary_ground_state(cfg, point, cfg.grid)
+            dressed = moving_bound_state(u1, e1, params)  # v < v_c, checked at parse time
+            record = evolve(dressed, point.potential, params, cfg.propagator)
             # densities normalized by N(t), so only their shape evolves
             paths += _write_evolution(outdir, tag, record, cfg.density_stride, record.norm)
         AmplificationReport(ginf, gt_rows, sorth, margin)  # checks G >= 1 and G(t) >= 0
-        return paths, (point.phi, point.v, point.delta, ginf, sorth, margin)
+        _, *leading = _point_columns(point).items()  # ginf.csv has no index column
+        return paths, dict(leading, g_infinity=ginf, self_orthogonality=sorth, margin=margin)
 
-    return _with_summary(
-        outdir,
-        "ginf.csv",
-        ("phi", "v", "delta", "g_infinity", "self_orthogonality", "margin"),
-        _map_points(compute, cfg.sweep_points(), jobs),
-    )
+    return _with_summary(outdir, "ginf.csv", _map_points(compute, cfg.sweep_points(), jobs))
 
 
 # --------------------------------------------------------------------- lasermap

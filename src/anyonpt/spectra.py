@@ -52,6 +52,13 @@ __all__ = [
 
 # Point states must have participation ratio below this fraction of the box.
 PR_BOX_FRACTION = 0.2
+# Tail fits of fit_localization_length: log|u| on [peak + offset, peak + offset
+# + span] on each side, over at least TAIL_MIN_POINTS samples above
+# TAIL_FLOOR times the peak.
+TAIL_FIT_OFFSET = 10.0
+TAIL_FIT_SPAN = 15.0
+TAIL_FLOOR = 1e-13
+TAIL_MIN_POINTS = 6
 
 
 def continuous_dispersion(k, params: AnyonicParams):
@@ -151,20 +158,13 @@ def moving_bound_state(u_n: WaveFunction, e_n: float, params: AnyonicParams):
     return WaveFunction(u_n.grid, dressed).normalized()
 
 
-def fit_localization_length(
-    u: WaveFunction,
-    fit_offset: float = 10.0,
-    fit_span: float = 15.0,
-    floor: float = 1e-13,
-    min_points: int = 6,
-):
+def fit_localization_length(u: WaveFunction):
     """Localization length 1/rate from log-linear tail fits on both sides.
 
-    Fits log|u| on windows [peak + offset, peak + offset + span] away from the
-    amplitude peak.  Sides whose fitted outward slope is non-negative (rising
-    tails, e.g. wrap-around leakage on periodic grids) or that have too few
-    samples above the noise floor are discarded.  Returns inf when no side
-    yields a valid decay rate.
+    Fits log|u| on the TAIL_FIT_* windows away from the amplitude peak.  Sides
+    whose fitted outward slope is non-negative (rising tails, e.g. wrap-around
+    leakage on periodic grids) or that have too few samples above the noise
+    floor are discarded.  Returns inf when no side yields a valid decay rate.
     """
     x = u.grid.x
     a = np.abs(u.values)
@@ -175,8 +175,9 @@ def fit_localization_length(
     rates = []
     for sign in (+1.0, -1.0):
         s = sign * (x - x_peak)
-        mask = (s >= fit_offset) & (s <= fit_offset + fit_span) & (a > floor * peak_val)
-        if int(mask.sum()) < min_points:
+        window = (s >= TAIL_FIT_OFFSET) & (s <= TAIL_FIT_OFFSET + TAIL_FIT_SPAN)
+        mask = window & (a > TAIL_FLOOR * peak_val)
+        if int(mask.sum()) < TAIL_MIN_POINTS:
             continue
         slope = np.polyfit(x[mask], np.log(a[mask]), 1)[0]
         outward = sign * slope
@@ -200,7 +201,6 @@ class SpectrumResult:
     eigenvectors: np.ndarray
     classification: np.ndarray
     localization_length: np.ndarray
-    boundary: str = "dirichlet"
     hermitian_path: bool = False
 
     @property
@@ -249,7 +249,6 @@ def _labelled(h: HamiltonianMatrix, w, vecs, hermitian_path: bool = False) -> Sp
         eigenvectors=vecs,
         classification=classification,
         localization_length=loc,
-        boundary=h.boundary,
         hermitian_path=hermitian_path,
     )
 

@@ -14,6 +14,7 @@ from anyonpt import (
     ConfigError,
     DomainError,
     ExperimentConfig,
+    Grid,
     NumericalError,
     build_h_eff,
 )
@@ -107,7 +108,7 @@ class TestConfigParsing:
         raw["potential"]["v0"] = -6.0  # the nu = 2 well, whatever nu says
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.ground_state_energy() == -4.0
-        u, _ = _stationary_ground_state(cfg, 0.2, cfg.grid)
+        u = _stationary_ground_state(cfg, cfg.sweep_points()[0], cfg.grid)
         h = build_h_eff(cfg.potential(0.2), AnyonicParams(phi=0.0, v=0.0), cfg.grid)
         energy = np.vdot(u.values, h.dense() @ u.values) / np.vdot(u.values, u.values)
         assert abs(energy + 4.0) < 1e-2
@@ -174,6 +175,11 @@ class TestAmplifyValidation:
         assert cli_main(["amplify", "--config", str(path), "--output", str(outdir)]) == 2
         assert not outdir.exists()
 
+    def test_g_t_grid_defaults_to_the_documented_box(self):
+        raw = minimal_amplify_dict()
+        assert "g_t_grid" not in raw["amplify"]
+        assert ExperimentConfig.from_dict(raw).g_t_grid == Grid(-30.0, 30.0, 1024)
+
     def test_cap_is_inclusive(self):
         raw = minimal_amplify_dict(g_t_grid={"x_min": -30.0, "x_max": 30.0, "n_points": 2048})
         assert ExperimentConfig.from_dict(raw).g_t_grid.n_points == 2048
@@ -184,6 +190,8 @@ class TestAmplifyValidation:
             g_t_grid={"x_min": -12.0, "x_max": 12.0, "n_points": 256},
         )
         run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        ginf_header = (tmp_path / "ginf.csv").read_text().splitlines()[0]
+        assert ginf_header == "phi,v,delta,g_infinity,self_orthogonality,margin"
         rows = [r.split(",") for r in (tmp_path / "gt_000.csv").read_text().splitlines()[1:]]
         assert [float(t) for t, _ in rows] == [5.0, 0.0, 0.5, 5.0]
         gains = [float(g) for _, g in rows]
@@ -266,6 +274,12 @@ class TestParseTimeRejection:
             {**minimal_scatter_dict(), "rt_sweep": {"k_min": 0.5, "k_max": math.nan, "num": 4}},
             scatter_with("params", phi=[]),
             {**minimal_amplify_dict(), "params": {"phi": math.pi / 3, "v_over_vc": []}},
+            {**minimal_amplify_dict(), "params": {"phi": math.pi / 3, "v_over_vc": [0.5, 1.2]}},
+            {
+                **minimal_amplify_dict(evolve=True),
+                "params": {"phi": math.pi / 3, "v_over_vc": [0.5, 1.0]},
+                "propagator": {"dt": 0.01, "t_final": 1.0},
+            },
         ],
         ids=[
             "absorber-no-strength",
@@ -306,6 +320,8 @@ class TestParseTimeRejection:
             "rt_sweep-k_max-nan",
             "scatter-phi-empty",
             "amplify-v_over_vc-empty",
+            "amplify-beyond-v_c",
+            "amplify-evolve-at-v_c",
         ],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, raw):
@@ -692,6 +708,8 @@ class TestRunnersAndCLI:
     def test_null_spectrum_outputs_are_free_continuum(self, tmp_path):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "null_spectrum.yaml")
         run_experiment(cfg, tmp_path)
+        manifest = (tmp_path / "manifest.csv").read_text().splitlines()
+        assert manifest[0] == "index,phi,v,delta,numerical_point_count"
         rows = (tmp_path / "eigs_000.csv").read_text().splitlines()[1:]
         assert len(rows) == cfg.grid.n_points
         for row in rows:
@@ -717,7 +735,12 @@ class TestRunnersAndCLI:
     def test_null_delocalize_metrics(self, tmp_path):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "null_delocalize.yaml")
         run_experiment(cfg, tmp_path)
-        row = (tmp_path / "metrics.csv").read_text().splitlines()[1].split(",")
+        header, row = (tmp_path / "metrics.csv").read_text().splitlines()[:2]
+        assert header == (
+            "index,phi,v,delta,margin,analytic_localization_length,"
+            "numerical_point_count,numerical_localization_length"
+        )
+        row = row.split(",")
         assert int(row[6]) == 1  # one numerical point state
         assert float(row[4]) == 1.0  # margin = sqrt(|E_1|)
 
@@ -727,7 +750,9 @@ class TestRunnersAndCLI:
         names = sorted(p.name for p in written)
         assert names == ["evolution_000.ndjson", "norm_000.csv", "report.csv"]
         report = (tmp_path / "report.csv").read_text().splitlines()
-        assert report[0].startswith("index,phi,v,delta,k,")
+        assert report[0] == (
+            "index,phi,v,delta,k,re_k_r,im_k_r,reflected_fraction,transmitted_fraction,evanescent"
+        )
         fields = report[1].split(",")
         # narrow test packet leaks ~1% into the slow spectral tail; the shipped
         # null_scatter config (wide packet) holds the stricter 0.999 bound

@@ -76,8 +76,6 @@ class TestAnalyticBoundState:
         grid = Grid(-10.0, 10.0, 64)
         with pytest.raises(DomainError):
             analytic_bound_state_pt(grid, math.pi / 2)
-        with pytest.raises(ContractError):
-            analytic_bound_state_pt(grid, 0.1, nu=2.0)
 
 
 class TestAdjointBoundState:
