@@ -5,17 +5,24 @@ Analytic side: the continuous band follows the bent dispersion curve
 shift to ``E_n exp(-i phi) - (v^2/4) exp(i phi)`` and survive only while the
 drift stays below the critical velocity ``2 sqrt(|E_n|)/sin(phi)``.
 
-Numerical side: a dense eigensolve of the discretized operator for the
-whole eigenvalue cloud, or a shift-invert solve for the eigenpairs nearest
-given energies; either way eigenvalues are classified into point and
-continuum parts by participation ratio and localization lengths read off
-exponential tail fits.
+Numerical side: the eigenvalues of the discretized operator, and vectors
+only for its point states.  ``solve_spectrum`` takes the whole eigenvalue
+cloud from a dense eigenvalue-only solve; ``point_states`` takes the
+eigenpairs nearest given energies from shift-invert solves on the bands.
+A state's localization length is read off its eigenvalue: outside the well
+the eigenvector is a sum of powers z^j, with z a root of the bands' edge
+recurrence, and |z| sets how fast each tail decays (Hatano & Nelson, PRL 77,
+570, 1996).  These root lengths screen the cloud for candidate point states,
+which ``point_states`` then solves for; the participation ratio of the
+vector labels each state point or continuum.
 
 Boundary conditions matter here more than in the Hermitian world: with a
 drift the open-boundary (Dirichlet) spectrum collapses onto the undrifted
 one and every eigenvector piles up against a wall, so spectra that should
 display the bent band or the delocalization transition must be computed
-with periodic boundaries.
+with periodic boundaries.  A state piled against a wall grows toward it
+rather than decaying on both sides, so its root length is infinite and it
+is labeled continuum.
 """
 
 from __future__ import annotations
@@ -24,15 +31,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .errors import DomainError, NumericalError
+from .errors import ContractError, DomainError, NumericalError
 from .model import (
     AnyonicParams,
     GaugeFactors,
     Grid,
     HamiltonianMatrix,
     WaveFunction,
-    trapz,
 )
 
 __all__ = [
@@ -52,6 +59,14 @@ __all__ = [
 
 # Point states must have participation ratio below this fraction of the box.
 PR_BOX_FRACTION = 0.2
+# solve_spectrum solves for the vector of an eigenvalue only when its root
+# length is below this fraction of the box, 2.5 times PR_BOX_FRACTION.  A state
+# with exponential tails of lengths l_L and l_R has participation ratio
+# l_L + l_R, which is at least its root length max(l_L, l_R), so the screen
+# keeps every state that the participation ratio calls point.
+ROOT_SCREEN_FRACTION = 2.5 * PR_BOX_FRACTION
+# Two eigenvalues this close, relative to their size, are one eigenvalue.
+SAME_EIGENVALUE_RTOL = 1e-9
 # Tail fits of fit_localization_length: log|u| on [peak + offset, peak + offset
 # + span] on each side, over at least TAIL_MIN_POINTS samples above
 # TAIL_FLOOR times the peak.
@@ -161,6 +176,11 @@ def moving_bound_state(u_n: WaveFunction, e_n: float, params: AnyonicParams):
 def fit_localization_length(u: WaveFunction):
     """Localization length 1/rate from log-linear tail fits on both sides.
 
+    A diagnostic for a given profile; the solvers read lengths off the
+    eigenvalue instead (``_root_lengths``), since the tails of a fast-decaying
+    state fall to roundoff inside the fit window.  ``perfbench/trace.py``
+    wraps this function by name.
+
     Fits log|u| on the TAIL_FIT_* windows away from the amplitude peak.  Sides
     whose fitted outward slope is non-negative (rising tails, e.g. wrap-around
     leakage on periodic grids) or that have too few samples above the noise
@@ -188,19 +208,50 @@ def fit_localization_length(u: WaveFunction):
     return 1.0 / min(rates)
 
 
+def _root_lengths(h: HamiltonianMatrix, w) -> np.ndarray:
+    """Localization length of the eigenvector of each eigenvalue in ``w``, from its tails.
+
+    Beyond the well an eigenvector with eigenvalue lam is a sum of powers z^j
+    with ``upper z^2 + (d - lam) z + lower = 0``, d being the diagonal at that
+    edge.  The right tail decays at -ln|z_<|/dx, the smaller root's rate, and
+    the left tail at ln|z_>|/dx.  The length is 1/(the slower rate), or inf
+    when either tail does not decay.  This is the discrete form of the margin
+    sqrt(|E_n|) - |v/2| sin(phi).
+    """
+    w = np.asarray(w, dtype=complex)
+
+    def root_moduli(d):
+        b = d - w
+        disc = np.sqrt(b * b - 4.0 * h.upper * h.lower)
+        # the sign that adds |b| and |disc| avoids cancellation; the other root
+        # follows from the product lower/upper
+        q = -0.5 * (b + np.where((b.conj() * disc).real >= 0.0, disc, -disc))
+        return np.abs(q / h.upper), np.abs(h.lower / q)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        right = -np.log(np.minimum(*root_moduli(h.diagonal[-1]))) / h.grid.dx
+        left = np.log(np.maximum(*root_moduli(h.diagonal[0]))) / h.grid.dx
+        return np.where((right > 0) & (left > 0), 1.0 / np.minimum(right, left), np.inf)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Eigenpairs of a discretized operator (all, or targeted), classified and measured.
+    """Eigenvalues of a discretized operator (all, or targeted), classified and measured.
 
-    ``eigenvectors`` holds trapezoid-normalized eigenvectors as columns;
-    ``classification`` entries are "point" or "continuum".
+    ``classification`` entries are "point" or "continuum";
+    ``localization_length`` is the root length of a point state and inf for
+    the continuum.  ``eigenvectors`` holds trapezoid-normalized eigenvectors
+    as columns, one per entry of ``vector_indices``, the index of its
+    eigenvalue: every pair of a targeted solve, only the point states of a
+    whole spectrum.
     """
 
     grid: Grid
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     classification: np.ndarray
     localization_length: np.ndarray
+    eigenvectors: np.ndarray
+    vector_indices: np.ndarray
     hermitian_path: bool = False
 
     @property
@@ -211,7 +262,10 @@ class SpectrumResult:
         return np.nonzero(self.classification == "point")[0]
 
     def eigenvector(self, i: int) -> WaveFunction:
-        return WaveFunction(self.grid, self.eigenvectors[:, i])
+        cols = np.flatnonzero(self.vector_indices == i)
+        if not len(cols):
+            raise ContractError(f"eigenvalue {i} was solved without its eigenvector")
+        return WaveFunction(self.grid, self.eigenvectors[:, cols[0]])
 
     def nearest(self, target: complex) -> int:
         """Index of the eigenvalue closest to ``target``."""
@@ -227,63 +281,79 @@ class SpectrumResult:
             )
 
 
-def _normalized(vecs: np.ndarray, dx: float) -> np.ndarray:
-    """Columns scaled to unit norm under trapezoidal quadrature."""
-    return vecs / np.sqrt(np.trapezoid(np.abs(vecs) ** 2, dx=dx, axis=0))
-
-
-def _labelled(h: HamiltonianMatrix, w, vecs, hermitian_path: bool = False) -> SpectrumResult:
-    """Label normalized eigenpairs point or continuum; fit the point-state tails."""
+def _labelled(h: HamiltonianMatrix, w, vecs) -> SpectrumResult:
+    """Normalize eigenpairs and label them point or continuum by participation ratio."""
+    vecs = vecs / np.sqrt(np.trapezoid(np.abs(vecs) ** 2, dx=h.grid.dx, axis=0))
     inv_pr = np.trapezoid(np.abs(vecs) ** 4, dx=h.grid.dx, axis=0)
     pr = np.where(inv_pr > 0, 1.0 / inv_pr, np.inf)
     is_point = pr < PR_BOX_FRACTION * h.grid.length
-    classification = np.where(is_point, "point", "continuum")
-
-    loc = np.full(len(w), np.inf)
-    for i in np.nonzero(is_point)[0]:
-        loc[i] = fit_localization_length(WaveFunction(h.grid, vecs[:, i]))
-
     return SpectrumResult(
         grid=h.grid,
         eigenvalues=w,
+        classification=np.where(is_point, "point", "continuum"),
+        localization_length=np.where(is_point, _root_lengths(h, w), np.inf),
         eigenvectors=vecs,
-        classification=classification,
-        localization_length=loc,
-        hermitian_path=hermitian_path,
+        vector_indices=np.arange(len(w)),
     )
 
 
 def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
-    """Dense eigensolve of the operator matrix with point/continuum labeling.
+    """Every eigenvalue of the operator, labeled point or continuum.
 
-    Hermitian matrices are routed to the symmetric solver; everything else
-    goes through the general complex (Hessenberg/QR) path, which is the only
-    reliable option for these non-normal matrices.  Eigenvalues are returned
-    sorted by (Re, Im); eigenvectors are normalized under trapezoidal
-    quadrature.  A state is labeled "point" when its participation ratio
-    (1 / integral |u|^4 for normalized u) is below 0.2 of the box length.
+    A dense eigenvalue-only solve gives the whole cloud: the symmetric solver
+    for Hermitian matrices, else the general complex (Hessenberg/QR) path,
+    the only reliable option for these non-normal matrices.  Eigenvalues are
+    sorted by (Re, Im).  Those whose root length is below
+    ROOT_SCREEN_FRACTION of the box are solved again by ``point_states``; a
+    state is labeled "point" when the participation ratio of that vector
+    (1 / integral |u|^4 for normalized u) is below PR_BOX_FRACTION of the
+    box.  The result carries the vectors of the point states only.
     """
-    n = h.dim
-    m = h.dense()
+    m = h.dense(order="F")  # LAPACK's layout, so that overwrite_a copies nothing
+    hermitian_path = h.is_hermitian()
     try:
-        if h.is_hermitian():
-            w, vecs = np.linalg.eigh(m)
-            w = w.astype(complex)
-            hermitian_path = True
+        if hermitian_path:
+            w = scipy.linalg.eigvalsh(m, overwrite_a=True, check_finite=False).astype(complex)
         else:
-            w, vecs = np.linalg.eig(m)
-            hermitian_path = False
+            w = scipy.linalg.eigvals(m, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        norm1 = float(np.abs(m).sum(axis=0).max())
+        # m is overwritten, so the 1-norm comes from the bands
+        norm1 = float(np.abs(h.diagonal).max() + abs(h.upper) + abs(h.lower))
         raise NumericalError(
-            f"eigensolver failed: {exc} (dim={n}, boundary={h.boundary}, "
+            f"eigensolver failed: {exc} (dim={h.dim}, boundary={h.boundary}, "
             f"matrix 1-norm={norm1:.3e})"
         ) from exc
+    del m  # overwritten; freed before the targeted solves
+    w = w[np.lexsort((w.imag, w.real))]
+    lengths = _root_lengths(h, w)
 
-    order = np.lexsort((w.imag, w.real))
-    vecs = vecs[:, order]
-    vecs = _normalized(vecs, h.grid.dx)  # the unsorted copy is already freed
-    return _labelled(h, w[order], vecs, hermitian_path)
+    owners, vecs = np.array([], dtype=int), np.empty((h.dim, 0), dtype=complex)
+    candidates = np.flatnonzero(lengths < ROOT_SCREEN_FRACTION * h.grid.length)
+    if len(candidates):
+        found = point_states(h, w[candidates])
+        got = found.eigenvalues
+        # each pair belongs to the candidate it converged to
+        owned = candidates[np.abs(got[:, None] - w[candidates]).argmin(axis=1)]
+        off = np.abs(got - w[owned]) > SAME_EIGENVALUE_RTOL * np.abs(got)
+        if off.any():
+            raise NumericalError(
+                f"shift-invert solve near {w[owned][off][0]} converged to {got[off][0]}, "
+                f"not to the dense eigenvalue (dim={h.dim}, boundary={h.boundary})"
+            )
+        is_point = found.classification == "point"
+        owners, vecs = owned[is_point], found.eigenvectors[:, is_point]
+
+    classification = np.full(len(w), "continuum")
+    classification[owners] = "point"
+    return SpectrumResult(
+        grid=h.grid,
+        eigenvalues=w,
+        classification=classification,
+        localization_length=np.where(classification == "point", lengths, np.inf),
+        eigenvectors=vecs,
+        vector_indices=owners,
+        hermitian_path=hermitian_path,
+    )
 
 
 def point_states(h: HamiltonianMatrix, targets) -> SpectrumResult:
@@ -293,8 +363,8 @@ def point_states(h: HamiltonianMatrix, targets) -> SpectrumResult:
     the two corners of a periodic grid) instead of solving the whole dense
     spectrum (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).
     Pairs come in target order, a pair reached from two targets once, and
-    are normalized and labeled as in ``solve_spectrum``.  The fixed start
-    vector makes repeated calls agree bitwise.
+    are normalized and labeled by participation ratio, with root lengths.
+    The fixed start vector makes repeated calls agree bitwise.
     """
     # Imported here: scipy.sparse.linalg adds ~20 ms to every start-up.
     import scipy.sparse.linalg
@@ -314,7 +384,7 @@ def point_states(h: HamiltonianMatrix, targets) -> SpectrumResult:
             where = f"near {target} (dim={n}, boundary={h.boundary})"
             raise NumericalError(f"shift-invert eigensolve {where} failed: {exc}") from exc
         # two shifts that reach one eigenvalue agree to roundoff; distinct ones lie far apart
-        if not any(abs(value - w) <= 1e-9 * abs(value) for w in values):
+        if not any(abs(value - w) <= SAME_EIGENVALUE_RTOL * abs(value) for w in values):
             values.append(complex(value))
             vectors.append(vec[:, 0])
-    return _labelled(h, np.array(values), _normalized(np.stack(vectors, axis=1), h.grid.dx))
+    return _labelled(h, np.array(values), np.stack(vectors, axis=1))

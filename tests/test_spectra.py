@@ -1,11 +1,15 @@
 import cmath
+import dataclasses
 import math
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import dense_spectrum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +17,7 @@ from anyonpt import (
     AnyonicParams,
     ContractError,
     DomainError,
+    ExperimentConfig,
     Grid,
     HamiltonianMatrix,
     NumericalError,
@@ -30,9 +35,46 @@ from anyonpt import (
     shifted_point_energy,
     solve_spectrum,
 )
-from anyonpt.spectra import DispersionCurve
+from anyonpt import spectra
+from anyonpt.spectra import ROOT_SCREEN_FRACTION, DispersionCurve, _root_lengths
 
 VC3 = critical_velocity(-1.0, math.pi / 3)
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# The six drifts of test_verdicts_match_dense, as (nu, v, grid).
+VERDICT_CASES = [
+    (1.0, 0.5 * VC3, Grid(-40.0, 40.0, 1280)),
+    (1.0, 0.9 * VC3, Grid(-40.0, 40.0, 1280)),
+    (1.0, 1.1 * VC3, Grid(-40.0, 40.0, 1280)),
+    (2.0, 1.15, Grid(-20.0, 20.0, 640)),
+    (2.0, 3.46, Grid(-20.0, 20.0, 640)),
+    (2.0, 5.54, Grid(-20.0, 20.0, 640)),
+]
+VERDICT_IDS = ["0.5vc", "0.9vc", "1.1vc", "nu2-v1.15", "nu2-v3.46", "nu2-v5.54"]
+
+
+def _verdict_operator(nu, v, grid):
+    params = AnyonicParams(phi=math.pi / 3, v=v)
+    h = build_h_eff(PoschlTeller(nu=nu, delta=0.2), params, grid, "periodic")
+    return h, params
+
+
+def _free_periodic():
+    grid = Grid(-20.0, 20.0, 256)
+    return build_h_eff(PoschlTeller(v0=0.0), AnyonicParams(phi=0.3), grid, "periodic")
+
+
+def _shipped_spectrum_operators():
+    """One param per sweep point of each shipped spectrum config, as the runner builds it."""
+    for name in ("spectrum_drift_sweep", "regression_spectrum", "null_spectrum"):
+        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / f"{name}.yaml")
+        for p in cfg.sweep_points():
+            grid = cfg.grid_for_point(p)
+            yield pytest.param(
+                lambda p=p, grid=grid, b=cfg.boundary: build_h_eff(p.potential, p.params, grid, b),
+                id=f"{name}-{p.index}",
+            )
+    yield pytest.param(_free_periodic, id="free-periodic")
 
 
 class TestDispersion:
@@ -210,17 +252,77 @@ class TestSolveSpectrum:
         assert hausdorff < 1e-10
 
     def test_free_periodic_all_continuum(self):
-        grid = Grid(-20.0, 20.0, 256)
-        h = build_h_eff(PoschlTeller(v0=0.0), AnyonicParams(phi=0.3), grid, "periodic")
-        res = solve_spectrum(h)
+        res = solve_spectrum(_free_periodic())
         assert res.point_count == 0
 
     def test_eigenvectors_normalized(self):
+        # a whole spectrum carries its point states' vectors only; a band
+        # state's vector comes from a targeted solve
         grid = Grid(-15.0, 15.0, 200)
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.1), AnyonicParams(phi=0.2), grid)
         res = solve_spectrum(h)
-        for i in (0, 57, 199):
+        assert res.point_count == 1
+        for i in res.point_indices():
             assert res.eigenvector(i).norm() == pytest.approx(1.0, rel=1e-10)
+        assert res.classification[57] == "continuum"
+        with pytest.raises(ContractError, match="57"):
+            res.eigenvector(57)
+        with pytest.raises(ContractError):
+            res.eigenvector(len(res.eigenvalues))
+        band = point_states(h, [res.eigenvalues[57]])
+        assert band.classification[0] == "continuum"
+        assert band.eigenvector(0).norm() == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("make_h", _shipped_spectrum_operators())
+    def test_matches_dense_oracle(self, make_h):
+        # the classification array is the dense participation-ratio verdict,
+        # the eigenvalues those of the dense solve with vectors
+        h = make_h()
+        got, dense = solve_spectrum(h), dense_spectrum(h)
+        assert np.array_equal(got.classification, dense.classification)
+        scale = np.maximum(np.abs(dense.eigenvalues), 1.0)
+        assert (np.abs(got.eigenvalues - dense.eigenvalues) <= 1e-9 * scale).all()
+        assert np.array_equal(got.vector_indices, got.point_indices())
+
+    def test_no_eigenvector_array(self):
+        # eigenvalues only, from one Fortran-ordered copy that LAPACK overwrites:
+        # about one dense copy (25 MiB), where eig with vectors held three
+        h, _ = _verdict_operator(*VERDICT_CASES[0])
+        tracemalloc.start()
+        try:
+            res = solve_spectrum(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.point_count == 1
+        assert peak <= 1.5 * 16 * h.dim**2
+
+    def test_eigensolver_failure_names_the_operator(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eig algorithm (geev) did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", fail)
+        grid = Grid(-10.0, 10.0, 200)
+        params = AnyonicParams(phi=0.5, v=1.0)
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid, "periodic")
+        norm1 = np.abs(h.dense()).sum(axis=0).max()
+        with pytest.raises(NumericalError) as info:
+            solve_spectrum(h)
+        msg = str(info.value)
+        assert "dim=200" in msg and "boundary=periodic" in msg
+        assert f"matrix 1-norm={norm1:.3e}" in msg
+
+    def test_vector_off_the_dense_eigenvalue_is_numerical_error(self, monkeypatch):
+        # a targeted solve that lands elsewhere must not lend its vector to a dense eigenvalue
+        def drifted(h, targets):
+            res = point_states(h, targets)
+            return dataclasses.replace(res, eigenvalues=res.eigenvalues * (1 + 1e-7))
+
+        monkeypatch.setattr(spectra, "point_states", drifted)
+        grid = Grid(-15.0, 15.0, 200)
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.1), AnyonicParams(phi=0.2), grid)
+        with pytest.raises(NumericalError, match="converged to"):
+            solve_spectrum(h)
 
     def test_csv_rows_shape(self):
         grid = Grid(-15.0, 15.0, 64)
@@ -256,7 +358,7 @@ class TestPointStates:
         params = AnyonicParams(phi=phi, v=fraction * critical_velocity(-1.0, phi))
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid, "dirichlet")
         target = shifted_point_energy(-1.0, params)
-        dense = solve_spectrum(h)
+        dense = dense_spectrum(h)
         expected = dense.eigenvalues[dense.nearest(target)]
         (got,) = point_states(h, [target]).eigenvalues
         assert abs(got - expected) <= 1e-10 * abs(expected)
@@ -267,38 +369,24 @@ class TestPointStates:
         params = AnyonicParams(phi=math.pi / 3, v=1.0)
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid, "periodic")
         target = continuous_dispersion(1.0, params)
-        dense = solve_spectrum(h)
+        dense = dense_spectrum(h)
         expected = dense.eigenvalues[dense.nearest(target)]
         (got,) = point_states(h, [target]).eigenvalues
         assert abs(got - expected) <= 1e-10 * abs(expected)
 
-    @pytest.mark.parametrize(
-        "nu, v, grid",
-        [
-            (1.0, 0.5 * VC3, Grid(-40.0, 40.0, 1280)),
-            (1.0, 0.9 * VC3, Grid(-40.0, 40.0, 1280)),
-            (1.0, 1.1 * VC3, Grid(-40.0, 40.0, 1280)),
-            (2.0, 1.15, Grid(-20.0, 20.0, 640)),
-            (2.0, 3.46, Grid(-20.0, 20.0, 640)),
-            (2.0, 5.54, Grid(-20.0, 20.0, 640)),
-        ],
-        ids=["0.5vc", "0.9vc", "1.1vc", "nu2-v1.15", "nu2-v3.46", "nu2-v5.54"],
-    )
+    @pytest.mark.parametrize("nu, v, grid", VERDICT_CASES, ids=VERDICT_IDS)
     def test_verdicts_match_dense(self, nu, v, grid):
         # the delocalize runner's question: which bound energies still carry a point state
-        params = AnyonicParams(phi=math.pi / 3, v=v)
-        h = build_h_eff(PoschlTeller(nu=nu, delta=0.2), params, grid, "periodic")
+        h, params = _verdict_operator(nu, v, grid)
         targets = [shifted_point_energy(e, params) for e in poschl_teller_energies(nu).energies]
         got = point_states(h, targets)
-        dense = solve_spectrum(h)
+        dense = dense_spectrum(h)
         assert got.point_count == dense.point_count
         for i, e in enumerate(got.eigenvalues):
             j = dense.nearest(e)
             assert abs(e - dense.eigenvalues[j]) <= 1e-10 * abs(e)
             assert got.classification[i] == dense.classification[j]
-            # the E = -4 tails reach the 1e-13 fit floor inside the fit window,
-            # where both solvers' vectors are roundoff, so only nu = 1 fits compare
-            if got.classification[i] == "point" and nu == 1.0:
+            if got.classification[i] == "point":
                 loc = dense.localization_length[j]
                 assert abs(got.localization_length[i] - loc) <= 1e-6 * loc
         expected = {1.15: 2, 3.46: 1, 5.54: 0}.get(v, int(v < VC3))
@@ -336,6 +424,43 @@ class TestPointStates:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+
+class TestRootLengths:
+    """Localization lengths read off the eigenvalue, against 1/margin."""
+
+    @pytest.mark.parametrize("nu, v, grid", VERDICT_CASES, ids=VERDICT_IDS)
+    def test_matches_inverse_margin(self, nu, v, grid):
+        h, params = _verdict_operator(nu, v, grid)
+        for e in poschl_teller_energies(nu).energies:
+            margin = delocalization_margin(e, params)
+            if margin <= 0.0:
+                continue
+            res = point_states(h, [shifted_point_energy(e, params)])
+            assert res.classification[0] == "point"
+            assert res.localization_length[0] == pytest.approx(1.0 / margin, rel=0.01)
+
+    def test_fast_tail_beyond_the_fit_floor(self):
+        # nu = 2, E = -4 at v = 1.15: the tail falls below 1e-13 inside the old
+        # fit window, which read 2.41 off roundoff; the root gives 1/margin
+        h, params = _verdict_operator(2.0, 1.15, Grid(-20.0, 20.0, 640))
+        res = point_states(h, [shifted_point_energy(-4.0, params)])
+        assert 1.0 / delocalization_margin(-4.0, params) == pytest.approx(0.66576, rel=1e-4)
+        assert res.localization_length[0] == pytest.approx(0.66609, rel=1e-4)
+
+    def test_free_band_screens_out(self):
+        with pytest.warns(UserWarning):
+            h = _free_periodic()
+        lengths = _root_lengths(h, scipy.linalg.eigvals(h.dense()))
+        assert (lengths > h.grid.length).all()  # inf, or longer than the box
+        assert not (lengths < ROOT_SCREEN_FRACTION * h.grid.length).any()
+
+    def test_hermitian_well_both_sides(self):
+        # at rest the two tails decay alike, at the bound state's sqrt(|E|) = 1
+        grid = Grid(-30.0, 30.0, 1200)
+        h = build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0), grid, "dirichlet")
+        (length,) = _root_lengths(h, [-1.0])
+        assert length == pytest.approx(1.0, rel=1e-3)
 
 
 class TestLocalizationFit:
