@@ -312,6 +312,14 @@ class ExperimentConfig:
                     raise ConfigError(f"amplify: v = {p.v:.12g} is at or beyond v_c = {vc:.12g}")
         except (ContractError, DomainError) as exc:
             raise ConfigError(f"sweep: {exc}") from exc
+        # Dirichlet ends collapse a drifting spectrum onto the undrifted one and
+        # pile its band states against a wall (see the spectra module)
+        drifting = [p for p in points if p.v * math.sin(p.phi) != 0.0]
+        if ex == "spectrum" and self.boundary == "dirichlet" and drifting:
+            raise ConfigError(
+                f"spectrum: v = {drifting[0].v:.12g} at phi = {drifting[0].phi:.12g} "
+                "needs boundary: periodic"
+            )
         # spectrum solves densely, delocalize by shift-invert; both double the box near v_c
         if ex in ("spectrum", "delocalize"):
             n = max(self.grid_for_point(p).n_points for p in points)

@@ -312,12 +312,12 @@ class HamiltonianMatrix:
     def dim(self) -> int:
         return self.grid.n_points
 
-    def dense(self, order: str = "C") -> np.ndarray:
-        """The full n x n matrix in memory ``order``, for the dense algorithms that need one."""
+    def dense(self) -> np.ndarray:
+        """The full n x n matrix, for the dense algorithms that need one."""
         n = self.dim
         if n > DENSE_MAX_DIM:
             raise ContractError(f"dense matrix capped at dimension {DENSE_MAX_DIM}, got {n}")
-        m = np.zeros((n, n), dtype=complex, order=order)
+        m = np.zeros((n, n), dtype=complex)
         idx = np.arange(n)
         m[idx, idx] = self.diagonal
         m[idx[:-1], idx[:-1] + 1] = self.upper

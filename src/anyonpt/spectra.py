@@ -13,8 +13,9 @@ A state's localization length is read off its eigenvalue: outside the well
 the eigenvector is a sum of powers z^j, with z a root of the bands' edge
 recurrence, and |z| sets how fast each tail decays (Hatano & Nelson, PRL 77,
 570, 1996).  These root lengths screen the cloud for candidate point states,
-which ``point_states`` then solves for; the participation ratio of the
-vector labels each state point or continuum.
+which ``point_states`` then solves for; a state is point when both the
+participation ratio of its vector and its root length are short against the
+box, else continuum.
 
 Boundary conditions matter here more than in the Hermitian world: with a
 drift the open-boundary (Dirichlet) spectrum collapses onto the undrifted
@@ -57,13 +58,15 @@ __all__ = [
     "fit_localization_length",
 ]
 
-# Point states must have participation ratio below this fraction of the box.
+# Point states have participation ratio below this fraction of the box ...
 PR_BOX_FRACTION = 0.2
-# solve_spectrum solves for the vector of an eigenvalue only when its root
-# length is below this fraction of the box, 2.5 times PR_BOX_FRACTION.  A state
-# with exponential tails of lengths l_L and l_R has participation ratio
-# l_L + l_R, which is at least its root length max(l_L, l_R), so the screen
-# keeps every state that the participation ratio calls point.
+# ... and root length below this fraction of the box, 2.5 times PR_BOX_FRACTION;
+# solve_spectrum solves for the vectors of these eigenvalues only.  A state
+# whose tails decay on both sides, at lengths l_L and l_R, has participation
+# ratio l_L + l_R, at least its root length max(l_L, l_R), so for such states
+# the screen drops none that the participation ratio calls point.  A state
+# whose tail grows toward a wall (Dirichlet ends under drift) has infinite root
+# length and is continuum, however small its participation ratio.
 ROOT_SCREEN_FRACTION = 2.5 * PR_BOX_FRACTION
 # Two eigenvalues this close, relative to their size, are one eigenvalue.
 SAME_EIGENVALUE_RTOL = 1e-9
@@ -282,16 +285,23 @@ class SpectrumResult:
 
 
 def _labelled(h: HamiltonianMatrix, w, vecs) -> SpectrumResult:
-    """Normalize eigenpairs and label them point or continuum by participation ratio."""
+    """Normalize eigenpairs and label them point or continuum.
+
+    A pair is a point state when its participation ratio is below
+    PR_BOX_FRACTION and its root length below ROOT_SCREEN_FRACTION of the box.
+    """
     vecs = vecs / np.sqrt(np.trapezoid(np.abs(vecs) ** 2, dx=h.grid.dx, axis=0))
     inv_pr = np.trapezoid(np.abs(vecs) ** 4, dx=h.grid.dx, axis=0)
     pr = np.where(inv_pr > 0, 1.0 / inv_pr, np.inf)
-    is_point = pr < PR_BOX_FRACTION * h.grid.length
+    lengths = _root_lengths(h, w)
+    is_point = (pr < PR_BOX_FRACTION * h.grid.length) & (
+        lengths < ROOT_SCREEN_FRACTION * h.grid.length
+    )
     return SpectrumResult(
         grid=h.grid,
         eigenvalues=w,
         classification=np.where(is_point, "point", "continuum"),
-        localization_length=np.where(is_point, _root_lengths(h, w), np.inf),
+        localization_length=np.where(is_point, lengths, np.inf),
         eigenvectors=vecs,
         vector_indices=np.arange(len(w)),
     )
@@ -309,7 +319,9 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     (1 / integral |u|^4 for normalized u) is below PR_BOX_FRACTION of the
     box.  The result carries the vectors of the point states only.
     """
-    m = h.dense(order="F")  # LAPACK's layout, so that overwrite_a copies nothing
+    # the transpose has the same eigenvalues and is in LAPACK's (Fortran)
+    # layout, so that overwrite_a copies nothing
+    m = h.dense().T
     hermitian_path = h.is_hermitian()
     try:
         if hermitian_path:
@@ -363,7 +375,8 @@ def point_states(h: HamiltonianMatrix, targets) -> SpectrumResult:
     the two corners of a periodic grid) instead of solving the whole dense
     spectrum (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).
     Pairs come in target order, a pair reached from two targets once, and
-    are normalized and labeled by participation ratio, with root lengths.
+    are normalized and labeled as ``solve_spectrum`` labels them, with root
+    lengths.
     The fixed start vector makes repeated calls agree bitwise.
     """
     # Imported here: scipy.sparse.linalg adds ~20 ms to every start-up.

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from anyonpt import Grid, PoschlTeller
-from anyonpt.spectra import PR_BOX_FRACTION, SpectrumResult, _root_lengths
+from anyonpt.spectra import PR_BOX_FRACTION, ROOT_SCREEN_FRACTION, SpectrumResult, _root_lengths
 
 # CI runs with --hypothesis-profile=ci, so a failing example replays from the log.
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -15,8 +15,9 @@ def dense_spectrum(h) -> SpectrumResult:
     """The dense oracle for ``solve_spectrum``: every eigenpair from ``np.linalg.eig``.
 
     Vectors are normalized under trapezoidal quadrature and labeled by the
-    same participation-ratio rule; a point state's length is the root length
-    of its eigenvalue.  Eigenvalues are sorted by (Re, Im).  The result keeps
+    same rule: participation ratio below PR_BOX_FRACTION and root length
+    below ROOT_SCREEN_FRACTION of the box.  A point state's length is the
+    root length of its eigenvalue.  Eigenvalues are sorted by (Re, Im).  The result keeps
     no vectors and is cached per operator, since several tests ask for the
     same n = 1280 spectra.
     """
@@ -27,12 +28,15 @@ def dense_spectrum(h) -> SpectrumResult:
         w, vecs = w[order], vecs[:, order]
         vecs = vecs / np.sqrt(np.trapezoid(np.abs(vecs) ** 2, dx=h.grid.dx, axis=0))
         pr = 1.0 / np.trapezoid(np.abs(vecs) ** 4, dx=h.grid.dx, axis=0)
-        is_point = pr < PR_BOX_FRACTION * h.grid.length
+        lengths = _root_lengths(h, w)
+        is_point = (pr < PR_BOX_FRACTION * h.grid.length) & (
+            lengths < ROOT_SCREEN_FRACTION * h.grid.length
+        )
         _DENSE_SPECTRA[key] = SpectrumResult(
             grid=h.grid,
             eigenvalues=w,
             classification=np.where(is_point, "point", "continuum"),
-            localization_length=np.where(is_point, _root_lengths(h, w), np.inf),
+            localization_length=np.where(is_point, lengths, np.inf),
             eigenvectors=np.empty((h.dim, 0), dtype=complex),
             vector_indices=np.array([], dtype=int),
         )

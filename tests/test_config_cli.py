@@ -247,6 +247,7 @@ class TestParseTimeRejection:
             near_vc_delocalize_dict(2**19 + 1),
             spectrum_dict(256, phi=2.0),
             spectrum_dict(256, phi=2.0, v_over_vc=0.5),
+            {**spectrum_dict(256, phi=math.pi / 3, v_over_vc=0.2), "boundary": "dirichlet"},
             scatter_with("params", phi=-0.1),
             {**minimal_amplify_dict(), "potential": {"kind": "poschl_teller", "v0": 3.0}},
             {**spectrum_dict(256), "experiment": "delocalize", "potential": {"v0": 3.0}},
@@ -293,6 +294,7 @@ class TestParseTimeRejection:
             "delocalize-doubled-box-over-point-cap",
             "phi-above-pi-over-2",
             "phi-above-pi-over-2-with-v_over_vc",
+            "spectrum-dirichlet-under-drift",
             "phi-negative",
             "amplify-barrier-has-no-ground-state",
             "delocalize-barrier-has-no-ground-state",
@@ -340,6 +342,11 @@ class TestParseTimeRejection:
     def test_integral_floats_are_integers(self):
         cfg = ExperimentConfig.from_dict(spectrum_dict(256.0))
         assert cfg.grid.n_points == 256 and isinstance(cfg.grid.n_points, int)
+
+    def test_dirichlet_spectrum_without_non_hermitian_drift_parses(self):
+        # at rest (the regression config), or at phi = 0, where the drift is a gauge
+        for params in ({"phi": math.pi / 3, "v": 0.0}, {"phi": 0.0, "v": 1.0}):
+            ExperimentConfig.from_dict({**spectrum_dict(256), "boundary": "dirichlet", "params": params})
 
     def test_grids_within_the_dense_cap_parse(self):
         ExperimentConfig.from_dict(spectrum_dict(8192))

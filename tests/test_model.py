@@ -212,8 +212,6 @@ class TestBuildHEff:
         params = AnyonicParams(phi=phi, v=v)
         h = build_h_eff(spec, params, grid, boundary)
         assert h.dense().tobytes() == self.dense_oracle(spec, params, grid, boundary).tobytes()
-        fortran = h.dense(order="F")
-        assert fortran.flags.f_contiguous and fortran.tobytes() == h.dense().tobytes()
         # the drift couplings are the antisymmetric pair +/- i v/(2 dx)
         assert (h.upper - h.lower) / 2 == pytest.approx(1j * v / (2 * grid.dx), rel=1e-12)
         assert (h.upper + h.lower) / 2 == pytest.approx(-cmath.exp(-1j * phi) / grid.dx**2)

@@ -36,7 +36,7 @@ from anyonpt import (
     solve_spectrum,
 )
 from anyonpt import spectra
-from anyonpt.spectra import ROOT_SCREEN_FRACTION, DispersionCurve, _root_lengths
+from anyonpt.spectra import PR_BOX_FRACTION, ROOT_SCREEN_FRACTION, DispersionCurve, _root_lengths
 
 VC3 = critical_velocity(-1.0, math.pi / 3)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -64,8 +64,16 @@ def _free_periodic():
     return build_h_eff(PoschlTeller(v0=0.0), AnyonicParams(phi=0.3), grid, "periodic")
 
 
+def _dirichlet_drift():
+    # 0.2 v_c in a Dirichlet box: every band state piles up against a wall
+    grid = Grid(-30.0, 30.0, 600)
+    params = AnyonicParams(phi=math.pi / 3, v=0.2 * VC3)
+    return build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid, "dirichlet")
+
+
 def _shipped_spectrum_operators():
-    """One param per sweep point of each shipped spectrum config, as the runner builds it."""
+    """One param per sweep point of each shipped spectrum config, as the runner builds it,
+    plus a free periodic band and a Dirichlet box under drift."""
     for name in ("spectrum_drift_sweep", "regression_spectrum", "null_spectrum"):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / f"{name}.yaml")
         for p in cfg.sweep_points():
@@ -75,6 +83,7 @@ def _shipped_spectrum_operators():
                 id=f"{name}-{p.index}",
             )
     yield pytest.param(_free_periodic, id="free-periodic")
+    yield pytest.param(_dirichlet_drift, id="dirichlet-drift")
 
 
 class TestDispersion:
@@ -283,6 +292,23 @@ class TestSolveSpectrum:
         scale = np.maximum(np.abs(dense.eigenvalues), 1.0)
         assert (np.abs(got.eigenvalues - dense.eigenvalues) <= 1e-9 * scale).all()
         assert np.array_equal(got.vector_indices, got.point_indices())
+
+    def test_wall_piled_states_are_continuum(self):
+        # short participation ratios, but tails that grow toward the wall: only
+        # the well's state decays on both sides, and point_states agrees
+        h = _dirichlet_drift()
+        res = solve_spectrum(h)
+        (i,) = res.point_indices()
+        margin = delocalization_margin(-1.0, AnyonicParams(phi=math.pi / 3, v=0.2 * VC3))
+        assert res.localization_length[i] == pytest.approx(1.0 / margin, rel=0.01)
+        vecs = np.linalg.eig(h.dense())[1]
+        vecs = vecs / np.sqrt(np.trapezoid(np.abs(vecs) ** 2, dx=h.grid.dx, axis=0))
+        pr = 1.0 / np.trapezoid(np.abs(vecs) ** 4, dx=h.grid.dx, axis=0)
+        assert (pr < PR_BOX_FRACTION * h.grid.length).sum() > 500
+        found = point_states(h, [*res.eigenvalues[::20], res.eigenvalues[i]])
+        for e, label in zip(found.eigenvalues, found.classification):
+            assert label == res.classification[res.nearest(e)]
+        assert found.point_count == 1
 
     def test_no_eigenvector_array(self):
         # eigenvalues only, from one Fortran-ordered copy that LAPACK overwrites:
