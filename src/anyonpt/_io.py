@@ -20,8 +20,6 @@ def fmt(value) -> str:
     """Render a cell: floats at 12 significant digits, everything else as str."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(value)
     if isinstance(value, (float, np.floating)):
         return f"{value:.12g}"
     return str(value)

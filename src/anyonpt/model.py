@@ -312,20 +312,20 @@ class HamiltonianMatrix:
     def dim(self) -> int:
         return self.grid.n_points
 
-    def dense(self) -> np.ndarray:
-        """The full n x n matrix, for the dense algorithms that need one."""
+    def sparse(self, shift: complex = 0.0):
+        """H - shift as a scipy.sparse CSC matrix of its bands and periodic corners."""
+        import scipy.sparse  # here, not at the top: it adds to every start-up
+
         n = self.dim
-        if n > DENSE_MAX_DIM:
-            raise ContractError(f"dense matrix capped at dimension {DENSE_MAX_DIM}, got {n}")
-        m = np.zeros((n, n), dtype=complex)
-        idx = np.arange(n)
-        m[idx, idx] = self.diagonal
-        m[idx[:-1], idx[:-1] + 1] = self.upper
-        m[idx[:-1] + 1, idx[:-1]] = self.lower
-        if self.boundary == "periodic":
-            m[0, -1] = self.lower
-            m[-1, 0] = self.upper
-        return m
+        corners = {1 - n: self.upper, n - 1: self.lower} if self.boundary == "periodic" else {}
+        bands = {-1: self.lower, 0: self.diagonal - shift, 1: self.upper, **corners}
+        return scipy.sparse.diags(list(bands.values()), list(bands), shape=(n, n), format="csc")
+
+    def dense(self) -> np.ndarray:
+        """The full n x n matrix, C-ordered, for the dense algorithms that need one."""
+        if self.dim > DENSE_MAX_DIM:
+            raise ContractError(f"dense matrix capped at dimension {DENSE_MAX_DIM}, got {self.dim}")
+        return self.sparse().toarray(order="C")
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         c = np.array([self.upper, self.lower])

@@ -51,8 +51,7 @@ QUADRATURE_DX = 0.02
 
 # Dense propagators are n x n complex; g_t refuses larger operators.
 G_T_MAX_DIM = 2048
-# ||A||_1 bound below which the degree-13 Pade approximant needs no squaring
-# (Al-Mohy & Higham 2009); g_t sizes its base step by it.
+# tau ||G||_1 cap of g_t's Taylor base step: the degree-13 Pade bound (Al-Mohy & Higham 2009).
 THETA_13 = 5.371920351148152
 # Propagator entries below this fraction of the largest are zeroed in g_t.
 FLUSH_FRACTION = 1e-150
@@ -273,16 +272,35 @@ def _sigma_max(p: np.ndarray) -> float:
     return float(sigma)
 
 
+def _expm_taylor(a) -> np.ndarray:
+    """exp(a) as a dense array: the Taylor series of the sparse ``a``, summed in sparse form.
+
+    It stops after the first term k whose 1-norm bound x^k / k!, x = ||a||_1, is at
+    most 2^-53; the count depends on x alone, so results repeat bitwise.
+    """
+    import scipy.sparse
+
+    x, k, bound = float(abs(a).sum(axis=0).max()), 0, 1.0
+    term = total = scipy.sparse.identity(a.shape[0], dtype=complex, format="csc")
+    while bound > 2.0**-53:
+        k += 1
+        term = term @ a / k
+        total = total + term
+        bound *= x / k
+    return total.toarray(order="C")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises DivergenceError
 def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     """Squared operator norms of exp[-i (H - e1) t], one per time, in the order given.
 
-    With G = -i (H - e1), one base step B = expm(G tau) serves every time:
+    With G = -i (H - e1), one base step B = exp(G tau) serves every time:
     tau = t_min / 2^s with the smallest s that gives tau ||G||_1 <= THETA_13,
-    and P(t) = B^q expm(G rho) with q = floor(t / tau), rho = t - q tau.  The
-    remainder factor is skipped when rho = 0, as for integer multiples of a
-    power-of-two t_min such as 0.5.  Each B^q is built by binary powering over one shared run of
-    squarings B^(2^j) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).
+    and P(t) = B^q exp(G rho) with q = floor(t / tau), rho = t - q tau; both
+    factors are Taylor series on the bands of G (``_expm_taylor``).  The
+    remainder is skipped when rho = 0, as for integer multiples of a power-of-two
+    t_min such as 0.5.  Each B^q is built by binary powering over one shared run
+    of squarings B^(2^j) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).
     The norm of each P(t) comes from ARPACK Lanczos (``_sigma_max``); when
     that does not converge within LANCZOS_MAXITER restarts, as for the
     clustered singular values of very small t, that one time falls back to
@@ -297,24 +315,21 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     eigenvalue; values above one quantify transient non-normal amplification.
     """
     if h.dim > G_T_MAX_DIM:
-        raise ContractError(
-            f"dense matrix exponential capped at dimension {G_T_MAX_DIM}, got {h.dim}"
-        )
+        raise ContractError(f"dense propagator capped at dimension {G_T_MAX_DIM}, got {h.dim}")
     times = [float(t) for t in times]
     if not all(0.0 <= t < math.inf for t in times):
         raise DomainError(f"g_t is defined for finite t >= 0, got {times}")
     gains = {0.0: 1.0}
     positive = sorted(set(times) - {0.0})
     if positive:
-        gen = -1j * h.dense()
-        gen.flat[:: h.dim + 1] += 1j * e1
-        norm1 = float(np.abs(gen).sum(axis=0).max())
+        gen = -1j * h.sparse(e1)
+        norm1 = float(abs(gen).sum(axis=0).max())
         tau = positive[0]
         while tau * norm1 > THETA_13:
             tau /= 2.0
         # q >= 1 for every time because tau divides t_min exactly.
         steps = {t: math.floor(t / tau) for t in positive}
-        power = _flush_tiny(scipy.linalg.expm(gen * tau))  # B^(2^j)
+        power = _flush_tiny(_expm_taylor(gen * tau))  # B^(2^j)
         acc = {}
         for j in range(max(steps.values()).bit_length()):
             if j:
@@ -324,11 +339,10 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
                     continue
                 acc[t] = power if t not in acc else _flush_tiny(acc[t] @ power)
                 if q >> (j + 1) == 0:  # top bit applied: B^q is complete
-                    p = acc.pop(t)
                     rho = t - q * tau
                     if rho != 0.0:
-                        p = _flush_tiny(p @ _flush_tiny(scipy.linalg.expm(gen * rho)))
-                    sigma_max = _sigma_max(p)
+                        acc[t] = _flush_tiny(acc[t] @ _flush_tiny(_expm_taylor(gen * rho)))
+                    sigma_max = _sigma_max(acc.pop(t))  # no name keeps P(t) alive
                     gains[t] = sigma_max * sigma_max  # inf, not OverflowError
                     if not math.isfinite(gains[t]):
                         raise DivergenceError(

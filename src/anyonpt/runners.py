@@ -18,7 +18,9 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import os
 import shutil
+import socket
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -320,15 +322,25 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1) -> list:
     """Run ``cfg``'s runner and publish its files in ``outdir``: all of them or none.
 
-    The runner writes into a hidden ``.partial-*`` directory inside ``outdir``,
-    so each final rename stays on one filesystem; no file moves if a target is
-    a directory.  A failure removes the stage, then each directory this call
-    created, deepest first, until one is not empty; other files stay as they are.
+    The runner writes into a hidden ``.partial-<host>-<pid>-*`` directory inside
+    ``outdir``, so each final rename stays on one filesystem; no file moves if a
+    target is a directory.  A failure removes the stage, then each directory this
+    call created, deepest first, until one is not empty; other files stay as they are.
     """
     outdir = Path(outdir)
     made = list(itertools.takewhile(lambda d: not d.exists(), [outdir, *outdir.parents]))
     outdir.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=outdir))
+    host = socket.gethostname()  # first remove the stages of this host's exited runs
+    for old in outdir.glob(".partial-*-*-*") if os.name == "posix" else ():
+        name, pid, _ = old.name.rsplit("-", 2)  # older names, without host and pid, skip
+        try:
+            if name == f".partial-{host}" and pid.isdecimal():
+                os.kill(int(pid), 0)  # signal 0 only checks that the pid exists
+        except ProcessLookupError:
+            shutil.rmtree(old, ignore_errors=True)
+        except (PermissionError, OverflowError):  # another user's process, or no valid pid
+            pass
+    stage = Path(tempfile.mkdtemp(prefix=f".partial-{host}-{os.getpid()}-", dir=outdir))
     try:
         staged = _RUNNERS[cfg.experiment](cfg, stage, jobs=jobs)
         for target in (outdir / path.name for path in staged):

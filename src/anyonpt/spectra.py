@@ -382,19 +382,15 @@ def point_states(h: HamiltonianMatrix, targets) -> SpectrumResult:
     # Imported here: scipy.sparse.linalg adds ~20 ms to every start-up.
     import scipy.sparse.linalg
 
-    n = h.dim
-    bands = {-1: h.lower, 0: h.diagonal, 1: h.upper}
-    if h.boundary == "periodic":
-        bands.update({1 - n: h.upper, n - 1: h.lower})
-    band = scipy.sparse.diags(list(bands.values()), list(bands), shape=(n, n), format="csc")
+    band = h.sparse()
     values, vectors = [], []
     for target in targets:
         try:
             (value,), vec = scipy.sparse.linalg.eigs(
-                band, k=1, sigma=target, v0=np.ones(n, dtype=complex)
+                band, k=1, sigma=target, v0=np.ones(h.dim, dtype=complex)
             )
         except (RuntimeError, np.linalg.LinAlgError) as exc:
-            where = f"near {target} (dim={n}, boundary={h.boundary})"
+            where = f"near {target} (dim={h.dim}, boundary={h.boundary})"
             raise NumericalError(f"shift-invert eigensolve {where} failed: {exc}") from exc
         # two shifts that reach one eigenvalue agree to roundoff; distinct ones lie far apart
         if not any(abs(value - w) <= SAME_EIGENVALUE_RTOL * abs(value) for w in values):

@@ -1,5 +1,9 @@
 import copy
 import math
+import os
+import socket
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -604,6 +608,23 @@ class TestRunnersAndCLI:
         assert [p.name for p in results.iterdir()] == ["b"]  # stage and empty outdir gone
         assert [p.name for p in (results / "b").iterdir()] == ["mapping.csv"]
         assert (results / "b" / "mapping.csv").read_text() == "sibling\n"
+
+    def test_stages_of_exited_processes_are_removed(self, tmp_path):
+        host = socket.gethostname()
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its pid no longer runs
+        outdir = tmp_path / "out"
+        kept = [
+            f".partial-{host}-{os.getpid()}-live",  # a running process's stage
+            f".partial-elsewhere-{child.pid}-abc",  # another host's
+            ".partial-k3j_x9q1",  # the older name without host and pid
+        ]
+        for name in [f".partial-{host}-{child.pid}-dead", *kept]:
+            (outdir / name).mkdir(parents=True)
+            (outdir / name / "mapping.csv").write_text("partial\n")
+        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "null_lasermap.yaml")
+        run_experiment(cfg, outdir)
+        assert sorted(p.name for p in outdir.iterdir()) == sorted([*kept, "mapping.csv"])
 
     def test_directory_in_the_way_moves_no_file(self, tmp_path):
         outdir = tmp_path / "out"

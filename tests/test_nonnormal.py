@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from anyonpt import (
     DivergenceError,
     DomainError,
     Grid,
+    HamiltonianMatrix,
     NumericalError,
     PoschlTeller,
     WaveFunction,
@@ -27,7 +29,14 @@ from anyonpt import (
     shifted_point_energy,
     solve_spectrum,
 )
-from anyonpt.nonnormal import AmplificationReport, _sigma_max, amplification_grid_for
+from anyonpt import nonnormal
+from anyonpt.nonnormal import (
+    THETA_13,
+    AmplificationReport,
+    _expm_taylor,
+    _sigma_max,
+    amplification_grid_for,
+)
 
 PHI3 = math.pi / 3
 VC = 2.0 / math.sin(PHI3)
@@ -267,8 +276,9 @@ class TestGT:
         (e_dom,) = point_states(h, [shifted_point_energy(-1.0, params)]).eigenvalues
         times = [2.0, 0.5, 5.0, 0.0, 2.0, 1.3]
         expm_calls = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda a: expm_calls.append(1) or expm(a))
+        monkeypatch.setattr(
+            nonnormal, "_expm_taylor", lambda a: expm_calls.append(1) or _expm_taylor(a)
+        )
         got = g_t(h, e_dom, times)
         assert len(expm_calls) == 2  # base step plus the 1.3 remainder
         monkeypatch.undo()
@@ -288,6 +298,48 @@ class TestGT:
     def svdvals_oracle(h, e_dom, t):
         shifted = -1j * (h.dense() - e_dom * np.eye(h.dim))
         return float(scipy.linalg.svdvals(scipy.linalg.expm(shifted * t))[0]) ** 2
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("step_norm", [0.1, THETA_13 * (1.0 - 1e-6)])
+    def test_taylor_base_step_matches_dense_expm(self, boundary, step_norm):
+        # tau ||G||_1 at both ends of the range g_t's base and remainder steps use
+        params = AnyonicParams(phi=PHI3, v=0.8 * VC)
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, Grid(-12.0, 12.0, 256), boundary)
+        (e_dom,) = point_states(h, [shifted_point_energy(-1.0, params)]).eigenvalues
+        gen = -1j * (h.dense() - e_dom * np.eye(h.dim))
+        tau = step_norm / np.abs(gen).sum(axis=0).max()
+        if boundary == "periodic":
+            assert gen[0, -1] != 0.0 and gen[-1, 0] != 0.0
+        got = _expm_taylor(-1j * h.sparse(e_dom) * tau)
+        oracle = scipy.linalg.expm(gen * tau)
+        assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_never_builds_the_dense_operator(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("g_t built a dense copy of H or called the dense expm")
+
+        h, e_dom = self.drifting_h()
+        monkeypatch.setattr(HamiltonianMatrix, "dense", forbidden)
+        monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+        got = g_t(h, e_dom, [0.5, 1.3])
+        monkeypatch.undo()
+        for t, g in zip([0.5, 1.3], got):
+            assert g == pytest.approx(self.svdvals_oracle(h, e_dom, t), rel=1e-10, abs=0.0)
+
+    def test_peak_memory_at_n_1024(self):
+        # the squaring chain holds the power, one accumulated product and one
+        # fresh product; the base step adds one dense array and no n x n generator
+        params = AnyonicParams(phi=PHI3, v=0.8 * VC)
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, Grid(-30.0, 30.0, 1024))
+        (e_dom,) = point_states(h, [shifted_point_energy(-1.0, params)]).eigenvalues
+        tracemalloc.start()
+        try:
+            got = g_t(h, e_dom, [0.5, 2.0, 5.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got[2] > got[1] > got[0] > 1.0
+        assert peak <= 5 * 16 * h.dim**2
 
     def test_clustered_small_times_match_oracle(self):
         # P(t) is close to the identity: its singular values cluster near one.
@@ -337,8 +389,9 @@ class TestGT:
         grid = Grid(-12.0, 12.0, 256)
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), AnyonicParams(phi=PHI3, v=1.0), grid)
         expm_calls = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda a: expm_calls.append(1) or expm(a))
+        monkeypatch.setattr(
+            nonnormal, "_expm_taylor", lambda a: expm_calls.append(1) or _expm_taylor(a)
+        )
         g_t(h, -1.0, [0.5, 2.0, 5.0])
         assert len(expm_calls) == 1
 
