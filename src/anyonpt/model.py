@@ -321,17 +321,28 @@ class HamiltonianMatrix:
         bands = {-1: self.lower, 0: self.diagonal - shift, 1: self.upper, **corners}
         return scipy.sparse.diags(list(bands.values()), list(bands), shape=(n, n), format="csc")
 
-    def dense(self) -> np.ndarray:
-        """The full n x n matrix, C-ordered, for the dense algorithms that need one."""
+    def dense(self, real_form: bool = False) -> np.ndarray:
+        """The full n x n matrix, C-ordered, for the dense algorithms that need one.
+
+        ``real_form`` gives Re H - (Im H) P, P the index reversal: for a PT-symmetric
+        H this is S^H H S, S = (I + iP)/sqrt(2) unitary, a real matrix similar to H.
+        """
         if self.dim > DENSE_MAX_DIM:
             raise ContractError(f"dense matrix capped at dimension {DENSE_MAX_DIM}, got {self.dim}")
-        return self.sparse().toarray(order="C")
+        band = self.sparse()
+        return (band.real - band.imag[:, ::-1] if real_form else band).toarray(order="C")
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         c = np.array([self.upper, self.lower])
         scale = max(1.0, np.abs(self.diagonal).max(), np.abs(c).max())
         skew = max(np.abs(2 * self.diagonal.imag).max(), np.abs(c - c[::-1].conj()).max())
         return bool(skew < tol * scale)
+
+    def is_pt_symmetric(self) -> bool:
+        """P conj(H) P = H, P the index reversal, to 8 ulps of the largest band entry."""
+        d, scale = self.diagonal, max(np.abs(self.diagonal).max(), abs(self.upper), abs(self.lower))
+        skew = max(np.abs(d[::-1].conj() - d).max(), abs(np.conj(self.lower) - self.upper))
+        return bool(skew <= 8 * np.finfo(float).eps * scale)
 
 
 def build_h_eff(

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError, DelocalizedError, DivergenceError, DomainError, NumericalError
 from .model import (
@@ -246,7 +245,8 @@ def _sigma_max(p: np.ndarray) -> float:
     Gram product p^H p that ARPACK iterates on can overflow, and LAPACK then
     prints to stderr before ARPACK fails.
     """
-    # Imported here: scipy.sparse.linalg adds ~20 ms to every start-up.
+    # Imported here: scipy adds to every start-up.
+    import scipy.linalg
     import scipy.sparse.linalg
 
     bound = math.sqrt(scipy.linalg.norm(p, 1)) * math.sqrt(scipy.linalg.norm(p, np.inf))

@@ -29,10 +29,9 @@ is labeled continuum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError, DomainError, NumericalError
 from .model import (
@@ -246,7 +245,8 @@ class SpectrumResult:
     the continuum.  ``eigenvectors`` holds trapezoid-normalized eigenvectors
     as columns, one per entry of ``vector_indices``, the index of its
     eigenvalue: every pair of a targeted solve, only the point states of a
-    whole spectrum.
+    whole spectrum.  ``solver`` names the dense eigensolve of a whole
+    spectrum (see ``solve_spectrum``); it is empty for a targeted solve.
     """
 
     grid: Grid
@@ -255,7 +255,7 @@ class SpectrumResult:
     localization_length: np.ndarray
     eigenvectors: np.ndarray
     vector_indices: np.ndarray
-    hermitian_path: bool = False
+    solver: str = ""
 
     @property
     def point_count(self) -> int:
@@ -310,21 +310,34 @@ def _labelled(h: HamiltonianMatrix, w, vecs) -> SpectrumResult:
 def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     """Every eigenvalue of the operator, labeled point or continuum.
 
-    A dense eigenvalue-only solve gives the whole cloud: the symmetric solver
-    for Hermitian matrices, else the general complex (Hessenberg/QR) path,
-    the only reliable option for these non-normal matrices.  Eigenvalues are
-    sorted by (Re, Im).  Those whose root length is below
-    ROOT_SCREEN_FRACTION of the box are solved again by ``point_states``; a
-    state is labeled "point" when the participation ratio of that vector
-    (1 / integral |u|^4 for normalized u) is below PR_BOX_FRACTION of the
-    box.  The result carries the vectors of the point states only.
+    A dense eigenvalue-only solve gives the whole cloud, along one of the
+    paths that ``solver`` names.  K = e^{i phi} H undoes the anyonic rotation.
+    A PT-symmetric K (at rest, or at phi = 0) is similar to the real matrix
+    ``K.dense(real_form=True)`` (Bender & Boettcher, PRL 80, 5243, 1998) and
+    is solved in real arithmetic; otherwise H itself is solved.  A Hermitian
+    K takes the symmetric solver, every other matrix the general
+    (Hessenberg/QR) one, the only reliable option for these non-normal
+    matrices.  Eigenvalues are sorted by (Re, Im).  Those whose root length
+    is below ROOT_SCREEN_FRACTION of the box are solved again by
+    ``point_states``; a state is labeled "point" when the participation
+    ratio of that vector (1 / integral |u|^4 for normalized u) is below
+    PR_BOX_FRACTION of the box.  The result carries the vectors of the point
+    states only.
     """
+    import scipy.linalg  # here, not at the top: it adds to every start-up
+
+    rot = complex(math.cos(h.phi), math.sin(h.phi))  # exp(i phi)
+    k = replace(h, diagonal=h.diagonal * rot, upper=h.upper * rot, lower=h.lower * rot)
+    real, hermitian = k.is_pt_symmetric(), k.is_hermitian()
+    if not (real or hermitian) or not h.phi:
+        k = h  # rotated only where that buys a structure; K = H at phi = 0
     # the transpose has the same eigenvalues and is in LAPACK's (Fortran)
     # layout, so that overwrite_a copies nothing
-    m = h.dense().T
-    hermitian_path = h.is_hermitian()
+    m = k.dense(real_form=real).T
+    kind = ("symmetric" if real else "hermitian") if hermitian else "general"
+    solver = f"{'real' if real else 'complex'}-{kind}"
     try:
-        if hermitian_path:
+        if hermitian:
             w = scipy.linalg.eigvalsh(m, overwrite_a=True, check_finite=False).astype(complex)
         else:
             w = scipy.linalg.eigvals(m, overwrite_a=True, check_finite=False)
@@ -335,6 +348,7 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
             f"eigensolver failed: {exc} (dim={h.dim}, boundary={h.boundary}, "
             f"matrix 1-norm={norm1:.3e})"
         ) from exc
+    w = w * rot.conjugate() if k is not h else w
     del m  # overwritten; freed before the targeted solves
     w = w[np.lexsort((w.imag, w.real))]
     lengths = _root_lengths(h, w)
@@ -364,7 +378,7 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
         localization_length=np.where(classification == "point", lengths, np.inf),
         eigenvectors=vecs,
         vector_indices=owners,
-        hermitian_path=hermitian_path,
+        solver=solver,
     )
 
 

@@ -22,6 +22,7 @@ from anyonpt import (
     HamiltonianMatrix,
     NumericalError,
     PoschlTeller,
+    Tabulated,
     analytic_bound_state_pt,
     build_h_eff,
     continuous_dispersion,
@@ -69,6 +70,28 @@ def _dirichlet_drift():
     grid = Grid(-30.0, 30.0, 600)
     params = AnyonicParams(phi=math.pi / 3, v=0.2 * VC3)
     return build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid, "dirichlet")
+
+
+def _well(phi, v=0.0, delta=0.2, grid=Grid(-20.0, 20.0, 400), boundary="periodic"):
+    params = AnyonicParams(phi=phi, v=v)
+    return build_h_eff(PoschlTeller(nu=1.0, delta=delta), params, grid, boundary)
+
+
+def _pt_broken():
+    # a PT-symmetric well, but for 1e-10 added to its first sample
+    grid = Grid(-20.0, 20.0, 400)
+    values = PoschlTeller(nu=1.0, delta=0.2)(grid.x)
+    values[0] += 1e-10
+    return build_h_eff(Tabulated(grid, values), AnyonicParams(phi=math.pi / 3), grid, "periodic")
+
+
+# One operator per dense eigensolve of solve_spectrum, by the name it reports.
+SOLVER_CASES = {
+    "real-symmetric": lambda: _well(math.pi / 3, delta=0.0, boundary="dirichlet"),
+    "real-general": lambda: _well(math.pi / 3),
+    "complex-hermitian": lambda: _well(math.pi / 3, delta=0.0, grid=Grid(-19.0, 21.0, 400)),
+    "complex-general": lambda: _well(0.5, v=1.0),
+}
 
 
 def _shipped_spectrum_operators():
@@ -231,7 +254,7 @@ class TestSolveSpectrum:
         grid = Grid(-25.0, 25.0, 625)
         h = build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0), grid)
         res = solve_spectrum(h)
-        assert res.hermitian_path
+        assert res.solver == "real-symmetric"
         i = res.nearest(-1.0)
         assert abs(res.eigenvalues[i] + 1.0) < 1e-3
         assert res.classification[i] == "point"
@@ -242,7 +265,7 @@ class TestSolveSpectrum:
         phi = math.pi / 3
         h = build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=phi), grid)
         res = solve_spectrum(h)
-        assert not res.hermitian_path
+        assert res.solver == "real-symmetric"  # e^{i phi} H is the real Hermitian well
         target = -cmath.exp(-1j * phi)
         assert np.abs(res.eigenvalues - target).min() < 1e-3
 
@@ -323,19 +346,21 @@ class TestSolveSpectrum:
         assert res.point_count == 1
         assert peak <= 1.5 * 16 * h.dim**2
 
-    def test_eigensolver_failure_names_the_operator(self, monkeypatch):
+    @pytest.mark.parametrize("solver", list(SOLVER_CASES))
+    def test_eigensolver_failure_names_the_operator(self, monkeypatch, solver):
+        h = SOLVER_CASES[solver]()
+        assert solve_spectrum(h).solver == solver
+
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eig algorithm (geev) did not converge")
 
         monkeypatch.setattr(scipy.linalg, "eigvals", fail)
-        grid = Grid(-10.0, 10.0, 200)
-        params = AnyonicParams(phi=0.5, v=1.0)
-        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid, "periodic")
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
         norm1 = np.abs(h.dense()).sum(axis=0).max()
         with pytest.raises(NumericalError) as info:
             solve_spectrum(h)
         msg = str(info.value)
-        assert "dim=200" in msg and "boundary=periodic" in msg
+        assert f"dim={h.dim}" in msg and f"boundary={h.boundary}" in msg
         assert f"matrix 1-norm={norm1:.3e}" in msg
 
     def test_vector_off_the_dense_eigenvalue_is_numerical_error(self, monkeypatch):
@@ -371,6 +396,69 @@ class TestSolveSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 16 * n  # one n x n complex matrix is 1.6 GB
+
+
+class TestRealForm:
+    """PT-symmetric operators, solved in real arithmetic, against the dense oracle."""
+
+    @pytest.mark.parametrize(
+        "make_h, solver",
+        [
+            (lambda: _well(math.pi / 3), "real-general"),
+            (lambda: _well(0.0, v=0.5 * VC3), "real-general"),
+            (lambda: _well(math.pi / 3, delta=0.0, boundary="dirichlet"), "real-symmetric"),
+        ],
+        ids=["periodic-rest", "periodic-phi0-drift", "dirichlet-hermitian"],
+    )
+    def test_matches_dense_oracle(self, make_h, solver):
+        h = make_h()
+        got, dense = solve_spectrum(h), dense_spectrum(h)
+        assert got.solver == solver
+        assert np.array_equal(got.classification, dense.classification)
+        scale = np.maximum(np.abs(dense.eigenvalues), 1.0)
+        assert (np.abs(got.eigenvalues - dense.eigenvalues) <= 1e-9 * scale).all()
+
+    @pytest.mark.parametrize(
+        "make_h",
+        [lambda: _well(math.pi / 3, v=0.5 * VC3), _pt_broken, lambda: _well(0.0, grid=Grid(-19.0, 21.0, 400))],
+        ids=["drift-phi-pi/3", "pt-broken-1e-10", "off-centre-grid"],
+    )
+    def test_falls_back_to_complex(self, make_h):
+        h = make_h()
+        got, dense = solve_spectrum(h), dense_spectrum(h)
+        assert got.solver == "complex-general"
+        assert np.array_equal(got.classification, dense.classification)
+        scale = np.maximum(np.abs(dense.eigenvalues), 1.0)
+        assert (np.abs(got.eigenvalues - dense.eigenvalues) <= 1e-9 * scale).all()
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["unbroken", "broken"])
+    def test_phase_only_rotates(self, broken):
+        # at rest e^{i phi} H is PT-symmetric, so its eigenvalues are real or come
+        # in conjugate pairs: the phase only rotates the spectrum.  The sech^2
+        # well is in the unbroken phase; the Scarf II gain 3 tanh sech is not.
+        phi = math.pi / 3
+        h = _well(phi)
+        if broken:
+            x = h.grid.x
+            well = Tabulated(h.grid, -2.0 / np.cosh(x) ** 2 + 3j * np.tanh(x) / np.cosh(x))
+            h = build_h_eff(well, AnyonicParams(phi=phi), h.grid, "periodic")
+        unrotated = solve_spectrum(h).eigenvalues * cmath.exp(1j * phi)
+        scale = np.maximum(np.abs(unrotated), 1.0)
+        gap = np.abs(unrotated.conj()[:, None] - unrotated[None, :]).min(axis=1)
+        assert (gap <= 1e-12 * scale).all()
+        assert (np.abs(unrotated.imag) > 0.1).any() == broken
+
+    def test_no_complex_dense_copy(self):
+        # the real form is one n x n float64 array: 8 n^2 bytes, half a complex copy
+        h = _verdict_operator(1.0, 0.0, Grid(-40.0, 40.0, 1280))[0]
+        tracemalloc.start()
+        try:
+            res = solve_spectrum(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.solver == "real-general" and res.point_count == 1
+        assert peak <= 1.5 * 8 * h.dim**2
 
 
 class TestPointStates:
@@ -441,13 +529,16 @@ class TestPointStates:
             point_states(h, [0.0])
 
     def test_sparse_solver_not_imported_at_startup(self):
-        # spectra.point_states and nonnormal.g_t import it on first use
+        # the solvers import scipy on first use, so a config parse loads none of it
         code = (
             "import sys, anyonpt, anyonpt.cli, anyonpt.nonnormal, anyonpt.spectra; "
-            "print('scipy.sparse.linalg' in sys.modules)"
+            "from anyonpt.config import ExperimentConfig; "
+            "ExperimentConfig.from_yaml(sys.argv[1]).validate(); "
+            "print('scipy' in sys.modules)"
         )
+        config = CONFIG_DIR / "spectrum_drift_sweep.yaml"
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code, str(config)], capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
 
