@@ -319,7 +319,6 @@ class TestEvolveBatch:
         assert verdicts["real-just-above"] and not verdicts["real-just-below"]
         assert not verdicts["tame"]
 
-
     @pytest.mark.skipif(sys.platform != "linux", reason="glibc's malloc thresholds")
     def test_fft_scratch_is_not_remapped_every_step(self):
         # two 8192-point rows in a process without scipy: the FFT scratch must
@@ -330,11 +329,13 @@ class TestEvolveBatch:
             "WaveFunction, evolve_batch\n"
             "grid = Grid(-160.0, 160.0, 8192)\n"
             "psi = WaveFunction(grid, np.exp(-grid.x**2 / 100.0) + 0j)\n"
-            "fields = [(psi, PoschlTeller(v0=1.0), AnyonicParams(phi=p, v=-2.0)) for p in (0.0, 0.4)]\n"
+            "well = PoschlTeller(v0=1.0)\n"
+            "fields = [(psi, well, AnyonicParams(phi=p, v=-2.0)) for p in (0.0, 0.4)]\n"
             "cfg = PropagatorConfig(dt=0.05, t_final=25.0, snapshot_every=10**9)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "evolve_batch(fields, cfg)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, 'scipy' in sys.modules)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(after - before, 'scipy' in sys.modules)\n"
         )
         out = subprocess.run(
             [sys.executable, "-W", "ignore", "-c", code], capture_output=True, text=True, check=True

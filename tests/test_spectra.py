@@ -85,18 +85,28 @@ def _pt_broken():
     return build_h_eff(Tabulated(grid, values), AnyonicParams(phi=math.pi / 3), grid, "periodic")
 
 
-# One operator per dense eigensolve of solve_spectrum, by the name it reports.
-SOLVER_CASES = {
-    "real-symmetric": lambda: _well(math.pi / 3, delta=0.0, boundary="dirichlet"),
-    "real-general": lambda: _well(math.pi / 3),
-    "complex-hermitian": lambda: _well(math.pi / 3, delta=0.0, grid=Grid(-19.0, 21.0, 400)),
-    "complex-general": lambda: _well(0.5, v=1.0),
-}
+OFF_CENTRE = Grid(-19.0, 21.0, 400)
+# (id, operator, the dense eigensolve solve_spectrum picks for it): the real
+# form at rest, at phi = 0 under drift and for a Hermitian well, and the
+# complex fallbacks when drift, a 1e-10 defect or an off-centre grid breaks
+# PT symmetry
+SOLVER_CASES = [
+    ("periodic-rest", lambda: _well(math.pi / 3), "real-general"),
+    ("periodic-phi0-drift", lambda: _well(0.0, v=0.5 * VC3), "real-general"),
+    ("dirichlet-hermitian", lambda: _well(math.pi / 3, delta=0.0, boundary="dirichlet"),
+     "real-symmetric"),
+    ("off-centre-hermitian", lambda: _well(math.pi / 3, delta=0.0, grid=OFF_CENTRE),
+     "complex-hermitian"),
+    ("drift-phi-pi/3", lambda: _well(math.pi / 3, v=0.5 * VC3), "complex-general"),
+    ("pt-broken-1e-10", _pt_broken, "complex-general"),
+    ("off-centre-grid", lambda: _well(0.0, grid=OFF_CENTRE), "complex-general"),
+]
+SOLVER_PARAMS = [pytest.param(make_h, solver, id=name) for name, make_h, solver in SOLVER_CASES]
 
 
 def _shipped_spectrum_operators():
     """One param per sweep point of each shipped spectrum config, as the runner builds it,
-    plus a free periodic band and a Dirichlet box under drift."""
+    plus a free periodic band, a Dirichlet box under drift and the SOLVER_CASES."""
     for name in ("spectrum_drift_sweep", "regression_spectrum", "null_spectrum"):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / f"{name}.yaml")
         for p in cfg.sweep_points():
@@ -107,6 +117,8 @@ def _shipped_spectrum_operators():
             )
     yield pytest.param(_free_periodic, id="free-periodic")
     yield pytest.param(_dirichlet_drift, id="dirichlet-drift")
+    for name, make_h, _ in SOLVER_CASES:
+        yield pytest.param(make_h, id=name)
 
 
 class TestDispersion:
@@ -346,10 +358,9 @@ class TestSolveSpectrum:
         assert res.point_count == 1
         assert peak <= 1.5 * 16 * h.dim**2
 
-    @pytest.mark.parametrize("solver", list(SOLVER_CASES))
-    def test_eigensolver_failure_names_the_operator(self, monkeypatch, solver):
-        h = SOLVER_CASES[solver]()
-        assert solve_spectrum(h).solver == solver
+    @pytest.mark.parametrize("make_h, solver", SOLVER_PARAMS)
+    def test_eigensolver_failure_names_the_operator(self, monkeypatch, make_h, solver):
+        h = make_h()
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eig algorithm (geev) did not converge")
@@ -399,37 +410,12 @@ class TestSolveSpectrum:
 
 
 class TestRealForm:
-    """PT-symmetric operators, solved in real arithmetic, against the dense oracle."""
+    """PT-symmetric operators are solved in real arithmetic."""
 
-    @pytest.mark.parametrize(
-        "make_h, solver",
-        [
-            (lambda: _well(math.pi / 3), "real-general"),
-            (lambda: _well(0.0, v=0.5 * VC3), "real-general"),
-            (lambda: _well(math.pi / 3, delta=0.0, boundary="dirichlet"), "real-symmetric"),
-        ],
-        ids=["periodic-rest", "periodic-phi0-drift", "dirichlet-hermitian"],
-    )
-    def test_matches_dense_oracle(self, make_h, solver):
-        h = make_h()
-        got, dense = solve_spectrum(h), dense_spectrum(h)
-        assert got.solver == solver
-        assert np.array_equal(got.classification, dense.classification)
-        scale = np.maximum(np.abs(dense.eigenvalues), 1.0)
-        assert (np.abs(got.eigenvalues - dense.eigenvalues) <= 1e-9 * scale).all()
-
-    @pytest.mark.parametrize(
-        "make_h",
-        [lambda: _well(math.pi / 3, v=0.5 * VC3), _pt_broken, lambda: _well(0.0, grid=Grid(-19.0, 21.0, 400))],
-        ids=["drift-phi-pi/3", "pt-broken-1e-10", "off-centre-grid"],
-    )
-    def test_falls_back_to_complex(self, make_h):
-        h = make_h()
-        got, dense = solve_spectrum(h), dense_spectrum(h)
-        assert got.solver == "complex-general"
-        assert np.array_equal(got.classification, dense.classification)
-        scale = np.maximum(np.abs(dense.eigenvalues), 1.0)
-        assert (np.abs(got.eigenvalues - dense.eigenvalues) <= 1e-9 * scale).all()
+    @pytest.mark.parametrize("make_h, solver", SOLVER_PARAMS)
+    def test_solver_path(self, make_h, solver):
+        # the eigenvalues against the dense oracle: test_matches_dense_oracle
+        assert solve_spectrum(make_h()).solver == solver
 
     @pytest.mark.parametrize("broken", [False, True], ids=["unbroken", "broken"])
     def test_phase_only_rotates(self, broken):
