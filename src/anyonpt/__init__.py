@@ -30,8 +30,6 @@ from .model import (
     default_grid,
 )
 from .spectra import (
-    BoundStateFamily,
-    DispersionCurve,
     SpectrumResult,
     continuous_dispersion,
     critical_velocity,

@@ -338,7 +338,7 @@ class ExperimentConfig:
         if self.potential_kind != "poschl_teller" or self.potential(0.0).amplitude >= 0:
             raise ConfigError("the ground state needs a poschl_teller well (negative amplitude)")
         nu = self.nu if self.v0 is None else (math.sqrt(1.0 - 4.0 * self.v0) - 1.0) / 2.0
-        return poschl_teller_energies(nu).energies
+        return poschl_teller_energies(nu)
 
     def ground_state_energy(self) -> float:
         """E_1 of the configured well (needs a poschl_teller well)."""

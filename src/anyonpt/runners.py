@@ -4,12 +4,14 @@ Each runner takes the config's sweep points, which arrive with their drift
 parameters and potential built, and computes them (in parallel worker
 threads when jobs > 1); a point's files are written as soon as it is done,
 and a summary table follows in sweep order, one row per point, each row a
-mapping from column name to value.  ``run_experiment`` hands every runner a
-hidden staging directory inside the output directory and moves the files
-into place only once the runner returns, so a failed run leaves nothing
-behind.  Outputs are CSV for curves and tables, NDJSON for space-time
-fields; all floats at 12 significant digits, file names indexed by sweep
-position.
+mapping from column name to value.  The runners that evolve fields
+(``scatter``, ``amplify``) split the points into one contiguous run per
+worker and evolve each run as one batch, so a point's evolution files wait
+for its run.  ``run_experiment`` hands every runner a hidden staging
+directory inside the output directory and moves the files into place only
+once the runner returns, so a failed run leaves nothing behind.  Outputs
+are CSV for curves and tables, NDJSON for space-time fields; all floats at
+12 significant digits, file names indexed by sweep position.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from .nonnormal import (
     g_t,
     self_orthogonality,
 )
-from .propagation import evolve
+from .propagation import evolve_batch
 from .scattering import group_velocity, run_packet_scattering, stationary_rt
 from .spectra import (
-    DispersionCurve,
+    continuous_dispersion,
     delocalization_margin,
     moving_bound_state,
     point_states,
@@ -58,6 +60,16 @@ def _map_points(fn, points, jobs: int):
         return [fn(p) for p in points]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, points))
+
+
+def _map_chunks(fn, points, jobs: int) -> list:
+    """``fn`` over min(jobs, m) contiguous runs of the m points; its lists joined in sweep order.
+
+    jobs <= 1 gives one run, as ``_map_points`` runs serially then.
+    """
+    n = max(1, min(jobs, len(points)))
+    chunks = [points[len(points) * j // n : len(points) * (j + 1) // n] for j in range(n)]
+    return list(itertools.chain.from_iterable(_map_points(fn, chunks, jobs)))
 
 
 def _point_columns(point: SweepPoint) -> dict:
@@ -112,7 +124,8 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         params = point.params
         h = build_h_eff(point.potential, params, cfg.grid_for_point(point), boundary=cfg.boundary)
         result = solve_spectrum(h)
-        curve = DispersionCurve.sample(params, cfg.k_max, cfg.k_points)
+        k = np.linspace(-cfg.k_max, cfg.k_max, cfg.k_points)
+        band = continuous_dispersion(k, params)
         bound_rows = []
         if cfg.potential_kind == "poschl_teller" and point.potential.amplitude < 0:
             for n, e_n in enumerate(cfg.bound_energies(), start=1):
@@ -124,7 +137,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             write_csv(
                 outdir / f"continuum_{tag}.csv",
                 ("k", "re_e", "im_e"),
-                zip(curve.k_samples, curve.energy.real, curve.energy.imag),
+                zip(k, band.real, band.imag),
             ),
             write_csv(
                 outdir / f"bound_{tag}.csv",
@@ -206,11 +219,7 @@ def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             computed.append((paths, row))
         return computed
 
-    # one batched evolution per worker, over contiguous runs of sweep points
-    n = min(jobs, len(points))
-    chunks = [points[len(points) * j // n : len(points) * (j + 1) // n] for j in range(n)]
-    computed = itertools.chain.from_iterable(_map_points(scatter, chunks, jobs))
-    written = _with_summary(outdir, "report.csv", list(computed))
+    written = _with_summary(outdir, "report.csv", _map_chunks(scatter, points, jobs))
     if cfg.rt_sweep is None:
         return written
 
@@ -235,39 +244,46 @@ def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 
 
 def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
-    def compute(point: SweepPoint):
-        params = point.params
-        e1 = cfg.ground_state_energy()
-        margin = delocalization_margin(e1, params)
-        # the closed-form state on an auto-widened quadrature grid
-        grid = amplification_grid_for(e1, params) if cfg.closed_form_well() else cfg.grid
-        u1 = _stationary_ground_state(cfg, point, grid)
-        ginf = g_infinity(u1, params, e1=e1)
-        sorth = self_orthogonality(u1)
+    e1 = cfg.ground_state_energy()
 
-        tag = f"{point.index:03d}"
-        paths = []
-        gt_rows = ()
-        if cfg.g_t_times:
-            h = build_h_eff(point.potential, params, cfg.g_t_grid, boundary="dirichlet")
-            e_dom = point_states(h, [shifted_point_energy(e1, params)]).eigenvalues[0]
-            gt_rows = tuple(zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times)))
-            paths.append(write_csv(outdir / f"gt_{tag}.csv", ("t", "g_t"), gt_rows))
-        if cfg.amplify_evolve:
-            # Evolution runs honor the configured box as-is, where the numeric
-            # state above already lives; automatic box doubling is reserved
-            # for eigensolve localization studies.
-            if cfg.closed_form_well():
-                u1 = _stationary_ground_state(cfg, point, cfg.grid)
-            dressed = moving_bound_state(u1, e1, params)  # v < v_c, checked at parse time
-            record = evolve(dressed, point.potential, params, cfg.propagator)
-            # densities normalized by N(t), so only their shape evolves
+    def compute(chunk):
+        computed, fields = [], []
+        for point in chunk:
+            params = point.params
+            margin = delocalization_margin(e1, params)
+            # the closed-form state on an auto-widened quadrature grid
+            grid = amplification_grid_for(e1, params) if cfg.closed_form_well() else cfg.grid
+            u1 = _stationary_ground_state(cfg, point, grid)
+            ginf = g_infinity(u1, params, e1=e1)
+            sorth = self_orthogonality(u1)
+
+            paths = []
+            gt_rows = ()
+            if cfg.g_t_times:
+                h = build_h_eff(point.potential, params, cfg.g_t_grid, boundary="dirichlet")
+                e_dom = point_states(h, [shifted_point_energy(e1, params)]).eigenvalues[0]
+                gt_rows = tuple(zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times)))
+                paths.append(write_csv(outdir / f"gt_{point.index:03d}.csv", ("t", "g_t"), gt_rows))
+            if cfg.amplify_evolve:
+                # Evolution runs honor the configured box as-is, where the numeric
+                # state above already lives; automatic box doubling is reserved
+                # for eigensolve localization studies.
+                if cfg.closed_form_well():
+                    u1 = _stationary_ground_state(cfg, point, cfg.grid)
+                dressed = moving_bound_state(u1, e1, params)  # v < v_c, checked at parse time
+                fields.append((dressed, point.potential, params))
+            AmplificationReport(ginf, gt_rows, sorth, margin)  # checks G >= 1 and G(t) >= 0
+            _, *leading = _point_columns(point).items()  # ginf.csv has no index column
+            row = dict(leading, g_infinity=ginf, self_orthogonality=sorth, margin=margin)
+            computed.append((paths, row))
+        # one batched evolution per chunk; densities divided by N(t) keep only their shape
+        records = evolve_batch(fields, cfg.propagator) if fields else ()
+        for point, (paths, _), record in zip(chunk, computed, records):
+            tag = f"{point.index:03d}"
             paths += _write_evolution(outdir, tag, record, cfg.density_stride, record.norm)
-        AmplificationReport(ginf, gt_rows, sorth, margin)  # checks G >= 1 and G(t) >= 0
-        _, *leading = _point_columns(point).items()  # ginf.csv has no index column
-        return paths, dict(leading, g_infinity=ginf, self_orthogonality=sorth, margin=margin)
+        return computed
 
-    return _with_summary(outdir, "ginf.csv", _map_points(compute, cfg.sweep_points(), jobs))
+    return _with_summary(outdir, "ginf.csv", _map_chunks(compute, cfg.sweep_points(), jobs))
 
 
 # --------------------------------------------------------------------- lasermap

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 EVANESCENT_TOL = 1e-9
+# stationary_rt starts where |V| stays below this on both sides
+TAIL_TOL = 1e-10
 
 
 def reflected_wavenumber(k: float, params: AnyonicParams) -> complex:
@@ -93,8 +95,8 @@ class ScatteringReport:
             raise ContractError("power fractions must be nonnegative")
 
 
-def _auto_range(spec: PotentialSpec, tail_tol: float = 1e-10) -> float:
-    """Half-width beyond which |V| stays below tail_tol on both sides."""
+def _auto_range(spec: PotentialSpec) -> float:
+    """Half-width beyond which |V| stays below TAIL_TOL on both sides."""
     from .model import Tabulated
 
     if isinstance(spec, Tabulated):
@@ -106,11 +108,11 @@ def _auto_range(spec: PotentialSpec, tail_tol: float = 1e-10) -> float:
             )
     probe = np.arange(5.0, 200.0, 0.5)
     mags = np.maximum(np.abs(spec(probe)), np.abs(spec(-probe)))
-    below = mags < tail_tol
+    below = mags < TAIL_TOL
     for i in range(len(probe)):
         if bool(np.all(below[i:])):
             return float(probe[i])
-    raise ContractError("potential tail does not decay below 1e-10 within |x| <= 200")
+    raise ContractError(f"potential tail does not decay below {TAIL_TOL:g} within |x| <= 200")
 
 
 def stationary_rt(
@@ -118,7 +120,6 @@ def stationary_rt(
     params: AnyonicParams,
     k,
     grid: Grid,
-    l0: float | None = None,
 ):
     """Reflection and transmission amplitudes of stationary scattering states.
 
@@ -136,8 +137,7 @@ def stationary_rt(
     vg = group_velocity(k, params)
     if np.any(vg <= 0):
         raise ContractError(f"incident k needs positive group velocity, got v_g = {vg.min()}")
-    if l0 is None:
-        l0 = _auto_range(spec)
+    l0 = _auto_range(spec)
     kr = reflected_wavenumber(k, params)
     if np.any(np.abs(k - kr) < 1e-6):
         raise NumericalError("incident and reflected modes nearly degenerate; decomposition ill-conditioned")

@@ -43,8 +43,6 @@ from .model import (
 )
 
 __all__ = [
-    "DispersionCurve",
-    "BoundStateFamily",
     "SpectrumResult",
     "continuous_dispersion",
     "poschl_teller_energies",
@@ -86,29 +84,11 @@ def continuous_dispersion(k, params: AnyonicParams):
     return complex(e) if e.ndim == 0 else e
 
 
-@dataclass(frozen=True)
-class DispersionCurve:
-    k_samples: np.ndarray
-    energy: np.ndarray
+def poschl_teller_energies(nu: float) -> tuple:
+    """Bound energies E_1 < ... < E_N < 0 of a stationary sech^2 well.
 
-    @classmethod
-    def sample(cls, params: AnyonicParams, k_max: float, n: int = 801) -> "DispersionCurve":
-        k = np.linspace(-k_max, k_max, n)
-        return cls(k_samples=k, energy=continuous_dispersion(k, params))
-
-
-@dataclass(frozen=True)
-class BoundStateFamily:
-    """Bound energies E_1 < ... < E_N < 0 of a stationary sech^2 well."""
-
-    energies: tuple
-    count: int
-
-
-def poschl_teller_energies(nu: float) -> BoundStateFamily:
-    """E_n = -(nu - n + 1)^2 for n = 1..N with N = 1 + floor(nu).
-
-    For integer nu the n = N member is the zero-energy edge state; it is not
+    E_n = -(nu - n + 1)^2 for n = 1..N with N = 1 + floor(nu).  For integer
+    nu the n = N member is the zero-energy edge state; it is not
     normalizable and is excluded from the family.
     """
     if not nu > 0:
@@ -117,7 +97,7 @@ def poschl_teller_energies(nu: float) -> BoundStateFamily:
     energies = [-((nu - n + 1.0) ** 2) for n in range(1, n_states + 1)]
     energies = [e for e in energies if e < 0.0]
     energies.sort()
-    return BoundStateFamily(energies=tuple(energies), count=len(energies))
+    return tuple(energies)
 
 
 def shifted_point_energy(e_n: float, params: AnyonicParams) -> complex:

@@ -528,14 +528,27 @@ class TestRunnersAndCLI:
                 **spectrum_dict(256, phi=math.pi / 3, v_over_vc=[0.0, 0.5, 0.95]),
                 "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 256},
             },
+            {  # numeric nu = 2 ground states, evolved at three drifts
+                **amplify_on_grid(128, nu=2.0),
+                "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 128},
+                "params": {"phi": math.pi / 3, "v_over_vc": [0.2, 0.5, 0.8]},
+                "amplify": {
+                    "evolve": True,
+                    "g_t_times": [0.5],
+                    "g_t_grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 128},
+                },
+                "propagator": {"dt": 0.01, "t_final": 0.05, "snapshot_every": 2},
+            },
         ],
-        ids=["regression_amplify", "scatter-rt_sweep", "spectrum-doubled-box"],
+        ids=["regression_amplify", "scatter-rt_sweep", "spectrum-doubled-box", "amplify-evolve"],
     )
     def test_jobs_do_not_change_results(self, tmp_path, raw):
-        # three sweep points: jobs 2 splits the scatter batch unevenly (2 + 1)
+        # three sweep points: jobs 2 splits a scatter or amplify batch unevenly
+        # (2 + 1), and at jobs 3 each point evolves alone, so a batched row
+        # must equal a lone evolution bit for bit; jobs 0 runs serially
         cfg = ExperimentConfig.from_dict(raw)
         a = run_experiment(cfg, tmp_path / "serial", jobs=1)
-        for jobs in (2, 3):
+        for jobs in (0, 2, 3):
             b = run_experiment(cfg, tmp_path / f"jobs{jobs}", jobs=jobs)
             assert [p.name for p in a] == [p.name for p in b]
             for pa, pb in zip(a, b):

@@ -254,7 +254,7 @@ class TestAnyonicSymmetry:
         h = build_h_eff(
             PoschlTeller(nu=1.4, delta=0.35), AnyonicParams(phi=phi, v=v), grid, boundary
         )
-        assert check_anyonic_symmetry(h, phi, tol=1e-10)
+        assert check_anyonic_symmetry(h, phi)
 
 
 class TestWaveFunction:

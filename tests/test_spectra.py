@@ -37,7 +37,7 @@ from anyonpt import (
     solve_spectrum,
 )
 from anyonpt import spectra
-from anyonpt.spectra import PR_BOX_FRACTION, ROOT_SCREEN_FRACTION, DispersionCurve, _root_lengths
+from anyonpt.spectra import PR_BOX_FRACTION, ROOT_SCREEN_FRACTION, _root_lengths
 
 VC3 = critical_velocity(-1.0, math.pi / 3)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -134,26 +134,21 @@ class TestDispersion:
 
     def test_curve_sampling(self):
         p = AnyonicParams(phi=0.4, v=0.5)
-        curve = DispersionCurve.sample(p, k_max=3.0, n=301)
-        assert len(curve.k_samples) == 301
-        assert np.allclose(curve.energy, continuous_dispersion(curve.k_samples, p))
+        k = np.linspace(-3.0, 3.0, 301)
+        energy = continuous_dispersion(k, p)
+        assert energy.shape == (301,)
+        assert np.allclose(energy, [continuous_dispersion(float(q), p) for q in k])
 
 
 class TestBoundFamily:
     def test_single_state(self):
-        fam = poschl_teller_energies(1.0)
-        assert fam.count == 1
-        assert fam.energies == (-1.0,)
+        assert poschl_teller_energies(1.0) == (-1.0,)
 
     def test_fractional_nu(self):
-        fam = poschl_teller_energies(2.5)
-        assert fam.count == 3
-        assert fam.energies == pytest.approx((-6.25, -2.25, -0.25))
+        assert poschl_teller_energies(2.5) == pytest.approx((-6.25, -2.25, -0.25))
 
     def test_integer_nu_drops_zero_mode(self):
-        fam = poschl_teller_energies(2.0)
-        assert fam.count == 2
-        assert fam.energies == pytest.approx((-4.0, -1.0))
+        assert poschl_teller_energies(2.0) == pytest.approx((-4.0, -1.0))
 
     def test_against_finite_difference_solve(self):
         # independent oracle: eigensolve of the stationary nu = 2.5 well
@@ -478,7 +473,7 @@ class TestPointStates:
     def test_verdicts_match_dense(self, nu, v, grid):
         # the delocalize runner's question: which bound energies still carry a point state
         h, params = _verdict_operator(nu, v, grid)
-        targets = [shifted_point_energy(e, params) for e in poschl_teller_energies(nu).energies]
+        targets = [shifted_point_energy(e, params) for e in poschl_teller_energies(nu)]
         got = point_states(h, targets)
         dense = dense_spectrum(h)
         assert got.point_count == dense.point_count
@@ -535,7 +530,7 @@ class TestRootLengths:
     @pytest.mark.parametrize("nu, v, grid", VERDICT_CASES, ids=VERDICT_IDS)
     def test_matches_inverse_margin(self, nu, v, grid):
         h, params = _verdict_operator(nu, v, grid)
-        for e in poschl_teller_energies(nu).energies:
+        for e in poschl_teller_energies(nu):
             margin = delocalization_margin(e, params)
             if margin <= 0.0:
                 continue
