@@ -52,8 +52,12 @@ QUADRATURE_DX = 0.02
 G_T_MAX_DIM = 2048
 # tau ||G||_1 cap of g_t's Taylor base step: the degree-13 Pade bound (Al-Mohy & Higham 2009).
 THETA_13 = 5.371920351148152
-# Propagator entries below this fraction of the largest are zeroed in g_t.
-FLUSH_FRACTION = 1e-150
+# Propagator entries at or below this fraction of the largest are zeroed in g_t:
+# unit roundoff over n^2 at the largest n, so one flush moves ||P||_2 by at
+# most n * FLUSH_FRACTION * ||P||_2 <= 2^-53 / n * ||P||_2.
+FLUSH_FRACTION = 2.0**-53 / G_T_MAX_DIM**2
+# Column block width of g_t's band-limited products.
+BAND_BLOCK = 128
 # ARPACK restarts before g_t falls back to a dense SVD: every t >= 0.05 on
 # the n = 1024 drifting well converges within 5, while for t <= 0.01, where
 # P is close to I and its singular values cluster, converging costs more
@@ -223,14 +227,44 @@ def g_infinity_poschl_teller(delta: float, params: AnyonicParams) -> float:
     return g_infinity(u1, params, e1=-1.0)
 
 
-def _flush_tiny(p: np.ndarray) -> np.ndarray:
-    """Zero, in place, the entries of ``p`` below FLUSH_FRACTION of its largest one."""
+def _flush_tiny(p: np.ndarray) -> tuple:
+    """Zero, in place, the entries of ``p`` at or below FLUSH_FRACTION of its largest one.
+
+    Returns ``p`` with the nonzero row span of each block of BAND_BLOCK
+    columns, read off the same pass: ``spans[k] = (first, end)`` of the rows
+    that are nonzero somewhere in block k, or ``(n, 0)`` for an all-zero block.
+    """
     mag = np.abs(p)
     peak = float(mag.max())
     if not math.isfinite(peak):
         raise DivergenceError("propagator overflowed; retry with smaller t")
-    p[mag < FLUSH_FRACTION * peak] = 0.0
-    return p
+    floor = FLUSH_FRACTION * peak
+    p[mag <= floor] = 0.0
+    rows = np.maximum.reduceat(mag, np.arange(0, p.shape[1], BAND_BLOCK), axis=1) > floor
+    n = p.shape[0]
+    spans = np.stack([rows.argmax(axis=0), n - rows[::-1].argmax(axis=0)], axis=1)
+    spans[~rows.any(axis=0)] = (n, 0)
+    return p, spans
+
+
+def _band_matmul(a: np.ndarray, a_spans, b: np.ndarray, b_spans) -> np.ndarray:
+    """``a @ b``, multiplying only the nonzero spans given by ``_flush_tiny``.
+
+    Block k of the columns of ``b`` is nonzero only in rows lo:hi, so it needs
+    only columns lo:hi of ``a``, and those are nonzero only in the union s0:s1
+    of the row spans of the blocks of ``a`` they fall in.  A dense or
+    corner-wrapped factor has full spans and takes full-width products.
+    """
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for k, (lo, hi) in enumerate(b_spans):
+        if lo >= hi:
+            continue
+        inner = a_spans[lo // BAND_BLOCK : (hi - 1) // BAND_BLOCK + 1]
+        s0, s1 = inner[:, 0].min(), inner[:, 1].max()
+        if s0 < s1:
+            cols = slice(k * BAND_BLOCK, (k + 1) * BAND_BLOCK)
+            np.matmul(a[s0:s1, lo:hi], b[lo:hi, cols], out=out[s0:s1, cols])
+    return out
 
 
 def _sigma_max(p: np.ndarray) -> float:
@@ -294,22 +328,26 @@ def _expm_taylor(a) -> np.ndarray:
 def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     """Squared operator norms of exp[-i (H - e1) t], one per time, in the order given.
 
-    With G = -i (H - e1), one base step B = exp(G tau) serves every time:
-    tau = t_min / 2^s with the smallest s that gives tau ||G||_1 <= THETA_13,
-    and P(t) = B^q exp(G rho) with q = floor(t / tau), rho = t - q tau; both
-    factors are Taylor series on the bands of G (``_expm_taylor``).  The
-    remainder is skipped when rho = 0, as for integer multiples of a power-of-two
-    t_min such as 0.5.  Each B^q is built by binary powering over one shared run
-    of squarings B^(2^j) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).
-    The norm of each P(t) comes from ARPACK Lanczos (``_sigma_max``); when
-    that does not converge within LANCZOS_MAXITER restarts, as for the
-    clustered singular values of very small t, that one time falls back to
-    the dense ``svdvals``.
+    With G = -i (H - e1), a time with t ||G||_1 <= THETA_13 takes P(t) =
+    exp(G t) as one Taylor series on the bands of G (``_expm_taylor``).  One
+    base step B = exp(G tau) serves every longer time: tau = t_0 / 2^s, with
+    t_0 the smallest of them and the smallest s that gives tau ||G||_1 <=
+    THETA_13, so q = floor(t / tau) <= 2 t ||G||_1 / THETA_13; a tiny time
+    never shortens the step of the others.  P(t) = B^q exp(G rho), rho = t -
+    q tau, both factors Taylor series.  The remainder is skipped when rho = 0,
+    as for integer multiples of a power-of-two t_0 such as 0.5.  Each B^q is
+    built by binary powering over one shared run of squarings B^(2^j)
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).  The norm of each
+    P(t) comes from ARPACK Lanczos (``_sigma_max``); when that does not
+    converge within LANCZOS_MAXITER restarts, as for the clustered singular
+    values of very small t, that one time falls back to the dense ``svdvals``.
 
-    After every product, entries below FLUSH_FRACTION of the largest are
-    zeroed.  That moves the 2-norm by at most n * FLUSH_FRACTION * ||P||_2,
-    far below rounding, but keeps the subnormal intermediates that slow a
-    dense matmul several-fold out of the chain.
+    After every product, entries at or below FLUSH_FRACTION of the largest
+    are zeroed.  That moves the 2-norm by at most n * FLUSH_FRACTION * ||P||_2
+    <= 2^-53 / n * ||P||_2, below rounding, and keeps the early powers of B
+    banded, as the exponential of a banded matrix is up to rounding (Iserles,
+    NZ J. Math. 29, 2000).  Every product multiplies only the nonzero spans
+    of its factors (``_band_matmul``).
 
     For a normal operator G_t never exceeds one when e1 is the dominant
     eigenvalue; values above one quantify transient non-normal amplification.
@@ -324,28 +362,43 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     if positive:
         gen = -1j * h.sparse(e1)
         norm1 = float(abs(gen).sum(axis=0).max())
-        tau = positive[0]
-        while tau * norm1 > THETA_13:
-            tau /= 2.0
-        # q >= 1 for every time because tau divides t_min exactly.
-        steps = {t: math.floor(t / tau) for t in positive}
-        power = _flush_tiny(_expm_taylor(gen * tau))  # B^(2^j)
-        acc = {}
-        for j in range(max(steps.values()).bit_length()):
-            if j:
-                power = _flush_tiny(power @ power)
-            for t, q in steps.items():
-                if not (q >> j) & 1:
-                    continue
-                acc[t] = power if t not in acc else _flush_tiny(acc[t] @ power)
-                if q >> (j + 1) == 0:  # top bit applied: B^q is complete
-                    rho = t - q * tau
-                    if rho != 0.0:
-                        acc[t] = _flush_tiny(acc[t] @ _flush_tiny(_expm_taylor(gen * rho)))
-                    sigma_max = _sigma_max(acc.pop(t))  # no name keeps P(t) alive
-                    gains[t] = sigma_max * sigma_max  # inf, not OverflowError
-                    if not math.isfinite(gains[t]):
-                        raise DivergenceError(
-                            f"propagator norm overflowed at t = {t}; retry with smaller t"
-                        )
+        for t in positive:
+            if t * norm1 <= THETA_13:  # one Taylor step, no squaring
+                _record_gain(gains, t, _flush_tiny(_expm_taylor(gen * t))[0])
+        chained = [t for t in positive if t * norm1 > THETA_13]
+        if chained:
+            _squaring_chain(gen, norm1, chained, gains)
     return [gains[t] for t in times]
+
+
+def _squaring_chain(gen, norm1: float, times: list, gains: dict) -> None:
+    """Record G_t for the sorted ``times``, each above THETA_13 / norm1, from one base step."""
+    tau = times[0]
+    while tau * norm1 > THETA_13:
+        tau /= 2.0
+    # q >= 1 for every time because tau divides the smallest one exactly.
+    steps = {t: math.floor(t / tau) for t in times}
+    power = _flush_tiny(_expm_taylor(gen * tau))  # B^(2^j) with its spans
+    acc = {}
+    for j in range(max(steps.values()).bit_length()):
+        if j:
+            power = _flush_tiny(_band_matmul(*power, *power))
+        for t, q in steps.items():
+            if not (q >> j) & 1:
+                continue
+            acc[t] = power if t not in acc else _flush_tiny(_band_matmul(*acc[t], *power))
+            if q >> (j + 1) == 0:  # top bit applied: B^q is complete
+                rho = t - q * tau
+                if rho != 0.0:
+                    rest = _flush_tiny(_expm_taylor(gen * rho))
+                    acc[t] = _flush_tiny(_band_matmul(*acc[t], *rest))
+                    del rest
+                _record_gain(gains, t, acc.pop(t)[0])  # no name keeps P(t) alive
+
+
+def _record_gain(gains: dict, t: float, p: np.ndarray) -> None:
+    """gains[t] = sigma_max(p)^2; DivergenceError when it overflows."""
+    sigma_max = _sigma_max(p)
+    gains[t] = sigma_max * sigma_max  # inf, not OverflowError
+    if not math.isfinite(gains[t]):
+        raise DivergenceError(f"propagator norm overflowed at t = {t}; retry with smaller t")

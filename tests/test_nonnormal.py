@@ -33,7 +33,9 @@ from anyonpt import nonnormal
 from anyonpt.nonnormal import (
     THETA_13,
     AmplificationReport,
+    _band_matmul,
     _expm_taylor,
+    _flush_tiny,
     _sigma_max,
     amplification_grid_for,
 )
@@ -239,6 +241,51 @@ class TestGInfinity:
         assert got == pytest.approx(quad_gain_oracle(0.5, 0.2), rel=1e-3)
 
 
+BAND_N = 400  # three full column blocks and a partial one
+
+
+def band_structure(kind, rng):
+    """A complex BAND_N x BAND_N matrix with the nonzero pattern ``kind``."""
+    n = BAND_N
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    offset = np.subtract.outer(np.arange(n), np.arange(n))  # i - j
+    if kind == "narrow":
+        a[np.abs(offset) > 3] = 0.0
+    elif kind == "skewed":  # j - i in [-153, 251]: the [-392, 643] of B^1024 at n = 1024, scaled
+        a[(offset > 153) | (offset < -251)] = 0.0
+    elif kind == "zero-columns":
+        a[:, 100:300] = 0.0
+        a[:50, :] = 0.0
+    elif kind == "zero":
+        a[:] = 0.0
+    elif kind == "periodic":
+        a[(np.abs(offset) > 1) & (np.abs(offset) != n - 1)] = 0.0
+    return a
+
+
+BAND_KINDS = ["narrow", "skewed", "zero-columns", "zero", "periodic", "dense"]
+
+
+class TestBandMatmul:
+    @pytest.mark.parametrize("kind_a", BAND_KINDS)
+    @pytest.mark.parametrize("kind_b", BAND_KINDS)
+    def test_matches_dense_product(self, kind_a, kind_b, rng):
+        a, b = band_structure(kind_a, rng), band_structure(kind_b, rng)
+        (a_flushed, a_spans), (b_flushed, b_spans) = _flush_tiny(a.copy()), _flush_tiny(b.copy())
+        assert np.array_equal(a_flushed, a) and np.array_equal(b_flushed, b)
+        got = _band_matmul(a, a_spans, b, b_spans)
+        bound = 4 * BAND_N * np.finfo(float).eps * (np.abs(a) @ np.abs(b)).max()
+        assert np.abs(got - a @ b).max() <= bound
+
+    def test_spans_of_a_band(self):
+        a = np.zeros((BAND_N, BAND_N), dtype=complex)
+        a[np.arange(BAND_N), np.arange(BAND_N)] = 1.0
+        a[BAND_N - 1, 0] = 1e-30  # below the flush floor: zeroed, not a span
+        _, spans = _flush_tiny(a)
+        assert a[BAND_N - 1, 0] == 0.0
+        assert spans.tolist() == [[0, 128], [128, 256], [256, 384], [384, 400]]
+
+
 class TestGT:
     def test_t_zero_is_one(self):
         grid = Grid(-20.0, 20.0, 128)
@@ -349,6 +396,37 @@ class TestGT:
         times = [1e-4, 1e-2]
         for t, g in zip(times, g_t(h, e_dom, times)):
             assert g == pytest.approx(self.svdvals_oracle(h, e_dom, t), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("t_small", [1e-15, 1e-30])
+    def test_tiny_time_leaves_the_others_alone(self, t_small):
+        # a time with t ||G||_1 <= THETA_13 takes its own Taylor step, so it
+        # does not shorten the base step of the squaring chain
+        h, e_dom = self.drifting_h()
+        got = g_t(h, e_dom, [t_small, 5.0])
+        assert got[1] == g_t(h, e_dom, [5.0])[0]
+        for t, g in zip([t_small, 5.0], got):
+            assert g == pytest.approx(self.svdvals_oracle(h, e_dom, t), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_narrow_bands_match_oracle(self, boundary):
+        # the early powers of B span a few column blocks of n = 512; on the
+        # periodic grid the corners also reach across the whole matrix
+        params = AnyonicParams(phi=PHI3, v=0.8 * VC)
+        with pytest.warns(UserWarning, match="dx"):
+            h = build_h_eff(
+                PoschlTeller(nu=1.0, delta=0.2), params, Grid(-40.0, 40.0, 512), boundary
+            )
+        (e_dom,) = point_states(h, [shifted_point_energy(-1.0, params)]).eigenvalues
+        times = [0.5, 2.0, 5.0]
+        for t, g in zip(times, g_t(h, e_dom, times)):
+            assert g == pytest.approx(self.svdvals_oracle(h, e_dom, t), rel=1e-10, abs=0.0)
+
+    def test_flush_is_harmless(self, monkeypatch):
+        h, e_dom = self.drifting_h()
+        times = [0.5, 2.0, 5.0]
+        flushed = g_t(h, e_dom, times)
+        monkeypatch.setattr(nonnormal, "FLUSH_FRACTION", 0.0)
+        assert g_t(h, e_dom, times) == pytest.approx(flushed, rel=1e-13, abs=0.0)
 
     def test_arpack_failure_falls_back_to_dense_svd(self, monkeypatch):
         import scipy.sparse.linalg
