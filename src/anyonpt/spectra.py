@@ -7,8 +7,9 @@ drift stays below the critical velocity ``2 sqrt(|E_n|)/sin(phi)``.
 
 Numerical side: the eigenvalues of the discretized operator, and vectors
 only for its point states.  ``solve_spectrum`` takes the whole eigenvalue
-cloud from a dense eigenvalue-only solve; ``point_states`` takes the
-eigenpairs nearest given energies from shift-invert solves on the bands.
+cloud from a dense eigenvalue-only solve, or in O(n^2) from the roots of a
+drifting periodic operator's transfer-matrix determinant; ``point_states``
+takes the eigenpairs nearest given energies from shift-invert solves.
 A state's localization length is read off its eigenvalue: outside the well
 the eigenvector is a sum of powers z^j, with z a root of the bands' edge
 recurrence, and |z| sets how fast each tail decays (Hatano & Nelson, PRL 77,
@@ -35,6 +36,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, NumericalError
 from .model import (
+    DENSE_MAX_DIM,
     AnyonicParams,
     GaugeFactors,
     Grid,
@@ -67,6 +69,12 @@ PR_BOX_FRACTION = 0.2
 ROOT_SCREEN_FRACTION = 2.5 * PR_BOX_FRACTION
 # Two eigenvalues this close, relative to their size, are one eigenvalue.
 SAME_EIGENVALUE_RTOL = 1e-9
+# Root iteration: a root is final once its step is below ABERTH_TOL of the 1-norm,
+# all within ABERTH_MAX_SWEEPS (the shipped drifts take 18 and 20).
+ABERTH_TOL = 1e-13
+ABERTH_MAX_SWEEPS = 64
+ABERTH_BLOCK = 64
+ABERTH_RESCALE = 16
 # Tail fits of fit_localization_length: log|u| on [peak + offset, peak + offset
 # + span] on each side, over at least TAIL_MIN_POINTS samples above
 # TAIL_FLOOR times the peak.
@@ -216,6 +224,66 @@ def _root_lengths(h: HamiltonianMatrix, w) -> np.ndarray:
         return np.where((right > 0) & (left > 0), 1.0 / np.minimum(right, left), np.inf)
 
 
+def _newton_ratios(h: HamiltonianMatrix, z) -> np.ndarray:
+    """f/f' at each z; the roots of f(lam) = tr M - 1 - (lower/upper)^n are the periodic spectrum.
+
+    M = T_{n-1}...T_0, T_j = [[(lam - d_j)/upper, -lower/upper], [1, 0]].  The gauge
+    psi_j = s^j phi_j, s = g/upper, g = sqrt(upper lower), makes T_j [[(lam - d_j)/g,
+    -1], [1, 0]] and f = s^n (tr M' - s^n - s^-n); M' and dM'/dlam share one recurrence.
+    """
+    g = np.sqrt(h.upper * h.lower)
+    dg, zg = h.diagonal / g, z / g
+    # [previous, current, next step] x [both columns of M', g d/dlam of each]
+    bufs = np.zeros((3, 4, len(z)), dtype=complex)
+    prev, cur, nxt = bufs
+    cur[0] = prev[1] = 1.0
+    exponent = np.zeros(len(z))
+    for j in range(0, h.dim, ABERTH_RESCALE):
+        for a in zg - dg[j:j + ABERTH_RESCALE, None]:
+            np.multiply(a, cur, out=nxt)
+            nxt -= prev
+            nxt[2:] += cur[:2]
+            prev, cur, nxt = cur, nxt, prev
+        e = np.frexp(np.abs(bufs[:, :2]).max(axis=(0, 1)))[1]
+        bufs *= np.ldexp(1.0, -e)
+        exponent += e
+    log_sn, log_scale = h.dim * np.log(g / h.upper), exponent * math.log(2.0)
+    rest = np.exp(log_sn - log_scale) + np.exp(-log_sn - log_scale)
+    return g * (cur[0] + prev[1] - rest) / (cur[2] + prev[3])
+
+
+def _aberth_eigenvalues(h: HamiltonianMatrix):
+    """The eigenvalues of a periodic ``h`` by Ehrlich-Aberth sweeps on ``_newton_ratios``, or None.
+
+    A sweep moves each active z_k by N_k / (1 - N_k sum_{j != k} 1/(z_k - z_j)), N_k =
+    f/f' (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 153, 2005), from the
+    free ring's eigenvalues plus a fixed jitter.  None when a root still moves after
+    ABERTH_MAX_SWEEPS, or two come within SAME_EIGENVALUE_RTOL, where Aberth crawls.
+    """
+    norm1 = float(np.abs(h.diagonal).max() + abs(h.upper) + abs(h.lower))
+    theta = 2.0 * np.pi * (np.arange(h.dim) + 0.5) / h.dim
+    z = h.diagonal[0] + h.upper * np.exp(1j * theta) + h.lower * np.exp(-1j * theta)
+    z += norm1 / h.dim * np.exp(2j * np.arange(h.dim))  # splits the ring's degenerate pairs
+    active = np.arange(h.dim)
+    with np.errstate(all="ignore"):  # a root driven to inf or nan ends in None
+        for _ in range(ABERTH_MAX_SWEEPS):
+            if not len(active):
+                break
+            pull = np.empty(len(active), dtype=complex)
+            for lo in range(0, len(active), ABERTH_BLOCK):
+                rows = active[lo:lo + ABERTH_BLOCK]
+                diff = z[rows, None] - z
+                diff[np.arange(len(rows)), rows] = np.inf
+                if not (np.abs(diff).min(axis=1) > SAME_EIGENVALUE_RTOL * np.abs(z[rows])).all():
+                    return None
+                pull[lo:lo + ABERTH_BLOCK] = (1.0 / diff).sum(axis=1)
+            ratio = _newton_ratios(h, z[active])
+            step = ratio / (1.0 - ratio * pull)
+            z[active] -= step
+            active = active[~(np.abs(step) < ABERTH_TOL * norm1)]
+    return None if len(active) else z
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Eigenvalues of a discretized operator (all, or targeted), classified and measured.
@@ -225,8 +293,8 @@ class SpectrumResult:
     the continuum.  ``eigenvectors`` holds trapezoid-normalized eigenvectors
     as columns, one per entry of ``vector_indices``, the index of its
     eigenvalue: every pair of a targeted solve, only the point states of a
-    whole spectrum.  ``solver`` names the dense eigensolve of a whole
-    spectrum (see ``solve_spectrum``); it is empty for a targeted solve.
+    whole spectrum.  ``solver`` names the eigensolve of a whole spectrum
+    (see ``solve_spectrum``); it is empty for a targeted solve.
     """
 
     grid: Grid
@@ -290,19 +358,20 @@ def _labelled(h: HamiltonianMatrix, w, vecs) -> SpectrumResult:
 def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     """Every eigenvalue of the operator, labeled point or continuum.
 
-    A dense eigenvalue-only solve gives the whole cloud, along one of the
-    paths that ``solver`` names.  K = e^{i phi} H undoes the anyonic rotation.
+    An eigenvalue-only solve gives the whole cloud, along one of the paths
+    that ``solver`` names.  K = e^{i phi} H undoes the anyonic rotation.
     A PT-symmetric K (at rest, or at phi = 0) is similar to the real matrix
     ``K.dense(real_form=True)`` (Bender & Boettcher, PRL 80, 5243, 1998) and
     is solved in real arithmetic; otherwise H itself is solved.  A Hermitian
     K takes the symmetric solver, every other matrix the general
-    (Hessenberg/QR) one, the only reliable option for these non-normal
-    matrices.  Eigenvalues are sorted by (Re, Im).  Those whose root length
-    is below ROOT_SCREEN_FRACTION of the box are solved again by
-    ``point_states``; a state is labeled "point" when the participation
-    ratio of that vector (1 / integral |u|^4 for normalized u) is below
-    PR_BOX_FRACTION of the box.  The result carries the vectors of the point
-    states only.
+    (Hessenberg/QR) one, the only reliable dense option for these non-normal
+    matrices, except that a periodic one first tries the O(n^2)
+    ``_aberth_eigenvalues`` ("complex-aberth").  Eigenvalues are sorted by (Re, Im).
+    Those whose root length is below ROOT_SCREEN_FRACTION of the box are
+    solved again by ``point_states``; a state is labeled "point" when the
+    participation ratio of that vector (1 / integral |u|^4 for normalized u)
+    is below PR_BOX_FRACTION of the box.  The result carries the vectors of
+    the point states only.
     """
     import scipy.linalg  # here, not at the top: it adds to every start-up
 
@@ -311,25 +380,29 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     real, hermitian = k.is_pt_symmetric(), k.is_hermitian()
     if not (real or hermitian) or not h.phi:
         k = h  # rotated only where that buys a structure; K = H at phi = 0
-    # the transpose has the same eigenvalues and is in LAPACK's (Fortran)
-    # layout, so that overwrite_a copies nothing
-    m = k.dense(real_form=real).T
     kind = ("symmetric" if real else "hermitian") if hermitian else "general"
     solver = f"{'real' if real else 'complex'}-{kind}"
-    try:
-        if hermitian:
-            w = scipy.linalg.eigvalsh(m, overwrite_a=True, check_finite=False).astype(complex)
-        else:
-            w = scipy.linalg.eigvals(m, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        # m is overwritten, so the 1-norm comes from the bands
-        norm1 = float(np.abs(h.diagonal).max() + abs(h.upper) + abs(h.lower))
-        raise NumericalError(
-            f"eigensolver failed: {exc} (dim={h.dim}, boundary={h.boundary}, "
-            f"matrix 1-norm={norm1:.3e})"
-        ) from exc
-    w = w * rot.conjugate() if k is not h else w
-    del m  # overwritten; freed before the targeted solves
+    aberth = solver == "complex-general" and h.boundary == "periodic" and h.dim <= DENSE_MAX_DIM
+    if aberth and (w := _aberth_eigenvalues(h)) is not None:
+        solver = "complex-aberth"
+    else:
+        # the transpose has the same eigenvalues and is in LAPACK's (Fortran)
+        # layout, so that overwrite_a copies nothing
+        m = k.dense(real_form=real).T
+        try:
+            if hermitian:
+                w = scipy.linalg.eigvalsh(m, overwrite_a=True, check_finite=False).astype(complex)
+            else:
+                w = scipy.linalg.eigvals(m, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            # m is overwritten, so the 1-norm comes from the bands
+            norm1 = float(np.abs(h.diagonal).max() + abs(h.upper) + abs(h.lower))
+            raise NumericalError(
+                f"eigensolver failed: {exc} (dim={h.dim}, boundary={h.boundary}, "
+                f"matrix 1-norm={norm1:.3e})"
+            ) from exc
+        w = w * rot.conjugate() if k is not h else w
+        del m  # overwritten; freed before the targeted solves
     w = w[np.lexsort((w.imag, w.real))]
     lengths = _root_lengths(h, w)
 

@@ -86,10 +86,12 @@ def _pt_broken():
 
 
 OFF_CENTRE = Grid(-19.0, 21.0, 400)
-# (id, operator, the dense eigensolve solve_spectrum picks for it): the real
-# form at rest, at phi = 0 under drift and for a Hermitian well, and the
-# complex fallbacks when drift, a 1e-10 defect or an off-centre grid breaks
-# PT symmetry
+# (id, operator, the eigensolve solve_spectrum picks for it): the real form
+# at rest, at phi = 0 under drift and for a Hermitian well, the root iteration
+# under drift (at odd n the sign of its corner term hangs on a square root's
+# branch), and the complex dense solve when a 1e-10 defect or an off-centre
+# grid breaks PT symmetry, where two roots nearly coincide and the root
+# iteration falls back
 SOLVER_CASES = [
     ("periodic-rest", lambda: _well(math.pi / 3), "real-general"),
     ("periodic-phi0-drift", lambda: _well(0.0, v=0.5 * VC3), "real-general"),
@@ -97,7 +99,9 @@ SOLVER_CASES = [
      "real-symmetric"),
     ("off-centre-hermitian", lambda: _well(math.pi / 3, delta=0.0, grid=OFF_CENTRE),
      "complex-hermitian"),
-    ("drift-phi-pi/3", lambda: _well(math.pi / 3, v=0.5 * VC3), "complex-general"),
+    ("drift-phi-pi/3", lambda: _well(math.pi / 3, v=0.5 * VC3), "complex-aberth"),
+    ("drift-odd-n", lambda: _well(math.pi / 3, v=0.5 * VC3, grid=Grid(-20.0, 20.0, 401)),
+     "complex-aberth"),
     ("pt-broken-1e-10", _pt_broken, "complex-general"),
     ("off-centre-grid", lambda: _well(0.0, grid=OFF_CENTRE), "complex-general"),
 ]
@@ -360,6 +364,8 @@ class TestSolveSpectrum:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eig algorithm (geev) did not converge")
 
+        # no sweep: the drifting operator falls back to eigvals too
+        monkeypatch.setattr(spectra, "ABERTH_MAX_SWEEPS", 0)
         monkeypatch.setattr(scipy.linalg, "eigvals", fail)
         monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
         norm1 = np.abs(h.dense()).sum(axis=0).max()
@@ -440,6 +446,41 @@ class TestRealForm:
             tracemalloc.stop()
         assert res.solver == "real-general" and res.point_count == 1
         assert peak <= 1.5 * 8 * h.dim**2
+
+
+class TestAberth:
+    """Drifting periodic operators take the root iteration, with the dense solve as fallback."""
+
+    def test_no_dense_array(self):
+        # the pair sum is taken ABERTH_BLOCK rows at a time: no n x n array at all
+        h, _ = _verdict_operator(*VERDICT_CASES[1])
+        tracemalloc.start()
+        try:
+            res = solve_spectrum(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.solver == "complex-aberth" and res.point_count == 1
+        assert peak <= 0.25 * 16 * h.dim**2
+
+    def test_repeatable_bitwise(self):
+        h = _well(math.pi / 3, v=0.5 * VC3)
+        assert np.array_equal(solve_spectrum(h).eigenvalues, solve_spectrum(h).eigenvalues)
+
+    def test_forced_fallback_is_the_dense_solve(self, monkeypatch):
+        # no sweep allowed: the eigvals eigenvalues, bitwise, from one dense copy
+        monkeypatch.setattr(spectra, "ABERTH_MAX_SWEEPS", 0)
+        h = _well(math.pi / 3, v=0.5 * VC3)
+        tracemalloc.start()
+        try:
+            res = solve_spectrum(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        w = scipy.linalg.eigvals(h.dense().T)
+        assert res.solver == "complex-general"
+        assert np.array_equal(res.eigenvalues, w[np.lexsort((w.imag, w.real))])
+        assert peak <= 1.5 * 16 * h.dim**2
 
 
 class TestPointStates:
