@@ -27,7 +27,7 @@ import yaml
 from .errors import AnyonptError, ConfigError, ContractError, DomainError
 from .lasermap import CavityParams
 from .model import DENSE_MAX_DIM, AnyonicParams, Grid, PoschlTeller, Tabulated
-from .nonnormal import G_T_MAX_DIM
+from .nonnormal import G_T_MAX_DIM, amplification_grid_for
 from .propagation import AbsorberSpec, PropagatorConfig
 from .scattering import PacketSpec
 from .spectra import critical_velocity, delocalization_margin, poschl_teller_energies
@@ -42,11 +42,15 @@ MAX_GRID_POINTS = 2**20
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One resolved cell of the sweep: its scalar axes, drift and potential.
+    """One resolved cell of the sweep: its scalar axes, drift, potential and grid.
 
     ``params`` is the point's (phi, v); ``potential`` is its PoschlTeller
-    well, or the config's Tabulated samples.  ``v_over_vc`` is set when the
-    drift was given as a fraction of v_c, ``carrier`` for a scatter sweep.
+    well, or the config's Tabulated samples; ``carrier`` is set for a scatter
+    sweep.  ``grid`` is the box the runner computes on, checked against its
+    cap by ``validate``: for ``spectrum`` and ``delocalize`` the config grid,
+    doubled above 0.9 v_c of a bound well, where localization lengths
+    diverge; for ``amplify`` with the closed-form nu = 1 well below v_c, the
+    quadrature grid of ``amplification_grid_for``; else the config grid.
     """
 
     index: int
@@ -55,8 +59,8 @@ class SweepPoint:
     delta: float
     params: AnyonicParams
     potential: PoschlTeller | Tabulated
+    grid: Grid | None
     carrier: float | None = None
-    v_over_vc: float | None = None
 
 
 _AXIS = "axis"  # kind of a sweep axis: a non-empty list of finite floats
@@ -298,8 +302,9 @@ class ExperimentConfig:
         if size > MAX_SWEEP_POINTS:
             raise ConfigError(f"sweep has {size} points, cap is {MAX_SWEEP_POINTS}")
         try:  # the domain types' own checks, as sweep_points builds every point
-            if self.v_over_vc is not None or ex in ("amplify", "delocalize"):
-                e1 = self.ground_state_energy()  # ConfigError without a bound well
+            e1 = self.ground_state_energy()
+            if e1 is None and (self.v_over_vc is not None or ex in ("amplify", "delocalize")):
+                raise ConfigError("the ground state needs a poschl_teller well (amplitude < 0)")
             points = self.sweep_points()
             for p in points:
                 if ex == "scatter":  # the packet fits the grid and meets the separatrix
@@ -320,12 +325,11 @@ class ExperimentConfig:
                 f"spectrum: v = {drifting[0].v:.12g} at phi = {drifting[0].phi:.12g} "
                 "needs boundary: periodic"
             )
-        # spectrum solves densely, delocalize by shift-invert; both double the box near v_c
-        if ex in ("spectrum", "delocalize"):
-            n = max(self.grid_for_point(p).n_points for p in points)
-            cap = DENSE_MAX_DIM if ex == "spectrum" else MAX_GRID_POINTS
-            if n > cap:
-                raise ConfigError(f"{ex}: eigensolve grid of {n} points (doubled near v_c) > {cap}")
+        # spectrum solves densely; the others allocate a few vectors per grid point
+        cap = DENSE_MAX_DIM if ex == "spectrum" else MAX_GRID_POINTS
+        n = max((p.grid.n_points for p in points if p.grid is not None), default=0)
+        if n > cap:
+            raise ConfigError(f"{ex}: grid of {n} points (widened near v_c) > {cap}")
 
     def closed_form_well(self) -> bool:
         """The nu = 1 well has a closed-form bound state; others need an eigensolve."""
@@ -334,26 +338,18 @@ class ExperimentConfig:
     # ------------------------------------------------------------------ access
 
     def bound_energies(self) -> tuple:
-        """E_1 < E_2 < ... of the configured well, with nu from v0 = -nu (nu + 1) if set."""
+        """E_1 < E_2 < ... of the configured well, with nu from v0 = -nu (nu + 1) if set;
+        empty without a well, and capped at MAX_SWEEP_POINTS states before any is built."""
         if self.potential_kind != "poschl_teller" or self.potential(0.0).amplitude >= 0:
-            raise ConfigError("the ground state needs a poschl_teller well (negative amplitude)")
+            return ()
         nu = self.nu if self.v0 is None else (math.sqrt(1.0 - 4.0 * self.v0) - 1.0) / 2.0
+        if not nu < MAX_SWEEP_POINTS:
+            raise ConfigError(f"potential: nu = {nu:.12g}, cap is {MAX_SWEEP_POINTS} bound states")
         return poschl_teller_energies(nu)
 
-    def ground_state_energy(self) -> float:
-        """E_1 of the configured well (needs a poschl_teller well)."""
-        return self.bound_energies()[0]
-
-    def grid_for_point(self, point: SweepPoint) -> Grid:
-        """Eigensolve grid: a doubled box near v_c, where localization lengths diverge."""
-        try:
-            e1 = self.ground_state_energy()
-        except ConfigError:
-            return self.grid
-        if point.phi > 0 and abs(point.v) > 0.9 * critical_velocity(e1, point.phi):
-            g = self.grid
-            return Grid(2.0 * g.x_min, 2.0 * g.x_max, 2 * g.n_points)
-        return self.grid
+    def ground_state_energy(self) -> float | None:
+        """E_1 of the configured well; None without one."""
+        return next(iter(self.bound_energies()), None)
 
     def potential(self, delta: float):
         if self.potential_kind == "tabulated":
@@ -369,15 +365,20 @@ class ExperimentConfig:
         return self.delta, self.phi, v_axis, self.carrier if self.carrier is not None else [None]
 
     def sweep_points(self) -> list:
-        """Cartesian product of the list-valued axes, each point with its params and potential."""
+        """Cartesian product of the list-valued axes; each point with its params and grid."""
+        ex, e1 = self.experiment, self.ground_state_energy()
         fractional = self.v_over_vc is not None
-        e1 = self.ground_state_energy() if fractional else None
+        quadrature = ex == "amplify" and self.closed_form_well()  # g_infinity on a widened grid
         points = []
         for i, (delta, phi, vval, carrier) in enumerate(itertools.product(*self._axes())):
             v = vval * critical_velocity(e1, phi) if fractional else vval
-            frac = vval if fractional else None
-            params, potential = AnyonicParams(phi=phi, v=v), self.potential(delta)
-            points.append(SweepPoint(i, phi, v, delta, params, potential, carrier, frac))
+            params, potential, grid = AnyonicParams(phi=phi, v=v), self.potential(delta), self.grid
+            near_vc = e1 is not None and phi > 0 and abs(v) > 0.9 * critical_velocity(e1, phi)
+            if ex in ("spectrum", "delocalize") and near_vc:
+                grid = Grid(2.0 * grid.x_min, 2.0 * grid.x_max, 2 * grid.n_points)
+            elif quadrature and delocalization_margin(e1, params) > 0:
+                grid = amplification_grid_for(e1, params)
+            points.append(SweepPoint(i, phi, v, delta, params, potential, grid, carrier))
         return points
 
     # ------------------------------------------------------------------ output

@@ -347,7 +347,8 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     <= 2^-53 / n * ||P||_2, below rounding, and keeps the early powers of B
     banded, as the exponential of a banded matrix is up to rounding (Iserles,
     NZ J. Math. 29, 2000).  Every product multiplies only the nonzero spans
-    of its factors (``_band_matmul``).
+    of its factors (``_band_matmul``).  A time whose step count overflows, or
+    whose propagator underflows to zero, raises NumericalError.
 
     For a normal operator G_t never exceeds one when e1 is the dominant
     eigenvalue; values above one quantify transient non-normal amplification.
@@ -376,6 +377,8 @@ def _squaring_chain(gen, norm1: float, times: list, gains: dict) -> None:
     tau = times[0]
     while tau * norm1 > THETA_13:
         tau /= 2.0
+    if not math.isfinite(times[-1] / tau):
+        raise NumericalError(f"t = {times[-1]} overflows the step count; retry with smaller t")
     # q >= 1 for every time because tau divides the smallest one exactly.
     steps = {t: math.floor(t / tau) for t in times}
     power = _flush_tiny(_expm_taylor(gen * tau))  # B^(2^j) with its spans
@@ -397,7 +400,9 @@ def _squaring_chain(gen, norm1: float, times: list, gains: dict) -> None:
 
 
 def _record_gain(gains: dict, t: float, p: np.ndarray) -> None:
-    """gains[t] = sigma_max(p)^2; DivergenceError when it overflows."""
+    """gains[t] = sigma_max(p)^2; DivergenceError when it overflows, NumericalError for p = 0."""
+    if not p.any():
+        raise NumericalError(f"propagator underflowed to zero at t = {t}; retry with smaller t")
     sigma_max = _sigma_max(p)
     gains[t] = sigma_max * sigma_max  # inf, not OverflowError
     if not math.isfinite(gains[t]):

@@ -35,7 +35,6 @@ from .lasermap import map_to_anyonic, mode_locking_threshold
 from .model import AnyonicParams, Grid, build_h_eff
 from .nonnormal import (
     AmplificationReport,
-    amplification_grid_for,
     analytic_bound_state_pt,
     g_infinity,
     g_t,
@@ -122,16 +121,15 @@ def _stationary_ground_state(cfg: ExperimentConfig, point: SweepPoint, grid: Gri
 def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     def compute(point: SweepPoint):
         params = point.params
-        h = build_h_eff(point.potential, params, cfg.grid_for_point(point), boundary=cfg.boundary)
+        h = build_h_eff(point.potential, params, point.grid, boundary=cfg.boundary)
         result = solve_spectrum(h)
         k = np.linspace(-cfg.k_max, cfg.k_max, cfg.k_points)
         band = continuous_dispersion(k, params)
         bound_rows = []
-        if cfg.potential_kind == "poschl_teller" and point.potential.amplitude < 0:
-            for n, e_n in enumerate(cfg.bound_energies(), start=1):
-                shifted = shifted_point_energy(e_n, params)
-                survives = delocalization_margin(e_n, params) > 0
-                bound_rows.append((n, e_n, shifted.real, shifted.imag, survives))
+        for n, e_n in enumerate(cfg.bound_energies(), start=1):
+            shifted = shifted_point_energy(e_n, params)
+            survives = delocalization_margin(e_n, params) > 0
+            bound_rows.append((n, e_n, shifted.real, shifted.imag, survives))
         tag = f"{point.index:03d}"
         paths = [
             write_csv(
@@ -161,11 +159,10 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     def compute(point: SweepPoint):
         params = point.params
-        grid = cfg.grid_for_point(point)
         e1 = cfg.ground_state_energy()
-        dressed = moving_bound_state(_stationary_ground_state(cfg, point, grid), e1, params)
+        dressed = moving_bound_state(_stationary_ground_state(cfg, point, point.grid), e1, params)
         margin = delocalization_margin(e1, params)
-        h = build_h_eff(point.potential, params, grid, boundary=cfg.boundary)
+        h = build_h_eff(point.potential, params, point.grid, boundary=cfg.boundary)
         result = point_states(h, [shifted_point_energy(e, params) for e in cfg.bound_energies()])
         loc_num = math.inf
         pts = result.point_indices()
@@ -179,7 +176,7 @@ def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
                 write_csv(
                     outdir / f"profile_{point.index:03d}.csv",
                     ("x", "density"),
-                    zip(grid.x, dressed.density()),
+                    zip(point.grid.x, dressed.density()),
                 )
             )
         return paths, {
@@ -251,9 +248,7 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         for point in chunk:
             params = point.params
             margin = delocalization_margin(e1, params)
-            # the closed-form state on an auto-widened quadrature grid
-            grid = amplification_grid_for(e1, params) if cfg.closed_form_well() else cfg.grid
-            u1 = _stationary_ground_state(cfg, point, grid)
+            u1 = _stationary_ground_state(cfg, point, point.grid)
             ginf = g_infinity(u1, params, e1=e1)
             sorth = self_orthogonality(u1)
 
@@ -265,10 +260,7 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
                 gt_rows = tuple(zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times)))
                 paths.append(write_csv(outdir / f"gt_{point.index:03d}.csv", ("t", "g_t"), gt_rows))
             if cfg.amplify_evolve:
-                # Evolution runs honor the configured box as-is, where the numeric
-                # state above already lives; automatic box doubling is reserved
-                # for eigensolve localization studies.
-                if cfg.closed_form_well():
+                if cfg.closed_form_well():  # evolve on the configured box, not the quadrature grid
                     u1 = _stationary_ground_state(cfg, point, cfg.grid)
                 dressed = moving_bound_state(u1, e1, params)  # v < v_c, checked at parse time
                 fields.append((dressed, point.potential, params))

@@ -199,8 +199,8 @@ def test_criterion_10_bound_state_breakup():
     cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "amplify_breakup.yaml")
     grid = cfg.grid
     outcomes = {}
-    for point in cfg.sweep_points():
-        if point.v_over_vc not in (0.2, 0.95):
+    for frac, point in zip(cfg.v_over_vc, cfg.sweep_points()):  # v/v_c is the only list axis
+        if frac not in (0.2, 0.95):
             continue
         params = AnyonicParams(phi=point.phi, v=point.v)
         u1 = analytic_bound_state_pt(grid, point.delta)
@@ -211,7 +211,7 @@ def test_criterion_10_bound_state_breakup():
             abs(grid.x[int(np.argmax(s.density()))] - x0) for s in record.snapshots
         ]
         peak_pos = [abs(grid.x[int(np.argmax(s.density()))]) for s in record.snapshots]
-        outcomes[point.v_over_vc] = (max(disp), max(peak_pos))
+        outcomes[frac] = (max(disp), max(peak_pos))
     assert outcomes[0.2][0] < 0.5  # survives
     assert outcomes[0.95][1] > 5.0  # destroyed: peak leaves |x| < 5
     report(

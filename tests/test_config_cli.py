@@ -24,6 +24,7 @@ from anyonpt import (
 )
 from anyonpt._io import fmt, write_csv, write_ndjson
 from anyonpt.cli import main as cli_main
+from anyonpt.nonnormal import amplification_grid_for
 from anyonpt.runners import _stationary_ground_state, _write_evolution, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -285,6 +286,9 @@ class TestParseTimeRejection:
                 "params": {"phi": math.pi / 3, "v_over_vc": [0.5, 1.0]},
                 "propagator": {"dt": 0.01, "t_final": 1.0},
             },
+            {**minimal_amplify_dict(), "params": {"phi": math.pi / 3, "v_over_vc": [0.99999]}},
+            {**spectrum_dict(256), "potential": {"nu": 1e5}},
+            {**spectrum_dict(256), "potential": {"v0": -1e10}},
         ],
         ids=[
             "absorber-no-strength",
@@ -328,6 +332,9 @@ class TestParseTimeRejection:
             "amplify-v_over_vc-empty",
             "amplify-beyond-v_c",
             "amplify-evolve-at-v_c",
+            "amplify-quadrature-above-point-cap",  # 2^28 points
+            "nu-above-bound-state-cap",
+            "v0-above-bound-state-cap",
         ],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, raw):
@@ -360,6 +367,20 @@ class TestParseTimeRejection:
         ExperimentConfig.from_dict(amplify_on_grid(10_000, nu=1.0))
         ExperimentConfig.from_dict(amplify_on_grid(10_000, nu=2.0))
         assert ExperimentConfig.from_dict(near_vc_delocalize_dict(4097)).grid.n_points == 4097
+
+    def test_each_point_carries_the_grid_its_runner_uses(self):
+        def grids(raw):
+            return [p.grid for p in ExperimentConfig.from_dict(raw).sweep_points()]
+
+        box, doubled = Grid(-40.0, 40.0, 256), Grid(-80.0, 80.0, 512)
+        near_vc = spectrum_dict(256, phi=math.pi / 3, v_over_vc=[0.5, 0.9, 0.95])
+        assert grids(near_vc) == [box, box, doubled]
+        assert grids({**near_vc, "experiment": "delocalize"}) == [box, box, doubled]
+        barrier = {**near_vc, "potential": {"v0": 3.0}, "params": {"phi": 1.0, "v": 5.0}}
+        assert grids(barrier) == [box]  # no bound well, no v_c
+        params = AnyonicParams(phi=math.pi / 3, v=0.8 * (2.0 / math.sin(math.pi / 3)))
+        assert grids(minimal_amplify_dict()) == [amplification_grid_for(-1.0, params)]
+        assert grids(amplify_on_grid(1024, nu=2.0)) == [Grid(-40.0, 40.0, 1024)]
 
 
 MUTANT_VALUES = [None, "x", [], {}, True, 2.5, -1, 0, math.nan, math.inf]

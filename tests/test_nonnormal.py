@@ -421,6 +421,20 @@ class TestGT:
         for t, g in zip(times, g_t(h, e_dom, times)):
             assert g == pytest.approx(self.svdvals_oracle(h, e_dom, t), rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "t, message",
+        [(1e308, "overflows the step count"), (1e20, "underflowed to zero")],
+        ids=["step-count-overflows", "chain-underflows"],
+    )
+    def test_time_beyond_the_chain_is_a_numerical_error(self, t, message):
+        # 1e308 / tau overflows the step count; at 1e20 the chain decays to
+        # an all-zero propagator after about 70 products
+        params = AnyonicParams(phi=PHI3, v=0.5 * VC)
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, Grid(-12.0, 12.0, 128))
+        (e_dom,) = point_states(h, [shifted_point_energy(-1.0, params)]).eigenvalues
+        with pytest.raises(NumericalError, match=message):
+            g_t(h, e_dom, [t])
+
     def test_flush_is_harmless(self, monkeypatch):
         h, e_dom = self.drifting_h()
         times = [0.5, 2.0, 5.0]

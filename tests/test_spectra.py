@@ -114,9 +114,8 @@ def _shipped_spectrum_operators():
     for name in ("spectrum_drift_sweep", "regression_spectrum", "null_spectrum"):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / f"{name}.yaml")
         for p in cfg.sweep_points():
-            grid = cfg.grid_for_point(p)
             yield pytest.param(
-                lambda p=p, grid=grid, b=cfg.boundary: build_h_eff(p.potential, p.params, grid, b),
+                lambda p=p, b=cfg.boundary: build_h_eff(p.potential, p.params, p.grid, b),
                 id=f"{name}-{p.index}",
             )
     yield pytest.param(_free_periodic, id="free-periodic")
