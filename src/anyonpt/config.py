@@ -49,8 +49,8 @@ class SweepPoint:
     sweep.  ``grid`` is the box the runner computes on, checked against its
     cap by ``validate``: for ``spectrum`` and ``delocalize`` the config grid,
     doubled above 0.9 v_c of a bound well, where localization lengths
-    diverge; for ``amplify`` with the closed-form nu = 1 well below v_c, the
-    quadrature grid of ``amplification_grid_for``; else the config grid.
+    diverge; for ``amplify`` below v_c, the quadrature grid of
+    ``amplification_grid_for`` for the closed-form ground state; else the config grid.
     """
 
     index: int
@@ -331,18 +331,13 @@ class ExperimentConfig:
         if n > cap:
             raise ConfigError(f"{ex}: grid of {n} points (widened near v_c) > {cap}")
 
-    def closed_form_well(self) -> bool:
-        """The nu = 1 well has a closed-form bound state; others need an eigensolve."""
-        return self.nu == 1.0 and self.v0 is None
-
     # ------------------------------------------------------------------ access
 
     def bound_energies(self) -> tuple:
-        """E_1 < E_2 < ... of the configured well, with nu from v0 = -nu (nu + 1) if set;
+        """E_1 < E_2 < ... of the configured well, of ``PoschlTeller.well_nu``;
         empty without a well, and capped at MAX_SWEEP_POINTS states before any is built."""
-        if self.potential_kind != "poschl_teller" or self.potential(0.0).amplitude >= 0:
+        if self.potential_kind != "poschl_teller" or (nu := self.potential(0.0).well_nu) is None:
             return ()
-        nu = self.nu if self.v0 is None else (math.sqrt(1.0 - 4.0 * self.v0) - 1.0) / 2.0
         if not nu < MAX_SWEEP_POINTS:
             raise ConfigError(f"potential: nu = {nu:.12g}, cap is {MAX_SWEEP_POINTS} bound states")
         return poschl_teller_energies(nu)
@@ -368,7 +363,6 @@ class ExperimentConfig:
         """Cartesian product of the list-valued axes; each point with its params and grid."""
         ex, e1 = self.experiment, self.ground_state_energy()
         fractional = self.v_over_vc is not None
-        quadrature = ex == "amplify" and self.closed_form_well()  # g_infinity on a widened grid
         points = []
         for i, (delta, phi, vval, carrier) in enumerate(itertools.product(*self._axes())):
             v = vval * critical_velocity(e1, phi) if fractional else vval
@@ -376,7 +370,7 @@ class ExperimentConfig:
             near_vc = e1 is not None and phi > 0 and abs(v) > 0.9 * critical_velocity(e1, phi)
             if ex in ("spectrum", "delocalize") and near_vc:
                 grid = Grid(2.0 * grid.x_min, 2.0 * grid.x_max, 2 * grid.n_points)
-            elif quadrature and delocalization_margin(e1, params) > 0:
+            elif ex == "amplify" and delocalization_margin(e1, params) > 0:
                 grid = amplification_grid_for(e1, params)
             points.append(SweepPoint(i, phi, v, delta, params, potential, grid, carrier))
         return points

@@ -113,8 +113,9 @@ class AnyonicParams:
     def __post_init__(self):
         if not (0.0 <= self.phi <= math.pi / 2 + 1e-15):
             raise DomainError(f"phi must lie in [0, pi/2], got {self.phi}")
-        if not (math.isfinite(self.phi) and math.isfinite(self.v)):
-            raise DomainError("phi and v must be finite")
+        # phi's range check refuses nan and inf; v**2 would raise OverflowError, v * v gives inf
+        if not math.isfinite(self.v * self.v):
+            raise DomainError(f"v^2 must be finite, got v = {self.v}")
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,14 @@ class PoschlTeller:
     @property
     def amplitude(self) -> float:
         return self.v0 if self.v0 is not None else -self.nu * (self.nu + 1.0)
+
+    @property
+    def well_nu(self) -> float | None:
+        """nu with amplitude -nu (nu + 1), None for a barrier; from v0 without cancellation,
+        as -2 v0 / (1 + sqrt(1 - 4 v0)): v0 = -1e-20 gives 1e-20, and v0 = -2 gives 1.0."""
+        if self.v0 is None:
+            return self.nu
+        return -2.0 * self.v0 / (1.0 + math.sqrt(1.0 - 4.0 * self.v0)) if self.v0 < 0 else None
 
     def __call__(self, x) -> np.ndarray:
         scalar = np.isscalar(x)

@@ -75,22 +75,27 @@ class AmplificationReport:
     delocalization_margin: float
 
     def __post_init__(self):
+        gains = (self.g_infinity, *(g for _, g in self.g_t_samples))
+        if not all(map(math.isfinite, gains)):  # inf passes G >= 1, NaN fails no comparison
+            raise NumericalError(f"gain is not finite: G_inf and G_t samples {gains}")
         if self.g_infinity < 1.0 - 1e-9:
             raise ContractError(f"g_infinity must be >= 1, got {self.g_infinity}")
         if any(g < 0 for _, g in self.g_t_samples):
             raise ContractError("g_t samples must be nonnegative")
 
 
-def analytic_bound_state_pt(grid: Grid, delta: float) -> WaveFunction:
-    """Closed-form ground state sech(x - i delta) of the unit sech^2 well, normalized.
+def analytic_bound_state_pt(grid: Grid, delta: float, nu: float = 1.0) -> WaveFunction:
+    """Closed-form ground state sech^nu(x - i delta) of the -nu (nu + 1) sech^2 well, normalized.
 
-    Only the nu = 1 well has this one-line form; the state exists for
-    |delta| < pi/2 and degenerates into the self-orthogonal 1/(x + i eps)
-    profile as delta approaches pi/2.
+    E_1 = -nu^2 for every nu > 0 (Poschl & Teller, Z. Phys. 83, 143, 1933), continued
+    to the shifted well, where Re cosh(x - i delta) > 0 keeps the power on one branch.
+    nu = 1 gives the sech samples bitwise.  Like them the state is zero beyond |x| = 350,
+    which cuts its tail for nu below about 0.1.  It degenerates into the
+    self-orthogonal 1/(x + i eps)^nu profile as delta approaches pi/2.
     """
-    if not abs(delta) < math.pi / 2:
-        raise DomainError(f"|delta| must be < pi/2, got {delta} (broken phase)")
-    return WaveFunction(grid, _sech_complex(grid.x, delta)).normalized()
+    if not (abs(delta) < math.pi / 2 and nu > 0):
+        raise DomainError(f"need |delta| < pi/2 (unbroken phase) and nu > 0, got {delta}, {nu}")
+    return WaveFunction(grid, _sech_complex(grid.x, delta) ** nu).normalized()
 
 
 def adjoint_bound_state(

@@ -32,7 +32,7 @@ import numpy as np
 from ._io import write_csv, write_ndjson
 from .config import ExperimentConfig, SweepPoint
 from .lasermap import map_to_anyonic, mode_locking_threshold
-from .model import AnyonicParams, Grid, build_h_eff
+from .model import build_h_eff
 from .nonnormal import (
     AmplificationReport,
     analytic_bound_state_pt,
@@ -107,14 +107,6 @@ def _write_evolution(outdir: Path, tag: str, record, stride: int, divisors) -> l
     ]
 
 
-def _stationary_ground_state(cfg: ExperimentConfig, point: SweepPoint, grid: Grid):
-    """Bound state of the point's well at rest: closed form at nu = 1, else numeric."""
-    if cfg.closed_form_well():
-        return analytic_bound_state_pt(grid, point.delta)
-    h = build_h_eff(point.potential, AnyonicParams(phi=0.0, v=0.0), grid, "dirichlet")
-    return point_states(h, [cfg.ground_state_energy()]).eigenvector(0)
-
-
 # --------------------------------------------------------------------- spectrum
 
 
@@ -160,7 +152,8 @@ def run_delocalize(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     def compute(point: SweepPoint):
         params = point.params
         e1 = cfg.ground_state_energy()
-        dressed = moving_bound_state(_stationary_ground_state(cfg, point, point.grid), e1, params)
+        u1 = analytic_bound_state_pt(point.grid, point.delta, point.potential.well_nu)
+        dressed = moving_bound_state(u1, e1, params)
         margin = delocalization_margin(e1, params)
         h = build_h_eff(point.potential, params, point.grid, boundary=cfg.boundary)
         result = point_states(h, [shifted_point_energy(e, params) for e in cfg.bound_energies()])
@@ -248,7 +241,7 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         for point in chunk:
             params = point.params
             margin = delocalization_margin(e1, params)
-            u1 = _stationary_ground_state(cfg, point, point.grid)
+            u1 = analytic_bound_state_pt(point.grid, point.delta, point.potential.well_nu)
             ginf = g_infinity(u1, params, e1=e1)
             sorth = self_orthogonality(u1)
 
@@ -259,11 +252,9 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
                 e_dom = point_states(h, [shifted_point_energy(e1, params)]).eigenvalues[0]
                 gt_rows = tuple(zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times)))
                 paths.append(write_csv(outdir / f"gt_{point.index:03d}.csv", ("t", "g_t"), gt_rows))
-            if cfg.amplify_evolve:
-                if cfg.closed_form_well():  # evolve on the configured box, not the quadrature grid
-                    u1 = _stationary_ground_state(cfg, point, cfg.grid)
-                dressed = moving_bound_state(u1, e1, params)  # v < v_c, checked at parse time
-                fields.append((dressed, point.potential, params))
+            if cfg.amplify_evolve:  # on the config box; v < v_c, checked at parse time
+                u1 = analytic_bound_state_pt(cfg.grid, point.delta, point.potential.well_nu)
+                fields.append((moving_bound_state(u1, e1, params), point.potential, params))
             AmplificationReport(ginf, gt_rows, sorth, margin)  # checks G >= 1 and G(t) >= 0
             _, *leading = _point_columns(point).items()  # ginf.csv has no index column
             row = dict(leading, g_infinity=ginf, self_orthogonality=sorth, margin=margin)

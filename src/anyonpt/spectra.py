@@ -102,7 +102,7 @@ def poschl_teller_energies(nu: float) -> tuple:
     if not nu > 0:
         raise DomainError(f"nu must be positive, got {nu}")
     n_states = 1 + math.floor(nu)
-    energies = [-((nu - n + 1.0) ** 2) for n in range(1, n_states + 1)]
+    energies = [-((nu - (n - 1)) ** 2) for n in range(1, n_states + 1)]  # (nu - n) + 1 cancels for tiny nu
     energies = [e for e in energies if e < 0.0]
     energies.sort()
     return tuple(energies)

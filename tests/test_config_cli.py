@@ -1,4 +1,5 @@
 import copy
+import csv
 import math
 import os
 import socket
@@ -24,8 +25,9 @@ from anyonpt import (
 )
 from anyonpt._io import fmt, write_csv, write_ndjson
 from anyonpt.cli import main as cli_main
-from anyonpt.nonnormal import amplification_grid_for
-from anyonpt.runners import _stationary_ground_state, _write_evolution, run_experiment
+from anyonpt.nonnormal import amplification_grid_for, analytic_bound_state_pt
+from anyonpt.runners import _write_evolution, run_experiment
+from anyonpt.spectra import critical_velocity
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -113,10 +115,17 @@ class TestConfigParsing:
         raw["potential"]["v0"] = -6.0  # the nu = 2 well, whatever nu says
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.ground_state_energy() == -4.0
-        u = _stationary_ground_state(cfg, cfg.sweep_points()[0], cfg.grid)
+        u = analytic_bound_state_pt(cfg.grid, 0.2, cfg.sweep_points()[0].potential.well_nu)
         h = build_h_eff(cfg.potential(0.2), AnyonicParams(phi=0.0, v=0.0), cfg.grid)
         energy = np.vdot(u.values, h.dense() @ u.values) / np.vdot(u.values, u.values)
         assert abs(energy + 4.0) < 1e-2
+
+    def test_tiny_v0_keeps_its_nu(self):
+        # -2 v0 / (1 + sqrt(1 - 4 v0)); (sqrt(1 - 4 v0) - 1) / 2 cancels to 0 here
+        raw = {**spectrum_dict(256), "potential": {"kind": "poschl_teller", "v0": -1e-20}}
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.potential(0.0).well_nu == 1e-20
+        assert cfg.bound_energies() == (-1e-40,)
 
     def test_lasermap_requires_cavity(self):
         with pytest.raises(ConfigError):
@@ -289,6 +298,12 @@ class TestParseTimeRejection:
             {**minimal_amplify_dict(), "params": {"phi": math.pi / 3, "v_over_vc": [0.99999]}},
             {**spectrum_dict(256), "potential": {"nu": 1e5}},
             {**spectrum_dict(256), "potential": {"v0": -1e10}},
+            {**spectrum_dict(256), "params": {"phi": 0.0, "v": 1.0e200}},
+            {  # the closed form of nu = 1e-3 is about 1000 long: 2^22 quadrature points
+                **minimal_amplify_dict(),
+                "potential": {"kind": "poschl_teller", "nu": 1e-3, "delta": 0.2},
+                "params": {"phi": math.pi / 3, "v_over_vc": [0.5]},
+            },
         ],
         ids=[
             "absorber-no-strength",
@@ -335,6 +350,8 @@ class TestParseTimeRejection:
             "amplify-quadrature-above-point-cap",  # 2^28 points
             "nu-above-bound-state-cap",
             "v0-above-bound-state-cap",
+            "spectrum-v-square-overflows",
+            "amplify-small-nu-quadrature-above-point-cap",
         ],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, raw):
@@ -363,7 +380,7 @@ class TestParseTimeRejection:
         ExperimentConfig.from_dict(spectrum_dict(8192))
         ExperimentConfig.from_dict(spectrum_dict(4096, phi=math.pi / 3, v_over_vc=0.95))
         ExperimentConfig.from_dict(spectrum_dict(5000, phi=math.pi / 3, v_over_vc=0.5))
-        # amplify and delocalize solve by shift-invert, beyond the dense cap
+        # amplify and delocalize make no dense solve, so their boxes may pass the dense cap
         ExperimentConfig.from_dict(amplify_on_grid(10_000, nu=1.0))
         ExperimentConfig.from_dict(amplify_on_grid(10_000, nu=2.0))
         assert ExperimentConfig.from_dict(near_vc_delocalize_dict(4097)).grid.n_points == 4097
@@ -378,9 +395,10 @@ class TestParseTimeRejection:
         assert grids({**near_vc, "experiment": "delocalize"}) == [box, box, doubled]
         barrier = {**near_vc, "potential": {"v0": 3.0}, "params": {"phi": 1.0, "v": 5.0}}
         assert grids(barrier) == [box]  # no bound well, no v_c
-        params = AnyonicParams(phi=math.pi / 3, v=0.8 * (2.0 / math.sin(math.pi / 3)))
-        assert grids(minimal_amplify_dict()) == [amplification_grid_for(-1.0, params)]
-        assert grids(amplify_on_grid(1024, nu=2.0)) == [Grid(-40.0, 40.0, 1024)]
+        for nu in (1.0, 2.0):
+            e1 = -nu * nu
+            params = AnyonicParams(phi=math.pi / 3, v=0.8 * critical_velocity(e1, math.pi / 3))
+            assert grids(amplify_on_grid(1024, nu)) == [amplification_grid_for(e1, params)]
 
 
 MUTANT_VALUES = [None, "x", [], {}, True, 2.5, -1, 0, math.nan, math.inf]
@@ -549,7 +567,7 @@ class TestRunnersAndCLI:
                 **spectrum_dict(256, phi=math.pi / 3, v_over_vc=[0.0, 0.5, 0.95]),
                 "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 256},
             },
-            {  # numeric nu = 2 ground states, evolved at three drifts
+            {  # closed-form nu = 2 ground states, evolved at three drifts
                 **amplify_on_grid(128, nu=2.0),
                 "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 128},
                 "params": {"phi": math.pi / 3, "v_over_vc": [0.2, 0.5, 0.8]},
@@ -587,7 +605,46 @@ class TestRunnersAndCLI:
         raw["amplify"] = {"evolve": True}
         raw["propagator"] = {"dt": 0.01, "t_final": 0.05, "snapshot_every": 5}
         run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
-        assert len(solves) == 2  # one per sweep point
+        assert solves == []  # the nu = 2 ground state is the closed form; no g_t, no E_dom
+
+    @pytest.mark.parametrize("experiment", ["amplify", "delocalize"])
+    def test_well_given_as_v0_writes_the_same_bytes(self, tmp_path, experiment):
+        # v0 = -2 is the nu = 1 well; both reach one closed form with nu = 1.0
+        outputs = []
+        for well in ({"nu": 1.0}, {"v0": -2.0}):
+            raw = {
+                **amplify_on_grid(1024, nu=1.0),
+                "experiment": experiment,
+                "potential": {"kind": "poschl_teller", "delta": 0.2, **well},
+                "params": {"phi": math.pi / 3, "v_over_vc": [0.5, 0.9, 0.97]},
+                "amplify": {"evolve": False},
+            }
+            written = run_experiment(ExperimentConfig.from_dict(raw), tmp_path / str(len(outputs)))
+            outputs.append([(p.name, p.read_bytes()) for p in written])
+        assert outputs[0] == outputs[1]
+
+    def test_nu_2_gain_from_the_closed_form(self, tmp_path):
+        # the weighted integrals of sech^2(x - 0.2i) at 0.9 v_c; a rest-frame
+        # eigenvector on the 80-wide box gave 8.38e46 here
+        raw = {**amplify_on_grid(1024, nu=2.0), "amplify": {"evolve": False}}
+        raw["params"]["v_over_vc"] = [0.9]
+        path = tmp_path / "nu2.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["amplify", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
+        with (tmp_path / "out" / "ginf.csv").open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["g_infinity"]) == pytest.approx(476.0, rel=1e-3)
+
+    @pytest.mark.parametrize("gain", [math.inf, math.nan])
+    def test_non_finite_gain_exits_3(self, tmp_path, monkeypatch, gain):
+        import anyonpt.runners as runners
+
+        monkeypatch.setattr(runners, "g_infinity", lambda *args, **kwargs: gain)
+        path = tmp_path / "amplify.yaml"
+        path.write_text(yaml.safe_dump(minimal_amplify_dict(g_t_times=[])))
+        outdir = tmp_path / "never"
+        assert cli_main(["amplify", "--config", str(path), "--output", str(outdir)]) == 3
+        assert not outdir.exists()
 
     def test_lasermap_failure_writes_nothing(self, tmp_path, monkeypatch):
         import anyonpt.runners as runners

@@ -132,6 +132,15 @@ class TestGaugeFactors:
         with pytest.raises(DomainError):
             AnyonicParams(phi=2.0)
 
+    @pytest.mark.parametrize("v", [1.0e200, -1.0e200, math.inf, math.nan])
+    def test_drift_whose_square_overflows_is_refused(self, v):
+        with pytest.raises(DomainError):
+            AnyonicParams(phi=0.5, v=v)
+
+    def test_drift_whose_square_is_finite_is_kept(self):
+        gf = GaugeFactors.from_params(AnyonicParams(phi=0.0, v=1.0e150))
+        assert gf.beta == pytest.approx(-0.25e300, rel=1e-15)
+
 
 class TestBuildHEff:
     def test_hermitian_limit_is_symmetric_real(self, sym_grid):

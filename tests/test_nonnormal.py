@@ -73,6 +73,26 @@ class TestAnalyticBoundState:
         norm = math.sqrt(float(np.trapezoid(np.abs(resid[interior]) ** 2, dx=grid.dx)))
         assert norm < 1e-6
 
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 2.5])
+    def test_closed_form_solves_the_rest_frame_bands(self, nu, delta):
+        # max|(H - E_1) u| / max|u| at the interior rows of the Dirichlet bands
+        # falls as dx^2: about 4x from dx = 0.02 to 0.01
+        def residual(n_points):
+            grid = Grid(-20.0, 20.0, n_points)
+            h = build_h_eff(PoschlTeller(nu=nu, delta=delta), AnyonicParams(phi=0.0), grid)
+            u = analytic_bound_state_pt(grid, delta, nu).values
+            hu = h.lower * u[:-2] + (h.diagonal[1:-1] + nu * nu) * u[1:-1] + h.upper * u[2:]
+            return np.abs(hu).max() / np.abs(u).max()
+
+        coarse, fine = residual(2000), residual(4000)
+        assert fine < 4e-4  # 2.7e-4 at nu = 2.5, delta = 0.2
+        assert 3.9 < coarse / fine < 4.1
+
+    def test_nu_must_be_positive(self):
+        with pytest.raises(DomainError):
+            analytic_bound_state_pt(Grid(-10.0, 10.0, 64), 0.2, 0.0)
+
     def test_near_exceptional_point_profile(self):
         # as delta -> pi/2 the state approaches 1/(x + i eps) near the origin
         eps = 0.05
@@ -537,6 +557,13 @@ class TestAmplificationReport:
             AmplificationReport(
                 g_infinity=0.5, g_t_samples=(), self_orthogonality=1.0, delocalization_margin=1.0
             )
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["g_infinity", "g_t"])
+    def test_non_finite_gain_is_a_numerical_error(self, bad, where):
+        ginf, samples = (bad, ((0.5, 2.0),)) if where == "g_infinity" else (2.0, ((0.5, bad),))
+        with pytest.raises(NumericalError, match="not finite"):
+            AmplificationReport(ginf, samples, self_orthogonality=0.97, delocalization_margin=0.1)
 
     def test_auto_grid_widens_near_threshold(self):
         wide = amplification_grid_for(-1.0, AnyonicParams(phi=PHI3, v=0.97 * VC))
