@@ -105,7 +105,6 @@ _KEYS = (
     _Key("params.v_over_vc", _AXIS, field="v_over_vc"),
     _Key("propagator.dt", float),
     _Key("propagator.t_final", float),
-    _Key("propagator.frame", str),
     _Key("propagator.snapshot_every", int),
     _Key("propagator.absorber.width", float, _REQUIRED),
     _Key("propagator.absorber.strength", float, _REQUIRED),
@@ -296,6 +295,8 @@ class ExperimentConfig:
                 absorber.mask(self.grid)
             except ContractError as exc:
                 raise ConfigError(f"propagator.absorber: {exc}") from exc
+        if ex == "scatter" and not self.grid.x_min < self.separatrix < self.grid.x_max:
+            raise ConfigError(f"separatrix {self.separatrix} is not strictly inside the grid")
         if self.v_over_vc is not None and any(p == 0.0 for p in self.phi):
             raise ConfigError("v_over_vc is undefined at phi = 0 (no finite v_c)")
         size = math.prod(map(len, self._axes()))  # before any point is built

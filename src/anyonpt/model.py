@@ -69,6 +69,9 @@ class Grid:
             raise ContractError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_points < 16:
             raise ContractError(f"n_points must be >= 16, got {self.n_points}")
+        dx2 = self.dx * self.dx  # build_h_eff divides by it
+        if not (0.0 < dx2 < math.inf and 1.0 / dx2 < math.inf):
+            raise ContractError(f"grid spacing {self.dx:.3g} has no finite nonzero dx^2 and 1/dx^2")
 
     @property
     def dx(self) -> float:

@@ -299,6 +299,12 @@ class TestParseTimeRejection:
             {**spectrum_dict(256), "potential": {"nu": 1e5}},
             {**spectrum_dict(256), "potential": {"v0": -1e10}},
             {**spectrum_dict(256), "params": {"phi": 0.0, "v": 1.0e200}},
+            {**spectrum_dict(256), "grid": {"x_min": -1e-300, "x_max": 1e-300, "n_points": 256}},
+            {**spectrum_dict(256), "grid": {"x_min": -1e300, "x_max": 1e300, "n_points": 256}},
+            minimal_amplify_dict(g_t_grid={"x_min": -1e300, "x_max": 1e300, "n_points": 64}),
+            {**minimal_scatter_dict(), "separatrix": 170.0},
+            {**minimal_scatter_dict(), "separatrix": 60.0},  # on the grid's right end
+            scatter_with("propagator", frame="lab"),
             {  # the closed form of nu = 1e-3 is about 1000 long: 2^22 quadrature points
                 **minimal_amplify_dict(),
                 "potential": {"kind": "poschl_teller", "nu": 1e-3, "delta": 0.2},
@@ -351,6 +357,12 @@ class TestParseTimeRejection:
             "nu-above-bound-state-cap",
             "v0-above-bound-state-cap",
             "spectrum-v-square-overflows",
+            "grid-spacing-square-underflows",
+            "grid-spacing-square-overflows",
+            "g_t-grid-spacing-square-overflows",
+            "separatrix-outside-grid",
+            "separatrix-on-grid-end",
+            "scatter-frame-key",
             "amplify-small-nu-quadrature-above-point-cap",
         ],
     )

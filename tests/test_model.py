@@ -35,6 +35,20 @@ class TestGrid:
         with pytest.raises(ContractError):
             Grid(-1.0, 1.0, 8)
 
+    @pytest.mark.parametrize(
+        "half_width, n_points",
+        [(1e-300, 256), (1.28e-158, 256), (1e300, 256), (1e308, 64)],
+        ids=["dx2-underflows", "inverse-dx2-overflows", "dx2-overflows", "length-overflows"],
+    )
+    def test_spacing_whose_square_or_its_inverse_is_not_finite_rejected(self, half_width, n_points):
+        with pytest.raises(ContractError, match="dx\\^2"):
+            Grid(-half_width, half_width, n_points)
+
+    def test_extreme_spacings_with_finite_square_accepted(self):
+        for half_width in (1e-150, 1e150):
+            dx = Grid(-half_width, half_width, 256).dx
+            assert 0.0 < dx**2 < math.inf and 1.0 / dx**2 < math.inf
+
     def test_symmetry_flag(self):
         assert Grid(-5, 5, 64).is_symmetric()
         assert not Grid(-4, 5, 64).is_symmetric()
