@@ -25,6 +25,7 @@ from .model import (
     Tabulated,
     WaveFunction,
     build_h_eff,
+    build_twin,
     check_anyonic_symmetry,
     check_pt_condition,
     default_grid,

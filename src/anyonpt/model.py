@@ -38,6 +38,7 @@ __all__ = [
     "default_grid",
     "check_pt_condition",
     "build_h_eff",
+    "build_twin",
     "check_anyonic_symmetry",
     "trapz",
 ]
@@ -48,6 +49,9 @@ _SECH_CUTOFF = 350.0
 DENSE_MAX_DIM = 8192
 # HamiltonianMatrix.is_hermitian allows this skew, relative to the bands.
 HERMITIAN_RTOL = 1e-12
+# build_twin serves only while both of its error exponents E exceed this, where each error
+# is at most about 0.07 e^{-E} of the 1-norm: 3e-19 at E = 40, far below rounding.
+TWIN_MIN_EXPONENT = 40.0
 
 
 @dataclass(frozen=True)
@@ -377,6 +381,10 @@ def build_h_eff(
             f"dx = {grid.dx:.3g} exceeds the recommended 0.1 for sech^2-scale potentials",
             stacklevel=2,
         )
+    return _assemble(spec, params, grid, boundary)
+
+
+def _assemble(spec: PotentialSpec, params: AnyonicParams, grid: Grid, boundary: str):
     rot = complex(math.cos(params.phi), -math.sin(params.phi))  # exp(-i phi)
     vvals = np.asarray(spec(grid.x), dtype=complex)
     off = -rot / grid.dx**2
@@ -386,6 +394,30 @@ def build_h_eff(
     return HamiltonianMatrix(
         grid, diag, off + drift, off + (-drift), boundary, params.phi, params.v
     )
+
+
+def build_twin(spec: PotentialSpec, params: AnyonicParams, grid: Grid, boundary: str):
+    """The delta = 0 twin of ``build_h_eff(spec, params, grid, boundary)``, or None.
+
+    On a periodic grid the imaginary translation x -> x - i delta is the Fourier-space
+    similarity diag(e^{-delta q}), which commutes with the kinetic and drift terms.  So
+    H(delta) has the eigenvalues of the real well's H(0) up to two errors, measured as a
+    fraction of the 1-norm against dense solves of H(delta) for nu = 1, |delta| <= 1:
+    the aliasing of V at the Nyquist wavenumber, about 0.07 e^{-E} with E = (pi/2 -
+    |delta|) pi/dx, and the well's tails cut at the box edges, at most 1.1e-3 e^{-E} with
+    E = 2 d (1 - |delta|/pi), d the distance from the well to the nearer edge.  The twin
+    is returned only where ``solve_spectrum`` can use it: a periodic grid, a shifted
+    Poschl-Teller potential, e^{i phi} H(0) Hermitian (v = 0 or phi = 0), and both
+    exponents above TWIN_MIN_EXPONENT.
+    """
+    if not (boundary == "periodic" and isinstance(spec, PoschlTeller) and spec.delta):
+        return None
+    shift = abs(spec.delta)
+    aliasing = (math.pi / 2 - shift) * math.pi / grid.dx
+    edges = 2.0 * min(-grid.x_min, grid.x_max) * (1.0 - shift / math.pi)
+    if (params.v and params.phi) or not min(aliasing, edges) > TWIN_MIN_EXPONENT:
+        return None
+    return _assemble(replace(spec, delta=0.0), params, grid, boundary)
 
 
 def check_pt_condition(spec: PotentialSpec, grid: Grid, tol: float = 1e-12) -> bool:

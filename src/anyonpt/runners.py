@@ -32,7 +32,7 @@ import numpy as np
 from ._io import write_csv, write_ndjson
 from .config import ExperimentConfig, SweepPoint
 from .lasermap import map_to_anyonic, mode_locking_threshold
-from .model import build_h_eff
+from .model import build_h_eff, build_twin
 from .nonnormal import (
     AmplificationReport,
     analytic_bound_state_pt,
@@ -114,7 +114,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     def compute(point: SweepPoint):
         params = point.params
         h = build_h_eff(point.potential, params, point.grid, boundary=cfg.boundary)
-        result = solve_spectrum(h)
+        result = solve_spectrum(h, build_twin(point.potential, params, point.grid, cfg.boundary))
         k = np.linspace(-cfg.k_max, cfg.k_max, cfg.k_points)
         band = continuous_dispersion(k, params)
         bound_rows = []
