@@ -44,7 +44,6 @@ from .spectra import (
     solve_spectrum,
 )
 from .propagation import (
-    AbsorberSpec,
     EvolutionRecord,
     PropagatorConfig,
     evolve,

@@ -28,7 +28,7 @@ from .errors import AnyonptError, ConfigError, ContractError, DomainError
 from .lasermap import CavityParams
 from .model import DENSE_MAX_DIM, AnyonicParams, Grid, PoschlTeller, Tabulated
 from .nonnormal import G_T_MAX_DIM, amplification_grid_for
-from .propagation import AbsorberSpec, PropagatorConfig
+from .propagation import PropagatorConfig
 from .scattering import PacketSpec
 from .spectra import critical_velocity, delocalization_margin, poschl_teller_energies
 
@@ -106,8 +106,6 @@ _KEYS = (
     _Key("propagator.dt", float),
     _Key("propagator.t_final", float),
     _Key("propagator.snapshot_every", int),
-    _Key("propagator.absorber.width", float, _REQUIRED),
-    _Key("propagator.absorber.strength", float, _REQUIRED),
     _Key("packet.center", float, _REQUIRED, field="packet_center"),
     _Key("packet.width", float, _REQUIRED, field="packet_width"),
     _Key("packet.carrier", _AXIS, 0.0, field="carrier"),
@@ -134,8 +132,8 @@ _KEYS = (
 _SECTIONS = dict.fromkeys(k.key.rpartition(".")[0] for k in _KEYS)
 # Sections that build a domain type, which checks its own ranges; the keys of
 # every other section fill ExperimentConfig fields directly.
-_BUILDS = {"grid": Grid, "propagator": PropagatorConfig, "propagator.absorber": AbsorberSpec,
-           "amplify.g_t_grid": Grid, "cavity": CavityParams, "rt_sweep": dict, "detuning": dict}
+_BUILDS = {"grid": Grid, "propagator": PropagatorConfig, "amplify.g_t_grid": Grid,
+           "cavity": CavityParams, "rt_sweep": dict, "detuning": dict}
 # The fields each runner needs set (amplify with evolve: true also a propagator).
 _NEEDS = {"spectrum": ("grid",), "delocalize": ("grid",), "amplify": ("grid",),
           "scatter": ("grid", "propagator", "packet_center"), "lasermap": ("cavity", "e1")}
@@ -289,12 +287,6 @@ class ExperimentConfig:
         missing = [name for name in needs if getattr(self, name) is None]
         if missing:
             raise ConfigError(f"{ex}: {missing[0]} is required")
-        absorber = self.propagator.absorber if self.propagator is not None else None
-        if absorber is not None and self.grid is not None:
-            try:  # the width check evolve makes on the grid it runs on
-                absorber.mask(self.grid)
-            except ContractError as exc:
-                raise ConfigError(f"propagator.absorber: {exc}") from exc
         if ex == "scatter" and not self.grid.x_min < self.separatrix < self.grid.x_max:
             raise ConfigError(f"separatrix {self.separatrix} is not strictly inside the grid")
         if self.v_over_vc is not None and any(p == 0.0 for p in self.phi):

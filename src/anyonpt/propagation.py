@@ -8,13 +8,13 @@ potential step.  The Fourier multiplier carries the band dispersion
 exp(-i (e^{-i phi} k^2 - v k) dt), so free propagation is exact for every
 retained mode and the drift is dispersion-free.  The rotated kinetic factor
 has |mult| = exp(-sin(phi) k^2 dt) <= 1, which keeps the scheme stable for
-any dt; dt still controls splitting accuracy.
+any dt.  Its only time error is the O(dt^2) splitting error, not a dx rule: at
+the shipped dt = 0.005 it is 5e-6 to 2.1e-4 of the final field's norm (README).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,6 @@ from .model import AnyonicParams, GaugeFactors, PotentialSpec, WaveFunction, tra
 from .spectra import continuous_dispersion
 
 __all__ = [
-    "AbsorberSpec",
     "PropagatorConfig",
     "EvolutionRecord",
     "evolve",
@@ -37,37 +36,10 @@ MAX_STEPS = 10**6  # about 120x the longest shipped evolution (8400 steps)
 
 
 @dataclass(frozen=True)
-class AbsorberSpec:
-    """Cosine-ramp absorbing mask applied near both grid edges each step."""
-
-    width: float
-    strength: float
-
-    def __post_init__(self):
-        if self.width <= 0 or not (0.0 < self.strength <= 1.0):
-            raise ContractError("absorber needs width > 0 and strength in (0, 1]")
-
-    def mask(self, grid) -> np.ndarray:
-        if self.width > grid.length / 4:
-            raise ContractError(
-                f"absorber width {self.width} exceeds a quarter of the box ({grid.length / 4})"
-            )
-        x = grid.x
-        d = np.minimum(x - grid.x_min, grid.x_max - x)
-        ramp = np.where(
-            d < self.width,
-            1.0 - self.strength * np.cos(0.5 * np.pi * d / self.width) ** 2,
-            1.0,
-        )
-        return ramp
-
-
-@dataclass(frozen=True)
 class PropagatorConfig:
     dt: float = 0.005
     t_final: float = 10.0
     snapshot_every: int = 100
-    absorber: AbsorberSpec | None = None
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_final < 0:
@@ -140,15 +112,6 @@ def evolve_batch(fields, config: PropagatorConfig) -> list:
     if any(psi0.grid != grid for psi0, _, _ in fields):
         raise ContractError("evolve_batch needs one grid for all fields")
     dt = config.dt
-    if any(dt > 0.5 * grid.dx**2 / max(1.0, abs(math.cos(p.phi))) for _, _, p in fields):
-        # Static message so the default warning filter reports it once.
-        warnings.warn(
-            "dt exceeds the accuracy guideline 0.5 dx^2 / max(1, |cos phi|); "
-            "the scheme stays stable but splitting error grows",
-            stacklevel=2,
-        )
-    mask = config.absorber.mask(grid) if config.absorber is not None else None
-
     mult_k = np.stack([np.exp(-1j * continuous_dispersion(grid.k, p) * dt) for _, _, p in fields])
     half_v = np.empty_like(mult_k)
     for row, (_, spec, p) in zip(half_v, fields):
@@ -179,8 +142,6 @@ def evolve_batch(fields, config: PropagatorConfig) -> list:
         np.multiply(mult_k, spectrum, out=spectrum)
         np.fft.ifft(spectrum, axis=-1, out=psi)
         np.multiply(half_v, psi, out=psi)
-        if mask is not None:
-            np.multiply(mask, psi, out=psi)
         _guard(psi)
         if (step + 1) % config.snapshot_every == 0 or step + 1 == n_steps:
             times.append((step + 1) * dt)

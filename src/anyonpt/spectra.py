@@ -400,8 +400,7 @@ def solve_spectrum(h: HamiltonianMatrix, twin: HamiltonianMatrix | None = None) 
     Nyquist wavenumber, about 0.07 e^{-E} of the 1-norm with E = (pi/2 - |delta|)
     pi/dx, and the well's tails cut at the box edges; ``build_twin`` serves only
     while both exponents exceed TWIN_MIN_EXPONENT = 40.  Its banded solve gives the
-    cloud ("hermitian-twin"); root lengths and point states still come from H, and
-    a point state's eigenvalue and root length are those of its solve on H.
+    cloud ("hermitian-twin"); root lengths and point states still come from H.
     Otherwise a PT-symmetric K (at rest, or at phi = 0) is similar to the real
     matrix ``K.dense(real_form=True)`` (Bender & Boettcher, PRL 80, 5243, 1998)
     and goes to the real general solver ("real-general"); every other matrix
@@ -412,7 +411,8 @@ def solve_spectrum(h: HamiltonianMatrix, twin: HamiltonianMatrix | None = None) 
     Those whose root length is below ROOT_SCREEN_FRACTION of the box are
     solved again by ``point_states``; a state is labeled "point" when the
     participation ratio of that vector (1 / integral |u|^4 for normalized u)
-    is below PR_BOX_FRACTION of the box.  The result carries the vectors of
+    is below PR_BOX_FRACTION of the box; on every path its eigenvalue and root
+    length are those of that solve on H.  The result carries the vectors of
     the point states only.
     """
     import scipy.linalg  # here, not at the top: it adds to every start-up
@@ -468,8 +468,8 @@ def solve_spectrum(h: HamiltonianMatrix, twin: HamiltonianMatrix | None = None) 
             )
         is_point = found.classification == "point"
         owners, vecs = owned[is_point], found.eigenvectors[:, is_point]
-        if twin is not None:  # the cloud is the twin's; a point state's value is H's own
-            w[owners], lengths[owners] = got[is_point], found.localization_length[is_point]
+        # a point state's value is H's own, whichever path gave the cloud
+        w[owners], lengths[owners] = got[is_point], found.localization_length[is_point]
 
     classification = np.full(len(w), "continuum")
     classification[owners] = "point"

@@ -439,9 +439,24 @@ class TestRealForm:
     """PT-symmetric operators are solved in real arithmetic."""
 
     @pytest.mark.parametrize("make_h, solver", SOLVER_PARAMS)
-    def test_solver_path(self, make_h, solver):
-        # the eigenvalues against the dense oracle: test_matches_dense_oracle
-        assert solve_spectrum(*make_h()).solver == solver
+    def test_solver_path(self, monkeypatch, make_h, solver):
+        # the eigenvalues against the dense oracle: test_matches_dense_oracle.  Whichever
+        # path gave the cloud, a point state's eigenvalue and root length are bitwise
+        # those of its point_states solve on H
+        solves = []
+
+        def recorded(h, targets):
+            solves.append(point_states(h, targets))
+            return solves[-1]
+
+        monkeypatch.setattr(spectra, "point_states", recorded)
+        res = solve_spectrum(*make_h())
+        assert res.solver == solver
+        (found,) = solves
+        assert res.point_count >= 1
+        for i in res.point_indices():
+            (j,) = np.flatnonzero(found.eigenvalues == res.eigenvalues[i])
+            assert res.localization_length[i] == found.localization_length[j]
 
     @pytest.mark.parametrize("broken", [False, True], ids=["unbroken", "broken"])
     def test_phase_only_rotates(self, broken):
@@ -554,7 +569,8 @@ class TestAberth:
         assert np.array_equal(solve_spectrum(h).eigenvalues, solve_spectrum(h).eigenvalues)
 
     def test_forced_fallback_is_the_dense_solve(self, monkeypatch):
-        # no sweep allowed: the eigvals eigenvalues, bitwise, from one dense copy
+        # no sweep allowed: the eigvals eigenvalues, bitwise, from one dense copy, but
+        # for each point state, which is its shift-invert value from that eigenvalue
         monkeypatch.setattr(spectra, "ABERTH_MAX_SWEEPS", 0)
         h = _well(math.pi / 3, v=0.5 * VC3)
         tracemalloc.start()
@@ -564,8 +580,12 @@ class TestAberth:
         finally:
             tracemalloc.stop()
         w = scipy.linalg.eigvals(h.dense().T)
-        assert res.solver == "complex-general"
-        assert np.array_equal(res.eigenvalues, w[np.lexsort((w.imag, w.real))])
+        w = w[np.lexsort((w.imag, w.real))]
+        point = res.classification == "point"
+        assert res.solver == "complex-general" and point.sum() == 1
+        assert np.array_equal(res.eigenvalues[~point], w[~point])
+        for i in np.flatnonzero(point):
+            assert res.eigenvalues[i] == point_states(h, [w[i]]).eigenvalues[0]
         assert peak <= 1.5 * 16 * h.dim**2
 
 
