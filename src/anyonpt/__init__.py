@@ -25,7 +25,6 @@ from .model import (
     Tabulated,
     WaveFunction,
     build_h_eff,
-    build_twin,
     check_anyonic_symmetry,
     check_pt_condition,
     default_grid,
@@ -60,7 +59,6 @@ from .scattering import (
     stationary_rt,
 )
 from .nonnormal import (
-    AmplificationReport,
     adjoint_bound_state,
     analytic_bound_state_pt,
     g_infinity,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Union
@@ -305,6 +305,9 @@ class HamiltonianMatrix:
     ``boundary`` adds the corners (0, n-1) = ``lower`` and (n-1, 0) = ``upper``;
     "dirichlet" clamps the field beyond the ends.  The drift velocity is kept
     because the anyonic symmetry check treats the drift couplings separately.
+    ``potential`` is the spec that ``build_h_eff`` sampled, for ``build_twin``;
+    it is no constructor argument, and ``dataclasses.replace`` resets it to None,
+    so an operator whose bands were changed has no twin.
     """
 
     grid: Grid
@@ -314,6 +317,7 @@ class HamiltonianMatrix:
     boundary: str
     phi: float
     v: float
+    potential: PotentialSpec | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         diag = np.asarray(self.diagonal, dtype=complex)
@@ -391,13 +395,13 @@ def _assemble(spec: PotentialSpec, params: AnyonicParams, grid: Grid, boundary: 
     drift = 1j * params.v / (2.0 * grid.dx)
     # + 0j turns -0.0 parts into +0.0, as in the matrices behind the shipped outputs.
     diag = 2.0 * rot / grid.dx**2 + rot * vvals + 0j
-    return HamiltonianMatrix(
-        grid, diag, off + drift, off + (-drift), boundary, params.phi, params.v
-    )
+    h = HamiltonianMatrix(grid, diag, off + drift, off + (-drift), boundary, params.phi, params.v)
+    object.__setattr__(h, "potential", spec)
+    return h
 
 
-def build_twin(spec: PotentialSpec, params: AnyonicParams, grid: Grid, boundary: str):
-    """The delta = 0 twin of ``build_h_eff(spec, params, grid, boundary)``, or None.
+def build_twin(h: HamiltonianMatrix):
+    """The delta = 0 twin of ``h``, an operator from ``build_h_eff``, or None.
 
     On a periodic grid the imaginary translation x -> x - i delta is the Fourier-space
     similarity diag(e^{-delta q}), which commutes with the kinetic and drift terms.  So
@@ -408,16 +412,18 @@ def build_twin(spec: PotentialSpec, params: AnyonicParams, grid: Grid, boundary:
     E = 2 d (1 - |delta|/pi), d the distance from the well to the nearer edge.  The twin
     is returned only where ``solve_spectrum`` can use it: a periodic grid, a shifted
     Poschl-Teller potential, e^{i phi} H(0) Hermitian (v = 0 or phi = 0), and both
-    exponents above TWIN_MIN_EXPONENT.
+    exponents above TWIN_MIN_EXPONENT.  Its potential, phase, drift, grid and
+    boundary are read off ``h``, so an operator without a ``potential`` has none.
     """
-    if not (boundary == "periodic" and isinstance(spec, PoschlTeller) and spec.delta):
+    spec, grid = h.potential, h.grid
+    if not (h.boundary == "periodic" and isinstance(spec, PoschlTeller) and spec.delta):
         return None
     shift = abs(spec.delta)
     aliasing = (math.pi / 2 - shift) * math.pi / grid.dx
     edges = 2.0 * min(-grid.x_min, grid.x_max) * (1.0 - shift / math.pi)
-    if (params.v and params.phi) or not min(aliasing, edges) > TWIN_MIN_EXPONENT:
+    if (h.v and h.phi) or not min(aliasing, edges) > TWIN_MIN_EXPONENT:
         return None
-    return _assemble(replace(spec, delta=0.0), params, grid, boundary)
+    return _assemble(replace(spec, delta=0.0), AnyonicParams(h.phi, h.v), grid, h.boundary)
 
 
 def check_pt_condition(spec: PotentialSpec, grid: Grid, tol: float = 1e-12) -> bool:

@@ -16,7 +16,6 @@ integral vanishes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .model import (
 from .spectra import delocalization_margin
 
 __all__ = [
-    "AmplificationReport",
     "analytic_bound_state_pt",
     "adjoint_bound_state",
     "self_orthogonality",
@@ -63,25 +61,6 @@ BAND_BLOCK = 128
 # P is close to I and its singular values cluster, converging costs more
 # than the dense SVD.
 LANCZOS_MAXITER = 10
-
-
-@dataclass(frozen=True)
-class AmplificationReport:
-    """One row of the gain diagnostics: asymptotic factor, samples, margins."""
-
-    g_infinity: float
-    g_t_samples: tuple
-    self_orthogonality: float
-    delocalization_margin: float
-
-    def __post_init__(self):
-        gains = (self.g_infinity, *(g for _, g in self.g_t_samples))
-        if not all(map(math.isfinite, gains)):  # inf passes G >= 1, NaN fails no comparison
-            raise NumericalError(f"gain is not finite: G_inf and G_t samples {gains}")
-        if self.g_infinity < 1.0 - 1e-9:
-            raise ContractError(f"g_infinity must be >= 1, got {self.g_infinity}")
-        if any(g < 0 for _, g in self.g_t_samples):
-            raise ContractError("g_t samples must be nonnegative")
 
 
 def analytic_bound_state_pt(grid: Grid, delta: float, nu: float = 1.0) -> WaveFunction:
@@ -142,9 +121,14 @@ def g_infinity(u1: WaveFunction, params: AnyonicParams, e1: float = -1.0) -> flo
     biorthogonal form <u~|u~><u~+|u~+>/|<u~+|u~>|^2 built from the dressed
     direct and adjoint states.  The weighted integrands are truncated where
     they fall below 1e-14 of their peak so that noise tails never dominate
-    the exponential weights.
+    the exponential weights.  Both forms must be finite and at least 1 - 1e-9,
+    else NumericalError.
     """
     weighted, biortho = g_infinity_forms(u1, params, e1)
+    if not all(1.0 - 1e-9 <= g < math.inf for g in (weighted, biortho)):  # NaN fails too
+        raise NumericalError(
+            f"gain is not a finite value >= 1: weighted {weighted:.6g}, biorthogonal {biortho:.6g}"
+        )
     if abs(weighted - biortho) > 1e-6 * max(weighted, biortho):
         raise NumericalError(
             f"gain formulas disagree: weighted {weighted:.6g} vs biorthogonal "

@@ -32,14 +32,8 @@ import numpy as np
 from ._io import write_csv, write_ndjson
 from .config import ExperimentConfig, SweepPoint
 from .lasermap import map_to_anyonic, mode_locking_threshold
-from .model import build_h_eff, build_twin
-from .nonnormal import (
-    AmplificationReport,
-    analytic_bound_state_pt,
-    g_infinity,
-    g_t,
-    self_orthogonality,
-)
+from .model import build_h_eff
+from .nonnormal import analytic_bound_state_pt, g_infinity, g_t, self_orthogonality
 from .propagation import evolve_batch
 from .scattering import group_velocity, run_packet_scattering, stationary_rt
 from .spectra import (
@@ -114,7 +108,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
     def compute(point: SweepPoint):
         params = point.params
         h = build_h_eff(point.potential, params, point.grid, boundary=cfg.boundary)
-        result = solve_spectrum(h, build_twin(point.potential, params, point.grid, cfg.boundary))
+        result = solve_spectrum(h)
         k = np.linspace(-cfg.k_max, cfg.k_max, cfg.k_points)
         band = continuous_dispersion(k, params)
         bound_rows = []
@@ -246,16 +240,14 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             sorth = self_orthogonality(u1)
 
             paths = []
-            gt_rows = ()
             if cfg.g_t_times:
                 h = build_h_eff(point.potential, params, cfg.g_t_grid, boundary="dirichlet")
                 e_dom = point_states(h, [shifted_point_energy(e1, params)]).eigenvalues[0]
-                gt_rows = tuple(zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times)))
+                gt_rows = zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times))
                 paths.append(write_csv(outdir / f"gt_{point.index:03d}.csv", ("t", "g_t"), gt_rows))
             if cfg.amplify_evolve:  # on the config box; v < v_c, checked at parse time
                 u1 = analytic_bound_state_pt(cfg.grid, point.delta, point.potential.well_nu)
                 fields.append((moving_bound_state(u1, e1, params), point.potential, params))
-            AmplificationReport(ginf, gt_rows, sorth, margin)  # checks G >= 1 and G(t) >= 0
             _, *leading = _point_columns(point).items()  # ginf.csv has no index column
             row = dict(leading, g_infinity=ginf, self_orthogonality=sorth, margin=margin)
             computed.append((paths, row))

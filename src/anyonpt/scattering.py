@@ -59,10 +59,11 @@ class PacketSpec:
             raise ContractError("packet width must be positive")
 
     def validate_on(self, grid: Grid):
-        if abs(self.center) + 3.0 * self.width >= grid.x_max:
+        lo, hi = self.center - 3.0 * self.width, self.center + 3.0 * self.width
+        if not (grid.x_min < lo and hi < grid.x_max):
             raise ContractError(
-                "packet support must fit inside the grid: "
-                f"|center| + 3 width = {abs(self.center) + 3 * self.width} >= {grid.x_max}"
+                "packet support must fit inside the grid: center -+ 3 width = "
+                f"[{lo}, {hi}] is not inside ({grid.x_min}, {grid.x_max})"
             )
 
     def check_approach(self, params: AnyonicParams, separatrix: float = 0.0):

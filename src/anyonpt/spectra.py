@@ -8,10 +8,11 @@ drift stays below the critical velocity ``2 sqrt(|E_n|)/sin(phi)``.
 Numerical side: the eigenvalues of the discretized operator, and vectors
 only for its point states.  ``solve_spectrum`` takes the whole eigenvalue
 cloud in O(n^2) from the bands of a Hermitian operator (or of the Hermitian
-delta = 0 twin of a shifted well) or from the roots of a drifting periodic
-operator's transfer-matrix determinant, and otherwise from a dense
-eigenvalue-only solve; ``point_states`` takes the eigenpairs nearest given
-energies from shift-invert solves.
+delta = 0 twin of a shifted well, which it builds itself from any operator
+of ``build_h_eff``) or from the roots of a drifting periodic operator's
+transfer-matrix determinant, and otherwise from a dense eigenvalue-only
+solve; ``point_states`` takes the eigenpairs nearest given energies from
+shift-invert solves.
 A state's localization length is read off its eigenvalue: outside the well
 the eigenvector is a sum of powers z^j, with z a root of the bands' edge
 recurrence, and |z| sets how fast each tail decays (Hatano & Nelson, PRL 77,
@@ -45,6 +46,7 @@ from .model import (
     Grid,
     HamiltonianMatrix,
     WaveFunction,
+    build_twin,
 )
 
 __all__ = [
@@ -386,7 +388,7 @@ def _banded_eigenvalues(k: HamiltonianMatrix) -> tuple:
     return w, real
 
 
-def solve_spectrum(h: HamiltonianMatrix, twin: HamiltonianMatrix | None = None) -> SpectrumResult:
+def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     """Every eigenvalue of the operator, labeled point or continuum.
 
     An eigenvalue-only solve gives the whole cloud, along one of the paths
@@ -394,13 +396,15 @@ def solve_spectrum(h: HamiltonianMatrix, twin: HamiltonianMatrix | None = None) 
     A Hermitian K is solved on its bands by ``_banded_eigenvalues`` in O(n^2),
     "real-symmetric" when its couplings are real, else "complex-hermitian"
     (0.03 s at n = 1280, one BLAS thread, against 1.1 s for a real form).
-    ``twin``, from ``build_twin``, is the delta = 0 twin of a shifted well, whose K
-    is Hermitian and which has H's eigenvalues: the imaginary translation x -> x -
-    i delta is a Fourier-space similarity, exact up to the aliasing of V at the
-    Nyquist wavenumber, about 0.07 e^{-E} of the 1-norm with E = (pi/2 - |delta|)
-    pi/dx, and the well's tails cut at the box edges; ``build_twin`` serves only
-    while both exponents exceed TWIN_MIN_EXPONENT = 40.  Its banded solve gives the
-    cloud ("hermitian-twin"); root lengths and point states still come from H.
+    ``build_twin(h)`` gives the delta = 0 twin of a shifted well from ``build_h_eff``,
+    whose K is Hermitian and which has H's eigenvalues: the imaginary translation
+    x -> x - i delta is a Fourier-space similarity, exact up to the aliasing of V at
+    the Nyquist wavenumber, about 0.07 e^{-E} of the 1-norm with E = (pi/2 - |delta|)
+    pi/dx, and the well's tails cut at the box edges; it serves only while both
+    exponents exceed TWIN_MIN_EXPONENT = 40.  An operator made by
+    ``dataclasses.replace`` has no potential and so no twin.  The twin's banded
+    solve gives the cloud ("hermitian-twin"); root lengths and point states still
+    come from H.
     Otherwise a PT-symmetric K (at rest, or at phi = 0) is similar to the real
     matrix ``K.dense(real_form=True)`` (Bender & Boettcher, PRL 80, 5243, 1998)
     and goes to the real general solver ("real-general"); every other matrix
@@ -420,6 +424,7 @@ def solve_spectrum(h: HamiltonianMatrix, twin: HamiltonianMatrix | None = None) 
     if h.dim > DENSE_MAX_DIM:
         raise ContractError(f"spectrum solves are capped at dimension {DENSE_MAX_DIM}, got {h.dim}")
     rot = complex(math.cos(h.phi), math.sin(h.phi))  # exp(i phi)
+    twin = build_twin(h)
     k = twin if twin is not None else h
     if h.phi:  # K = H at phi = 0
         k = replace(k, diagonal=k.diagonal * rot, upper=k.upper * rot, lower=k.lower * rot)

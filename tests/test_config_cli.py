@@ -307,6 +307,7 @@ class TestParseTimeRejection:
                 "potential": {"kind": "poschl_teller", "nu": 1e-3, "delta": 0.2},
                 "params": {"phi": math.pi / 3, "v_over_vc": [0.5]},
             },
+            scatter_with("grid", x_min=-30.0),  # support [-32, -8] crosses x_min
         ],
         ids=[
             "propagator-absorber-key",
@@ -358,6 +359,7 @@ class TestParseTimeRejection:
             "separatrix-on-grid-end",
             "scatter-frame-key",
             "amplify-small-nu-quadrature-above-point-cap",
+            "packet-crosses-left-edge-of-asymmetric-grid",
         ],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, raw):
@@ -643,14 +645,19 @@ class TestRunnersAndCLI:
 
     @pytest.mark.parametrize("gain", [math.inf, math.nan])
     def test_non_finite_gain_exits_3(self, tmp_path, monkeypatch, gain):
+        import anyonpt.nonnormal as nonnormal
         import anyonpt.runners as runners
 
-        monkeypatch.setattr(runners, "g_infinity", lambda *args, **kwargs: gain)
+        # g_infinity checks its own forms, before the point's G_t is computed
+        g_t_calls, g_t = [], runners.g_t
+        monkeypatch.setattr(nonnormal, "g_infinity_forms", lambda *args, **kwargs: (gain, gain))
+        monkeypatch.setattr(runners, "g_t", lambda *args: g_t_calls.append(args) or g_t(*args))
         path = tmp_path / "amplify.yaml"
-        path.write_text(yaml.safe_dump(minimal_amplify_dict(g_t_times=[])))
+        path.write_text(yaml.safe_dump(minimal_amplify_dict(g_t_times=[0.5])))
         outdir = tmp_path / "never"
         assert cli_main(["amplify", "--config", str(path), "--output", str(outdir)]) == 3
         assert not outdir.exists()
+        assert g_t_calls == []
 
     def test_lasermap_failure_writes_nothing(self, tmp_path, monkeypatch):
         import anyonpt.runners as runners

@@ -32,7 +32,6 @@ from anyonpt import (
 from anyonpt import nonnormal
 from anyonpt.nonnormal import (
     THETA_13,
-    AmplificationReport,
     _band_matmul,
     _expm_taylor,
     _flush_tiny,
@@ -259,6 +258,23 @@ class TestGInfinity:
         p = AnyonicParams(phi=PHI3, v=0.5 * VC)
         got = g_infinity(u1, p, e1=-1.0)
         assert got == pytest.approx(quad_gain_oracle(0.5, 0.2), rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "forms",
+        [(0.5, 0.5), (math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0), (2.0, math.nan)],
+        ids=["below-one", "weighted-inf", "biorthogonal-inf", "weighted-nan", "biorthogonal-nan"],
+    )
+    def test_gain_not_finite_or_below_one_is_a_numerical_error(self, monkeypatch, forms):
+        # inf and NaN pass the two-form comparison, so g_infinity checks them first
+        monkeypatch.setattr(nonnormal, "g_infinity_forms", lambda *args, **kwargs: forms)
+        u1 = analytic_bound_state_pt(Grid(-20.0, 20.0, 400), 0.2)
+        with pytest.raises(NumericalError, match="not a finite value >= 1"):
+            g_infinity(u1, AnyonicParams(phi=PHI3, v=0.5 * VC))
+
+    def test_auto_grid_widens_near_threshold(self):
+        wide = amplification_grid_for(-1.0, AnyonicParams(phi=PHI3, v=0.97 * VC))
+        narrow = amplification_grid_for(-1.0, AnyonicParams(phi=PHI3, v=0.2 * VC))
+        assert wide.x_max > 4 * narrow.x_max
 
 
 BAND_N = 400  # three full column blocks and a partial one
@@ -534,6 +550,12 @@ class TestGT:
         with pytest.raises(DivergenceError):
             g_t(h, -1.0 - 50.0j, [100.0])
 
+    def test_squared_norm_overflow_is_divergence(self, rng):
+        # sigma ~ 1e161 is finite but sigma^2 is not: no G_t sample is ever inf or NaN
+        p = 1e160 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        with pytest.raises(DivergenceError, match="norm overflowed"):
+            nonnormal._record_gain({}, 1.0, p)
+
     def test_huge_propagator_skips_lanczos_quietly(self, capfd, rng):
         # sigma ~ 1e161: the Gram product that ARPACK iterates on would overflow
         p = 1e160 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
@@ -542,30 +564,3 @@ class TestGT:
             got = _sigma_max(p)
         assert got == float(scipy.linalg.svdvals(p)[0])
         assert capfd.readouterr() == ("", "")
-
-
-class TestAmplificationReport:
-    def test_invariants(self):
-        rep = AmplificationReport(
-            g_infinity=1.5,
-            g_t_samples=((0.0, 1.0), (1.0, 1.2)),
-            self_orthogonality=0.97,
-            delocalization_margin=0.8,
-        )
-        assert rep.g_infinity == 1.5
-        with pytest.raises(ContractError):
-            AmplificationReport(
-                g_infinity=0.5, g_t_samples=(), self_orthogonality=1.0, delocalization_margin=1.0
-            )
-
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    @pytest.mark.parametrize("where", ["g_infinity", "g_t"])
-    def test_non_finite_gain_is_a_numerical_error(self, bad, where):
-        ginf, samples = (bad, ((0.5, 2.0),)) if where == "g_infinity" else (2.0, ((0.5, bad),))
-        with pytest.raises(NumericalError, match="not finite"):
-            AmplificationReport(ginf, samples, self_orthogonality=0.97, delocalization_margin=0.1)
-
-    def test_auto_grid_widens_near_threshold(self):
-        wide = amplification_grid_for(-1.0, AnyonicParams(phi=PHI3, v=0.97 * VC))
-        narrow = amplification_grid_for(-1.0, AnyonicParams(phi=PHI3, v=0.2 * VC))
-        assert wide.x_max > 4 * narrow.x_max

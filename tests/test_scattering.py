@@ -166,6 +166,20 @@ class TestStationaryRTVector:
             )
 
 
+class TestPacketFit:
+    """A packet's support, center -+ 3 width, must lie inside the grid on both sides."""
+
+    def test_crossing_the_left_edge_of_an_asymmetric_grid_is_refused(self):
+        # at the edge x = -10 the packet is exp(-1) = 37% of its peak
+        with pytest.raises(ContractError, match="must fit inside the grid"):
+            gaussian_packet(Grid(-10.0, 100.0, 1100), PacketSpec(center=-9.0, width=1.0))
+
+    def test_fitting_inside_an_asymmetric_grid_is_accepted(self):
+        psi = gaussian_packet(Grid(-100.0, 10.0, 1100), PacketSpec(center=-50.0, width=1.0))
+        assert psi.norm() == pytest.approx(1.0)
+        assert np.abs(psi.values[[0, -1]]).max() < 1e-300
+
+
 class TestPacketRuns:
     def test_free_packet_fully_transmitted(self):
         grid = Grid(-120.0, 120.0, 3072)

@@ -25,7 +25,6 @@ from anyonpt import (
     Tabulated,
     analytic_bound_state_pt,
     build_h_eff,
-    build_twin,
     continuous_dispersion,
     critical_velocity,
     critical_wavenumber,
@@ -73,17 +72,9 @@ def _dirichlet_drift():
     return build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid, "dirichlet")
 
 
-def _route(spec, params, grid, boundary="periodic"):
-    """The operator and its delta = 0 twin (or None), as run_spectrum builds them."""
-    return build_h_eff(spec, params, grid, boundary), build_twin(spec, params, grid, boundary)
-
-
-def _well_route(phi, v=0.0, delta=0.2, grid=Grid(-20.0, 20.0, 400), boundary="periodic"):
-    return _route(PoschlTeller(nu=1.0, delta=delta), AnyonicParams(phi=phi, v=v), grid, boundary)
-
-
-def _well(*args, **kwargs):
-    return _well_route(*args, **kwargs)[0]
+def _well(phi, v=0.0, delta=0.2, grid=Grid(-20.0, 20.0, 400), boundary="periodic"):
+    params = AnyonicParams(phi=phi, v=v)
+    return build_h_eff(PoschlTeller(nu=1.0, delta=delta), params, grid, boundary)
 
 
 def _pt_broken():
@@ -91,38 +82,38 @@ def _pt_broken():
     grid = Grid(-20.0, 20.0, 400)
     values = PoschlTeller(nu=1.0, delta=0.2)(grid.x)
     values[0] += 1e-10
-    return _route(Tabulated(grid, values), AnyonicParams(phi=math.pi / 3), grid)
+    return build_h_eff(Tabulated(grid, values), AnyonicParams(phi=math.pi / 3), grid, "periodic")
 
 
 OFF_CENTRE = Grid(-19.0, 21.0, 400)
 # dx = 0.1 and edges 24 from the well: the twin's exponents are 43.1 and 44.9 at delta = 0.2
 TWIN_GRID = Grid(-24.0, 24.0, 480)
-# (id, operator and twin as run_spectrum builds them, the eigensolve solve_spectrum
-# picks): the delta = 0 twin's banded solve at rest and at phi = 0 under drift; the
-# real form where the twin's aliasing exponent is below TWIN_MIN_EXPONENT (delta =
-# 0.4: 36.8); the banded solve of a Hermitian well on open, off-centre and odd-n
-# periodic grids; the root iteration under drift (at odd n the sign of its corner
-# term hangs on a square root's branch); and the complex dense solve when a 1e-10
-# defect or an off-centre grid breaks PT symmetry, where two roots nearly coincide
-# and the root iteration falls back
+# (id, operator as run_spectrum builds it, the eigensolve solve_spectrum picks): the
+# delta = 0 twin's banded solve at rest and at phi = 0 under drift; the real form
+# where the twin's aliasing exponent is below TWIN_MIN_EXPONENT (delta = 0.4: 36.8);
+# the banded solve of a Hermitian well on open, off-centre and odd-n periodic grids;
+# the root iteration under drift (at odd n the sign of its corner term hangs on a
+# square root's branch); and the complex dense solve when a 1e-10 defect or an
+# off-centre grid breaks PT symmetry, where two roots nearly coincide and the root
+# iteration falls back
 SOLVER_CASES = [
-    ("periodic-rest", lambda: _well_route(math.pi / 3, grid=TWIN_GRID), "hermitian-twin"),
-    ("periodic-phi0-drift", lambda: _well_route(0.0, v=0.5 * VC3, grid=TWIN_GRID),
+    ("periodic-rest", lambda: _well(math.pi / 3, grid=TWIN_GRID), "hermitian-twin"),
+    ("periodic-phi0-drift", lambda: _well(0.0, v=0.5 * VC3, grid=TWIN_GRID),
      "hermitian-twin"),
     ("periodic-rest-below-twin-threshold",
-     lambda: _well_route(math.pi / 3, delta=0.4, grid=TWIN_GRID), "real-general"),
-    ("dirichlet-hermitian", lambda: _well_route(math.pi / 3, delta=0.0, boundary="dirichlet"),
+     lambda: _well(math.pi / 3, delta=0.4, grid=TWIN_GRID), "real-general"),
+    ("dirichlet-hermitian", lambda: _well(math.pi / 3, delta=0.0, boundary="dirichlet"),
      "real-symmetric"),
-    ("off-centre-hermitian", lambda: _well_route(math.pi / 3, delta=0.0, grid=OFF_CENTRE),
+    ("off-centre-hermitian", lambda: _well(math.pi / 3, delta=0.0, grid=OFF_CENTRE),
      "real-symmetric"),
     ("hermitian-ring-odd-n",
-     lambda: _well_route(0.0, v=0.5 * VC3, delta=0.0, grid=Grid(-20.0, 20.0, 401)),
+     lambda: _well(0.0, v=0.5 * VC3, delta=0.0, grid=Grid(-20.0, 20.0, 401)),
      "complex-hermitian"),
-    ("drift-phi-pi/3", lambda: _well_route(math.pi / 3, v=0.5 * VC3), "complex-aberth"),
-    ("drift-odd-n", lambda: _well_route(math.pi / 3, v=0.5 * VC3, grid=Grid(-20.0, 20.0, 401)),
+    ("drift-phi-pi/3", lambda: _well(math.pi / 3, v=0.5 * VC3), "complex-aberth"),
+    ("drift-odd-n", lambda: _well(math.pi / 3, v=0.5 * VC3, grid=Grid(-20.0, 20.0, 401)),
      "complex-aberth"),
     ("pt-broken-1e-10", _pt_broken, "complex-general"),
-    ("off-centre-grid", lambda: _well_route(0.0, grid=OFF_CENTRE), "complex-general"),
+    ("off-centre-grid", lambda: _well(0.0, grid=OFF_CENTRE), "complex-general"),
 ]
 SOLVER_PARAMS = [pytest.param(make_h, solver, id=name) for name, make_h, solver in SOLVER_CASES]
 
@@ -130,22 +121,22 @@ SOLVER_PARAMS = [pytest.param(make_h, solver, id=name) for name, make_h, solver 
 def _shipped_rest_point():
     cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "spectrum_drift_sweep.yaml")
     p = cfg.sweep_points()[0]
-    return _route(p.potential, p.params, p.grid, cfg.boundary)
+    return build_h_eff(p.potential, p.params, p.grid, cfg.boundary)
 
 
 def _shipped_spectrum_operators():
-    """One param per sweep point of each shipped spectrum config, with its twin, as the
-    runner builds them, plus a free periodic band, a Dirichlet box under drift and the
+    """One param per sweep point of each shipped spectrum config, as the runner builds
+    its operator, plus a free periodic band, a Dirichlet box under drift and the
     SOLVER_CASES."""
     for name in ("spectrum_drift_sweep", "regression_spectrum", "null_spectrum"):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / f"{name}.yaml")
         for p in cfg.sweep_points():
             yield pytest.param(
-                lambda p=p, b=cfg.boundary: _route(p.potential, p.params, p.grid, b),
+                lambda p=p, b=cfg.boundary: build_h_eff(p.potential, p.params, p.grid, b),
                 id=f"{name}-{p.index}",
             )
-    yield pytest.param(lambda: (_free_periodic(), None), id="free-periodic")
-    yield pytest.param(lambda: (_dirichlet_drift(), None), id="dirichlet-drift")
+    yield pytest.param(_free_periodic, id="free-periodic")
+    yield pytest.param(_dirichlet_drift, id="dirichlet-drift")
     for name, make_h, _ in SOLVER_CASES:
         yield pytest.param(make_h, id=name)
 
@@ -345,8 +336,8 @@ class TestSolveSpectrum:
     def test_matches_dense_oracle(self, make_h):
         # the classification array is the dense participation-ratio verdict,
         # the eigenvalues those of the dense solve with vectors
-        h, twin = make_h()
-        got, dense = solve_spectrum(h, twin), dense_spectrum(h)
+        h = make_h()
+        got, dense = solve_spectrum(h), dense_spectrum(h)
         assert np.array_equal(got.classification, dense.classification)
         scale = np.maximum(np.abs(dense.eigenvalues), 1.0)
         assert (np.abs(got.eigenvalues - dense.eigenvalues) <= 1e-9 * scale).all()
@@ -384,7 +375,7 @@ class TestSolveSpectrum:
 
     @pytest.mark.parametrize("make_h, solver", SOLVER_PARAMS)
     def test_eigensolver_failure_names_the_operator(self, monkeypatch, make_h, solver):
-        h, twin = make_h()
+        h = make_h()
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eig algorithm (geev) did not converge")
@@ -395,7 +386,7 @@ class TestSolveSpectrum:
         monkeypatch.setattr(scipy.linalg, "eig_banded", fail)
         norm1 = np.abs(h.dense()).sum(axis=0).max()
         with pytest.raises(NumericalError) as info:
-            solve_spectrum(h, twin)
+            solve_spectrum(h)
         msg = str(info.value)
         assert f"dim={h.dim}" in msg and f"boundary={h.boundary}" in msg
         assert f"matrix 1-norm={norm1:.3e}" in msg
@@ -450,7 +441,7 @@ class TestRealForm:
             return solves[-1]
 
         monkeypatch.setattr(spectra, "point_states", recorded)
-        res = solve_spectrum(*make_h())
+        res = solve_spectrum(make_h())
         assert res.solver == solver
         (found,) = solves
         assert res.point_count >= 1
@@ -476,8 +467,9 @@ class TestRealForm:
         assert (np.abs(unrotated.imag) > 0.1).any() == broken
 
     def test_no_complex_dense_copy(self):
-        # the real form is one n x n float64 array: 8 n^2 bytes, half a complex copy
-        h = _verdict_operator(1.0, 0.0, Grid(-40.0, 40.0, 1280))[0]
+        # the real form is one n x n float64 array: 8 n^2 bytes, half a complex copy.  A
+        # shifted well at rest on a Dirichlet grid has no delta = 0 twin
+        h = _well(math.pi / 3, grid=Grid(-40.0, 40.0, 1280), boundary="dirichlet")
         tracemalloc.start()
         try:
             res = solve_spectrum(h)
@@ -492,19 +484,20 @@ class TestTwin:
     """An at-rest periodic well takes the banded solve of its delta = 0 twin."""
 
     @staticmethod
-    def _twin_error(h, twin):
+    def _twin_error(h):
         """Largest distance, relative to the 1-norm, between the twin's and H's dense eigenvalues."""
-        got = solve_spectrum(h, twin).eigenvalues
+        res = solve_spectrum(h)
+        assert res.solver == "hermitian-twin"
+        got = res.eigenvalues
         dense = scipy.linalg.eigvals(h.dense())
         gap = np.abs(got[:, None] - dense[None, :])
         return max(gap.min(axis=0).max(), gap.min(axis=1).max()) / np.abs(h.dense()).sum(axis=0).max()
 
     def test_just_above_the_threshold_matches_dense(self):
         # dx = 48/452: the aliasing exponent is 40.55, the box-edge one 44.9
-        h, twin = _well_route(math.pi / 3, grid=Grid(-24.0, 24.0, 452))
-        assert twin is not None
+        h = _well(math.pi / 3, grid=Grid(-24.0, 24.0, 452))
         assert (math.pi / 2 - 0.2) * math.pi / h.grid.dx < model.TWIN_MIN_EXPONENT + 1.0
-        assert self._twin_error(h, twin) <= 1e-12
+        assert self._twin_error(h) <= 1e-12
 
     @pytest.mark.parametrize(
         "grid, exponent, error",
@@ -514,39 +507,62 @@ class TestTwin:
     def test_below_the_threshold_keeps_the_real_form(self, monkeypatch, grid, exponent, error):
         # the exponent each grid fails on, and the twin's error there if it were taken:
         # about 0.07 e^{-E} for aliasing and 5e-5 e^{-E} at the box edges (delta = 0.2)
-        h, twin = _well_route(math.pi / 3, grid=grid)
-        assert twin is None
-        assert solve_spectrum(h, twin).solver == "real-general"
+        h = _well(math.pi / 3, grid=grid)
+        assert model.build_twin(h) is None
+        assert solve_spectrum(h).solver == "real-general"
         monkeypatch.setattr(model, "TWIN_MIN_EXPONENT", exponent - 0.1)
-        forced = _well_route(math.pi / 3, grid=grid)[1]
-        assert self._twin_error(h, forced) == pytest.approx(error, rel=0.3)
+        assert self._twin_error(h) == pytest.approx(error, rel=0.3)
 
     @pytest.mark.parametrize(
         "make_h, solver",
         [
             (_shipped_rest_point, "hermitian-twin"),
-            (lambda: _route(PoschlTeller(nu=1.0), AnyonicParams(phi=math.pi / 3),
-                            Grid(-40.0, 40.0, 1280), "dirichlet"), "real-symmetric"),
+            (lambda: build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=math.pi / 3),
+                                 Grid(-40.0, 40.0, 1280), "dirichlet"), "real-symmetric"),
         ],
         ids=["shipped-rest-point", "dirichlet-hermitian"],
     )
     def test_no_dense_array(self, make_h, solver):
         # bands only: far below one n x n float64 array (13 MB at n = 1280), which the
         # real form holds
-        h, twin = make_h()
+        h = make_h()
         tracemalloc.start()
         try:
-            res = solve_spectrum(h, twin)
+            res = solve_spectrum(h)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert res.solver == solver and res.point_count == 1
         assert peak <= 0.1 * 8 * h.dim**2
 
-    def test_twin_must_be_hermitian(self):
-        h = _well(math.pi / 3, v=0.5 * VC3)
+    def test_library_call_takes_the_twin(self):
+        # the operator build_h_eff gives carries its potential, so solve_spectrum finds
+        # the twin without the runner's help
+        h = _shipped_rest_point()
+        assert isinstance(h.potential, PoschlTeller) and h.potential.delta == 0.2
+        assert solve_spectrum(h).solver == "hermitian-twin"
+
+    def test_replaced_operator_takes_no_twin(self):
+        # replace drops the potential, so changed bands never take the twin of the old
+        # ones; with the same bands, both paths give one cloud
+        h = _well(math.pi / 3, grid=TWIN_GRID)
+        same = dataclasses.replace(h, diagonal=h.diagonal)
+        assert same.potential is None and model.build_twin(same) is None
+        twin, real = solve_spectrum(h), solve_spectrum(same)
+        assert (twin.solver, real.solver) == ("hermitian-twin", "real-general")
+        gap = np.abs(twin.eigenvalues[:, None] - real.eigenvalues[None, :])
+        hausdorff = max(gap.min(axis=0).max(), gap.min(axis=1).max())
+        assert hausdorff <= 1e-12 * np.abs(h.dense()).sum(axis=0).max()
+
+    def test_potential_is_not_a_constructor_argument(self):
+        (potential,) = (f for f in dataclasses.fields(HamiltonianMatrix) if f.name == "potential")
+        assert not potential.init
+
+    def test_twin_must_be_hermitian(self, monkeypatch):
+        # a twin whose e^{i phi} H is not Hermitian: the drifting well at phi = pi/3
+        monkeypatch.setattr(spectra, "build_twin", lambda h: _well(math.pi / 3, v=0.5 * VC3))
         with pytest.raises(ContractError, match="Hermitian"):
-            solve_spectrum(h, h)
+            solve_spectrum(_well(math.pi / 3))
 
 
 class TestAberth:
