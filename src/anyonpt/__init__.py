@@ -18,7 +18,6 @@ from .errors import (
 )
 from .model import (
     AnyonicParams,
-    GaugeFactors,
     Grid,
     HamiltonianMatrix,
     PoschlTeller,

@@ -1,9 +1,9 @@
 """Deterministic file output: fixed-format CSV and NDJSON.
 
-Floats carry 12 significant digits (CSV cells are formatted here, NDJSON
-records arrive rounded) so that identical configs produce byte-identical
-files.  The writers write in place; ``runners.run_experiment`` points them
-at a staging directory and publishes a run's files only once it succeeds.
+Floats carry 12 significant digits, in CSV cells and in NDJSON values and lists
+alike, so that identical configs produce byte-identical files.  The writers
+write in place; ``runners.run_experiment`` points them at a staging directory
+and publishes a run's files only once it succeeds.
 """
 
 from __future__ import annotations
@@ -32,9 +32,16 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
+def _round(value):
+    """A float, or each float of a list, rounded to 12 significant digits."""
+    if isinstance(value, list):
+        return [_round(v) for v in value]
+    return float(f"{value:.12g}") if isinstance(value, (float, np.floating)) else value
+
+
 def write_ndjson(path, records) -> Path:
-    """One compact JSON line per record; callers round floats to 12 digits first."""
+    """One compact JSON line per flat record (an iterable of dicts), floats rounded."""
     path = Path(path)
-    lines = [json.dumps(rec, separators=(",", ":")) for rec in records]
+    lines = [json.dumps({k: _round(v) for k, v in r.items()}, separators=(",", ":")) for r in records]
     path.write_text("\n".join(lines) + "\n")
     return path

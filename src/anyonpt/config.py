@@ -42,7 +42,7 @@ MAX_GRID_POINTS = 2**20
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One resolved cell of the sweep: its scalar axes, drift, potential and grid.
+    """One resolved cell of the sweep: its delta, drift, potential and grid.
 
     ``params`` is the point's (phi, v); ``potential`` is its PoschlTeller
     well, or the config's Tabulated samples; ``carrier`` is set for a scatter
@@ -54,8 +54,6 @@ class SweepPoint:
     """
 
     index: int
-    phi: float
-    v: float
     delta: float
     params: AnyonicParams
     potential: PoschlTeller | Tabulated
@@ -258,6 +256,10 @@ class ExperimentConfig:
         """
         try:
             cfg = cls(**_read(raw))
+            given = {k for k, v in (raw.get("potential") or {}).items() if v is not None}
+            if unused := sorted(given & cfg._unused_potential_keys()):
+                raise ConfigError(f"potential: {', '.join(unused)} would go unused (nu and v0 "
+                                  "exclude each other; a tabulated potential reads only file)")
             if cfg.v is None and cfg.v_over_vc is None:
                 cfg.v = [0.0]
             if cfg.potential_file is not None:
@@ -306,13 +308,13 @@ class ExperimentConfig:
                     packet.check_approach(p.params, self.separatrix)
                 # g_infinity integrates the drifting state, normalizable only below v_c
                 if ex == "amplify" and delocalization_margin(e1, p.params) <= 0:
-                    vc = critical_velocity(e1, p.phi)
-                    raise ConfigError(f"amplify: v = {p.v:.12g} is at or beyond v_c = {vc:.12g}")
+                    v, vc = p.params.v, critical_velocity(e1, p.params.phi)
+                    raise ConfigError(f"amplify: v = {v:.12g} is at or beyond v_c = {vc:.12g}")
         except (ContractError, DomainError) as exc:
             raise ConfigError(f"sweep: {exc}") from exc
         # Dirichlet ends collapse a drifting spectrum onto the undrifted one and
         # pile its band states against a wall (see the spectra module)
-        drifting = [p for p in points if p.v * math.sin(p.phi) != 0.0]
+        drifting = [p.params for p in points if p.params.v * math.sin(p.params.phi) != 0.0]
         if ex == "spectrum" and self.boundary == "dirichlet" and drifting:
             raise ConfigError(
                 f"spectrum: v = {drifting[0].v:.12g} at phi = {drifting[0].phi:.12g} "
@@ -339,6 +341,12 @@ class ExperimentConfig:
         """E_1 of the configured well; None without one."""
         return next(iter(self.bound_energies()), None)
 
+    def _unused_potential_keys(self) -> set:
+        """The potential keys this config's potential never reads (``to_dict`` skips them)."""
+        if self.potential_kind == "tabulated":
+            return {"nu", "v0", "delta"}
+        return {"file", "nu"} if self.v0 is not None else {"file"}
+
     def potential(self, delta: float):
         if self.potential_kind == "tabulated":
             return self.tabulated
@@ -360,12 +368,12 @@ class ExperimentConfig:
         for i, (delta, phi, vval, carrier) in enumerate(itertools.product(*self._axes())):
             v = vval * critical_velocity(e1, phi) if fractional else vval
             params, potential, grid = AnyonicParams(phi=phi, v=v), self.potential(delta), self.grid
-            near_vc = e1 is not None and phi > 0 and abs(v) > 0.9 * critical_velocity(e1, phi)
+            near_vc = e1 is not None and abs(v) > 0.9 * critical_velocity(e1, phi)
             if ex in ("spectrum", "delocalize") and near_vc:
                 grid = Grid(2.0 * grid.x_min, 2.0 * grid.x_max, 2 * grid.n_points)
             elif ex == "amplify" and delocalization_margin(e1, params) > 0:
                 grid = amplification_grid_for(e1, params)
-            points.append(SweepPoint(i, phi, v, delta, params, potential, grid, carrier))
+            points.append(SweepPoint(i, delta, params, potential, grid, carrier))
         return points
 
     # ------------------------------------------------------------------ output
@@ -373,11 +381,12 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """The tree that ``from_dict`` reads back to an equal config."""
         out: dict = {}
+        unused = {f"potential.{name}" for name in self._unused_potential_keys()}
         for key in _KEYS:
             value = self
             for name in key.attrs:  # None once a section is unset
                 value = value.get(name) if isinstance(value, dict) else getattr(value, name, None)
-            if value is None:
+            if value is None or key.key in unused:
                 continue
             *sections, name = key.key.split(".")
             node = out

@@ -81,14 +81,13 @@ def map_to_anyonic(c: CavityParams, tol: float = 1e-9) -> LaserMapping:
     )
 
 
-def mode_locking_threshold(c: CavityParams, well_depth_e1: float):
+def mode_locking_threshold(c: CavityParams, well_depth_e1: float) -> float:
     """Detuning magnitude |1 - Tm/TR| at which the mode-locked pulse delocalizes.
 
     Composes the cavity mapping with the critical drift of the bound state at
-    energy ``well_depth_e1`` in the modulation-induced well.  Returns None for
+    energy ``well_depth_e1`` in the modulation-induced well.  Returns inf for
     a dispersion-only cavity (phi = 0), which has no finite threshold.
     """
     if not well_depth_e1 < 0:
         raise DomainError(f"well depth must be negative, got {well_depth_e1}")
-    mapping = map_to_anyonic(c)
-    return critical_velocity(well_depth_e1, mapping.params.phi)
+    return critical_velocity(well_depth_e1, map_to_anyonic(c).params.phi)

@@ -29,7 +29,6 @@ from .errors import ContractError, DomainError
 __all__ = [
     "Grid",
     "AnyonicParams",
-    "GaugeFactors",
     "PoschlTeller",
     "Tabulated",
     "PotentialSpec",
@@ -124,23 +123,20 @@ class AnyonicParams:
         if not math.isfinite(self.v * self.v):
             raise DomainError(f"v^2 must be finite, got v = {self.v}")
 
+    @property
+    def alpha(self) -> complex:
+        """Gauge wavenumber (v/2) e^{i phi}.
 
-@dataclass(frozen=True)
-class GaugeFactors:
-    """Gauge constants alpha = (v/2) e^{i phi}, beta = -(v^2/4) e^{i phi}.
+        The substitution psi = phi_stat * exp(i alpha x - i beta t) removes the drift
+        term from H_eff; for phi != 0 the factor exp(i alpha x) is unbounded, which is
+        the mechanism behind every delocalization effect in this package.
+        """
+        return 0.5 * self.v * complex(math.cos(self.phi), math.sin(self.phi))
 
-    The substitution psi = phi_stat * exp(i alpha x - i beta t) removes the
-    drift term from H_eff; for phi != 0 the factor exp(i alpha x) is unbounded,
-    which is the mechanism behind every delocalization effect in this package.
-    """
-
-    alpha: complex
-    beta: complex
-
-    @classmethod
-    def from_params(cls, params: AnyonicParams) -> "GaugeFactors":
-        rot = complex(math.cos(params.phi), math.sin(params.phi))
-        return cls(alpha=0.5 * params.v * rot, beta=-0.25 * params.v**2 * rot)
+    @property
+    def beta(self) -> complex:
+        """Gauge energy -(v^2/4) e^{i phi}."""
+        return -0.25 * self.v**2 * complex(math.cos(self.phi), math.sin(self.phi))
 
 
 def _sech_complex(x: np.ndarray, delta: float) -> np.ndarray:
@@ -199,6 +195,17 @@ class PoschlTeller:
         return complex(v[0]) if scalar else v
 
 
+def _samples(grid: Grid, values, what: str) -> np.ndarray:
+    """A read-only complex copy of ``values``, one finite sample per point of ``grid``."""
+    vals = np.array(values, dtype=complex)
+    if vals.shape != (grid.n_points,):
+        raise ContractError(f"{what}: need {grid.n_points} samples, got shape {vals.shape}")
+    if not np.isfinite(vals).all():
+        raise ContractError(f"{what} contains non-finite samples")
+    vals.flags.writeable = False
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class Tabulated:
     """Complex potential given by grid-aligned samples.
@@ -212,24 +219,19 @@ class Tabulated:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.n_points,):
-            raise ContractError(
-                f"need {self.grid.n_points} samples, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("tabulated potential contains non-finite samples")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _samples(self.grid, self.values, "tabulated potential"))
 
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "Tabulated":
-        """Load from a 3-column CSV (x, Re V, Im V) with a header row."""
+        """Load from a 3-column CSV (x, Re V, Im V) with a header row: one whose first
+        field does not parse as a number."""
         path = Path(path)
         with path.open() as fh:
-            header = fh.readline()
-            if any(ch.isdigit() for ch in header.split(",")[0].strip()):
+            try:
+                float(fh.readline().split(",")[0])
+            except ValueError:
+                pass
+            else:
                 raise ContractError(f"{path}: first row must be a header")
             data = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
         if data.shape[1] != 3:
@@ -268,16 +270,7 @@ class WaveFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.n_points,):
-            raise ContractError(
-                f"values length {vals.shape} does not match grid ({self.grid.n_points})"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ContractError("wave function contains non-finite samples")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _samples(self.grid, self.values, "wave function"))
 
     def norm_squared(self) -> float:
         return trapz(np.abs(self.values) ** 2, self.grid.dx)
@@ -303,8 +296,8 @@ class HamiltonianMatrix:
     couplings are ``upper`` = -exp(-i phi)/dx^2 + i v/(2 dx) on (j, j+1) and
     ``lower`` = -exp(-i phi)/dx^2 - i v/(2 dx) on (j+1, j).  A "periodic"
     ``boundary`` adds the corners (0, n-1) = ``lower`` and (n-1, 0) = ``upper``;
-    "dirichlet" clamps the field beyond the ends.  The drift velocity is kept
-    because the anyonic symmetry check treats the drift couplings separately.
+    "dirichlet" clamps the field beyond the ends.  Phase and drift velocity are
+    kept for ``check_anyonic_symmetry``, which treats the drift couplings apart.
     ``potential`` is the spec that ``build_h_eff`` sampled, for ``build_twin``;
     it is no constructor argument, and ``dataclasses.replace`` resets it to None,
     so an operator whose bands were changed has no twin.
@@ -320,15 +313,9 @@ class HamiltonianMatrix:
     potential: PotentialSpec | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        diag = np.asarray(self.diagonal, dtype=complex)
-        n = self.grid.n_points
-        if diag.shape != (n,):
-            raise ContractError(f"diagonal shape {diag.shape} does not match grid ({n})")
         if self.boundary not in ("dirichlet", "periodic"):
             raise ContractError(f"unknown boundary {self.boundary!r}")
-        diag = diag.copy()
-        diag.flags.writeable = False
-        object.__setattr__(self, "diagonal", diag)
+        object.__setattr__(self, "diagonal", _samples(self.grid, self.diagonal, "diagonal"))
 
     @property
     def dim(self) -> int:
@@ -437,7 +424,7 @@ def check_pt_condition(spec: PotentialSpec, grid: Grid, tol: float = 1e-12) -> b
     return bool(np.abs(v[::-1] - np.conj(v)).max() < tol)
 
 
-def check_anyonic_symmetry(h: HamiltonianMatrix, phi: float) -> bool:
+def check_anyonic_symmetry(h: HamiltonianMatrix) -> bool:
     """Verify (PK) H (PK) = e^{2 i phi} H, P = index reversal, K = conjugation.
 
     The drift block i v D1 is PT-even for every real v (PK maps its coupling
@@ -449,7 +436,7 @@ def check_anyonic_symmetry(h: HamiltonianMatrix, phi: float) -> bool:
     if not h.grid.is_symmetric():
         raise ContractError("symmetry check needs a grid symmetric about x = 0")
     drift = 1j * h.v / (2.0 * h.grid.dx)
-    rot = complex(math.cos(phi), math.sin(phi))  # exp(i phi)
+    rot = complex(math.cos(h.phi), math.sin(h.phi))  # exp(i phi)
     rest = replace(
         h, diagonal=h.diagonal * rot, upper=(h.upper - drift) * rot, lower=(h.lower + drift) * rot
     )

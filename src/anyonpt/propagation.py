@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .model import AnyonicParams, GaugeFactors, PotentialSpec, WaveFunction, trapz
+from .model import AnyonicParams, PotentialSpec, WaveFunction, trapz
 from .spectra import continuous_dispersion
 
 __all__ = [
@@ -173,8 +173,7 @@ def gauge_transform_check(
     if params.phi != 0.0:
         raise ContractError("the gauge equivalence only holds at phi = 0")
     grid = psi0.grid
-    gauge = GaugeFactors.from_params(params)
-    alpha, beta = gauge.alpha.real, gauge.beta.real
+    alpha, beta = params.alpha.real, params.beta.real
     boosted0 = WaveFunction(grid, np.exp(-1j * alpha * grid.x) * psi0.values)
     cfg = PropagatorConfig(dt=dt, t_final=t, snapshot_every=10**9)
     fields = [(psi0, spec, params), (boosted0, spec, AnyonicParams(phi=0.0, v=0.0))]

@@ -67,7 +67,7 @@ def _map_chunks(fn, points, jobs: int) -> list:
 
 def _point_columns(point: SweepPoint) -> dict:
     """The leading columns of a summary row."""
-    return {"index": point.index, "phi": point.phi, "v": point.v, "delta": point.delta}
+    return {"index": point.index, "phi": point.params.phi, "v": point.params.v, "delta": point.delta}
 
 
 def _with_summary(outdir: Path, name: str, computed) -> list:
@@ -87,14 +87,10 @@ def _write_evolution(outdir: Path, tag: str, record, stride: int, divisors) -> l
     Each snapshot's density is divided by its entry of ``divisors`` and
     sampled at every ``stride``-th grid point.
     """
-    ndjson = [  # rounded once to the 12 significant digits of every output
-        {
-            "t": float(f"{t:.12g}"),
-            "norm": float(f"{norm:.12g}"),
-            "density": [float(f"{d:.12g}") for d in (snap.density() / div)[::stride].tolist()],
-        }
+    ndjson = (
+        {"t": t, "norm": norm, "density": (snap.density() / div)[::stride].tolist()}
         for t, norm, snap, div in zip(record.times, record.norm, record.snapshots, divisors)
-    ]
+    )
     return [
         write_ndjson(outdir / f"evolution_{tag}.ndjson", ndjson),
         write_csv(outdir / f"norm_{tag}.csv", ("t", "norm"), zip(record.times, record.norm)),
@@ -219,7 +215,7 @@ def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             rows = zip(incident, r.real, r.imag, t.real, t.imag)
         return write_csv(outdir / f"rt_{i:03d}.csv", ("k", "re_r", "im_r", "re_t", "im_t"), rows)
 
-    by_triple = {(p.phi, p.v, p.delta): p for p in points}
+    by_triple = {(p.params.phi, p.params.v, p.delta): p for p in points}
     distinct = [by_triple[triple] for triple in sorted(by_triple)]
     return written + _map_points(rt_file, list(enumerate(distinct)), jobs)
 
@@ -265,39 +261,20 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 
 
 def run_lasermap(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
-    mapping = map_to_anyonic(cfg.cavity)
-    threshold = mode_locking_threshold(cfg.cavity, cfg.e1)
-    written = [
-        write_csv(
-            outdir / "mapping.csv",
-            ("phi", "v", "gain_balanced", "modulators_tuned", "threshold"),
-            [
-                (
-                    mapping.params.phi,
-                    mapping.params.v,
-                    mapping.gain_balanced,
-                    mapping.modulators_tuned,
-                    threshold if threshold is not None else math.inf,
-                )
-            ],
-        )
-    ]
+    m = map_to_anyonic(cfg.cavity)
+    row = (m.params.phi, m.params.v, m.gain_balanced, m.modulators_tuned,
+           mode_locking_threshold(cfg.cavity, cfg.e1))
+    header = ("phi", "v", "gain_balanced", "modulators_tuned", "threshold")
+    written = [write_csv(outdir / "mapping.csv", header, [row])]
     if cfg.detuning is not None:
         d = cfg.detuning
         table = []
         for ratio in np.linspace(d["start"], d["stop"], d["num"]):
             cav = dataclasses.replace(cfg.cavity, Tm=ratio * cfg.cavity.TR)
-            m = map_to_anyonic(cav)
-            thr = mode_locking_threshold(cav, cfg.e1)
-            delocalized = thr is not None and abs(m.params.v) >= thr
-            table.append((ratio, m.params.v, thr if thr is not None else math.inf, delocalized))
-        written.append(
-            write_csv(
-                outdir / "threshold_table.csv",
-                ("tm_over_tr", "v", "threshold", "delocalized"),
-                table,
-            )
-        )
+            v, thr = map_to_anyonic(cav).params.v, mode_locking_threshold(cav, cfg.e1)
+            table.append((ratio, v, thr, abs(v) >= thr))
+        header = ("tm_over_tr", "v", "threshold", "delocalized")
+        written.append(write_csv(outdir / "threshold_table.csv", header, table))
     return written
 
 

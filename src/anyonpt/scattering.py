@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InconclusiveError, NumericalError
-from .model import AnyonicParams, Grid, PotentialSpec, WaveFunction, trapz
+from .model import AnyonicParams, Grid, PotentialSpec, Tabulated, WaveFunction, trapz
 from .propagation import PropagatorConfig, evolve_batch
 from .spectra import continuous_dispersion
 
@@ -98,8 +98,6 @@ class ScatteringReport:
 
 def _auto_range(spec: PotentialSpec) -> float:
     """Half-width beyond which |V| stays below TAIL_TOL on both sides."""
-    from .model import Tabulated
-
     if isinstance(spec, Tabulated):
         # interpolation returns 0 outside the table; the table itself must decay
         edge = max(abs(spec.values[0]), abs(spec.values[-1]))

@@ -38,16 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, DomainError, NumericalError
-from .model import (
-    DENSE_MAX_DIM,
-    HERMITIAN_RTOL,
-    AnyonicParams,
-    GaugeFactors,
-    Grid,
-    HamiltonianMatrix,
-    WaveFunction,
-    build_twin,
-)
+from .model import HERMITIAN_RTOL, AnyonicParams, Grid, HamiltonianMatrix, WaveFunction, build_twin
 
 __all__ = [
     "SpectrumResult",
@@ -117,15 +108,14 @@ def shifted_point_energy(e_n: float, params: AnyonicParams) -> complex:
     """Bound energy in the moving frame: E_n e^{-i phi} - (v^2/4) e^{i phi}."""
     if not e_n < 0:
         raise DomainError(f"bound energy must be negative, got {e_n}")
-    beta = GaugeFactors.from_params(params).beta
     rot = complex(math.cos(params.phi), -math.sin(params.phi))
-    return e_n * rot + beta
+    return e_n * rot + params.beta
 
 
-def critical_velocity(e_n: float, phi: float):
+def critical_velocity(e_n: float, phi: float) -> float:
     """Drift speed 2 sqrt(|E_n|)/sin(phi) beyond which the state delocalizes.
 
-    Returns None for phi = 0: the Galilean-invariant case has no finite
+    Returns inf for phi = 0: the Galilean-invariant case has no finite
     threshold.  The comparison against an actual drift should use |v|.
     """
     if not e_n < 0:
@@ -133,7 +123,7 @@ def critical_velocity(e_n: float, phi: float):
     if not (0.0 <= phi <= math.pi / 2 + 1e-15):
         raise DomainError(f"phi must lie in [0, pi/2], got {phi}")
     if phi == 0.0:
-        return None
+        return math.inf
     return 2.0 * math.sqrt(-e_n) / math.sin(phi)
 
 
@@ -163,8 +153,7 @@ def moving_bound_state(u_n: WaveFunction, e_n: float, params: AnyonicParams):
     """
     if delocalization_margin(e_n, params) <= 0.0:
         return None
-    alpha = GaugeFactors.from_params(params).alpha
-    dressed = u_n.values * np.exp(1j * alpha * u_n.grid.x)
+    dressed = u_n.values * np.exp(1j * params.alpha * u_n.grid.x)
     return WaveFunction(u_n.grid, dressed).normalized()
 
 
@@ -411,6 +400,8 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     goes to the complex general (Hessenberg/QR) one ("complex-general"), the only
     reliable dense option for these non-normal matrices, except that a periodic
     one first tries the O(n^2) ``_aberth_eigenvalues`` ("complex-aberth").
+    Only the two general solves hold an n x n copy, which ``HamiltonianMatrix.dense``
+    refuses above dimension 8192; the other paths take O(n) memory at any n.
     Eigenvalues are sorted by (Re, Im).
     Those whose root length is below ROOT_SCREEN_FRACTION of the box are
     solved again by ``point_states``; a state is labeled "point" when the
@@ -421,8 +412,6 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     """
     import scipy.linalg  # here, not at the top: it adds to every start-up
 
-    if h.dim > DENSE_MAX_DIM:
-        raise ContractError(f"spectrum solves are capped at dimension {DENSE_MAX_DIM}, got {h.dim}")
     rot = complex(math.cos(h.phi), math.sin(h.phi))  # exp(i phi)
     twin = build_twin(h)
     k = twin if twin is not None else h

@@ -122,12 +122,12 @@ def test_criterion_06_non_hermitian_transparency():
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / name)
         points = cfg.sweep_points()
         cases = [
-            (cfg.potential(p.delta), AnyonicParams(phi=p.phi, v=p.v), cfg.packet(p.carrier))
+            (cfg.potential(p.delta), p.params, cfg.packet(p.carrier))
             for p in points
         ]
         results = run_packet_scattering(cases, cfg.propagator, cfg.grid, cfg.separatrix)
         for point, (_, rep) in zip(points, results):
-            fractions[(round(point.phi, 6), point.carrier)] = rep.reflected_power_fraction
+            fractions[(round(point.params.phi, 6), point.carrier)] = rep.reflected_power_fraction
     phi8 = round(math.pi / 8, 6)
     assert fractions[(0.0, 0.0)] > 0.5
     assert fractions[(phi8, 0.0)] < 0.01
@@ -202,7 +202,7 @@ def test_criterion_10_bound_state_breakup():
     for frac, point in zip(cfg.v_over_vc, cfg.sweep_points()):  # v/v_c is the only list axis
         if frac not in (0.2, 0.95):
             continue
-        params = AnyonicParams(phi=point.phi, v=point.v)
+        params = point.params
         u1 = analytic_bound_state_pt(grid, point.delta)
         psi0 = moving_bound_state(u1, -1.0, params)
         record = evolve(psi0, cfg.potential(point.delta), params, cfg.propagator)

@@ -108,11 +108,11 @@ class TestConfigParsing:
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "regression_amplify.yaml")
         pts = cfg.sweep_points()
         vc = 2.0 / math.sin(cfg.phi[0])
-        assert [p.v for p in pts] == pytest.approx([0.2 * vc, 0.8 * vc, 0.95 * vc])
+        assert [p.params.v for p in pts] == pytest.approx([0.2 * vc, 0.8 * vc, 0.95 * vc])
 
     def test_well_given_by_v0_takes_nu_from_its_amplitude(self):
         raw = minimal_amplify_dict()
-        raw["potential"]["v0"] = -6.0  # the nu = 2 well, whatever nu says
+        raw["potential"] = {"kind": "poschl_teller", "v0": -6.0, "delta": 0.2}  # the nu = 2 well
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.ground_state_energy() == -4.0
         u = analytic_bound_state_pt(cfg.grid, 0.2, cfg.sweep_points()[0].potential.well_nu)
@@ -308,6 +308,11 @@ class TestParseTimeRejection:
                 "params": {"phi": math.pi / 3, "v_over_vc": [0.5]},
             },
             scatter_with("grid", x_min=-30.0),  # support [-32, -8] crosses x_min
+            # three identical tables labeled by delta, with nu ignored
+            {**spectrum_dict(256), "potential": {"kind": "tabulated", "file": "well.csv",
+                                                 "delta": [0.1, 0.2, 0.3], "nu": 5.0}},
+            {**spectrum_dict(256), "potential": {"nu": 2.0, "v0": -2.0}},  # v0 would win
+            {**spectrum_dict(256), "potential": {"kind": "poschl_teller", "file": "nope.csv"}},
         ],
         ids=[
             "propagator-absorber-key",
@@ -360,9 +365,14 @@ class TestParseTimeRejection:
             "scatter-frame-key",
             "amplify-small-nu-quadrature-above-point-cap",
             "packet-crosses-left-edge-of-asymmetric-grid",
+            "tabulated-with-delta-and-nu",
+            "nu-and-v0",
+            "poschl_teller-with-file",
         ],
     )
-    def test_bad_config_exits_2_without_output(self, tmp_path, raw):
+    def test_bad_config_exits_2_without_output(self, tmp_path, monkeypatch, raw):
+        write_tabulated_config(tmp_path)  # well.csv, read by the tabulated case
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
         path = tmp_path / "bad.yaml"
@@ -540,6 +550,12 @@ class TestIOFormat:
         assert p.read_text() == "a,b\n0.333333333333,x\n"
         q = write_ndjson(tmp_path / "t.ndjson", [{"t": 0.25, "v": [1.0, 2.0]}])
         assert q.read_text() == '{"t":0.25,"v":[1.0,2.0]}\n'
+        # raw floats, in values and in lists, are rounded to 12 digits; other values pass
+        raw = ({"t": t, "n": 7, "v": [np.float64(2.0 / 3.0), "x"]} for t in (1.0 / 3.0, 0.5))
+        assert write_ndjson(tmp_path / "r.ndjson", raw).read_text() == (
+            '{"t":0.333333333333,"n":7,"v":[0.666666666667,"x"]}\n'
+            '{"t":0.5,"n":7,"v":[0.666666666667,"x"]}\n'
+        )
 
     def test_evolution_records_carry_12_digits(self, tmp_path):
         from anyonpt import EvolutionRecord, Grid, WaveFunction

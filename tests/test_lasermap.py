@@ -73,7 +73,7 @@ class TestThreshold:
         assert thr == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-12)
 
     def test_no_threshold_at_phi_zero(self):
-        assert mode_locking_threshold(cavity(Dg=0.0), -1.0) is None
+        assert mode_locking_threshold(cavity(Dg=0.0), -1.0) == math.inf
 
     def test_depth_scaling(self):
         c = cavity(Dg=1.0, delta2=0.2)

@@ -10,8 +10,8 @@ from anyonpt import (
     AnyonicParams,
     ContractError,
     DomainError,
-    GaugeFactors,
     Grid,
+    HamiltonianMatrix,
     PoschlTeller,
     Tabulated,
     WaveFunction,
@@ -99,6 +99,12 @@ class TestPotentials:
         assert np.allclose(tab(g.x), vals)
         assert tab(99.0) == 0.0  # outside range
 
+    def test_tabulated_header_may_hold_digits(self, tmp_path):
+        # a header is a first row whose first field is no number, digits or not
+        path = tmp_path / "pot.csv"
+        path.write_text("x1,re,im\n" + "".join(f"{x},0.0,0.0\n" for x in Grid(-1, 1, 16).x))
+        assert Tabulated.from_csv(path).grid == Grid(-1, 1, 16)
+
     def test_tabulated_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.0,1.0,0.0\n1.0,0.5,0.0\n")
@@ -136,9 +142,8 @@ class TestPTCondition:
 class TestGaugeFactors:
     def test_exact_forms(self):
         p = AnyonicParams(phi=math.pi / 3, v=1.6)
-        gf = GaugeFactors.from_params(p)
-        assert gf.alpha == pytest.approx(0.8 * cmath.exp(1j * math.pi / 3))
-        assert gf.beta == pytest.approx(-0.64 * cmath.exp(1j * math.pi / 3))
+        assert p.alpha == pytest.approx(0.8 * cmath.exp(1j * math.pi / 3))
+        assert p.beta == pytest.approx(-0.64 * cmath.exp(1j * math.pi / 3))
 
     def test_phi_range(self):
         with pytest.raises(DomainError):
@@ -152,8 +157,7 @@ class TestGaugeFactors:
             AnyonicParams(phi=0.5, v=v)
 
     def test_drift_whose_square_is_finite_is_kept(self):
-        gf = GaugeFactors.from_params(AnyonicParams(phi=0.0, v=1.0e150))
-        assert gf.beta == pytest.approx(-0.25e300, rel=1e-15)
+        assert AnyonicParams(phi=0.0, v=1.0e150).beta == pytest.approx(-0.25e300, rel=1e-15)
 
 
 class TestBuildHEff:
@@ -249,14 +253,14 @@ class TestAnyonicSymmetry:
     def test_stationary_pt_well(self, sym_grid):
         phi = math.pi / 3
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), AnyonicParams(phi=phi), sym_grid)
-        assert check_anyonic_symmetry(h, phi)
+        assert check_anyonic_symmetry(h)
 
     def test_random_potential_breaks_it(self, sym_grid, rng):
         vals = rng.standard_normal(sym_grid.n_points) + 1j * rng.standard_normal(
             sym_grid.n_points
         )
         h = build_h_eff(Tabulated(sym_grid, vals), AnyonicParams(phi=0.3), sym_grid)
-        assert not check_anyonic_symmetry(h, 0.3)
+        assert not check_anyonic_symmetry(h)
 
     def test_drifting_barrier(self, sym_grid):
         # drift included: the first-order block is PT-even, the rest rotates
@@ -267,7 +271,7 @@ class TestAnyonicSymmetry:
             sym_grid,
             boundary="periodic",
         )
-        assert check_anyonic_symmetry(h, phi)
+        assert check_anyonic_symmetry(h)
 
     @pytest.mark.parametrize("phi", [0.0, math.pi / 8, math.pi / 3, math.pi / 2])
     @pytest.mark.parametrize("v", [0.0, 1.3, -2.0])
@@ -277,7 +281,7 @@ class TestAnyonicSymmetry:
         h = build_h_eff(
             PoschlTeller(nu=1.4, delta=0.35), AnyonicParams(phi=phi, v=v), grid, boundary
         )
-        assert check_anyonic_symmetry(h, phi)
+        assert check_anyonic_symmetry(h)
 
 
 class TestWaveFunction:
@@ -290,6 +294,27 @@ class TestWaveFunction:
     def test_length_mismatch(self, sym_grid):
         with pytest.raises(ContractError):
             WaveFunction(sym_grid, np.zeros(7, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            WaveFunction,
+            Tabulated,
+            lambda grid, values: HamiltonianMatrix(grid, values, -1.0, -1.0, "dirichlet", 0.0, 0.0),
+        ],
+        ids=["wave-function", "tabulated", "hamiltonian-diagonal"],
+    )
+    @pytest.mark.parametrize(
+        "values", [np.zeros(7), np.full(64, np.nan), np.full(64, 1j * np.inf)],
+        ids=["wrong-shape", "nan", "inf"],
+    )
+    def test_samples_fit_the_grid_and_are_finite(self, make, values):
+        grid = Grid(-5.0, 5.0, 64)
+        with pytest.raises(ContractError):
+            make(grid, values)
+        kept = make(grid, np.ones(64))
+        samples = kept.diagonal if isinstance(kept, HamiltonianMatrix) else kept.values
+        assert samples.dtype == complex and not samples.flags.writeable
 
     def test_values_read_only(self, sym_grid):
         psi = WaveFunction(sym_grid, np.ones(sym_grid.n_points, dtype=complex))

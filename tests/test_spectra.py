@@ -213,7 +213,7 @@ class TestShiftsAndThresholds:
     def test_critical_velocity_values(self):
         assert critical_velocity(-1.0, math.pi / 2) == pytest.approx(2.0)
         assert critical_velocity(-4.0, math.pi / 2) == pytest.approx(4.0)
-        assert critical_velocity(-1.0, 0.0) is None
+        assert critical_velocity(-1.0, 0.0) == math.inf
 
     def test_critical_velocity_monotone_in_phi(self):
         phis = np.linspace(0.1, math.pi / 2, 30)
@@ -424,6 +424,32 @@ class TestSolveSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 16 * n  # one n x n complex matrix is 1.6 GB
+
+    def test_hermitian_grid_above_the_dense_cap_solves_on_its_bands(self):
+        # no n x n copy on the band path, so the 8192 cap of dense() does not apply
+        h = _well(0.0, delta=0.0, grid=Grid(-40.0, 40.0, 8200), boundary="dirichlet")
+        tracemalloc.start()
+        try:
+            res = solve_spectrum(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.solver == "real-symmetric" and res.point_count == 1
+        assert abs(res.eigenvalues[res.point_indices()[0]] + 1.0) < 1e-3
+        assert peak <= 0.05 * 8 * h.dim**2  # 6.6 MB, against 538 MB for one real n x n copy
+
+    def test_fallback_above_the_dense_cap_refused_before_allocation(self, monkeypatch):
+        # the root iteration gives up at once; its dense fallback is refused by dense()
+        monkeypatch.setattr(spectra, "ABERTH_MAX_SWEEPS", 0)
+        h = _well(math.pi / 3, v=0.5 * VC3, grid=Grid(-40.0, 40.0, 8200))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match="8192"):
+                solve_spectrum(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 16 * h.dim
 
 
 class TestRealForm:
