@@ -66,7 +66,7 @@ ROOT_SCREEN_FRACTION = 2.5 * PR_BOX_FRACTION
 # Two eigenvalues this close, relative to their size, are one eigenvalue.
 SAME_EIGENVALUE_RTOL = 1e-9
 # Root iteration: a root is final once its step is below ABERTH_TOL of the 1-norm,
-# all within ABERTH_MAX_SWEEPS (the shipped drifts take 18 and 20).
+# all within ABERTH_MAX_SWEEPS (the shipped drifts, 0.5 and 0.9 v_c, take 20 and 18).
 ABERTH_TOL = 1e-13
 ABERTH_MAX_SWEEPS = 64
 ABERTH_BLOCK = 64
@@ -223,17 +223,21 @@ def _newton_ratios(h: HamiltonianMatrix, z) -> np.ndarray:
 
     M = T_{n-1}...T_0, T_j = [[(lam - d_j)/upper, -lower/upper], [1, 0]].  The gauge
     psi_j = s^j phi_j, s = g/upper, g = sqrt(upper lower), makes T_j [[(lam - d_j)/g,
-    -1], [1, 0]] and f = s^n (tr M' - s^n - s^-n); M' and dM'/dlam share one recurrence.
+    -1], [1, 0]] and f = s^n (tr M' - s^n - s^-n).  On the longest cyclic run of L > 1 equal
+    d_j the T_j are one T, so tr M' = tr(T^L W): W and dW/dlam share one recurrence over the
+    other sites, and T^L = alpha T + beta comes by squaring (T^2 = a T - 1, a = tr T).
     """
     g = np.sqrt(h.upper * h.lower)
-    dg, zg = h.diagonal / g, z / g
-    # [previous, current, next step] x [both columns of M', g d/dlam of each]
+    starts = np.flatnonzero(h.diagonal != np.roll(h.diagonal, 1)).tolist() or [0]  # of each run
+    runs = np.diff(starts, append=starts[0] + h.dim)
+    run = int(runs.max()) if runs.max() > 1 else 0
+    dg, zg = np.roll(h.diagonal / g, -(starts[runs.argmax()] + run)), z / g
+    # [previous, current, next step] x [both columns of W, g d/dlam of each]
     bufs = np.zeros((3, 4, len(z)), dtype=complex)
-    prev, cur, nxt = bufs
+    (prev, cur, nxt), exponent = bufs, 0
     cur[0] = prev[1] = 1.0
-    exponent = np.zeros(len(z))
-    for j in range(0, h.dim, ABERTH_RESCALE):
-        for a in zg - dg[j:j + ABERTH_RESCALE, None]:
+    for j in range(0, h.dim - run, ABERTH_RESCALE):
+        for a in zg - dg[j:min(j + ABERTH_RESCALE, h.dim - run), None]:
             np.multiply(a, cur, out=nxt)
             nxt -= prev
             nxt[2:] += cur[:2]
@@ -241,18 +245,51 @@ def _newton_ratios(h: HamiltonianMatrix, z) -> np.ndarray:
         e = np.frexp(np.abs(bufs[:, :2]).max(axis=(0, 1)))[1]
         bufs *= np.ldexp(1.0, -e)
         exponent += e
+    a = zg - dg[-1]  # the run's last site, rolled behind W's
+    power, e_power = np.eye(4, dtype=complex)[1, :, None] + np.zeros(len(z)), 0  # T^0
+    for bit in f"{run:b}".lstrip("0"):  # T^2k, then T^(2k+1) = T^2k T, down the bits of L
+        p, q, dp, dq = power  # alpha, beta and their d/da
+        p, q, dp, dq = (a * p * p + 2 * p * q, q * q - p * p,
+                        p * p + 2 * (a * p * dp + dp * q + p * dq), 2 * (q * dq - p * dp))
+        power = np.array((a * p + q, -p, p + a * dp + dq, -dp) if bit == "1" else (p, q, dp, dq))
+        e = np.frexp(np.abs(power).max(axis=0))[1]
+        power, e_power = power * np.ldexp(1.0, -e), 2 * e_power + e
+    (p, q, dp, dq), exponent = power, exponent + e_power
+    tw, w = a * cur[0] - prev[0] + cur[1], cur[0] + prev[1]  # tr(T W), tr W
+    dtw = a * cur[2] - prev[2] + cur[3] + cur[0]
     log_sn, log_scale = h.dim * np.log(g / h.upper), exponent * math.log(2.0)
     rest = np.exp(log_sn - log_scale) + np.exp(-log_sn - log_scale)
-    return g * (cur[0] + prev[1] - rest) / (cur[2] + prev[3])
+    return g * (p * tw + q * w - rest) / (dp * tw + p * dtw + dq * w + q * (cur[2] + prev[3]))
+
+
+def _aberth_pull(z, active):
+    """sum_{j != k} 1/(z_k - z_j) at each active k, each pair of active roots taken once; None
+    when an active root is not finite or within SAME_EIGENVALUE_RTOL of another, of either size."""
+    m = len(active)
+    z = np.concatenate((z[active], np.delete(z, active)))  # the active roots first
+    xy, limit = np.array((z.real, -z.imag)), (SAME_EIGENVALUE_RTOL * np.abs(z)) ** 2
+    sums = np.zeros((2, m))  # Re and Im: 1/w = conj(w)/|w|^2, w = z_k - z_j
+    for lo in range(0, m, ABERTH_BLOCK):
+        rows = slice(lo, min(lo + ABERTH_BLOCK, m))
+        w = xy[:, rows, None] - xy[:, None, lo:]  # conj(w), each row k against j >= k
+        d2 = np.einsum("ijk,ijk->jk", w, w)  # |w|^2
+        d2[np.tri(*d2.shape, dtype=bool)] = np.inf  # j <= k: no pair, or one of an earlier row
+        if not ((d2.min(axis=1) > limit[rows]).all() and (d2.min(axis=0) > limit[lo:]).all()):
+            return None
+        w /= d2
+        sums[:, rows] += w.sum(axis=2)  # + to row k, - to an active row j
+        sums[:, lo:] -= w[:, :, :m - lo].sum(axis=1)
+        del w, d2  # before the next block's
+    return sums[0] + 1j * sums[1]
 
 
 def _aberth_eigenvalues(h: HamiltonianMatrix):
     """The eigenvalues of a periodic ``h`` by Ehrlich-Aberth sweeps on ``_newton_ratios``, or None.
 
-    A sweep moves each active z_k by N_k / (1 - N_k sum_{j != k} 1/(z_k - z_j)), N_k =
-    f/f' (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 153, 2005), from the
-    free ring's eigenvalues plus a fixed jitter.  None when a root still moves after
-    ABERTH_MAX_SWEEPS, or two come within SAME_EIGENVALUE_RTOL, where Aberth crawls.
+    A sweep moves each active z_k by N_k / (1 - N_k S_k), N_k = f/f' and S_k = sum_{j != k}
+    1/(z_k - z_j) from ``_aberth_pull`` (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl.
+    27, 153, 2005), starting at the free ring's eigenvalues plus a fixed jitter.  None when a
+    root still moves after ABERTH_MAX_SWEEPS, or two come within SAME_EIGENVALUE_RTOL (it crawls).
     """
     norm1 = float(np.abs(h.diagonal).max() + abs(h.upper) + abs(h.lower))
     theta = 2.0 * np.pi * (np.arange(h.dim) + 0.5) / h.dim
@@ -261,16 +298,8 @@ def _aberth_eigenvalues(h: HamiltonianMatrix):
     active = np.arange(h.dim)
     with np.errstate(all="ignore"):  # a root driven to inf or nan ends in None
         for _ in range(ABERTH_MAX_SWEEPS):
-            if not len(active):
-                break
-            pull = np.empty(len(active), dtype=complex)
-            for lo in range(0, len(active), ABERTH_BLOCK):
-                rows = active[lo:lo + ABERTH_BLOCK]
-                diff = z[rows, None] - z
-                diff[np.arange(len(rows)), rows] = np.inf
-                if not (np.abs(diff).min(axis=1) > SAME_EIGENVALUE_RTOL * np.abs(z[rows])).all():
-                    return None
-                pull[lo:lo + ABERTH_BLOCK] = (1.0 / diff).sum(axis=1)
+            if not len(active) or (pull := _aberth_pull(z, active)) is None:
+                break  # all final, or None: two roots too close, or one not finite
             ratio = _newton_ratios(h, z[active])
             step = ratio / (1.0 - ratio * pull)
             z[active] -= step

@@ -118,9 +118,10 @@ SOLVER_CASES = [
 SOLVER_PARAMS = [pytest.param(make_h, solver, id=name) for name, make_h, solver in SOLVER_CASES]
 
 
-def _shipped_rest_point():
+def _shipped_point(index=0):
+    # spectrum_drift_sweep.yaml's point at 0 (at rest), 0.5 or 0.9 v_c, as the runner builds it
     cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "spectrum_drift_sweep.yaml")
-    p = cfg.sweep_points()[0]
+    p = cfg.sweep_points()[index]
     return build_h_eff(p.potential, p.params, p.grid, cfg.boundary)
 
 
@@ -542,7 +543,7 @@ class TestTwin:
     @pytest.mark.parametrize(
         "make_h, solver",
         [
-            (_shipped_rest_point, "hermitian-twin"),
+            (_shipped_point, "hermitian-twin"),
             (lambda: build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=math.pi / 3),
                                  Grid(-40.0, 40.0, 1280), "dirichlet"), "real-symmetric"),
         ],
@@ -564,7 +565,7 @@ class TestTwin:
     def test_library_call_takes_the_twin(self):
         # the operator build_h_eff gives carries its potential, so solve_spectrum finds
         # the twin without the runner's help
-        h = _shipped_rest_point()
+        h = _shipped_point()
         assert isinstance(h.potential, PoschlTeller) and h.potential.delta == 0.2
         assert solve_spectrum(h).solver == "hermitian-twin"
 
@@ -591,8 +592,112 @@ class TestTwin:
             solve_spectrum(_well(math.pi / 3))
 
 
+def reference_newton_ratios(h, z):
+    """f/f' at each z from the plain recurrence: every transfer matrix T_j, in order.
+
+    f(lam) = tr M - 1 - (lower/upper)^n in the gauge of ``spectra._newton_ratios``,
+    with M and g dM/dlam stepped together through all n sites and rescaled by powers
+    of two every ABERTH_RESCALE steps.
+    """
+    g = np.sqrt(h.upper * h.lower)
+    dg, zg = h.diagonal / g, z / g
+    # [previous, current, next step] x [both columns of M, g d/dlam of each]
+    bufs = np.zeros((3, 4, len(z)), dtype=complex)
+    prev, cur, nxt = bufs
+    cur[0] = prev[1] = 1.0
+    exponent = np.zeros(len(z))
+    for j in range(0, h.dim, spectra.ABERTH_RESCALE):
+        for a in zg - dg[j:j + spectra.ABERTH_RESCALE, None]:
+            np.multiply(a, cur, out=nxt)
+            nxt -= prev
+            nxt[2:] += cur[:2]
+            prev, cur, nxt = cur, nxt, prev
+        e = np.frexp(np.abs(bufs[:, :2]).max(axis=(0, 1)))[1]
+        bufs *= np.ldexp(1.0, -e)
+        exponent += e
+    log_sn, log_scale = h.dim * np.log(g / h.upper), exponent * math.log(2.0)
+    rest = np.exp(log_sn - log_scale) + np.exp(-log_sn - log_scale)
+    return g * (cur[0] + prev[1] - rest) / (cur[2] + prev[3])
+
+
+def reference_pull(z, active):
+    """sum_{j != k} 1/(z_k - z_j) for each active k, every row over all n roots."""
+    diff = z[active, None] - z
+    diff[np.arange(len(active)), active] = np.inf
+    return (1.0 / diff).sum(axis=1)
+
+
+def _rolled(h, shift):
+    # the same ring read from another site: its longest run no longer wraps through 0
+    return dataclasses.replace(h, diagonal=np.roll(h.diagonal, shift))
+
+
+def _run_kind(h):
+    """Where the ring's equal neighbouring diagonal entries lie."""
+    equal = h.diagonal == np.roll(h.diagonal, 1)  # entry j equals entry j - 1
+    if equal.all() or not equal.any():
+        return "whole ring" if equal.all() else "none"
+    return "wraps" if equal[0] else "inside"
+
+
+# (id, drifting periodic operator, where its runs of equal diagonal entries lie)
+NEWTON_CASES = [
+    ("shipped-0.5vc", lambda: _shipped_point(1), "wraps"),
+    ("shipped-0.9vc", lambda: _shipped_point(2), "wraps"),
+    ("free-ring", lambda: build_h_eff(PoschlTeller(v0=0.0), AnyonicParams(math.pi / 3, 0.5 * VC3),
+                                      Grid(-20.0, 20.0, 400), "periodic"), "whole ring"),
+    ("well-near-x-min", lambda: _well(math.pi / 3, v=0.5 * VC3, grid=Grid(-3.0, 37.0, 640)),
+     "inside"),
+    ("shipped-0.5vc-rolled", lambda: _rolled(_shipped_point(1), 640), "inside"),
+    ("odd-n", lambda: _well(math.pi / 3, v=0.5 * VC3, grid=Grid(-20.0, 20.0, 401)), "wraps"),
+    ("no-run", lambda: _well(math.pi / 3, v=0.5 * VC3, grid=Grid(-5.0, 5.0, 200)), "none"),
+]
+
+
 class TestAberth:
     """Drifting periodic operators take the root iteration, with the dense solve as fallback."""
+
+    @pytest.mark.parametrize("make_h, runs", [pytest.param(m, r, id=i) for i, m, r in NEWTON_CASES])
+    def test_folded_newton_ratios_match_the_plain_recurrence(self, make_h, runs):
+        h = make_h()
+        assert _run_kind(h) == runs
+        # 50 points drawn across the bands' disc: off the spectrum's curves
+        rng = np.random.default_rng(7)
+        norm1 = np.abs(h.diagonal).max() + abs(h.upper) + abs(h.lower)
+        z = norm1 * (rng.uniform(-1.0, 1.0, 50) + 1j * rng.uniform(-1.0, 1.0, 50))
+        want = reference_newton_ratios(h, z)
+        got = spectra._newton_ratios(h, z)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("index", [1, 2], ids=["0.5vc", "0.9vc"])
+    def test_shipped_drifting_points_take_the_root_iteration(self, index):
+        # a fallback to eigvals would pass every oracle at about 4 s a point
+        res = solve_spectrum(_shipped_point(index))
+        assert res.solver == "complex-aberth" and res.point_count == 1
+
+    def test_pair_sum_takes_each_pair_once(self):
+        # three blocks of active rows, the last one partial, among converged roots
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=300) + 1j * rng.normal(size=300)
+        active = np.sort(rng.choice(300, 150, replace=False))
+        want = reference_pull(z, active)
+        got = spectra._aberth_pull(z, active)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("converged", [False, True], ids=["active", "converged"])
+    def test_pair_sum_refuses_near_roots(self, converged):
+        z = np.array([1.0 + 1.0j, -2.0, 3.0j, 1.0 + 1.0j + 5e-10])
+        active = np.arange(3) if converged else np.arange(4)
+        assert spectra._aberth_pull(z, active) is None
+        z[3] = 1.0 + 1.0j + 5e-9
+        assert spectra._aberth_pull(z, active) is not None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)])
+    def test_pair_sum_refuses_non_finite_roots(self, bad):
+        z = np.array([1.0 + 1.0j, -2.0, 3.0j, bad])
+        with np.errstate(invalid="ignore"):
+            assert spectra._aberth_pull(z, np.arange(4)) is None
+            assert spectra._aberth_pull(z, np.array([3])) is None
 
     def test_no_dense_array(self):
         # the pair sum is taken ABERTH_BLOCK rows at a time: no n x n array at all
