@@ -313,6 +313,10 @@ class TestParseTimeRejection:
                                                  "delta": [0.1, 0.2, 0.3], "nu": 5.0}},
             {**spectrum_dict(256), "potential": {"nu": 2.0, "v0": -2.0}},  # v0 would win
             {**spectrum_dict(256), "potential": {"kind": "poschl_teller", "file": "nope.csv"}},
+            # the runners' run at 2 dt must land on every snapshot
+            scatter_with("propagator", snapshot_every=499),
+            scatter_with("propagator", t_final=25.01),  # 2501 steps
+            {**minimal_amplify_dict(evolve=True), "propagator": {"dt": 0.01, "t_final": 0.05}},
         ],
         ids=[
             "propagator-absorber-key",
@@ -368,6 +372,9 @@ class TestParseTimeRejection:
             "tabulated-with-delta-and-nu",
             "nu-and-v0",
             "poschl_teller-with-file",
+            "scatter-snapshot_every-odd",
+            "scatter-step-count-odd",
+            "amplify-evolve-step-count-odd",
         ],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, monkeypatch, raw):
@@ -600,7 +607,7 @@ class TestRunnersAndCLI:
                     "g_t_times": [0.5],
                     "g_t_grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 128},
                 },
-                "propagator": {"dt": 0.01, "t_final": 0.05, "snapshot_every": 2},
+                "propagator": {"dt": 0.01, "t_final": 0.06, "snapshot_every": 4},
             },
         ],
         ids=["regression_amplify", "scatter-rt_sweep", "spectrum-doubled-box", "amplify-evolve"],
@@ -627,7 +634,7 @@ class TestRunnersAndCLI:
         raw["grid"].update(x_min=-12.0, x_max=12.0)
         raw["params"]["v_over_vc"] = [0.2, 0.5]
         raw["amplify"] = {"evolve": True}
-        raw["propagator"] = {"dt": 0.01, "t_final": 0.05, "snapshot_every": 5}
+        raw["propagator"] = {"dt": 0.01, "t_final": 0.04, "snapshot_every": 4}
         run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
         assert solves == []  # the nu = 2 ground state is the closed form; no g_t, no E_dom
 

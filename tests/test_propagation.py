@@ -27,7 +27,7 @@ from anyonpt import (
     shifted_point_energy,
 )
 from anyonpt.model import trapz
-from anyonpt.propagation import AMPLITUDE_GUARD, _guard
+from anyonpt.propagation import AMPLITUDE_GUARD, _guard, evolve_extrapolated
 from anyonpt.spectra import continuous_dispersion
 
 FREE = PoschlTeller(v0=0.0)
@@ -286,9 +286,14 @@ class TestEvolveBatch:
         assert int(faults) < 10 * 500  # 500 steps
 
 
+# The step at which the Strang loop's splitting error is pinned: the shipped
+# configs' dt before the runners took the extrapolated field.
+STRANG_DT = 0.005
+
+
 @functools.cache
-def shipped_finals(name: str, dt_factor: int) -> list:
-    """A shipped evolution config's records at dt_factor times its dt, one per sweep point.
+def shipped_finals(name: str, dt: float) -> list:
+    """A shipped evolution config's Strang records at step dt, one per sweep point.
 
     The fields are built as the scatter and amplify runners build them: a Gaussian
     packet per point, or the dressed closed-form bound state on the config box.
@@ -305,16 +310,21 @@ def shipped_finals(name: str, dt_factor: int) -> list:
             )
             for p in points
         ]
-    prop = cfg.propagator
-    run = PropagatorConfig(dt=dt_factor * prop.dt, t_final=prop.t_final, snapshot_every=10**9)
-    assert run.n_steps() * dt_factor == prop.n_steps()
+    run = PropagatorConfig(dt=dt, t_final=cfg.propagator.t_final, snapshot_every=10**9)
+    assert run.n_steps() * dt == pytest.approx(cfg.propagator.t_final, abs=1e-12)
     fields = [(psi0, p.potential, p.params) for psi0, p in zip(starts, points)]
     return evolve_batch(fields, run)
 
 
+def extrapolated_finals(name: str, dt: float) -> list:
+    """(4 psi_dt - psi_2dt) / 3 of each final field, as evolve_extrapolated combines them."""
+    pairs = zip(shipped_finals(name, dt), shipped_finals(name, 2.0 * dt))
+    return [(4.0 * fine.final().values - coarse.final().values) / 3.0 for fine, coarse in pairs]
+
+
 def richardson_errors(name: str) -> list:
     """Richardson's relative L2 estimate |psi_dt - psi_2dt| / (3 |psi_dt|) of each final field."""
-    pairs = zip(shipped_finals(name, 1), shipped_finals(name, 2))
+    pairs = zip(shipped_finals(name, STRANG_DT), shipped_finals(name, 2.0 * STRANG_DT))
     return [
         float(np.linalg.norm(fine.final().values - coarse.final().values))
         / (3.0 * float(np.linalg.norm(fine.final().values)))
@@ -322,21 +332,37 @@ def richardson_errors(name: str) -> list:
     ]
 
 
+def norm_gaps(name: str, finals) -> list:
+    """N(t_f) / N(0) over e^{2 Im E t_f}, minus 1, for the first two points of ``name``.
+
+    Both start in an eigenstate that fits the box, so N(t) = N(0) e^{2 Im E t}.
+    """
+    cfg = ExperimentConfig.from_yaml(CONFIG_DIR / f"{name}.yaml")
+    t, dx = cfg.propagator.t_final, cfg.grid.dx
+    gaps = []
+    for point, final in zip(cfg.sweep_points()[:2], finals):
+        energy = shifted_point_energy(cfg.ground_state_energy(), point.params)
+        start = shipped_finals(name, STRANG_DT)[point.index].norm[0]  # N(0) of every run
+        norm = trapz(np.abs(final) ** 2, dx)
+        gaps.append(norm / start / math.exp(2.0 * energy.imag * t) - 1.0)
+    return gaps
+
+
+SHIPPED_ERRORS = {  # name: the pinned Strang error at STRANG_DT of each sweep point
+    "scatter_barrier_k0": [5.42e-6, 8.68e-6],  # phi = 0, pi/8
+    "scatter_barrier_k1": [8.21e-6, 7.70e-6],
+    "amplify_breakup": [7.62e-5, 2.11e-4, 1.29e-4],  # 0.2, 0.8, 0.95 v_c
+}
+
+
 class TestSplittingError:
-    """The Strang splitting error of each shipped evolution, at its own dt.
+    """The Strang splitting error of each shipped evolution, at STRANG_DT.
 
     The kinetic-plus-drift step is exact in Fourier space, so the only time
     error is the second-order splitting error, and halving dt quarters it.
     """
 
-    @pytest.mark.parametrize(
-        "name, errors",
-        [
-            ("scatter_barrier_k0", [5.42e-6, 8.68e-6]),  # phi = 0, pi/8
-            ("scatter_barrier_k1", [8.21e-6, 7.70e-6]),
-            ("amplify_breakup", [7.62e-5, 2.11e-4, 1.29e-4]),  # 0.2, 0.8, 0.95 v_c
-        ],
-    )
+    @pytest.mark.parametrize("name, errors", list(SHIPPED_ERRORS.items()))
     def test_shipped_final_field_error(self, name, errors):
         assert richardson_errors(name) == pytest.approx(errors, rel=0.01)
 
@@ -345,14 +371,80 @@ class TestSplittingError:
         assert richardson_errors("null_scatter")[0] < 1e-12
 
     def test_bound_state_norm_against_its_eigenvalue(self):
-        # points 0 and 1 start in an eigenstate that fits the box, so N(t) = N(0) e^{2 Im E t}
-        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "amplify_breakup.yaml")
-        records = shipped_finals("amplify_breakup", 1)
-        for point, gap in zip(cfg.sweep_points(), (-1.07e-4, -1.06e-4)):
-            record = records[point.index]
-            energy = shifted_point_energy(cfg.ground_state_energy(), point.params)
-            exact = math.exp(2.0 * energy.imag * record.times[-1])
-            assert record.norm[-1] / record.norm[0] / exact - 1.0 == pytest.approx(gap, rel=0.01)
+        finals = [r.final().values for r in shipped_finals("amplify_breakup", STRANG_DT)]
+        assert norm_gaps("amplify_breakup", finals) == pytest.approx([-1.07e-4, -1.06e-4], rel=0.01)
+
+
+class TestExtrapolation:
+    """evolve_extrapolated: two Strang runs, at dt and 2 dt, combined at every snapshot."""
+
+    def test_is_the_combination_of_two_strang_runs(self):
+        grid = Grid(-30.0, 30.0, 512)
+        fields = [
+            (
+                gaussian_packet(grid, PacketSpec(center=-5.0, width=2.0, carrier=0.8)),
+                PoschlTeller(nu=1.0, delta=0.2),
+                AnyonicParams(phi=math.pi / 8, v=-1.0),
+            ),
+            (
+                gaussian_packet(grid, PacketSpec(center=4.0, width=2.5, carrier=-1.0)),
+                PoschlTeller(delta=-0.5, v0=3.0),
+                AnyonicParams(phi=0.0, v=-2.0),
+            ),
+        ]
+        # 100 steps, snapshots at 0, 40, 80 and 100: the last falls off the stride
+        cfg = PropagatorConfig(dt=0.01, t_final=1.0, snapshot_every=40)
+        half = PropagatorConfig(dt=0.02, t_final=1.0, snapshot_every=20)
+        records = evolve_extrapolated(fields, cfg)
+        pairs = zip(evolve_batch(fields, cfg), evolve_batch(fields, half))
+        for record, (fine, coarse) in zip(records, pairs):
+            assert np.array_equal(record.times, fine.times)
+            assert len(record.snapshots) == len(coarse.snapshots) == 4
+            for snap, f, c in zip(record.snapshots, fine.snapshots, coarse.snapshots):
+                assert np.array_equal(snap.values, (4.0 * f.values - c.values) / 3.0)
+            assert np.array_equal(record.norm, [s.norm_squared() for s in record.snapshots])
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            PropagatorConfig(dt=0.01, t_final=1.0, snapshot_every=25),
+            PropagatorConfig(dt=0.01, t_final=0.99, snapshot_every=10**9),
+        ],
+        ids=["snapshot_every-odd", "step-count-odd"],
+    )
+    def test_refuses_what_the_coarse_run_cannot_land_on(self, cfg):
+        grid = Grid(-20.0, 20.0, 256)
+        psi = gaussian_packet(grid, PacketSpec(center=0.0, width=2.0))
+        with pytest.raises(ContractError, match="must both be even"):
+            evolve_extrapolated([(psi, FREE, AnyonicParams(phi=0.0, v=0.0))], cfg)
+
+    @pytest.mark.parametrize(
+        "name, errors",
+        [
+            ("scatter_barrier_k0", [1.82e-8, 9.69e-9]),  # phi = 0, pi/8
+            ("scatter_barrier_k1", [4.02e-8, 9.33e-9]),
+            ("amplify_breakup", [1.40e-7, 1.83e-7, 6.80e-8]),  # 0.2, 0.8, 0.95 v_c
+        ],
+    )
+    def test_shipped_final_field_error(self, name, errors):
+        # against (4 psi_{dt/2} - psi_dt) / 3 at the shipped dt: 200 to 1900 times
+        # below the Strang field's error at STRANG_DT, where the gate asks for 10
+        dt = ExperimentConfig.from_yaml(CONFIG_DIR / f"{name}.yaml").propagator.dt
+        measured = [
+            float(np.linalg.norm(field - ref)) / float(np.linalg.norm(ref))
+            for field, ref in zip(extrapolated_finals(name, dt), extrapolated_finals(name, dt / 2))
+        ]
+        assert measured == pytest.approx(errors, rel=0.01)
+        assert all(10.0 * e <= strang for e, strang in zip(measured, SHIPPED_ERRORS[name]))
+
+    def test_bound_state_norm_gap_shrinks(self):
+        # the Strang field at STRANG_DT misses e^{2 Im E t} by -1.07e-4 and -1.06e-4
+        # (test_bound_state_norm_against_its_eigenvalue).  At 0.8 v_c the gap stays
+        # near +8e-7 when dt halves, so what is left there is not time error.
+        dt = ExperimentConfig.from_yaml(CONFIG_DIR / "amplify_breakup.yaml").propagator.dt
+        gaps = norm_gaps("amplify_breakup", extrapolated_finals("amplify_breakup", dt))
+        assert gaps == pytest.approx([-1.40e-7, 6.55e-7], rel=0.01)
+        assert all(100.0 * abs(g) < 1.06e-4 for g in gaps)
 
 
 class TestGauge:
