@@ -15,6 +15,7 @@ integral vanishes).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -57,9 +58,10 @@ FLUSH_FRACTION = 2.0**-53 / G_T_MAX_DIM**2
 # Column block width of g_t's band-limited products.
 BAND_BLOCK = 128
 # ARPACK restarts before g_t falls back to a dense SVD: every t >= 0.05 on
-# the n = 1024 drifting well converges within 5, while for t <= 0.01, where
-# P is close to I and its singular values cluster, converging costs more
-# than the dense SVD.
+# the n = 1024 drifting well converges within 4, whether P(t) comes as 1 or
+# as 10 factors (t >= 0.5 within 1), while for t <= 0.01, where P is close
+# to I and its singular values cluster, converging costs more than the
+# dense SVD.
 LANCZOS_MAXITER = 10
 
 
@@ -256,43 +258,68 @@ def _band_matmul(a: np.ndarray, a_spans, b: np.ndarray, b_spans) -> np.ndarray:
     return out
 
 
-def _sigma_max(p: np.ndarray) -> float:
-    """Largest singular value of ``p`` by ARPACK Lanczos on p^H p, dense SVD on failure.
+def _sigma_max(*factors: np.ndarray) -> float:
+    """Largest singular value of the product P of ``factors`` by ARPACK Lanczos on P^H P.
 
-    Uses only products with ``p`` and its adjoint, so no conjugate copy is
-    made (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  The
+    The factors must commute, as functions of one G do.  Lanczos needs only
+    P x and P^H x, so it applies the factors one after another and P is never
+    formed (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  The
     fixed start vector makes repeated calls agree bitwise.  When ARPACK does
     not converge within LANCZOS_MAXITER restarts, or fails otherwise, the
-    dense ``svdvals`` of ``p`` is used instead.  It is also used directly
-    when the bound sqrt(||p||_1 ||p||_inf) on sigma reaches 2^511: there the
-    Gram product p^H p that ARPACK iterates on can overflow, and LAPACK then
-    prints to stderr before ARPACK fails.
+    dense ``svdvals`` of the multiplied-out P is used instead.  It is also
+    used directly when the bound, the product of each factor's
+    sqrt(||F||_1 ||F||_inf), reaches 2^511: there the Gram product P^H P that
+    ARPACK iterates on can overflow, and LAPACK then prints to stderr before
+    ARPACK fails.
     """
     # Imported here: scipy adds to every start-up.
     import scipy.linalg
     import scipy.sparse.linalg
 
-    bound = math.sqrt(scipy.linalg.norm(p, 1)) * math.sqrt(scipy.linalg.norm(p, np.inf))
+    bound = math.prod(_norm_bound(f) for f in factors)
     if bound >= 2.0**511:
-        return float(scipy.linalg.svdvals(p)[0])
+        return float(scipy.linalg.svdvals(_multiplied_out(factors))[0])
+
+    def matvec(x):
+        for f in reversed(factors):
+            x = f @ x
+        return x
+
+    def rmatvec(x):
+        for f in factors:
+            x = (x.conj() @ f).conj()
+        return x
+
+    n = factors[0].shape[0]
     op = scipy.sparse.linalg.LinearOperator(
-        p.shape,
-        matvec=lambda x: p @ x,
-        rmatvec=lambda x: (x.conj() @ p).conj(),
-        dtype=p.dtype,
+        (n, n), matvec=matvec, rmatvec=rmatvec, dtype=factors[0].dtype
     )
     try:
         (sigma,) = scipy.sparse.linalg.svds(
             op,
             k=1,
             tol=0,
-            v0=np.ones(p.shape[0], dtype=complex),
+            v0=np.ones(n, dtype=complex),
             maxiter=LANCZOS_MAXITER,
             return_singular_vectors=False,
         )
     except scipy.sparse.linalg.ArpackError:
-        sigma = scipy.linalg.svdvals(p)[0]
+        sigma = scipy.linalg.svdvals(_multiplied_out(factors))[0]
     return float(sigma)
+
+
+def _norm_bound(f: np.ndarray) -> float:
+    """sqrt(||f||_1 ||f||_inf), an upper bound on ||f||_2; |f| dies on return."""
+    mag = np.abs(f)
+    return math.sqrt(mag.sum(axis=0).max()) * math.sqrt(mag.sum(axis=1).max())
+
+
+def _multiplied_out(factors) -> np.ndarray:
+    """The dense product of ``factors``; DivergenceError when it is not finite."""
+    p = functools.reduce(np.matmul, factors)
+    if not np.isfinite(p).all():
+        raise DivergenceError("propagator overflowed; retry with smaller t")
+    return p
 
 
 def _expm_taylor(a) -> np.ndarray:
@@ -324,12 +351,16 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     THETA_13, so q = floor(t / tau) <= 2 t ||G||_1 / THETA_13; a tiny time
     never shortens the step of the others.  P(t) = B^q exp(G rho), rho = t -
     q tau, both factors Taylor series.  The remainder is skipped when rho = 0,
-    as for integer multiples of a power-of-two t_0 such as 0.5.  Each B^q is
-    built by binary powering over one shared run of squarings B^(2^j)
-    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).  The norm of each
-    P(t) comes from ARPACK Lanczos (``_sigma_max``); when that does not
-    converge within LANCZOS_MAXITER restarts, as for the clustered singular
-    values of very small t, that one time falls back to the dense ``svdvals``.
+    as for integer multiples of a power-of-two t_0 such as 0.5.  One shared
+    run of squarings B^(2^j) serves every B^q (Al-Mohy & Higham, SIAM J.
+    Matrix Anal. Appl. 31, 2009), and B^q is never multiplied out: it is the
+    list of B^(2^j) for the set bits j of q, and the top bit J of the largest
+    q enters as its 2 or 3 copies of B^(2^(J - 1)), so the chain stops one
+    squaring short.  The factors commute, as functions of one G, and ARPACK
+    Lanczos (``_sigma_max``) takes the norm of their product by applying them
+    in turn; when that does not converge within LANCZOS_MAXITER restarts, as
+    for the clustered singular values of very small t, that one time falls
+    back to the dense ``svdvals`` of the multiplied-out product.
 
     After every product, entries at or below FLUSH_FRACTION of the largest
     are zeroed.  That moves the 2-norm by at most n * FLUSH_FRACTION * ||P||_2
@@ -337,7 +368,8 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     banded, as the exponential of a banded matrix is up to rounding (Iserles,
     NZ J. Math. 29, 2000).  Every product multiplies only the nonzero spans
     of its factors (``_band_matmul``).  A time whose step count overflows, or
-    whose propagator underflows to zero, raises NumericalError.
+    whose propagator underflows to zero, raises NumericalError; one whose
+    propagator or its norm overflows raises DivergenceError.
 
     For a normal operator G_t never exceeds one when e1 is the dominant
     eigenvalue; values above one quantify transient non-normal amplification.
@@ -370,29 +402,33 @@ def _squaring_chain(gen, norm1: float, times: list, gains: dict) -> None:
         raise NumericalError(f"t = {times[-1]} overflows the step count; retry with smaller t")
     # q >= 1 for every time because tau divides the smallest one exactly.
     steps = {t: math.floor(t / tau) for t in times}
+    # B^q is B^(2^j) for each set bit j of q below the top level, times q >> top
+    # copies of B^(2^top): the top bit J of the largest q enters as its 2 or 3
+    # copies of B^(2^(J - 1)), so B^(2^J) is never formed.
+    top = max(max(steps.values()).bit_length() - 2, 0)
+    levels = {t: [j for j in range(top) if (q >> j) & 1] + [top] * (q >> top)
+              for t, q in steps.items()}
     power = _flush_tiny(_expm_taylor(gen * tau))  # B^(2^j) with its spans
-    acc = {}
-    for j in range(max(steps.values()).bit_length()):
+    held = {}  # the powers B^(2^j) that a time not yet recorded needs
+    for j in range(top + 1):
         if j:
             power = _flush_tiny(_band_matmul(*power, *power))
-        for t, q in steps.items():
-            if not (q >> j) & 1:
-                continue
-            acc[t] = power if t not in acc else _flush_tiny(_band_matmul(*acc[t], *power))
-            if q >> (j + 1) == 0:  # top bit applied: B^q is complete
-                rho = t - q * tau
-                if rho != 0.0:
-                    rest = _flush_tiny(_expm_taylor(gen * rho))
-                    acc[t] = _flush_tiny(_band_matmul(*acc[t], *rest))
-                    del rest
-                _record_gain(gains, t, acc.pop(t)[0])  # no name keeps P(t) alive
+        held[j] = power[0]
+        for t in [t for t, need in levels.items() if need[-1] == j]:
+            factors = [held[i] for i in levels.pop(t)]
+            rho = t - steps[t] * tau
+            if rho != 0.0:
+                factors.append(_flush_tiny(_expm_taylor(gen * rho))[0])
+            _record_gain(gains, t, *factors)
+            del factors  # exp(G rho) does not outlive its time
+        held = {i: held[i] for need in levels.values() for i in need if i <= j}
 
 
-def _record_gain(gains: dict, t: float, p: np.ndarray) -> None:
-    """gains[t] = sigma_max(p)^2; DivergenceError when it overflows, NumericalError for p = 0."""
-    if not p.any():
+def _record_gain(gains: dict, t: float, *factors: np.ndarray) -> None:
+    """gains[t] = sigma_max(F_1 ... F_k)^2; DivergenceError at inf, NumericalError at 0."""
+    sigma_max = _sigma_max(*factors)
+    if sigma_max == 0.0:
         raise NumericalError(f"propagator underflowed to zero at t = {t}; retry with smaller t")
-    sigma_max = _sigma_max(p)
     gains[t] = sigma_max * sigma_max  # inf, not OverflowError
     if not math.isfinite(gains[t]):
         raise DivergenceError(f"propagator norm overflowed at t = {t}; retry with smaller t")

@@ -21,7 +21,6 @@ from anyonpt import (
     build_h_eff,
     continuous_dispersion,
     critical_velocity,
-    evolve,
     g_infinity_poschl_teller,
     g_t,
     gauge_transform_check,
@@ -35,6 +34,7 @@ from anyonpt import (
     solve_spectrum,
 )
 from anyonpt.nonnormal import amplification_grid_for, g_infinity_forms
+from anyonpt.propagation import evolve_extrapolated
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 PHI3 = math.pi / 3
@@ -196,16 +196,18 @@ def test_criterion_09_normal_operator_bound():
 
 
 def test_criterion_10_bound_state_breakup():
+    # the fields run_amplify writes: one batch evolved at dt and 2 dt, extrapolated
     cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "amplify_breakup.yaml")
     grid = cfg.grid
-    outcomes = {}
+    e1 = cfg.ground_state_energy()
+    fracs, fields = [], []
     for frac, point in zip(cfg.v_over_vc, cfg.sweep_points()):  # v/v_c is the only list axis
-        if frac not in (0.2, 0.95):
-            continue
-        params = point.params
-        u1 = analytic_bound_state_pt(grid, point.delta)
-        psi0 = moving_bound_state(u1, -1.0, params)
-        record = evolve(psi0, cfg.potential(point.delta), params, cfg.propagator)
+        if frac in (0.2, 0.95):
+            u1 = analytic_bound_state_pt(grid, point.delta, point.potential.well_nu)
+            fracs.append(frac)
+            fields.append((moving_bound_state(u1, e1, point.params), point.potential, point.params))
+    outcomes = {}
+    for frac, record in zip(fracs, evolve_extrapolated(fields, cfg.propagator)):
         x0 = grid.x[int(np.argmax(record.snapshots[0].density()))]
         disp = [
             abs(grid.x[int(np.argmax(s.density()))] - x0) for s in record.snapshots

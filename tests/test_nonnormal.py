@@ -409,12 +409,19 @@ class TestGT:
         for t, g in zip([0.5, 1.3], got):
             assert g == pytest.approx(self.svdvals_oracle(h, e_dom, t), rel=1e-10, abs=0.0)
 
-    def test_peak_memory_at_n_1024(self):
-        # the squaring chain holds the power, one accumulated product and one
-        # fresh product; the base step adds one dense array and no n x n generator
+    @staticmethod
+    def gain_transient_h():
+        # the operator of the gain-transient benchmark: 0.8 v_c on the default g_t grid
         params = AnyonicParams(phi=PHI3, v=0.8 * VC)
         h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, Grid(-30.0, 30.0, 1024))
-        (e_dom,) = point_states(h, [shifted_point_energy(-1.0, params)]).eigenvalues
+        return h, point_states(h, [shifted_point_energy(-1.0, params)]).eigenvalues[0]
+
+    def test_peak_memory_at_n_1024(self):
+        # P(t) is never multiplied out.  The widest moment is a squaring: it
+        # holds B^256, which t = 5 still needs, the fresh B^512 and the flush's
+        # |B^512| (half an array), 2.57 arrays in all; the base step adds one
+        # dense array and no n x n generator.  The bound leaves 0.43 arrays.
+        h, e_dom = self.gain_transient_h()
         tracemalloc.start()
         try:
             got = g_t(h, e_dom, [0.5, 2.0, 5.0])
@@ -422,7 +429,31 @@ class TestGT:
         finally:
             tracemalloc.stop()
         assert got[2] > got[1] > got[0] > 1.0
-        assert peak <= 5 * 16 * h.dim**2
+        assert peak <= 3 * 16 * h.dim**2
+
+    def test_chain_makes_nine_band_products_at_n_1024(self, monkeypatch):
+        # tau = 0.5 / 128 gives q = 128, 512 and 1280.  The squarings stop at
+        # B^512: t = 5 is B^256 times two copies of B^512, and no product of
+        # factors is formed (multiplying out made 11 products: B^1024 and
+        # B^256 B^1024 besides these).
+        h, e_dom = self.gain_transient_h()
+        calls = []
+        band_matmul = nonnormal._band_matmul
+        monkeypatch.setattr(
+            nonnormal, "_band_matmul", lambda *args: calls.append(1) or band_matmul(*args)
+        )
+        got = g_t(h, e_dom, [0.5, 2.0, 5.0])
+        assert len(calls) == 9
+        assert got[2] > got[1] > got[0] > 1.0
+
+    def test_factors_sharing_the_top_bit_match_dense_oracle(self):
+        # t_0 = 1.3: q(4.5) and q(5.0) share the top bit of the chain, so each
+        # takes three copies of its top power besides the set bits below it,
+        # and both carry a remainder factor; 1.3 itself is one power of B
+        h, e_dom = self.drifting_h()
+        times = [4.5, 5.0, 1.3]
+        for t, g in zip(times, g_t(h, e_dom, times)):
+            assert g == pytest.approx(self.svdvals_oracle(h, e_dom, t), rel=1e-10, abs=0.0)
 
     def test_clustered_small_times_match_oracle(self):
         # P(t) is close to the identity: its singular values cluster near one.
@@ -564,3 +595,43 @@ class TestGT:
             got = _sigma_max(p)
         assert got == float(scipy.linalg.svdvals(p)[0])
         assert capfd.readouterr() == ("", "")
+
+    def test_huge_two_factor_propagator_skips_lanczos_quietly(self, capfd, rng):
+        # each factor's bound is ~1e81, so their product's reaches 2^511: the
+        # factors are multiplied out and take the dense SVD
+        a, b = (1e80 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+                for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigma_max(a, b)
+        assert got == float(scipy.linalg.svdvals(a @ b)[0])
+        assert capfd.readouterr() == ("", "")
+
+    def test_non_finite_product_of_factors_is_divergence(self, rng):
+        # each factor is finite; their product overflows (g_t ignores the
+        # overflow warning, as here)
+        a = 1e200 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        assert np.isfinite(a).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="propagator overflowed"):
+                nonnormal._record_gain({}, 1.0, a, a)
+
+    @pytest.mark.parametrize("zero", ["factor", "product"])
+    def test_factors_whose_product_is_zero_underflow(self, zero):
+        # a zero factor, or nonzero factors with a zero product: the corner
+        # unit E = e_0 e_63^T has E^2 = 0
+        corner = np.zeros((64, 64), dtype=complex)
+        corner[0, -1] = 1.0
+        factors = (corner, np.zeros_like(corner)) if zero == "factor" else (corner, corner)
+        with pytest.raises(NumericalError, match="underflowed to zero"):
+            nonnormal._record_gain({}, 1.0, *factors)
+
+    def test_lanczos_on_factors_matches_their_product(self, rng):
+        # commuting non-normal factors exp(A), exp(2 A) and exp(A / 3), in any order
+        a = 0.3 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        a[np.tril_indices(64, -2)] = 0.0
+        factors = [scipy.linalg.expm(s * a) for s in (1.0, 2.0, 1.0 / 3.0)]
+        oracle = float(scipy.linalg.svdvals(factors[0] @ factors[1] @ factors[2])[0])
+        for order in ([0, 1, 2], [2, 0, 1]):
+            got = _sigma_max(*(factors[i] for i in order))
+            assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
