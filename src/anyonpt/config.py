@@ -26,8 +26,8 @@ import yaml
 
 from .errors import AnyonptError, ConfigError, ContractError, DomainError
 from .lasermap import CavityParams
-from .model import DENSE_MAX_DIM, AnyonicParams, Grid, PoschlTeller, Tabulated
-from .nonnormal import G_T_MAX_DIM, amplification_grid_for
+from .model import DENSE_MAX_DIM, MAX_GRID_POINTS, AnyonicParams, Grid, PoschlTeller, Tabulated
+from .nonnormal import G_T_MAX_DIM, gain_grid
 from .propagation import PropagatorConfig
 from .scattering import PacketSpec
 from .spectra import critical_velocity, delocalization_margin, poschl_teller_energies
@@ -36,8 +36,6 @@ __all__ = ["ExperimentConfig", "SweepPoint", "EXPERIMENTS"]
 
 EXPERIMENTS = ("spectrum", "delocalize", "scatter", "amplify", "lasermap")
 MAX_SWEEP_POINTS = 10_000
-# 128x the largest shipped grid; caps grids and band samples before allocation.
-MAX_GRID_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,9 @@ class SweepPoint:
     sweep.  ``grid`` is the box the runner computes on, checked against its
     cap by ``validate``: for ``spectrum`` and ``delocalize`` the config grid,
     doubled above 0.9 v_c of a bound well, where localization lengths
-    diverge; for ``amplify`` below v_c, the quadrature grid of
-    ``amplification_grid_for`` for the closed-form ground state; else the config grid.
+    diverge; for ``amplify`` the box ``gain_grid(delta, nu)`` on which
+    ``g_infinity`` sums the closed-form ground state (``gain_grid`` itself
+    refuses a delta near pi/2); else the config grid.
     """
 
     index: int
@@ -329,7 +328,7 @@ class ExperimentConfig:
         cap = DENSE_MAX_DIM if ex == "spectrum" else MAX_GRID_POINTS
         n = max((p.grid.n_points for p in points if p.grid is not None), default=0)
         if n > cap:
-            raise ConfigError(f"{ex}: grid of {n} points (widened near v_c) > {cap}")
+            raise ConfigError(f"{ex}: grid of {n} points (config box, doubled near v_c) > {cap}")
 
     # ------------------------------------------------------------------ access
 
@@ -376,8 +375,8 @@ class ExperimentConfig:
             near_vc = e1 is not None and abs(v) > 0.9 * critical_velocity(e1, phi)
             if ex in ("spectrum", "delocalize") and near_vc:
                 grid = Grid(2.0 * grid.x_min, 2.0 * grid.x_max, 2 * grid.n_points)
-            elif ex == "amplify" and delocalization_margin(e1, params) > 0:
-                grid = amplification_grid_for(e1, params)
+            elif ex == "amplify":
+                grid = gain_grid(delta, potential.well_nu)
             points.append(SweepPoint(i, delta, params, potential, grid, carrier))
         return points
 

@@ -46,6 +46,8 @@ __all__ = [
 _SECH_CUTOFF = 350.0
 # Dense operators are n x n complex: one 8192^2 matrix is 1 GiB.
 DENSE_MAX_DIM = 8192
+# 128x the largest shipped grid; caps grids and band samples before allocation.
+MAX_GRID_POINTS = 2**20
 # HamiltonianMatrix.is_hermitian allows this skew, relative to the bands.
 HERMITIAN_RTOL = 1e-12
 # build_twin serves only while both of its error exponents E exceed this, where each error

@@ -8,13 +8,15 @@ its t -> infinity limit ``g_infinity`` is the excess-noise (Petermann) factor
 
     G = [ I |u|^2 e^{-v x sin phi} dx ] [ I |u|^2 e^{+v x sin phi} dx ] / | I u^2 dx |^2
 
-which blows up both at the delocalization threshold (the weighted integrals
-diverge) and at the exceptional point delta -> pi/2 (the unconjugated square
-integral vanishes).
+of the closed-form ground state u = sech^nu(x - i delta), summed on the
+lattice of ``gain_grid``.  It blows up both at the delocalization threshold
+(the weighted integrals diverge) and at the exceptional point delta -> pi/2
+(|u|^2 concentrates while I u^2 dx stays finite).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -22,6 +24,8 @@ import numpy as np
 
 from .errors import ContractError, DelocalizedError, DivergenceError, DomainError, NumericalError
 from .model import (
+    MAX_GRID_POINTS,
+    TWIN_MIN_EXPONENT,
     AnyonicParams,
     Grid,
     HamiltonianMatrix,
@@ -38,14 +42,12 @@ __all__ = [
     "g_infinity_forms",
     "g_infinity_poschl_teller",
     "g_t",
-    "amplification_grid_for",
+    "gain_grid",
 ]
 
-# Weighted-integrand samples below this fraction of the peak are noise-dominated
-# for numerically obtained eigenvectors and are excluded from the quadrature.
-INTEGRAND_FLOOR = 1e-14
-# Sample spacing of the widened quadrature grids of amplification_grid_for.
-QUADRATURE_DX = 0.02
+# Half-width of the gain_grid box.  Beyond it |u|^2 = 4^nu e^{-2 nu |x|} (1 + O(e^{-80})),
+# so each side of a lattice sum is a geometric series.
+GAIN_BOX = 40.0
 
 # Dense propagators are n x n complex; g_t refuses larger operators.
 G_T_MAX_DIM = 2048
@@ -96,126 +98,112 @@ def adjoint_bound_state(
     return WaveFunction(u1.grid, np.conj(u1.values) * factor).normalized()
 
 
-def self_orthogonality(u1: WaveFunction) -> float:
-    """|integral u^2 dx| of a normalized state; 0 signals an exceptional point."""
-    if abs(u1.norm() - 1.0) > 1e-6:
-        raise ContractError("self_orthogonality expects an L2-normalized state")
-    return abs(complex(np.trapezoid(u1.values**2, dx=u1.grid.dx)))
+def gain_grid(delta: float, nu: float = 1.0) -> Grid:
+    """The box [-40, 40] on which ``g_infinity`` and ``self_orthogonality`` sum the closed form.
+
+    The trapezoid rule on an infinite grid converges like e^{-2 pi d / dx} for
+    an integrand analytic in a strip of half-width d = pi/2 - |delta|
+    (Trefethen & Weideman, SIAM Rev. 56, 385, 2014).  The box takes the fewest
+    points with 2 pi d / dx >= E = TWIN_MIN_EXPONENT (325 at delta = 0, 3243
+    at 0.9 pi/2) and, above nu about 1, with the core of width cos(delta) /
+    sqrt(2 nu) resolved, (pi cos(delta) / dx)^2 / nu >= 4 E: every sum for nu
+    from 1e-3 to 50 then agrees with one on 4x the points to 6e-14.  A box
+    above MAX_GRID_POINTS (|delta| within 4.9e-4 of pi/2 at nu = 1) is refused.
+    """
+    d = math.pi / 2 - abs(delta)
+    if not (d > 0.0 and nu > 0.0):  # NaN fails too
+        raise DomainError(f"need |delta| < pi/2 (unbroken phase) and nu > 0, got {delta}, {nu}")
+    exponent = TWIN_MIN_EXPONENT
+    n = GAIN_BOX / math.pi * max(exponent / d, 4.0 * math.sqrt(exponent * nu) / math.cos(delta))
+    if not n <= MAX_GRID_POINTS:
+        raise DomainError(
+            f"delta = {delta:.12g} lies {d:.3g} from pi/2: at nu = {nu:.12g} its gain box "
+            f"[-40, 40] needs {n:.3g} points > {MAX_GRID_POINTS}"
+        )
+    return Grid(-GAIN_BOX, GAIN_BOX, math.ceil(n))
 
 
-def _masked_weighted_integral(u_abs2: np.ndarray, x: np.ndarray, s: float, dx: float) -> float:
-    """integral |u|^2 e^{s x} dx in log space, truncated below the integrand floor."""
-    pos = u_abs2 > 0.0
-    if not np.any(pos):
-        raise NumericalError("state is identically zero on the grid")
-    log_int = np.full_like(x, -np.inf)
-    log_int[pos] = np.log(u_abs2[pos]) + s * x[pos]
-    peak = float(log_int.max())
-    mask = log_int > peak + math.log(INTEGRAND_FLOOR)
-    vals = np.where(mask, np.exp(log_int - peak), 0.0)
-    return float(np.trapezoid(vals, dx=dx)) * math.exp(peak)
+def _log_lattice_sum(delta: float, nu: float, sigma: float = 0.0, square: bool = False) -> float:
+    """log |dx sum_j w(x_j)| over the whole infinite lattice of ``gain_grid(delta, nu)``.
+
+    w = |u|^2 e^{sigma x}, |sigma| < 2 nu, or with ``square`` w = u^2, for u =
+    sech^nu(x - i delta).  In the box log|u|^2 = -nu log(sinh^2 x + cos^2
+    delta), which does not cancel as delta -> pi/2, and arg u^2 = 2 nu
+    arctan(tanh x tan delta).  Beyond it w = 4^nu e^{-r |x| +- 2 i nu delta},
+    r = 2 nu -+ sigma right and left: 4^nu e^{-r x_1} dx / (1 - e^{-r dx}) a side.
+    """
+    grid = gain_grid(delta, nu)
+    x, dx = grid.x, grid.dx
+    log_w = sigma * x - nu * np.log(np.sinh(x) ** 2 + math.cos(delta) ** 2)
+    peak = float(log_w.max())
+    w = np.exp(log_w - peak)
+    turn = 2.0 * nu * delta if square else 0.0  # arg u^2 far right; the left is -turn
+    if square:
+        w = w * np.exp(2j * nu * np.arctan(np.tanh(x) * math.tan(delta)))
+    x_1 = GAIN_BOX + 0.5 * dx
+    tails = sum(
+        cmath.exp(1j * arg) * math.exp(nu * math.log(4.0) - r * x_1 - peak) / -math.expm1(-r * dx)
+        for r, arg in ((2.0 * nu - sigma, turn), (2.0 * nu + sigma, -turn))
+    )
+    return peak + math.log(abs(dx * (w.sum() + tails)))
 
 
-def g_infinity(u1: WaveFunction, params: AnyonicParams, e1: float = -1.0) -> float:
-    """Asymptotic power amplification of the worst-case perturbation.
+def _log_square_integral(nu: float) -> float:
+    """log I u^2 dx = log[sqrt(pi) Gamma(nu) / Gamma(nu + 1/2)], by shifting the contour.
+
+    lgamma, not gamma, so that nu up to the bound-state cap does not overflow."""
+    return 0.5 * math.log(math.pi) + math.lgamma(nu) - math.lgamma(nu + 0.5)
+
+
+def self_orthogonality(delta: float, nu: float = 1.0) -> float:
+    """|I u^2 dx| / I |u|^2 dx of sech^nu(x - i delta); 0 signals an exceptional point."""
+    log_norm = _log_lattice_sum(delta, nu)  # first: it checks delta and nu
+    return math.exp(_log_square_integral(nu) - log_norm)
+
+
+def g_infinity(delta: float, params: AnyonicParams, nu: float = 1.0) -> float:
+    """Asymptotic power amplification of the worst-case perturbation of sech^nu(x - i delta).
 
     Computed from the weighted-integral form and cross-checked against the
-    biorthogonal form <u~|u~><u~+|u~+>/|<u~+|u~>|^2 built from the dressed
-    direct and adjoint states.  The weighted integrands are truncated where
-    they fall below 1e-14 of their peak so that noise tails never dominate
-    the exponential weights.  Both forms must be finite and at least 1 - 1e-9,
-    else NumericalError.
+    biorthogonal form <u~|u~><u~+|u~+>/|<u~+|u~>|^2 of the dressed direct and
+    adjoint states.  Both forms must be finite and at least 1 - 1e-9, else
+    NumericalError.
     """
-    weighted, biortho = g_infinity_forms(u1, params, e1)
+    weighted, biortho = g_infinity_forms(delta, params, nu)
     if not all(1.0 - 1e-9 <= g < math.inf for g in (weighted, biortho)):  # NaN fails too
         raise NumericalError(
             f"gain is not a finite value >= 1: weighted {weighted:.6g}, biorthogonal {biortho:.6g}"
         )
     if abs(weighted - biortho) > 1e-6 * max(weighted, biortho):
         raise NumericalError(
-            f"gain formulas disagree: weighted {weighted:.6g} vs biorthogonal "
-            f"{biortho:.6g}; grid too small or state too noisy"
+            f"gain formulas disagree: weighted {weighted:.6g} vs biorthogonal {biortho:.6g}"
         )
     return weighted
 
 
-def g_infinity_forms(u1: WaveFunction, params: AnyonicParams, e1: float = -1.0):
-    """Both algebraic routes to the gain factor: (weighted-integral, biorthogonal)."""
-    margin = delocalization_margin(e1, params)
+@np.errstate(over="ignore")  # a gain beyond the float range is inf, which g_infinity refuses
+def g_infinity_forms(delta: float, params: AnyonicParams, nu: float = 1.0):
+    """Both algebraic routes to the gain factor: (weighted-integral, biorthogonal).
+
+    The dressed states' norms are the weighted sums of |u|^2 e^{-+s x}, s = v
+    sin(phi), and their overlap conj(u~+) u~ is u^2 pointwise: the weighted
+    form divides by the closed form of I u^2 dx, the biorthogonal by its sum.
+    """
+    margin = delocalization_margin(-nu * nu, params)
     if margin <= 0.0:
         raise DomainError(
             f"weighted integrals diverge: delocalization margin {margin:.3g} <= 0"
         )
-    grid = u1.grid
-    x = grid.x
-    dx = grid.dx
     s = params.v * math.sin(params.phi)
-
-    sq = complex(np.trapezoid(u1.values**2, dx=dx))
-    if abs(sq) < 1e-10:
-        raise NumericalError(
-            "exceptional-point singularity: |integral u^2| < 1e-10, gain unbounded"
-        )
-
-    u_abs2 = np.abs(u1.values) ** 2
-    i_minus = _masked_weighted_integral(u_abs2, x, -s, dx)
-    i_plus = _masked_weighted_integral(u_abs2, x, +s, dx)
-    g_weighted = i_minus * i_plus / abs(sq) ** 2
-
-    # Biorthogonal route on the dressed states themselves, assembled in log
-    # magnitude so the gauge exponentials cannot overflow on wide grids.
-    pos = u_abs2 > 0.0
-    log_u = np.full_like(x, -np.inf)
-    log_u[pos] = 0.5 * np.log(u_abs2[pos])
-    phase_u = np.angle(u1.values)
-    carrier = 0.5 * params.v * math.cos(params.phi) * x
-    floor_log = 0.5 * math.log(INTEGRAND_FLOOR)
-
-    def dressed_state(sign: float, masked: bool) -> np.ndarray:
-        # sign = -1 for the direct gauge, +1 for the adjoint gauge magnitude.
-        logmag = log_u + sign * 0.5 * s * x
-        keep = logmag > logmag.max() + floor_log if masked else logmag > -np.inf
-        out = np.zeros(len(x), dtype=complex)
-        base_phase = phase_u if sign < 0 else -phase_u
-        out[keep] = np.exp(logmag[keep]) * np.exp(1j * (base_phase[keep] + carrier[keep]))
-        return out
-
-    # Norm integrals are noise-sensitive under the gauge weights and use the
-    # truncated states; in the overlap the weights cancel pointwise (the
-    # product is u^2), so it is taken unmasked.
-    nn_d = float(np.trapezoid(np.abs(dressed_state(-1.0, True)) ** 2, dx=dx))
-    nn_a = float(np.trapezoid(np.abs(dressed_state(+1.0, True)) ** 2, dx=dx))
-    overlap = complex(
-        np.trapezoid(np.conj(dressed_state(+1.0, False)) * dressed_state(-1.0, False), dx=dx)
-    )
-    if abs(overlap) == 0.0:
-        raise NumericalError("biorthogonal overlap vanished on the grid")
-    g_biortho = nn_d * nn_a / abs(overlap) ** 2
-    return g_weighted, g_biortho
-
-
-def amplification_grid_for(e1: float, params: AnyonicParams) -> Grid:
-    """Grid wide enough that the weighted integrands decay to the 1e-14 floor.
-
-    The slow side of |u|^2 e^{+|s| x} decays at 2 * margin, so the half-width
-    scales like |ln floor| / (2 margin).
-    """
-    margin = delocalization_margin(e1, params)
-    if margin <= 0.0:
-        raise DomainError("no finite quadrature domain at or beyond the critical drift")
-    half = max(40.0, -math.log(INTEGRAND_FLOOR) / (2.0 * margin) + 20.0)
-    n = int(2 ** math.ceil(math.log2(2.0 * half / QUADRATURE_DX)))
-    return Grid(-half, half, n)
+    log_norms = _log_lattice_sum(delta, nu, -s) + _log_lattice_sum(delta, nu, s)
+    g_weighted = np.exp(log_norms - 2.0 * _log_square_integral(nu))
+    g_biortho = np.exp(log_norms - 2.0 * _log_lattice_sum(delta, nu, square=True))
+    return float(g_weighted), float(g_biortho)
 
 
 def g_infinity_poschl_teller(delta: float, params: AnyonicParams) -> float:
-    """Gain factor for the nu = 1 sech^2 well using the closed-form bound state.
-
-    Builds the analytic state on an automatically widened quadrature grid, so
-    it stays accurate arbitrarily close to the critical drift.
-    """
-    u1 = analytic_bound_state_pt(amplification_grid_for(-1.0, params), delta)
-    return g_infinity(u1, params, e1=-1.0)
+    """Gain factor of the nu = 1 sech^2 well."""
+    return g_infinity(delta, params)
 
 
 def _flush_tiny(p: np.ndarray) -> tuple:

@@ -233,9 +233,9 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         for point in chunk:
             params = point.params
             margin = delocalization_margin(e1, params)
-            u1 = analytic_bound_state_pt(point.grid, point.delta, point.potential.well_nu)
-            ginf = g_infinity(u1, params, e1=e1)
-            sorth = self_orthogonality(u1)
+            nu = point.potential.well_nu
+            ginf = g_infinity(point.delta, params, nu)
+            sorth = self_orthogonality(point.delta, nu)
 
             paths = []
             if cfg.g_t_times:
@@ -244,7 +244,7 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
                 gt_rows = zip(cfg.g_t_times, g_t(h, e_dom, cfg.g_t_times))
                 paths.append(write_csv(outdir / f"gt_{point.index:03d}.csv", ("t", "g_t"), gt_rows))
             if cfg.amplify_evolve:  # on the config box; v < v_c, checked at parse time
-                u1 = analytic_bound_state_pt(cfg.grid, point.delta, point.potential.well_nu)
+                u1 = analytic_bound_state_pt(cfg.grid, point.delta, nu)
                 fields.append((moving_bound_state(u1, e1, params), point.potential, params))
             _, *leading = _point_columns(point).items()  # ginf.csv has no index column
             row = dict(leading, g_infinity=ginf, self_orthogonality=sorth, margin=margin)

@@ -25,9 +25,8 @@ from anyonpt import (
 )
 from anyonpt._io import fmt, write_csv, write_ndjson
 from anyonpt.cli import main as cli_main
-from anyonpt.nonnormal import amplification_grid_for, analytic_bound_state_pt
+from anyonpt.nonnormal import analytic_bound_state_pt, gain_grid
 from anyonpt.runners import _write_evolution, run_experiment
-from anyonpt.spectra import critical_velocity
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -292,7 +291,10 @@ class TestParseTimeRejection:
                 "params": {"phi": math.pi / 3, "v_over_vc": [0.5, 1.0]},
                 "propagator": {"dt": 0.01, "t_final": 1.0},
             },
-            {**minimal_amplify_dict(), "params": {"phi": math.pi / 3, "v_over_vc": [0.99999]}},
+            {  # 5.1e6 points on the gain box: 2 pi (pi/2 - delta) / dx >= 40
+                **minimal_amplify_dict(),
+                "potential": {"kind": "poschl_teller", "nu": 1.0, "delta": math.pi / 2 - 1e-4},
+            },
             {**spectrum_dict(256), "potential": {"nu": 1e5}},
             {**spectrum_dict(256), "potential": {"v0": -1e10}},
             {**spectrum_dict(256), "params": {"phi": 0.0, "v": 1.0e200}},
@@ -302,9 +304,9 @@ class TestParseTimeRejection:
             {**minimal_scatter_dict(), "separatrix": 170.0},
             {**minimal_scatter_dict(), "separatrix": 60.0},  # on the grid's right end
             scatter_with("propagator", frame="lab"),
-            {  # the closed form of nu = 1e-3 is about 1000 long: 2^22 quadrature points
+            {  # the gain box depends on delta alone, not on nu
                 **minimal_amplify_dict(),
-                "potential": {"kind": "poschl_teller", "nu": 1e-3, "delta": 0.2},
+                "potential": {"kind": "poschl_teller", "nu": 1e-3, "delta": -(math.pi / 2 - 4e-4)},
                 "params": {"phi": math.pi / 3, "v_over_vc": [0.5]},
             },
             scatter_with("grid", x_min=-30.0),  # support [-32, -8] crosses x_min
@@ -357,7 +359,7 @@ class TestParseTimeRejection:
             "amplify-v_over_vc-empty",
             "amplify-beyond-v_c",
             "amplify-evolve-at-v_c",
-            "amplify-quadrature-above-point-cap",  # 2^28 points
+            "amplify-delta-at-exceptional-point",
             "nu-above-bound-state-cap",
             "v0-above-bound-state-cap",
             "spectrum-v-square-overflows",
@@ -367,7 +369,7 @@ class TestParseTimeRejection:
             "separatrix-outside-grid",
             "separatrix-on-grid-end",
             "scatter-frame-key",
-            "amplify-small-nu-quadrature-above-point-cap",
+            "amplify-small-nu-delta-at-exceptional-point",
             "packet-crosses-left-edge-of-asymmetric-grid",
             "tabulated-with-delta-and-nu",
             "nu-and-v0",
@@ -421,9 +423,7 @@ class TestParseTimeRejection:
         barrier = {**near_vc, "potential": {"v0": 3.0}, "params": {"phi": 1.0, "v": 5.0}}
         assert grids(barrier) == [box]  # no bound well, no v_c
         for nu in (1.0, 2.0):
-            e1 = -nu * nu
-            params = AnyonicParams(phi=math.pi / 3, v=0.8 * critical_velocity(e1, math.pi / 3))
-            assert grids(amplify_on_grid(1024, nu)) == [amplification_grid_for(e1, params)]
+            assert grids(amplify_on_grid(1024, nu)) == [gain_grid(0.2, nu)]
 
 
 MUTANT_VALUES = [None, "x", [], {}, True, 2.5, -1, 0, math.nan, math.inf]
@@ -653,6 +653,17 @@ class TestRunnersAndCLI:
             written = run_experiment(ExperimentConfig.from_dict(raw), tmp_path / str(len(outputs)))
             outputs.append([(p.name, p.read_bytes()) for p in written])
         assert outputs[0] == outputs[1]
+
+    def test_shallow_well_runs(self, tmp_path):
+        # nu = 1e-3 at 0.5 v_c: a state about 1000 long sums on the same box as any other
+        raw = {**amplify_on_grid(1024, nu=1e-3), "amplify": {"evolve": False}}
+        raw["params"]["v_over_vc"] = [0.5]
+        path = tmp_path / "shallow.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["amplify", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
+        with (tmp_path / "out" / "ginf.csv").open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["g_infinity"], row["self_orthogonality"]) == ("1.77777945072", "0.999999920158")
 
     def test_nu_2_gain_from_the_closed_form(self, tmp_path):
         # the weighted integrals of sech^2(x - 0.2i) at 0.9 v_c; a rest-frame

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -17,10 +18,10 @@ from anyonpt import (
     HamiltonianMatrix,
     NumericalError,
     PoschlTeller,
-    WaveFunction,
     adjoint_bound_state,
     analytic_bound_state_pt,
     build_h_eff,
+    critical_velocity,
     g_infinity,
     g_infinity_poschl_teller,
     g_t,
@@ -36,7 +37,7 @@ from anyonpt.nonnormal import (
     _expm_taylor,
     _flush_tiny,
     _sigma_max,
-    amplification_grid_for,
+    gain_grid,
 )
 
 PHI3 = math.pi / 3
@@ -150,35 +151,56 @@ class TestAdjointBoundState:
 
 class TestSelfOrthogonality:
     def test_real_state_is_one(self):
-        grid = Grid(-30.0, 30.0, 1200)
-        u = analytic_bound_state_pt(grid, 0.0)
-        assert self_orthogonality(u) == pytest.approx(1.0, abs=1e-10)
+        assert self_orthogonality(0.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_closed_form_sinc(self):
         # |integral u^2| / integral |u|^2 = sin(2 delta) / (2 delta)
-        grid = Grid(-40.0, 40.0, 4096)
         for delta in (0.2, 0.7, 1.3):
-            u = analytic_bound_state_pt(grid, delta)
             expected = math.sin(2 * delta) / (2 * delta)
-            assert self_orthogonality(u) == pytest.approx(expected, rel=1e-10)
+            assert self_orthogonality(delta, 1.0) == pytest.approx(expected, rel=1e-10)
 
     def test_pinned_regression_value(self):
-        grid = Grid(-40.0, 40.0, 4096)
-        u = analytic_bound_state_pt(grid, 0.2)
-        assert self_orthogonality(u) == pytest.approx(0.9735458557716262, abs=1e-12)
+        assert self_orthogonality(0.2, 1.0) == pytest.approx(0.9735458557716262, abs=1e-12)
 
     def test_decreasing_toward_exceptional_point(self):
-        grid = Grid(-60.0, 60.0, 8192)
-        vals = [
-            self_orthogonality(analytic_bound_state_pt(grid, d))
-            for d in (0.0, math.pi / 4, 0.9 * math.pi / 2)
-        ]
+        vals = [self_orthogonality(d, 1.0) for d in (0.0, math.pi / 4, 0.9 * math.pi / 2)]
         assert vals[0] > vals[1] > vals[2]
 
-    def test_requires_normalized_input(self):
-        grid = Grid(-20.0, 20.0, 256)
-        with pytest.raises(ContractError):
-            self_orthogonality(WaveFunction(grid, np.full(grid.n_points, 0.5 + 0j)))
+
+def closed_form_gain(params: AnyonicParams, delta: float) -> float:
+    """G of the nu = 1 well: (pi sin(s delta) / (sin(2 delta) sin(pi s / 2)))^2, s = v sin(phi).
+
+    From integral |u|^2 e^{s x} dx = 2 pi sin(s delta) / (sin(2 delta) sin(pi s / 2))
+    and integral u^2 dx = 2; sin(s delta) / sin(2 delta) is s / 2 at delta = 0.
+    sin(pi s / 2) is taken as sin(pi (1 - s / 2)), exact near v_c.
+    """
+    s = params.v * math.sin(params.phi)
+    ratio = math.sin(s * delta) / math.sin(2.0 * delta) if delta else s / 2.0
+    return (math.pi * ratio / math.sin(math.pi * (1.0 - s / 2.0))) ** 2
+
+
+def log_space_quad_gain(params: AnyonicParams, delta: float, nu: float) -> float:
+    """G of sech^nu(x - i delta) by adaptive quadrature, its integrands taken in log space.
+
+    log cosh(x - i delta) = |x| - log 2 + log(e^{-+i delta} + e^{-2|x|} e^{+-i delta}) for
+    x >< 0, finite at every x; the slow side of the weighted integrands decays like
+    e^{-2 margin |x|}, that of u^2 like e^{-2 nu |x|}.
+    """
+    s = params.v * math.sin(params.phi)
+
+    def log_cosh(x):
+        turn = cmath.exp(1j * math.copysign(delta, x))
+        return abs(x) - math.log(2.0) + cmath.log(1.0 / turn + math.exp(-2.0 * abs(x)) * turn)
+
+    far = 100.0 / (nu - abs(s) / 2.0)  # e^{-200} beyond it
+    cuts = [-far, -40.0, -10.0, 0.0, 10.0, 40.0, far]
+
+    def integral(f):
+        return sum(quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-13)[0] for a, b in zip(cuts, cuts[1:]))
+
+    weighted = [integral(lambda x: math.exp(w * x - 2.0 * nu * log_cosh(x).real)) for w in (-s, s)]
+    square = integral(lambda x: cmath.exp(-2.0 * nu * log_cosh(x)).real)  # the odd Im part is 0
+    return weighted[0] * weighted[1] / square**2
 
 
 def quad_gain_oracle(f: float, delta: float) -> float:
@@ -238,26 +260,69 @@ class TestGInfinity:
         with pytest.raises(DomainError):
             g_infinity_poschl_teller(0.2, AnyonicParams(phi=PHI3, v=1.01 * VC))
 
-    def test_exceptional_singularity_guard(self):
-        # orthogonal even/odd combination: integral u^2 = 0 exactly
-        grid = Grid(-30.0, 30.0, 2048)
-        g0 = np.exp(-grid.x**2 / 2.0)
-        g1 = grid.x * np.exp(-grid.x**2 / 2.0)
-        g0 /= math.sqrt(float(np.trapezoid(g0**2, dx=grid.dx)))
-        g1 /= math.sqrt(float(np.trapezoid(g1**2, dx=grid.dx)))
-        u = WaveFunction(grid, (g0 + 1j * g1) / math.sqrt(2.0))
-        with pytest.raises(NumericalError):
-            g_infinity(u, AnyonicParams(phi=0.3, v=0.1), e1=-1.0)
+    @pytest.mark.parametrize("delta", [0.0, 0.2, math.pi / 4, 0.9 * math.pi / 2])
+    @pytest.mark.parametrize("f", [0.97, 0.98, 0.99, 0.995, 0.999])
+    def test_closed_form_near_threshold(self, f, delta):
+        params = AnyonicParams(phi=PHI3, v=f * VC)
+        assert g_infinity(delta, params) == pytest.approx(closed_form_gain(params, delta), rel=1e-12)
 
-    def test_numeric_eigenvector_path(self):
-        # moderate margin: numerically solved ground state agrees with closed form
-        grid = Grid(-40.0, 40.0, 1600)
-        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), AnyonicParams(phi=0.0), grid)
-        res = point_states(h, [-1.0])
-        u1 = res.eigenvector(res.nearest(-1.0))
-        p = AnyonicParams(phi=PHI3, v=0.5 * VC)
-        got = g_infinity(u1, p, e1=-1.0)
-        assert got == pytest.approx(quad_gain_oracle(0.5, 0.2), rel=1e-3)
+    @pytest.mark.parametrize("nu,f", [(2.0, 0.99), (10.0, 0.9)])
+    def test_deeper_wells_match_log_space_quadrature(self, nu, f):
+        params = AnyonicParams(phi=PHI3, v=f * critical_velocity(-nu * nu, PHI3))
+        got = g_infinity(0.2, params, nu)
+        assert got == pytest.approx(log_space_quad_gain(params, 0.2, nu), rel=1e-11)
+
+    @pytest.mark.parametrize("nu", [4.0, 10.0, 50.0])
+    def test_deep_well_at_rest_is_normal(self, nu):
+        # a box spaced for delta alone aliases the narrow core: 3.5e-6 off at nu = 10
+        assert g_infinity(0.0, AnyonicParams(phi=0.0), nu) == pytest.approx(1.0, abs=1e-12)
+        assert self_orthogonality(0.0, nu) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("nu,f,expected", [(0.04, 0.5, 1.78030582202), (0.2, 0.9, 30.1153605059)])
+    def test_shallow_wells_keep_their_slow_tails(self, nu, f, expected):
+        # log-space quad of the same integrals; a state flushed to zero at |x| = 350 lost them
+        params = AnyonicParams(phi=PHI3, v=f * critical_velocity(-nu * nu, PHI3))
+        assert g_infinity(0.2, params, nu) == pytest.approx(expected, rel=1e-11)
+
+    def test_exceptional_point_closed_forms(self):
+        # at rest, G = 1 / self-orthogonality^2 = (2 delta / sin 2 delta)^2, 24382 here
+        delta, at_rest = 1.5608, AnyonicParams(phi=0.0)
+        assert g_infinity(delta, at_rest) == pytest.approx(
+            (2 * delta / math.sin(2 * delta)) ** 2, rel=1e-10
+        )
+        assert self_orthogonality(delta) == pytest.approx(math.sin(2 * delta) / (2 * delta), rel=1e-10)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.2, 0.9 * math.pi / 2, 1.5608])
+    @pytest.mark.parametrize("nu", [1e-3, 1.0, 2.0, 50.0])
+    def test_box_spacing_follows_delta_and_nu(self, delta, nu):
+        # the fewest points with 2 pi (pi/2 - |delta|) / dx >= 40 and (pi cos(delta) / dx)^2 / nu >= 160
+        def exponents(n):
+            dx = 80.0 / n
+            return 2 * math.pi * (math.pi / 2 - abs(delta)) / dx, (math.pi * math.cos(delta) / dx) ** 2 / nu
+
+        grid = gain_grid(delta, nu)
+        assert (grid.x_min, grid.x_max) == (-40.0, 40.0)
+        strip, core = exponents(grid.n_points)
+        assert strip >= 40.0 and core >= 160.0
+        strip, core = exponents(grid.n_points - 1)
+        assert strip < 40.0 or core < 160.0
+
+    def test_box_of_the_unit_well(self):
+        assert [gain_grid(d).n_points for d in (0.0, 0.2, math.pi / 4, 0.9 * math.pi / 2)] == [
+            325, 372, 649, 3243
+        ]
+
+    @pytest.mark.parametrize("delta", [math.pi / 2 - 1e-4, math.pi / 2, 2.0, math.nan])
+    def test_box_near_or_past_the_pole_is_refused(self, delta):
+        with pytest.raises(DomainError):
+            gain_grid(delta)
+        with pytest.raises(DomainError):
+            g_infinity(delta, AnyonicParams(phi=0.0))
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan])
+    def test_nu_must_be_positive(self, nu):
+        with pytest.raises(DomainError):
+            self_orthogonality(0.2, nu)
 
     @pytest.mark.parametrize(
         "forms",
@@ -267,14 +332,8 @@ class TestGInfinity:
     def test_gain_not_finite_or_below_one_is_a_numerical_error(self, monkeypatch, forms):
         # inf and NaN pass the two-form comparison, so g_infinity checks them first
         monkeypatch.setattr(nonnormal, "g_infinity_forms", lambda *args, **kwargs: forms)
-        u1 = analytic_bound_state_pt(Grid(-20.0, 20.0, 400), 0.2)
         with pytest.raises(NumericalError, match="not a finite value >= 1"):
-            g_infinity(u1, AnyonicParams(phi=PHI3, v=0.5 * VC))
-
-    def test_auto_grid_widens_near_threshold(self):
-        wide = amplification_grid_for(-1.0, AnyonicParams(phi=PHI3, v=0.97 * VC))
-        narrow = amplification_grid_for(-1.0, AnyonicParams(phi=PHI3, v=0.2 * VC))
-        assert wide.x_max > 4 * narrow.x_max
+            g_infinity(0.2, AnyonicParams(phi=PHI3, v=0.5 * VC))
 
 
 BAND_N = 400  # three full column blocks and a partial one
