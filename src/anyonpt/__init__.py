@@ -10,7 +10,6 @@ from .errors import (
     AnyonptError,
     ConfigError,
     ContractError,
-    DelocalizedError,
     DivergenceError,
     DomainError,
     InconclusiveError,
@@ -58,7 +57,6 @@ from .scattering import (
     stationary_rt,
 )
 from .nonnormal import (
-    adjoint_bound_state,
     analytic_bound_state_pt,
     g_infinity,
     g_infinity_poschl_teller,

@@ -131,8 +131,8 @@ _SECTIONS = dict.fromkeys(k.key.rpartition(".")[0] for k in _KEYS)
 # every other section fill ExperimentConfig fields directly.
 _BUILDS = {"grid": Grid, "propagator": PropagatorConfig, "amplify.g_t_grid": Grid,
            "cavity": CavityParams, "rt_sweep": dict, "detuning": dict}
-# The fields each runner needs set (amplify with evolve: true also a propagator).
-_NEEDS = {"spectrum": ("grid",), "delocalize": ("grid",), "amplify": ("grid",),
+# The fields each runner needs set (amplify with evolve: true also a grid and a propagator).
+_NEEDS = {"spectrum": ("grid",), "delocalize": ("grid",), "amplify": (),
           "scatter": ("grid", "propagator", "packet_center"), "lasermap": ("cavity", "e1")}
 
 
@@ -284,7 +284,8 @@ class ExperimentConfig:
         ex = self.experiment
         if self.v is not None and self.v_over_vc is not None:
             raise ConfigError("params: give either v or v_over_vc, not both")
-        needs = _NEEDS[ex] + (("propagator",) if ex == "amplify" and self.amplify_evolve else ())
+        evolves = ex == "amplify" and self.amplify_evolve
+        needs = _NEEDS[ex] + (("grid", "propagator") if evolves else ())
         missing = [name for name in needs if getattr(self, name) is None]
         if missing:
             raise ConfigError(f"{ex}: {missing[0]} is required")

@@ -13,10 +13,6 @@ class DomainError(AnyonptError, ValueError):
     """Mathematically invalid input (pole proximity, out-of-range parameter)."""
 
 
-class DelocalizedError(DomainError):
-    """Requested a normalizable state at or beyond the delocalization threshold."""
-
-
 class NumericalError(AnyonptError, RuntimeError):
     """A numerical procedure failed or produced an unusable result."""
 

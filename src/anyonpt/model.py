@@ -126,6 +126,11 @@ class AnyonicParams:
             raise DomainError(f"v^2 must be finite, got v = {self.v}")
 
     @property
+    def rotation(self) -> complex:
+        """e^{-i phi}, which rotates the kinetic and potential terms; its conjugate is e^{i phi}."""
+        return complex(math.cos(self.phi), -math.sin(self.phi))
+
+    @property
     def alpha(self) -> complex:
         """Gauge wavenumber (v/2) e^{i phi}.
 
@@ -133,12 +138,12 @@ class AnyonicParams:
         term from H_eff; for phi != 0 the factor exp(i alpha x) is unbounded, which is
         the mechanism behind every delocalization effect in this package.
         """
-        return 0.5 * self.v * complex(math.cos(self.phi), math.sin(self.phi))
+        return 0.5 * self.v * self.rotation.conjugate()
 
     @property
     def beta(self) -> complex:
         """Gauge energy -(v^2/4) e^{i phi}."""
-        return -0.25 * self.v**2 * complex(math.cos(self.phi), math.sin(self.phi))
+        return -0.25 * self.v**2 * self.rotation.conjugate()
 
 
 def _sech_complex(x: np.ndarray, delta: float) -> np.ndarray:
@@ -298,8 +303,9 @@ class HamiltonianMatrix:
     couplings are ``upper`` = -exp(-i phi)/dx^2 + i v/(2 dx) on (j, j+1) and
     ``lower`` = -exp(-i phi)/dx^2 - i v/(2 dx) on (j+1, j).  A "periodic"
     ``boundary`` adds the corners (0, n-1) = ``lower`` and (n-1, 0) = ``upper``;
-    "dirichlet" clamps the field beyond the ends.  Phase and drift velocity are
-    kept for ``check_anyonic_symmetry``, which treats the drift couplings apart.
+    "dirichlet" clamps the field beyond the ends.  ``params`` holds the phase and
+    drift velocity, for ``check_anyonic_symmetry``, which treats the drift couplings
+    apart, for ``solve_spectrum``, which undoes the rotation, and for ``build_twin``.
     ``potential`` is the spec that ``build_h_eff`` sampled, for ``build_twin``;
     it is no constructor argument, and ``dataclasses.replace`` resets it to None,
     so an operator whose bands were changed has no twin.
@@ -310,8 +316,7 @@ class HamiltonianMatrix:
     upper: complex
     lower: complex
     boundary: str
-    phi: float
-    v: float
+    params: AnyonicParams
     potential: PotentialSpec | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -378,13 +383,13 @@ def build_h_eff(
 
 
 def _assemble(spec: PotentialSpec, params: AnyonicParams, grid: Grid, boundary: str):
-    rot = complex(math.cos(params.phi), -math.sin(params.phi))  # exp(-i phi)
+    rot = params.rotation
     vvals = np.asarray(spec(grid.x), dtype=complex)
     off = -rot / grid.dx**2
     drift = 1j * params.v / (2.0 * grid.dx)
     # + 0j turns -0.0 parts into +0.0, as in the matrices behind the shipped outputs.
     diag = 2.0 * rot / grid.dx**2 + rot * vvals + 0j
-    h = HamiltonianMatrix(grid, diag, off + drift, off + (-drift), boundary, params.phi, params.v)
+    h = HamiltonianMatrix(grid, diag, off + drift, off + (-drift), boundary, params)
     object.__setattr__(h, "potential", spec)
     return h
 
@@ -410,9 +415,9 @@ def build_twin(h: HamiltonianMatrix):
     shift = abs(spec.delta)
     aliasing = (math.pi / 2 - shift) * math.pi / grid.dx
     edges = 2.0 * min(-grid.x_min, grid.x_max) * (1.0 - shift / math.pi)
-    if (h.v and h.phi) or not min(aliasing, edges) > TWIN_MIN_EXPONENT:
+    if (h.params.v and h.params.phi) or not min(aliasing, edges) > TWIN_MIN_EXPONENT:
         return None
-    return _assemble(replace(spec, delta=0.0), AnyonicParams(h.phi, h.v), grid, h.boundary)
+    return _assemble(replace(spec, delta=0.0), h.params, grid, h.boundary)
 
 
 def check_pt_condition(spec: PotentialSpec, grid: Grid, tol: float = 1e-12) -> bool:
@@ -437,8 +442,8 @@ def check_anyonic_symmetry(h: HamiltonianMatrix) -> bool:
     """
     if not h.grid.is_symmetric():
         raise ContractError("symmetry check needs a grid symmetric about x = 0")
-    drift = 1j * h.v / (2.0 * h.grid.dx)
-    rot = complex(math.cos(h.phi), math.sin(h.phi))  # exp(i phi)
+    drift = 1j * h.params.v / (2.0 * h.grid.dx)
+    rot = h.params.rotation.conjugate()  # exp(i phi)
     rest = replace(
         h, diagonal=h.diagonal * rot, upper=(h.upper - drift) * rot, lower=(h.lower + drift) * rot
     )

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, DelocalizedError, DivergenceError, DomainError, NumericalError
+from .errors import ContractError, DivergenceError, DomainError, NumericalError
 from .model import (
     MAX_GRID_POINTS,
     TWIN_MIN_EXPONENT,
@@ -36,7 +36,6 @@ from .spectra import delocalization_margin
 
 __all__ = [
     "analytic_bound_state_pt",
-    "adjoint_bound_state",
     "self_orthogonality",
     "g_infinity",
     "g_infinity_forms",
@@ -79,23 +78,6 @@ def analytic_bound_state_pt(grid: Grid, delta: float, nu: float = 1.0) -> WaveFu
     if not (abs(delta) < math.pi / 2 and nu > 0):
         raise DomainError(f"need |delta| < pi/2 (unbroken phase) and nu > 0, got {delta}, {nu}")
     return WaveFunction(grid, _sech_complex(grid.x, delta) ** nu).normalized()
-
-
-def adjoint_bound_state(
-    u1: WaveFunction, params: AnyonicParams, e1: float = -1.0
-) -> WaveFunction:
-    """Bound state u1*(x) exp[i (v x / 2) e^{-i phi}] of the adjoint operator, normalized.
-
-    The adjoint drift gauge grows on the opposite side from the direct one, so
-    it is normalizable under exactly the same margin condition.
-    """
-    if delocalization_margin(e1, params) <= 0.0:
-        raise DelocalizedError(
-            "adjoint state not normalizable at or beyond the critical drift"
-        )
-    rot_conj = complex(math.cos(params.phi), -math.sin(params.phi))
-    factor = np.exp(1j * (params.v * u1.grid.x / 2.0) * rot_conj)
-    return WaveFunction(u1.grid, np.conj(u1.values) * factor).normalized()
 
 
 def gain_grid(delta: float, nu: float = 1.0) -> Grid:

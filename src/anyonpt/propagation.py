@@ -153,8 +153,7 @@ def _strang(fields, dt: float, stops):
     mult_k = np.stack([np.exp(-1j * continuous_dispersion(grid.k, p) * dt) for _, _, p in fields])
     half_v = np.empty_like(mult_k)
     for row, (_, spec, p) in zip(half_v, fields):
-        rot = complex(math.cos(p.phi), -math.sin(p.phi))
-        row[:] = np.exp(-0.5j * rot * np.asarray(spec(grid.x), dtype=complex) * dt)
+        row[:] = np.exp(-0.5j * p.rotation * np.asarray(spec(grid.x), dtype=complex) * dt)
 
     psi = np.stack([psi0.values for psi0, _, _ in fields])
     spectrum = np.empty_like(psi)

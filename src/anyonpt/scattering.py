@@ -38,7 +38,7 @@ TAIL_TOL = 1e-10
 
 def reflected_wavenumber(k: float, params: AnyonicParams) -> complex:
     """k_r = -k + v e^{i phi}; Im k_r = v sin(phi) flags the evanescent channel."""
-    return -k + params.v * complex(math.cos(params.phi), math.sin(params.phi))
+    return -k + params.v * params.rotation.conjugate()
 
 
 def group_velocity(k: float, params: AnyonicParams) -> float:
@@ -141,7 +141,7 @@ def stationary_rt(
     if np.any(np.abs(k - kr) < 1e-6):
         raise NumericalError("incident and reflected modes nearly degenerate; decomposition ill-conditioned")
 
-    eip = complex(math.cos(params.phi), math.sin(params.phi))
+    eip = params.rotation.conjugate()
     shift = eip * continuous_dispersion(k, params)
     drift = 1j * params.v * eip
 

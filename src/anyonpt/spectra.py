@@ -82,9 +82,8 @@ TAIL_MIN_POINTS = 6
 
 def continuous_dispersion(k, params: AnyonicParams):
     """Scattering-branch energy e^{-i phi} k^2 - k v (scalar or array k)."""
-    rot = complex(math.cos(params.phi), -math.sin(params.phi))
     k = np.asarray(k, dtype=float)
-    e = rot * k * k - k * params.v
+    e = params.rotation * k * k - k * params.v
     return complex(e) if e.ndim == 0 else e
 
 
@@ -108,8 +107,7 @@ def shifted_point_energy(e_n: float, params: AnyonicParams) -> complex:
     """Bound energy in the moving frame: E_n e^{-i phi} - (v^2/4) e^{i phi}."""
     if not e_n < 0:
         raise DomainError(f"bound energy must be negative, got {e_n}")
-    rot = complex(math.cos(params.phi), -math.sin(params.phi))
-    return e_n * rot + params.beta
+    return e_n * params.rotation + params.beta
 
 
 def critical_velocity(e_n: float, phi: float) -> float:
@@ -311,9 +309,10 @@ def _aberth_eigenvalues(h: HamiltonianMatrix):
 class SpectrumResult:
     """Eigenvalues of a discretized operator (all, or targeted), classified and measured.
 
-    ``classification`` entries are "point" or "continuum";
     ``localization_length`` is the root length of a point state and inf for
-    the continuum.  ``eigenvectors`` holds trapezoid-normalized eigenvectors
+    the continuum, so a state is point exactly when its length is finite;
+    ``classification`` spells that out as "point" or "continuum" per
+    eigenvalue.  ``eigenvectors`` holds trapezoid-normalized eigenvectors
     as columns, one per entry of ``vector_indices``, the index of its
     eigenvalue: every pair of a targeted solve, only the point states of a
     whole spectrum.  ``solver`` names the eigensolve of a whole spectrum
@@ -322,18 +321,21 @@ class SpectrumResult:
 
     grid: Grid
     eigenvalues: np.ndarray
-    classification: np.ndarray
     localization_length: np.ndarray
     eigenvectors: np.ndarray
     vector_indices: np.ndarray
     solver: str = ""
 
     @property
+    def classification(self) -> np.ndarray:
+        return np.where(np.isfinite(self.localization_length), "point", "continuum")
+
+    @property
     def point_count(self) -> int:
-        return int(np.sum(self.classification == "point"))
+        return len(self.point_indices())
 
     def point_indices(self) -> np.ndarray:
-        return np.nonzero(self.classification == "point")[0]
+        return np.flatnonzero(np.isfinite(self.localization_length))
 
     def eigenvector(self, i: int) -> WaveFunction:
         cols = np.flatnonzero(self.vector_indices == i)
@@ -346,36 +348,9 @@ class SpectrumResult:
         return int(np.argmin(np.abs(self.eigenvalues - target)))
 
     def csv_rows(self):
-        for i in range(len(self.eigenvalues)):
-            yield (
-                self.eigenvalues[i].real,
-                self.eigenvalues[i].imag,
-                str(self.classification[i]),
-                float(self.localization_length[i]),
-            )
-
-
-def _labelled(h: HamiltonianMatrix, w, vecs) -> SpectrumResult:
-    """Normalize eigenpairs and label them point or continuum.
-
-    A pair is a point state when its participation ratio is below
-    PR_BOX_FRACTION and its root length below ROOT_SCREEN_FRACTION of the box.
-    """
-    vecs = vecs / np.sqrt(np.trapezoid(np.abs(vecs) ** 2, dx=h.grid.dx, axis=0))
-    inv_pr = np.trapezoid(np.abs(vecs) ** 4, dx=h.grid.dx, axis=0)
-    pr = np.where(inv_pr > 0, 1.0 / inv_pr, np.inf)
-    lengths = _root_lengths(h, w)
-    is_point = (pr < PR_BOX_FRACTION * h.grid.length) & (
-        lengths < ROOT_SCREEN_FRACTION * h.grid.length
-    )
-    return SpectrumResult(
-        grid=h.grid,
-        eigenvalues=w,
-        classification=np.where(is_point, "point", "continuum"),
-        localization_length=np.where(is_point, lengths, np.inf),
-        eigenvectors=vecs,
-        vector_indices=np.arange(len(w)),
-    )
+        rows = zip(self.eigenvalues, self.classification, self.localization_length)
+        for w, label, length in rows:
+            yield w.real, w.imag, str(label), float(length)
 
 
 def _banded_eigenvalues(k: HamiltonianMatrix) -> tuple:
@@ -441,10 +416,10 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     """
     import scipy.linalg  # here, not at the top: it adds to every start-up
 
-    rot = complex(math.cos(h.phi), math.sin(h.phi))  # exp(i phi)
+    rot = h.params.rotation.conjugate()  # exp(i phi)
     twin = build_twin(h)
     k = twin if twin is not None else h
-    if h.phi:  # K = H at phi = 0
+    if h.params.phi:  # K = H at phi = 0
         k = replace(k, diagonal=k.diagonal * rot, upper=k.upper * rot, lower=k.lower * rot)
     hermitian = k.is_hermitian()
     if twin is not None and not hermitian:
@@ -471,13 +446,13 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
             f"eigensolver failed: {exc} (dim={h.dim}, boundary={h.boundary}, "
             f"matrix 1-norm={norm1:.3e})"
         ) from exc
-    if real and h.phi:
+    if real and h.params.phi:
         w = w * rot.conjugate()  # K's eigenvalues, rotated back
     w = w[np.lexsort((w.imag, w.real))]
-    lengths = _root_lengths(h, w)
+    candidates = np.flatnonzero(_root_lengths(h, w) < ROOT_SCREEN_FRACTION * h.grid.length)
 
     owners, vecs = np.array([], dtype=int), np.empty((h.dim, 0), dtype=complex)
-    candidates = np.flatnonzero(lengths < ROOT_SCREEN_FRACTION * h.grid.length)
+    lengths = np.full(len(w), np.inf)
     if len(candidates):
         found = point_states(h, w[candidates])
         got = found.eigenvalues
@@ -489,18 +464,15 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
                 f"shift-invert solve near {w[owned][off][0]} converged to {got[off][0]}, "
                 f"not to the dense eigenvalue (dim={h.dim}, boundary={h.boundary})"
             )
-        is_point = found.classification == "point"
+        is_point = np.isfinite(found.localization_length)
         owners, vecs = owned[is_point], found.eigenvectors[:, is_point]
         # a point state's value is H's own, whichever path gave the cloud
         w[owners], lengths[owners] = got[is_point], found.localization_length[is_point]
 
-    classification = np.full(len(w), "continuum")
-    classification[owners] = "point"
     return SpectrumResult(
         grid=h.grid,
         eigenvalues=w,
-        classification=classification,
-        localization_length=np.where(classification == "point", lengths, np.inf),
+        localization_length=lengths,
         eigenvectors=vecs,
         vector_indices=owners,
         solver=solver,
@@ -514,8 +486,9 @@ def point_states(h: HamiltonianMatrix, targets) -> SpectrumResult:
     the two corners of a periodic grid) instead of solving the whole dense
     spectrum (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).
     Pairs come in target order, a pair reached from two targets once, and
-    are normalized and labeled as ``solve_spectrum`` labels them, with root
-    lengths.
+    are trapezoid-normalized.  A pair is a point state, with its root length,
+    when its participation ratio is below PR_BOX_FRACTION and its root length
+    below ROOT_SCREEN_FRACTION of the box.
     The fixed start vector makes repeated calls agree bitwise.
     """
     # Imported here: scipy.sparse.linalg adds ~20 ms to every start-up.
@@ -535,4 +508,12 @@ def point_states(h: HamiltonianMatrix, targets) -> SpectrumResult:
         if not any(abs(value - w) <= SAME_EIGENVALUE_RTOL * abs(value) for w in values):
             values.append(complex(value))
             vectors.append(vec[:, 0])
-    return _labelled(h, np.array(values), np.stack(vectors, axis=1))
+    w, vecs = np.array(values), np.stack(vectors, axis=1)
+    vecs = vecs / np.sqrt(np.trapezoid(np.abs(vecs) ** 2, dx=h.grid.dx, axis=0))
+    inv_pr = np.trapezoid(np.abs(vecs) ** 4, dx=h.grid.dx, axis=0)
+    pr = np.where(inv_pr > 0, 1.0 / inv_pr, np.inf)
+    lengths = _root_lengths(h, w)
+    is_point = (pr < PR_BOX_FRACTION * h.grid.length) & (
+        lengths < ROOT_SCREEN_FRACTION * h.grid.length
+    )
+    return SpectrumResult(h.grid, w, np.where(is_point, lengths, np.inf), vecs, np.arange(len(w)))

@@ -35,7 +35,6 @@ def dense_spectrum(h) -> SpectrumResult:
         _DENSE_SPECTRA[key] = SpectrumResult(
             grid=h.grid,
             eigenvalues=w,
-            classification=np.where(is_point, "point", "continuum"),
             localization_length=np.where(is_point, lengths, np.inf),
             eigenvectors=np.empty((h.dim, 0), dtype=complex),
             vector_indices=np.array([], dtype=int),

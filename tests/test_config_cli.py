@@ -210,6 +210,26 @@ class TestAmplifyValidation:
         gains = [float(g) for _, g in rows]
         assert gains[1] == 1.0 and gains[0] == gains[3] > gains[2] > 1.0
 
+    def test_without_evolve_the_grid_goes_unread(self, tmp_path):
+        # G_infinity sums on gain_grid; only the evolution reads the config grid
+        raw = minimal_amplify_dict()
+        del raw["amplify"]["g_t_times"]
+        gridless = {key: value for key, value in raw.items() if key != "grid"}
+        for name, tree in (("with", raw), ("without", gridless)):
+            run_experiment(ExperimentConfig.from_dict(tree), tmp_path / name)
+        with_grid = (tmp_path / "with" / "ginf.csv").read_bytes()
+        assert (tmp_path / "without" / "ginf.csv").read_bytes() == with_grid
+
+    def test_evolve_needs_the_grid(self, tmp_path, capsys):
+        raw = minimal_amplify_dict(evolve=True)
+        raw["propagator"] = {"dt": 0.01, "t_final": 0.04, "snapshot_every": 2}
+        ExperimentConfig.from_dict(raw)  # valid with its grid
+        del raw["grid"]
+        path = tmp_path / "no_grid.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["amplify", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert "grid is required" in capsys.readouterr().err
+
 
 def scatter_with(section: str, **values):
     raw = minimal_scatter_dict()

@@ -18,7 +18,11 @@ from anyonpt import (
     build_h_eff,
     check_anyonic_symmetry,
     check_pt_condition,
+    continuous_dispersion,
+    reflected_wavenumber,
+    shifted_point_energy,
 )
+from anyonpt.model import build_twin
 
 
 class TestGrid:
@@ -158,6 +162,52 @@ class TestGaugeFactors:
 
     def test_drift_whose_square_is_finite_is_kept(self):
         assert AnyonicParams(phi=0.0, v=1.0e150).beta == pytest.approx(-0.25e300, rel=1e-15)
+
+
+def _bits(x) -> bytes:
+    """The bytes of ``x`` as complex, so that values and the signs of zeros must match."""
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+class TestRotation:
+    """Every phase factor comes from AnyonicParams.rotation, bitwise equal to the inline
+    formulas e^{-+i phi} = complex(cos phi, -+sin phi) that each site used to build."""
+
+    @staticmethod
+    def check_bitwise(phi, v, k, e_n):
+        p = AnyonicParams(phi=phi, v=v)
+        e_minus = complex(math.cos(phi), -math.sin(phi))
+        e_plus = complex(math.cos(phi), math.sin(phi))
+        beta = -0.25 * v**2 * e_plus
+        ks = np.array([k, -k, 0.0, 0.5 * k])
+        assert _bits(p.rotation) == _bits(e_minus)
+        assert _bits(p.alpha) == _bits(0.5 * v * e_plus)
+        assert _bits(p.beta) == _bits(beta)
+        assert _bits(continuous_dispersion(k, p)) == _bits(e_minus * k * k - k * v)
+        assert _bits(continuous_dispersion(ks, p)) == _bits(e_minus * ks * ks - ks * v)
+        assert _bits(shifted_point_energy(e_n, p)) == _bits(e_n * e_minus + beta)
+        assert _bits(reflected_wavenumber(k, p)) == _bits(-k + v * e_plus)
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 8, math.pi / 4, math.pi / 3, math.pi / 2])
+    @pytest.mark.parametrize("v", [0.0, -0.0, 1.3, -2.0])
+    def test_matches_the_inline_formulas(self, phi, v):
+        self.check_bitwise(phi, v, 0.7, -1.0)
+
+    @settings(max_examples=200)
+    @given(
+        phi=st.floats(0.0, math.pi / 2),
+        v=st.floats(-1e100, 1e100),
+        k=st.floats(-1e3, 1e3),
+        e_n=st.floats(-1e6, -1e-6),
+    )
+    def test_matches_the_inline_formulas_for_drawn_values(self, phi, v, k, e_n):
+        self.check_bitwise(phi, v, k, e_n)
+
+    def test_operator_and_twin_carry_the_params(self):
+        grid, params = Grid(-40.0, 40.0, 1280), AnyonicParams(phi=math.pi / 3)
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, grid, "periodic")
+        assert h.params is params
+        assert build_twin(h).params == h.params
 
 
 class TestBuildHEff:
@@ -300,7 +350,9 @@ class TestWaveFunction:
         [
             WaveFunction,
             Tabulated,
-            lambda grid, values: HamiltonianMatrix(grid, values, -1.0, -1.0, "dirichlet", 0.0, 0.0),
+            lambda grid, values: HamiltonianMatrix(
+                grid, values, -1.0, -1.0, "dirichlet", AnyonicParams(0.0)
+            ),
         ],
         ids=["wave-function", "tabulated", "hamiltonian-diagonal"],
     )

@@ -11,14 +11,12 @@ from scipy.integrate import quad
 from anyonpt import (
     AnyonicParams,
     ContractError,
-    DelocalizedError,
     DivergenceError,
     DomainError,
     Grid,
     HamiltonianMatrix,
     NumericalError,
     PoschlTeller,
-    adjoint_bound_state,
     analytic_bound_state_pt,
     build_h_eff,
     critical_velocity,
@@ -107,46 +105,6 @@ class TestAnalyticBoundState:
         grid = Grid(-10.0, 10.0, 64)
         with pytest.raises(DomainError):
             analytic_bound_state_pt(grid, math.pi / 2)
-
-
-class TestAdjointBoundState:
-    def test_hermitian_rest_case(self):
-        grid = Grid(-30.0, 30.0, 600)
-        u = analytic_bound_state_pt(grid, 0.0)
-        adj = adjoint_bound_state(u, AnyonicParams(phi=0.0, v=0.0))
-        assert np.abs(adj.values - u.values).max() < 1e-12
-
-    def test_rest_pt_case_is_conjugate(self):
-        grid = Grid(-30.0, 30.0, 600)
-        u = analytic_bound_state_pt(grid, 0.2)
-        adj = adjoint_bound_state(u, AnyonicParams(phi=0.0, v=0.0))
-        assert np.abs(adj.values - np.conj(u.values)).max() < 1e-12
-
-    def test_adjoint_eigen_residual(self):
-        # H^dag u~+ = conj(E~_1) u~+ on the grid interior
-        phi, v, delta = PHI3, 1.0, 0.2
-        params = AnyonicParams(phi=phi, v=v)
-        grid = Grid(-40.0, 40.0, 8192)
-        u = analytic_bound_state_pt(grid, delta)
-        adj = adjoint_bound_state(u, params)
-        vvals = PoschlTeller(nu=1.0, delta=delta)(grid.x)
-        rot = complex(math.cos(phi), -math.sin(phi))
-        # adjoint of -e^{-i phi} D2 + e^{-i phi} V + i v D1 applied directly
-        up = np.concatenate(([0.0 + 0.0j], adj.values, [0.0 + 0.0j]))
-        lap = (up[2:] - 2.0 * up[1:-1] + up[:-2]) / grid.dx**2
-        first = (up[2:] - up[:-2]) / (2.0 * grid.dx)
-        h_adj = -np.conj(rot) * lap + np.conj(rot * vvals) * adj.values + 1j * v * first
-        target = np.conj(shifted_point_energy(-1.0, params)) * adj.values
-        resid = h_adj - target
-        interior = np.abs(grid.x) < 36.0
-        norm = math.sqrt(float(np.trapezoid(np.abs(resid[interior]) ** 2, dx=grid.dx)))
-        assert norm < 1e-4
-
-    def test_delocalized_rejected(self):
-        grid = Grid(-30.0, 30.0, 600)
-        u = analytic_bound_state_pt(grid, 0.2)
-        with pytest.raises(DelocalizedError):
-            adjoint_bound_state(u, AnyonicParams(phi=PHI3, v=1.2 * VC))
 
 
 class TestSelfOrthogonality:

@@ -799,7 +799,7 @@ class TestPointStates:
 
     def test_singular_shift_is_numerical_error(self):
         grid = Grid(-10.0, 10.0, 200)
-        h = HamiltonianMatrix(grid, np.zeros(200), 0.0, 0.0, "dirichlet", 0.0, 0.0)
+        h = HamiltonianMatrix(grid, np.zeros(200), 0.0, 0.0, "dirichlet", AnyonicParams(0.0))
         with pytest.raises(NumericalError):
             point_states(h, [0.0])
 
