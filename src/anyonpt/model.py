@@ -303,8 +303,11 @@ class HamiltonianMatrix:
     couplings are ``upper`` = -exp(-i phi)/dx^2 + i v/(2 dx) on (j, j+1) and
     ``lower`` = -exp(-i phi)/dx^2 - i v/(2 dx) on (j+1, j).  A "periodic"
     ``boundary`` adds the corners (0, n-1) = ``lower`` and (n-1, 0) = ``upper``;
-    "dirichlet" clamps the field beyond the ends.  ``params`` holds the phase and
-    drift velocity, for ``check_anyonic_symmetry``, which treats the drift couplings
+    "dirichlet" clamps the field beyond the ends.  ``cyclic_diagonals`` lays the
+    bands and corners out as three rows of n, the form that the shift-invert LU
+    and the Taylor steps of ``g_t`` work on; ``dense`` fills an n x n copy from
+    them for the dense algorithms.  ``params`` holds the phase and drift
+    velocity, for ``check_anyonic_symmetry``, which treats the drift couplings
     apart, for ``solve_spectrum``, which undoes the rotation, and for ``build_twin``.
     ``potential`` is the spec that ``build_h_eff`` sampled, for ``build_twin``;
     it is no constructor argument, and ``dataclasses.replace`` resets it to None,
@@ -328,25 +331,40 @@ class HamiltonianMatrix:
     def dim(self) -> int:
         return self.grid.n_points
 
-    def sparse(self, shift: complex = 0.0):
-        """H - shift as a scipy.sparse CSC matrix of its bands and periodic corners."""
-        import scipy.sparse  # here, not at the top: it adds to every start-up
+    def cyclic_diagonals(self, shift: complex = 0.0) -> np.ndarray:
+        """H - shift as its three cyclic diagonals, a 3 x n complex array.
 
+        Row 1 + d holds the entries (j, (j + d) mod n), d = -1, 0, 1: ``lower``
+        with the corner (0, n-1) first, the diagonal, and ``upper`` with the
+        corner (n-1, 0) last.  A Dirichlet operator's two corners are zero.
+        """
         n = self.dim
-        corners = {1 - n: self.upper, n - 1: self.lower} if self.boundary == "periodic" else {}
-        bands = {-1: self.lower, 0: self.diagonal - shift, 1: self.upper, **corners}
-        return scipy.sparse.diags(list(bands.values()), list(bands), shape=(n, n), format="csc")
+        diags = np.empty((3, n), dtype=complex)
+        diags[0], diags[1], diags[2] = self.lower, self.diagonal - shift, self.upper
+        if self.boundary == "dirichlet":
+            diags[0, 0] = diags[2, -1] = 0.0
+        return diags
 
     def dense(self, real_form: bool = False) -> np.ndarray:
         """The full n x n matrix, C-ordered, for the dense algorithms that need one.
 
         ``real_form`` gives Re H - (Im H) P, P the index reversal: for a PT-symmetric
         H this is S^H H S, S = (I + iP)/sqrt(2) unitary, a real matrix similar to H.
+        Both are filled from ``cyclic_diagonals``, with no other n x n array.
         """
-        if self.dim > DENSE_MAX_DIM:
-            raise ContractError(f"dense matrix capped at dimension {DENSE_MAX_DIM}, got {self.dim}")
-        band = self.sparse()
-        return (band.real - band.imag[:, ::-1] if real_form else band).toarray(order="C")
+        n = self.dim
+        if n > DENSE_MAX_DIM:
+            raise ContractError(f"dense matrix capped at dimension {DENSE_MAX_DIM}, got {n}")
+        rows = np.arange(n)
+        out = np.zeros((n, n), dtype=float if real_form else complex)
+        for d, entries in zip((-1, 0, 1), self.cyclic_diagonals()):
+            cols = (rows + d) % n
+            if real_form:
+                out[rows, cols] += entries.real
+                out[rows, n - 1 - cols] -= entries.imag
+            else:
+                out[rows, cols] = entries
+        return out
 
     def is_hermitian(self) -> bool:
         """H^H = H to HERMITIAN_RTOL of the largest band entry (at least 1)."""

@@ -32,7 +32,7 @@ from .model import (
     WaveFunction,
     _sech_complex,
 )
-from .spectra import delocalization_margin
+from .spectra import _orthogonalize, delocalization_margin
 
 __all__ = [
     "analytic_bound_state_pt",
@@ -58,12 +58,12 @@ THETA_13 = 5.371920351148152
 FLUSH_FRACTION = 2.0**-53 / G_T_MAX_DIM**2
 # Column block width of g_t's band-limited products.
 BAND_BLOCK = 128
-# ARPACK restarts before g_t falls back to a dense SVD: every t >= 0.05 on
-# the n = 1024 drifting well converges within 4, whether P(t) comes as 1 or
-# as 10 factors (t >= 0.5 within 1), while for t <= 0.01, where P is close
-# to I and its singular values cluster, converging costs more than the
-# dense SVD.
-LANCZOS_MAXITER = 10
+# Golub-Kahan-Lanczos steps before g_t falls back to a dense SVD: on the
+# n = 1024 drifting well every t >= 0.05 converges within 56 steps, whether
+# P(t) comes as 1 or as several factors (t >= 0.5 within 19), while for
+# t <= 0.02, where P is close to I and its singular values cluster, it takes
+# 87 steps or more.  The cap bounds the two bases at 2 x 65 vectors of n.
+LANCZOS_MAXITER = 64
 
 
 def analytic_bound_state_pt(grid: Grid, delta: float, nu: float = 1.0) -> WaveFunction:
@@ -229,53 +229,56 @@ def _band_matmul(a: np.ndarray, a_spans, b: np.ndarray, b_spans) -> np.ndarray:
 
 
 def _sigma_max(*factors: np.ndarray) -> float:
-    """Largest singular value of the product P of ``factors`` by ARPACK Lanczos on P^H P.
+    """Largest singular value of the product P of ``factors``, by Golub-Kahan-Lanczos.
 
-    The factors must commute, as functions of one G do.  Lanczos needs only
-    P x and P^H x, so it applies the factors one after another and P is never
-    formed (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  The
-    fixed start vector makes repeated calls agree bitwise.  When ARPACK does
-    not converge within LANCZOS_MAXITER restarts, or fails otherwise, the
-    dense ``svdvals`` of the multiplied-out P is used instead.  It is also
-    used directly when the bound, the product of each factor's
-    sqrt(||F||_1 ||F||_inf), reaches 2^511: there the Gram product P^H P that
-    ARPACK iterates on can overflow, and LAPACK then prints to stderr before
-    ARPACK fails.
+    The factors must commute, as functions of one G do.  The bidiagonalization
+    needs only P x and P^H x, so it applies the factors one after another and P is
+    never formed (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205, 1965).  Both bases
+    are kept, and each new vector is orthogonalized against all of its own.
+    Step m gives the m x m upper bidiagonal B_m (alpha on the diagonal, beta above
+    it), and sigma_1(B_m) is final once ARPACK's test for P^H P holds: beta_m |x_m|
+    <= eps sigma_1, x the left singular vector of B_m.  The fixed start vector makes
+    repeated calls agree bitwise.  When that takes more than LANCZOS_MAXITER steps,
+    or a step breaks down (alpha = 0), the dense SVD of the multiplied-out P is used
+    instead.  It is also used directly when the bound, the product of each factor's
+    sqrt(||F||_1 ||F||_inf), reaches 2^511: there the Gram product P^H P, whose
+    norm the bidiagonalization squares, can overflow.
     """
-    # Imported here: scipy adds to every start-up.
-    import scipy.linalg
-    import scipy.sparse.linalg
-
     bound = math.prod(_norm_bound(f) for f in factors)
-    if bound >= 2.0**511:
-        return float(scipy.linalg.svdvals(_multiplied_out(factors))[0])
+    if bound < 2.0**511 and (sigma := _lanczos_sigma_max(factors)) is not None:
+        return sigma
+    return float(np.linalg.svd(_multiplied_out(factors), compute_uv=False)[0])
 
-    def matvec(x):
-        for f in reversed(factors):
-            x = f @ x
-        return x
 
-    def rmatvec(x):
-        for f in factors:
-            x = (x.conj() @ f).conj()
-        return x
-
-    n = factors[0].shape[0]
-    op = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=matvec, rmatvec=rmatvec, dtype=factors[0].dtype
-    )
-    try:
-        (sigma,) = scipy.sparse.linalg.svds(
-            op,
-            k=1,
-            tol=0,
-            v0=np.ones(n, dtype=complex),
-            maxiter=LANCZOS_MAXITER,
-            return_singular_vectors=False,
-        )
-    except scipy.sparse.linalg.ArpackError:
-        sigma = scipy.linalg.svdvals(_multiplied_out(factors))[0]
-    return float(sigma)
+def _lanczos_sigma_max(factors) -> float | None:
+    """sigma_1 of the product of ``factors`` by the bidiagonalization of ``_sigma_max``, or None."""
+    n, steps, eps = factors[0].shape[0], LANCZOS_MAXITER, np.finfo(float).eps
+    us, vs = np.zeros((steps, n), dtype=complex), np.zeros((steps + 1, n), dtype=complex)
+    bidiagonal = np.zeros((steps, steps + 1))
+    vs[0] = 1.0 / math.sqrt(n)
+    for m in range(steps):
+        u = vs[m]
+        for f in reversed(factors):  # P v_m
+            u = f @ u
+        if m:
+            u -= bidiagonal[m - 1, m] * us[m - 1]
+        _orthogonalize(u, us[:m])
+        alpha = bidiagonal[m, m] = np.linalg.norm(u)
+        if not alpha > 0.0:
+            return None
+        us[m] = u / alpha
+        v = us[m]
+        for f in factors:  # P^H u_m
+            v = (v.conj() @ f).conj()
+        v -= alpha * vs[m]
+        _orthogonalize(v, vs[: m + 1])
+        beta = np.linalg.norm(v)
+        x, sigma, _ = np.linalg.svd(bidiagonal[: m + 1, : m + 1])
+        if beta * abs(x[m, 0]) <= eps * sigma[0]:
+            return float(sigma[0])
+        bidiagonal[m, m + 1] = beta
+        vs[m + 1] = v / beta
+    return None
 
 
 def _norm_bound(f: np.ndarray) -> float:
@@ -292,30 +295,55 @@ def _multiplied_out(factors) -> np.ndarray:
     return p
 
 
-def _expm_taylor(a) -> np.ndarray:
-    """exp(a) as a dense array: the Taylor series of the sparse ``a``, summed in sparse form.
+def _norm1(diagonals: np.ndarray) -> float:
+    """The 1-norm of the matrix with these three cyclic diagonals: its largest column sum."""
+    mag = np.abs(diagonals)
+    return float((np.roll(mag[2], 1) + mag[1] + np.roll(mag[0], -1)).max())
 
-    It stops after the first term k whose 1-norm bound x^k / k!, x = ||a||_1, is at
+
+def _expm_taylor(a: np.ndarray) -> np.ndarray:
+    """exp(A) as a dense array: the Taylor series of A, summed on cyclic diagonals.
+
+    ``a`` holds A's three cyclic diagonals, as ``HamiltonianMatrix.cyclic_diagonals``
+    does: row 1 + d the entries (j, (j + d) mod n).  Term k, A^k / k!, is kept as
+    its 2k + 1 diagonals d = -k .. k, which may wrap more than once round a small
+    ring; the sum is scattered into an n x n array only at the end.  The series
+    stops after the first term k whose 1-norm bound x^k / k!, x = ||A||_1, is at
     most 2^-53; the count depends on x alone, so results repeat bitwise.
     """
-    import scipy.sparse
-
-    x, k, bound = float(abs(a).sum(axis=0).max()), 0, 1.0
-    term = total = scipy.sparse.identity(a.shape[0], dtype=complex, format="csc")
+    n, x = a.shape[1], _norm1(a)
+    last, bound = 0, 1.0
     while bound > 2.0**-53:
-        k += 1
-        term = term @ a / k
-        total = total + term
-        bound *= x / k
-    return total.toarray(order="C")
+        last += 1
+        bound *= x / last
+    # row s of shifted[e] is A's diagonal e read from site s - last on: entry j is
+    # A[(j + d) mod n, (j + d + e) mod n], d = s - last
+    sites = np.arange(-last, n + last) % n
+    shifted = [np.lib.stride_tricks.sliding_window_view(a[1 + e][sites], n) for e in (-1, 0, 1)]
+    term = np.ones((1, n), dtype=complex)
+    total = np.zeros((2 * last + 1, n), dtype=complex)  # row last + d: diagonal d
+    total[last] = term
+    for k in range(1, last + 1):
+        rows = slice(last - k + 1, last + k)  # the diagonals d = 1 - k .. k - 1 of term
+        nxt = np.zeros((2 * k + 1, n), dtype=complex)
+        for e in (-1, 0, 1):
+            nxt[1 + e : 2 * k + e] += term * shifted[1 + e][rows]
+        term = nxt / k
+        total[last - k : last + k + 1] += term
+    out = np.zeros((n, n), dtype=complex)
+    cols = np.arange(n)
+    for d, diagonal in enumerate(total, start=-last):
+        out[cols, (cols + d) % n] += diagonal
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises DivergenceError
 def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     """Squared operator norms of exp[-i (H - e1) t], one per time, in the order given.
 
-    With G = -i (H - e1), a time with t ||G||_1 <= THETA_13 takes P(t) =
-    exp(G t) as one Taylor series on the bands of G (``_expm_taylor``).  One
+    With G = -i (H - e1), held as its three cyclic diagonals, whose 1-norm is
+    read off them, a time with t ||G||_1 <= THETA_13 takes P(t) = exp(G t) as
+    one Taylor series on those diagonals (``_expm_taylor``).  One
     base step B = exp(G tau) serves every longer time: tau = t_0 / 2^s, with
     t_0 the smallest of them and the smallest s that gives tau ||G||_1 <=
     THETA_13, so q = floor(t / tau) <= 2 t ||G||_1 / THETA_13; a tiny time
@@ -326,11 +354,11 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     Matrix Anal. Appl. 31, 2009), and B^q is never multiplied out: it is the
     list of B^(2^j) for the set bits j of q, and the top bit J of the largest
     q enters as its 2 or 3 copies of B^(2^(J - 1)), so the chain stops one
-    squaring short.  The factors commute, as functions of one G, and ARPACK
-    Lanczos (``_sigma_max``) takes the norm of their product by applying them
-    in turn; when that does not converge within LANCZOS_MAXITER restarts, as
-    for the clustered singular values of very small t, that one time falls
-    back to the dense ``svdvals`` of the multiplied-out product.
+    squaring short.  The factors commute, as functions of one G, and
+    Golub-Kahan-Lanczos (``_sigma_max``) takes the norm of their product by
+    applying them in turn; when that does not converge within LANCZOS_MAXITER
+    steps, as for the clustered singular values of very small t, that one time
+    falls back to the dense SVD of the multiplied-out product.
 
     After every product, entries at or below FLUSH_FRACTION of the largest
     are zeroed.  That moves the 2-norm by at most n * FLUSH_FRACTION * ||P||_2
@@ -352,8 +380,8 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     gains = {0.0: 1.0}
     positive = sorted(set(times) - {0.0})
     if positive:
-        gen = -1j * h.sparse(e1)
-        norm1 = float(abs(gen).sum(axis=0).max())
+        gen = -1j * h.cyclic_diagonals(e1)
+        norm1 = _norm1(gen)
         for t in positive:
             if t * norm1 <= THETA_13:  # one Taylor step, no squaring
                 _record_gain(gains, t, _flush_tiny(_expm_taylor(gen * t))[0])

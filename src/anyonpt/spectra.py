@@ -71,6 +71,12 @@ ABERTH_TOL = 1e-13
 ABERTH_MAX_SWEEPS = 64
 ABERTH_BLOCK = 64
 ABERTH_RESCALE = 16
+# Shift-invert Arnoldi of point_states: a basis of at most ARNOLDI_VECTORS, ARPACK's
+# default, restarted from its ARNOLDI_KEEP Ritz vectors of largest |theta| at most
+# ARNOLDI_MAX_RESTARTS times.
+ARNOLDI_VECTORS = 20
+ARNOLDI_KEEP = 10
+ARNOLDI_MAX_RESTARTS = 50
 # Tail fits of fit_localization_length: log|u| on [peak + offset, peak + offset
 # + span] on each side, over at least TAIL_MIN_POINTS samples above
 # TAIL_FLOOR times the peak.
@@ -353,19 +359,30 @@ class SpectrumResult:
             yield w.real, w.imag, str(label), float(length)
 
 
+def _band_order(h: HamiltonianMatrix) -> tuple:
+    """The order of the sites that makes ``h`` a band matrix, and the band's half-width.
+
+    A Dirichlet operator is a band of half-width 1 as it stands.  A periodic ring,
+    reordered 0, n-1, 1, n-2, ..., keeps each coupling within two places, a band of
+    half-width 2.
+    """
+    n = h.dim
+    if h.boundary != "periodic":
+        return np.arange(n), 1
+    order = np.empty(n, dtype=int)
+    order[0::2], order[1::2] = np.arange((n + 1) // 2), np.arange(n - 1, (n - 1) // 2, -1)
+    return order, 2
+
+
 def _banded_eigenvalues(k: HamiltonianMatrix) -> tuple:
     """The eigenvalues of a Hermitian ``k`` from LAPACK's band solver, and whether its bands are real.
 
-    A Dirichlet operator is a band of half-width 1.  A periodic ring, reordered 0, n-1, 1,
-    n-2, ..., keeps each coupling within two places, a band of half-width 2.
+    The band is ``k`` in the order of ``_band_order``.
     """
     import scipy.linalg  # here, not at the top: it adds to every start-up
 
     n = k.dim
-    order, width = np.arange(n), 1
-    if k.boundary == "periodic":
-        order, width = np.empty(n, dtype=int), 2
-        order[0::2], order[1::2] = np.arange((n + 1) // 2), np.arange(n - 1, (n - 1) // 2, -1)
+    order, width = _band_order(k)
     scale = max(1.0, np.abs(k.diagonal).max(), abs(k.upper))
     real = abs(k.upper.imag) <= HERMITIAN_RTOL * scale
     upper, lower = (k.upper.real, k.lower.real) if real else (k.upper, k.lower)
@@ -479,35 +496,144 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     )
 
 
-def point_states(h: HamiltonianMatrix, targets) -> SpectrumResult:
-    """The eigenpairs of ``h`` nearest each target, by ARPACK shift-invert.
+def _band_lu(h: HamiltonianMatrix, shift: complex) -> tuple:
+    """LU factors of H - shift with partial pivoting, in the order of ``_band_order``.
 
-    One solve per target factorizes only the operator's three bands (plus
-    the two corners of a periodic grid) instead of solving the whole dense
-    spectrum (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).
-    Pairs come in target order, a pair reached from two targets once, and
-    are trapezoid-normalized.  A pair is a point state, with its root length,
-    when its participation ratio is below PR_BOX_FRACTION and its root length
-    below ROOT_SCREEN_FRACTION of the box.
+    The ring itself is factored, corners and all.  Written for half-width 2: row
+    j holds columns j - 2 .. j + 2, and a Dirichlet chain's band of half-width 1
+    sits in it with zero outer diagonals, which never win a pivot.  Each step
+    picks the largest of the three candidates in its column (the first on a
+    tie), as LAPACK's band LU does, so U has up to four entries right of its
+    diagonal.  Returns the order, each step's (pivot row offset, two
+    multipliers) and each U row as (1 / diagonal, four entries); a zero pivot
+    raises LinAlgError.
+    """
+    order, width = _band_order(h)
+    n = h.dim
+    where = np.empty(n, dtype=int)
+    where[order] = np.arange(n)
+    band = np.zeros((n + 3, 5), dtype=complex)  # three zero rows past the end
+    for d, entries in zip((-1, 0, 1), h.cyclic_diagonals(shift)):
+        col = where[(np.arange(n) + d) % n] - where
+        keep = np.abs(col) <= width  # a Dirichlet chain's zero corners fall outside
+        band[where[keep], col[keep] + 2] = entries[keep]
+    rows = list(map(tuple, band.tolist()))
+    zero = 0j
+    # the three candidate rows of the current column j, each as its columns j .. j + 4
+    a, b, c = rows[0][2:] + (zero, zero), rows[1][1:] + (zero,), rows[2]
+    steps, upper = [], []
+    for d in rows[3:]:
+        pa, pb, pc = abs(a[0]), abs(b[0]), abs(c[0])
+        if pb > pa and pb >= pc:
+            a, b, p = b, a, 1
+        elif pc > pa and pc > pb:
+            a, c, p = c, a, 2
+        elif pa:
+            p = 0
+        else:
+            raise np.linalg.LinAlgError(f"H - {shift} is singular")
+        a0, a1, a2, a3, a4 = a
+        r0 = 1.0 / a0
+        m1, m2 = b[0] * r0, c[0] * r0
+        b = (b[1] - m1 * a1, b[2] - m1 * a2, b[3] - m1 * a3, b[4] - m1 * a4, zero)
+        c = (c[1] - m2 * a1, c[2] - m2 * a2, c[3] - m2 * a3, c[4] - m2 * a4, zero)
+        steps.append((p, m1, m2))
+        upper.append((r0, a1, a2, a3, a4))
+        a, b, c = b, c, d
+    return order, steps, upper
+
+
+def _band_solve(lu: tuple, rhs: np.ndarray) -> np.ndarray:
+    """x with (H - shift) x = rhs, from the factors of ``_band_lu``."""
+    order, steps, upper = lu
+    y = rhs[order].tolist() + [0j, 0j]
+    y0, y1, lower = y[0], y[1], []
+    for (p, m1, m2), y2 in zip(steps, y[2:]):  # the row swaps and L
+        if p == 1:
+            y0, y1 = y1, y0
+        elif p == 2:
+            y0, y2 = y2, y0
+        lower.append(y0)
+        y0, y1 = y1 - m1 * y0, y2 - m2 * y0
+    x1 = x2 = x3 = x4 = 0j
+    back = []
+    for (r0, u1, u2, u3, u4), z in zip(reversed(upper), reversed(lower)):  # U
+        x1, x2, x3, x4 = (z - u1 * x1 - u2 * x2 - u3 * x3 - u4 * x4) * r0, x1, x2, x3
+        back.append(x1)
+    x = np.empty(len(back), dtype=complex)
+    x[order] = back[::-1]
+    return x
+
+
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Remove from ``w``, in place, its components along the orthonormal rows of ``basis``
+    by classical Gram-Schmidt, done twice; returns the coefficients removed."""
+    removed = np.zeros(len(basis), dtype=complex)
+    for _ in range(2):
+        c = basis.conj() @ w
+        w -= c @ basis
+        removed += c
+    return removed
+
+
+def _shift_invert_pair(h: HamiltonianMatrix, target: complex) -> tuple:
+    """The eigenpair of ``h`` nearest ``target``, by Arnoldi on (H - target)^{-1}.
+
+    The basis starts from the normalized ones vector and is orthogonalized by
+    ``_orthogonalize``.  A Ritz pair (theta, y) of the projected matrix is final
+    once ARPACK's test holds: its Ritz estimate, the norm of the last residual
+    times |y_m|, is at most eps |theta|; then lambda = target + 1/theta
+    (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  A full basis
+    restarts from its ARNOLDI_KEEP Ritz vectors of largest |theta|,
+    orthonormalized (a thick restart, Stewart, SIAM J. Matrix Anal. Appl. 23,
+    601, 2001).
+    """
+    lu = _band_lu(h, target)
+    size, eps = ARNOLDI_VECTORS, np.finfo(float).eps
+    basis = np.zeros((size + 1, h.dim), dtype=complex)  # rows v_1 .. v_{m+1}
+    proj = np.zeros((size + 1, size), dtype=complex)  # (H - target)^{-1} V_m = V_{m+1} proj
+    basis[0], start = 1.0 / math.sqrt(h.dim), 0
+    for _ in range(ARNOLDI_MAX_RESTARTS + 1):
+        for m in range(start, size):
+            w = _band_solve(lu, basis[m])
+            proj[: m + 1, m] = _orthogonalize(w, basis[: m + 1])
+            beta = proj[m + 1, m] = np.linalg.norm(w)
+            theta, y = np.linalg.eig(proj[: m + 1, : m + 1])  # LinAlgError on inf or nan
+            i = int(np.argmax(np.abs(theta)))
+            if beta * abs(y[m, i]) <= eps * abs(theta[i]):
+                return complex(target + 1.0 / theta[i]), y[:, i] @ basis[: m + 1]
+            basis[m + 1] = w / beta
+        start = ARNOLDI_KEEP
+        q = np.linalg.qr(y[:, np.argsort(-np.abs(theta))[:start]])[0]
+        basis[:start], basis[start] = q.T @ basis[:size], basis[size]
+        kept = q.conj().T @ proj[:size] @ q
+        proj[:] = 0.0
+        proj[:start, :start], proj[start, :start] = kept, beta * q[-1]
+    raise np.linalg.LinAlgError(f"no convergence after {ARNOLDI_MAX_RESTARTS} restarts")
+
+
+def point_states(h: HamiltonianMatrix, targets) -> SpectrumResult:
+    """The eigenpairs of ``h`` nearest each target, by shift-invert Arnoldi.
+
+    One solve per target (``_shift_invert_pair``) factors only the operator's
+    band, the ring's corners included, in O(n) (``_band_lu``), instead of solving
+    the whole dense spectrum.  Pairs come in target order, a pair reached from
+    two targets once, and are trapezoid-normalized.  A pair is a point state,
+    with its root length, when its participation ratio is below PR_BOX_FRACTION
+    and its root length below ROOT_SCREEN_FRACTION of the box.
     The fixed start vector makes repeated calls agree bitwise.
     """
-    # Imported here: scipy.sparse.linalg adds ~20 ms to every start-up.
-    import scipy.sparse.linalg
-
-    band = h.sparse()
     values, vectors = [], []
     for target in targets:
         try:
-            (value,), vec = scipy.sparse.linalg.eigs(
-                band, k=1, sigma=target, v0=np.ones(h.dim, dtype=complex)
-            )
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            value, vec = _shift_invert_pair(h, complex(target))
+        except np.linalg.LinAlgError as exc:
             where = f"near {target} (dim={h.dim}, boundary={h.boundary})"
             raise NumericalError(f"shift-invert eigensolve {where} failed: {exc}") from exc
         # two shifts that reach one eigenvalue agree to roundoff; distinct ones lie far apart
         if not any(abs(value - w) <= SAME_EIGENVALUE_RTOL * abs(value) for w in values):
-            values.append(complex(value))
-            vectors.append(vec[:, 0])
+            values.append(value)
+            vectors.append(vec)
     w, vecs = np.array(values), np.stack(vectors, axis=1)
     vecs = vecs / np.sqrt(np.trapezoid(np.abs(vecs) ** 2, dx=h.grid.dx, axis=0))
     inv_pr = np.trapezoid(np.abs(vecs) ** 4, dx=h.grid.dx, axis=0)

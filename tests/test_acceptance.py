@@ -16,7 +16,6 @@ from anyonpt import (
     Grid,
     PacketSpec,
     PoschlTeller,
-    PropagatorConfig,
     analytic_bound_state_pt,
     build_h_eff,
     continuous_dispersion,

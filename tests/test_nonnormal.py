@@ -410,7 +410,18 @@ class TestGT:
         tau = step_norm / np.abs(gen).sum(axis=0).max()
         if boundary == "periodic":
             assert gen[0, -1] != 0.0 and gen[-1, 0] != 0.0
-        got = _expm_taylor(-1j * h.sparse(e_dom) * tau)
+        got = _expm_taylor(-1j * h.cyclic_diagonals(e_dom) * tau)
+        oracle = scipy.linalg.expm(gen * tau)
+        assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_taylor_step_wraps_round_a_short_ring(self):
+        # n = 16: the series' 2k + 1 diagonals wrap round the ring more than once
+        params = AnyonicParams(phi=PHI3, v=0.5)
+        with pytest.warns(UserWarning, match="dx"):
+            h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, Grid(-8.0, 8.0, 16), "periodic")
+        gen = -1j * (h.dense() + np.eye(h.dim))
+        tau = THETA_13 * (1.0 - 1e-6) / np.abs(gen).sum(axis=0).max()
+        got = _expm_taylor(-1j * h.cyclic_diagonals(-1.0) * tau)
         oracle = scipy.linalg.expm(gen * tau)
         assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
@@ -474,8 +485,8 @@ class TestGT:
 
     def test_clustered_small_times_match_oracle(self):
         # P(t) is close to the identity: its singular values cluster near one.
-        # At n = 256, t = 1e-4 exhausts the restarts and takes the dense
-        # fallback; t = 1e-2 converges in Lanczos.
+        # At n = 256, t = 1e-4 and t = 1e-2 pass the Lanczos step cap and take
+        # the dense fallback.
         h, e_dom = self.drifting_h()
         times = [1e-4, 1e-2]
         for t, g in zip(times, g_t(h, e_dom, times)):
@@ -526,25 +537,21 @@ class TestGT:
         monkeypatch.setattr(nonnormal, "FLUSH_FRACTION", 0.0)
         assert g_t(h, e_dom, times) == pytest.approx(flushed, rel=1e-13, abs=0.0)
 
-    def test_arpack_failure_falls_back_to_dense_svd(self, monkeypatch):
-        import scipy.sparse.linalg
-
+    def test_lanczos_past_its_step_cap_falls_back_to_dense_svd(self, monkeypatch):
         h, e_dom = self.drifting_h()
         times = [0.5, 2.0]
-
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("forced", np.empty(0), np.empty(0))
-
-        svdvals_calls = []
-        svdvals = scipy.linalg.svdvals
+        svd_calls = []
+        svd = np.linalg.svd
         monkeypatch.setattr(
-            scipy.linalg, "svdvals", lambda a: svdvals_calls.append(1) or svdvals(a)
+            np.linalg, "svd", lambda a, **kw: svd_calls.append(kw) or svd(a, **kw)
         )
         lanczos = g_t(h, e_dom, times)
-        assert svdvals_calls == []  # ARPACK converges at these times
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+        # Lanczos converges at these times: every SVD is of its small bidiagonal
+        assert {"compute_uv": False} not in svd_calls
+        svd_calls.clear()
+        monkeypatch.setattr(nonnormal, "LANCZOS_MAXITER", 2)
         got = g_t(h, e_dom, times)
-        assert len(svdvals_calls) == len(times)
+        assert svd_calls.count({"compute_uv": False}) == len(times)
         monkeypatch.undo()
         assert got == pytest.approx(lanczos, rel=1e-12, abs=0.0)
         for t, g in zip(times, got):

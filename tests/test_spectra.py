@@ -803,6 +803,78 @@ class TestPointStates:
         with pytest.raises(NumericalError):
             point_states(h, [0.0])
 
+    @staticmethod
+    def _arpack_value(h, target):
+        """ARPACK's shift-invert eigenvalue nearest ``target``, on a sparse matrix built from
+        the bands and, for a periodic grid, the corners (0, n-1) = lower and (n-1, 0) = upper."""
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        n = h.dim
+        corners = {1 - n: h.upper, n - 1: h.lower} if h.boundary == "periodic" else {}
+        bands = {-1: h.lower, 0: h.diagonal, 1: h.upper, **corners}
+        band = scipy.sparse.diags(list(bands.values()), list(bands), shape=(n, n), format="csc")
+        (value,), _ = scipy.sparse.linalg.eigs(
+            band, k=1, sigma=target, v0=np.ones(n, dtype=complex)
+        )
+        return value
+
+    @staticmethod
+    def _oracle_cases():
+        """(id, operator, targets): the point-state candidates of each spectrum_drift_sweep
+        point, gain-transient's e_dom target, and the delocalize_sweep targets."""
+        for index in range(3):
+            h = _shipped_point(index)
+            w = solve_spectrum(h).eigenvalues
+            yield f"spectrum-{index}", h, w[_root_lengths(h, w) < ROOT_SCREEN_FRACTION * h.grid.length]
+        params = AnyonicParams(phi=math.pi / 3, v=0.8 * VC3)
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, Grid(-30.0, 30.0, 1024))
+        yield "gain-transient", h, [shifted_point_energy(-1.0, params)]
+        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "delocalize_sweep.yaml")
+        for p in cfg.sweep_points():
+            h = build_h_eff(p.potential, p.params, p.grid, cfg.boundary)
+            yield f"delocalize-{p.index}", h, [
+                shifted_point_energy(e, p.params) for e in cfg.bound_energies()
+            ]
+
+    def test_matches_arpack_shift_invert(self):
+        # the solve that point_states replaced: the same eigenvalue to 1e-12
+        count = 0
+        for name, h, targets in self._oracle_cases():
+            for target in targets:
+                (got,) = point_states(h, [target]).eigenvalues
+                expected = self._arpack_value(h, target)
+                assert abs(got - expected) <= 1e-12 * abs(expected), (name, target)
+                count += 1
+        assert count == 13  # 1, 1 and 7 spectrum candidates, e_dom, three delocalize targets
+
+    def test_band_lu_solves_the_ring(self, rng):
+        # the factored ring, corners and all, against a dense solve, at a shift next to
+        # an eigenvalue (a pivoting column) and one inside the bent band
+        for h in (_shipped_point(1), _dirichlet_drift()):
+            for shift in (shifted_point_energy(-1.0, h.params) + 1e-3, 2.0 - 0.5j):
+                b = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
+                x = spectra._band_solve(spectra._band_lu(h, shift), b)
+                a = h.dense() - shift * np.eye(h.dim)
+                assert np.abs(a @ x - b).max() <= 1e-12 * np.abs(a).max() * np.abs(x).max()
+
+    def test_amplify_and_delocalize_never_import_scipy(self, tmp_path):
+        root = CONFIG_DIR.parent
+        runs = [
+            ("amplify", root / "perfbench" / "gain_transient.yaml"),
+            ("delocalize", CONFIG_DIR / "delocalize_sweep.yaml"),
+        ]
+        for runner, config in runs:
+            code = (
+                "import sys; from anyonpt.cli import main; "
+                "code = main(sys.argv[1:]); print(code, 'scipy' in sys.modules)"
+            )
+            argv = [runner, "--config", str(config), "--output", str(tmp_path / runner)]
+            out = subprocess.run(
+                [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+            )
+            assert out.stdout.split()[-2:] == ["0", "False"], (runner, out.stdout, out.stderr)
+
     def test_sparse_solver_not_imported_at_startup(self):
         # the solvers import scipy on first use, so a config parse loads none of it
         code = (
