@@ -289,11 +289,6 @@ class ExperimentConfig:
         missing = [name for name in needs if getattr(self, name) is None]
         if missing:
             raise ConfigError(f"{ex}: {missing[0]} is required")
-        if "propagator" in needs:  # the runners evolve at dt and 2 dt (evolve_extrapolated)
-            try:
-                self.propagator.check_halvable()
-            except ContractError as exc:
-                raise ConfigError(f"propagator: {exc}") from exc
         if ex == "scatter" and not self.grid.x_min < self.separatrix < self.grid.x_max:
             raise ConfigError(f"separatrix {self.separatrix} is not strictly inside the grid")
         if self.v_over_vc is not None and any(p == 0.0 for p in self.phi):

@@ -6,14 +6,13 @@ threads when jobs > 1); a point's files are written as soon as it is done,
 and a summary table follows in sweep order, one row per point, each row a
 mapping from column name to value.  The runners that evolve fields
 (``scatter``, ``amplify``) split the points into one contiguous run per
-worker and evolve each run as one batch, at dt and at 2 dt, writing the
-extrapolated field (4 psi_dt - psi_2dt) / 3 (``evolve_extrapolated``); a
-point's evolution files wait for its run.  ``run_experiment`` hands every
-runner a hidden staging directory inside the output directory and moves the
-files into place only once the runner returns, so a failed run leaves
-nothing behind.  Outputs are CSV for curves and tables, NDJSON for
-space-time fields; all floats at 12 significant digits, file names indexed
-by sweep position.
+worker and evolve each run as one batch through the processed Strang loop
+(``evolve_batch``); a point's evolution files wait for its run.
+``run_experiment`` hands every runner a hidden staging directory inside the
+output directory and moves the files into place only once the runner
+returns, so a failed run leaves nothing behind.  Outputs are CSV for curves
+and tables, NDJSON for space-time fields; all floats at 12 significant
+digits, file names indexed by sweep position.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .config import ExperimentConfig, SweepPoint
 from .lasermap import map_to_anyonic, mode_locking_threshold
 from .model import build_h_eff
 from .nonnormal import analytic_bound_state_pt, g_infinity, g_t, self_orthogonality
-from .propagation import evolve_extrapolated
+from .propagation import evolve_batch
 from .scattering import group_velocity, run_packet_scattering, stationary_rt
 from .spectra import (
     continuous_dispersion,
@@ -250,7 +249,7 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             row = dict(leading, g_infinity=ginf, self_orthogonality=sorth, margin=margin)
             computed.append((paths, row))
         # one batched evolution per chunk; densities divided by N(t) keep only their shape
-        records = evolve_extrapolated(fields, cfg.propagator) if fields else ()
+        records = evolve_batch(fields, cfg.propagator) if fields else ()
         for point, (paths, _), record in zip(chunk, computed, records):
             tag = f"{point.index:03d}"
             paths += _write_evolution(outdir, tag, record, cfg.density_stride, record.norm)

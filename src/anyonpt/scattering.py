@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, InconclusiveError, NumericalError
 from .model import AnyonicParams, Grid, PotentialSpec, Tabulated, WaveFunction, trapz
-from .propagation import PropagatorConfig, evolve_extrapolated
+from .propagation import PropagatorConfig, evolve_batch
 from .spectra import continuous_dispersion
 
 __all__ = [
@@ -218,8 +218,7 @@ def run_packet_scattering(cases, config: PropagatorConfig, grid: Grid, separatri
     """Scatter Gaussian packets off potentials; one (record, report) per case.
 
     ``cases`` is a sequence of ``(spec, params, packet)``, all evolved on
-    ``grid`` as one batch by ``evolve_extrapolated``, so ``config`` needs an
-    even snapshot stride and step count.  Each packet must start on one
+    ``grid`` as one batch by ``evolve_batch``.  Each packet must start on one
     side of the separatrix with group velocity carrying it toward the
     potential (moving frame: the barrier sits at the origin); a run is
     conclusive once the surviving density's centroid has cleared five packet
@@ -227,7 +226,7 @@ def run_packet_scattering(cases, config: PropagatorConfig, grid: Grid, separatri
     """
     for _, params, packet in cases:
         packet.check_approach(params, separatrix)
-    records = evolve_extrapolated(
+    records = evolve_batch(
         [(gaussian_packet(grid, packet), spec, params) for spec, params, packet in cases],
         config,
     )

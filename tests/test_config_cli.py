@@ -1,5 +1,6 @@
 import copy
 import csv
+import json
 import math
 import os
 import socket
@@ -335,10 +336,6 @@ class TestParseTimeRejection:
                                                  "delta": [0.1, 0.2, 0.3], "nu": 5.0}},
             {**spectrum_dict(256), "potential": {"nu": 2.0, "v0": -2.0}},  # v0 would win
             {**spectrum_dict(256), "potential": {"kind": "poschl_teller", "file": "nope.csv"}},
-            # the runners' run at 2 dt must land on every snapshot
-            scatter_with("propagator", snapshot_every=499),
-            scatter_with("propagator", t_final=25.01),  # 2501 steps
-            {**minimal_amplify_dict(evolve=True), "propagator": {"dt": 0.01, "t_final": 0.05}},
         ],
         ids=[
             "propagator-absorber-key",
@@ -394,9 +391,6 @@ class TestParseTimeRejection:
             "tabulated-with-delta-and-nu",
             "nu-and-v0",
             "poschl_teller-with-file",
-            "scatter-snapshot_every-odd",
-            "scatter-step-count-odd",
-            "amplify-evolve-step-count-odd",
         ],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, monkeypatch, raw):
@@ -409,6 +403,25 @@ class TestParseTimeRejection:
         outdir = tmp_path / "out"
         assert cli_main([raw["experiment"], "--config", str(path), "--output", str(outdir)]) == 2
         assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "raw, n_records",
+        [
+            (scatter_with("propagator", snapshot_every=499), 7),  # 2500 steps
+            (scatter_with("propagator", t_final=25.01), 7),  # 2501 steps
+            ({**minimal_amplify_dict(evolve=True), "propagator": {"dt": 0.01, "t_final": 0.05}}, 2),
+        ],
+        ids=["scatter-snapshot_every-odd", "scatter-step-count-odd", "amplify-evolve-step-count-odd"],
+    )
+    def test_odd_counts_run(self, tmp_path, raw, n_records):
+        path = tmp_path / "odd.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        outdir = tmp_path / "out"
+        assert cli_main([raw["experiment"], "--config", str(path), "--output", str(outdir)]) == 0
+        (evolution,) = outdir.glob("evolution_*.ndjson")
+        records = evolution.read_text().splitlines()
+        assert len(records) == n_records
+        assert json.loads(records[-1])["t"] == pytest.approx(raw["propagator"]["t_final"])
 
     def test_empty_axis_names_its_key(self):
         with pytest.raises(ConfigError, match="potential.delta must not be empty"):

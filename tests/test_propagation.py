@@ -1,8 +1,6 @@
-import functools
 import math
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from anyonpt import (
     AnyonicParams,
     ContractError,
     DivergenceError,
-    ExperimentConfig,
     Grid,
     PacketSpec,
     PoschlTeller,
@@ -23,15 +20,14 @@ from anyonpt import (
     evolve_batch,
     gauge_transform_check,
     gaussian_packet,
-    moving_bound_state,
     shifted_point_energy,
 )
 from anyonpt.model import trapz
-from anyonpt.propagation import AMPLITUDE_GUARD, _guard, evolve_extrapolated
+from anyonpt.propagation import AMPLITUDE_GUARD, _commutator, _guard
 from anyonpt.spectra import continuous_dispersion
+from converged import converged_records, shipped_config, shipped_records
 
 FREE = PoschlTeller(v0=0.0)
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def single_mode(grid: Grid, j: int) -> WaveFunction:
@@ -112,10 +108,12 @@ class TestEvolve:
         pt_barrier = evolve(psi0, PoschlTeller(delta=-0.5, v0=3.0), params, cfg)
         assert np.abs(pt_barrier.norm / pt_barrier.norm[0] - 1.0).max() > 1e-3
 
-    def test_order_two_convergence(self):
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 8])
+    def test_order_four_convergence(self, phi):
+        # the processed loop's error falls 16-fold per halving of dt on this row
         grid = Grid(-80.0, 80.0, 2048)
         barrier = PoschlTeller(delta=-0.5, v0=3.0)
-        params = AnyonicParams(phi=0.0, v=-2.0)
+        params = AnyonicParams(phi=phi, v=-2.0)
         psi0 = gaussian_packet(grid, PacketSpec(center=-20.0, width=8.0, carrier=0.5))
 
         def final(dt):
@@ -125,7 +123,7 @@ class TestEvolve:
         ref = final(0.0025)
         err_coarse = np.abs(final(0.02) - ref).max()
         err_fine = np.abs(final(0.01) - ref).max()
-        assert err_coarse / err_fine >= 3.5
+        assert err_coarse / err_fine >= 12.0
 
     def test_frame_consistency(self):
         # a lab-frame Strang run under V(x - v t), shifted onto the moving frame, agrees to 1e-4
@@ -136,7 +134,7 @@ class TestEvolve:
         psi0 = gaussian_packet(grid, PacketSpec(center=-30.0, width=5.0, carrier=0.8))
         cfg = PropagatorConfig(dt=0.001, t_final=t, snapshot_every=10**9)
         moving = evolve(psi0, well, params, cfg).final()
-        lab = reference_evolve(psi0, well, params, cfg, frame="lab")[0][-1]
+        lab = lab_frame_strang(psi0, well, params, cfg)
         # sample the lab field at X = x + v t via spectral shift
         shifted = np.fft.ifft(np.fft.fft(lab) * np.exp(1j * grid.k * v * t))
         rho_m = moving.density() / moving.norm_squared()
@@ -157,36 +155,107 @@ class TestEvolve:
             PropagatorConfig(dt=-0.1)
 
 
-def reference_evolve(psi0, spec, params, cfg, frame="moving"):
-    """One field through the Strang loop, fresh arrays and both half factors every step.
-
-    ``frame="lab"`` drops the drift from the Fourier multiplier and moves the
-    potential instead, evaluating V(x - v t) at both ends of every step
-    (frozen-coefficient Strang); its field at X is the moving-frame field at
-    X - v t up to splitting error.
-    """
-    grid, dt, moving = psi0.grid, cfg.dt, frame == "moving"
+def reference_evolve(psi0, spec, params, cfg):
+    """One field through the processed Strang loop, with fresh arrays at every operation."""
+    grid, dt = psi0.grid, cfg.dt
+    c = dt * dt / 12.0
     rot = complex(math.cos(params.phi), -math.sin(params.phi))
-    symbol = rot * grid.k * grid.k
-    if moving:
-        symbol = symbol - params.v * grid.k
-    mult_k = np.exp(-1j * symbol * dt)
+    energy = rot * grid.k * grid.k - params.v * grid.k
+    mult_k = np.exp(energy * (-1j * dt))
+    potential = rot * np.asarray(spec(grid.x), dtype=complex)
+    slope = np.fft.ifft(1j * grid.k * np.fft.fft(potential))
+    half_v = np.exp((potential + (-c * rot) * (slope * slope)) * (-0.5j * dt))
 
-    def half_v(t):
-        x = grid.x if moving else grid.x - params.v * t
-        return np.exp(-0.5j * rot * np.asarray(spec(x), dtype=complex) * dt)
+    def commutator(b):  # [T, W] b
+        return np.fft.ifft(energy * np.fft.fft(potential * b)) - potential * np.fft.ifft(
+            energy * np.fft.fft(b)
+        )
+
+    def processed(psi, sign):  # psi +- c C(psi +- (c/2) C psi)
+        return psi + commutator(psi + commutator(psi) * (sign * c / 2.0)) * (sign * c)
 
     psi = psi0.values
     snaps, norms = [psi], [trapz(np.abs(psi) ** 2, grid.dx)]
+    psi = processed(psi, 1.0)
     n_steps = cfg.n_steps()
     for step in range(n_steps):
+        psi = half_v * psi
+        psi = np.fft.ifft(mult_k * np.fft.fft(psi))
+        psi = half_v * psi
+        if (step + 1) % cfg.snapshot_every == 0 or step + 1 == n_steps:
+            snaps.append(processed(psi, -1.0))
+            norms.append(trapz(np.abs(snaps[-1]) ** 2, grid.dx))
+    return snaps, norms
+
+
+def lab_frame_strang(psi0, spec, params, cfg):
+    """The final field of plain Strang in the lab frame, under the moving V(x - v t).
+
+    The drift leaves the Fourier multiplier, and V is evaluated at both ends of
+    every step (frozen-coefficient Strang), so the field at X is the
+    moving-frame field at X - v t up to O(dt^2) splitting error.
+    """
+    grid, dt = psi0.grid, cfg.dt
+    mult_k = np.exp(-1j * params.rotation * grid.k * grid.k * dt)
+
+    def half_v(t):
+        potential = np.asarray(spec(grid.x - params.v * t), dtype=complex)
+        return np.exp(-0.5j * params.rotation * potential * dt)
+
+    psi = psi0.values
+    for step in range(cfg.n_steps()):
         psi = half_v(step * dt) * psi
         psi = np.fft.ifft(mult_k * np.fft.fft(psi))
         psi = half_v((step + 1) * dt) * psi
-        if (step + 1) % cfg.snapshot_every == 0 or step + 1 == n_steps:
-            snaps.append(psi)
-            norms.append(trapz(np.abs(psi) ** 2, grid.dx))
-    return snaps, norms
+    return psi
+
+
+class TestProcessor:
+    """The pieces of the processed loop: the commutator and where the processor applies."""
+
+    def test_commutator_matches_dense_matrices(self):
+        grid = Grid(-6.0, 6.0, 32)
+        params = AnyonicParams(phi=math.pi / 5, v=0.7)
+        energy = continuous_dispersion(grid.k, params)
+        well = np.asarray(PoschlTeller(nu=1.0, delta=0.3)(grid.x), dtype=complex)
+        potential = params.rotation * well
+        kinetic = np.fft.ifft(energy[:, None] * np.fft.fft(np.eye(grid.n_points), axis=0), axis=0)
+        dense = kinetic @ np.diag(potential) - np.diag(potential) @ kinetic  # [T, W]
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal((2, grid.n_points)) + 1j * rng.standard_normal((2, grid.n_points))
+        expected = (dense @ b.T).T
+        _commutator(b, potential[None, :], energy[None, :], np.empty_like(b))
+        assert np.abs(b - expected).max() < 1e-12 * np.abs(expected).max()
+
+    def test_first_snapshot_is_psi0_itself(self):
+        grid = Grid(-30.0, 30.0, 512)
+        psi0 = gaussian_packet(grid, PacketSpec(center=-5.0, width=2.0, carrier=0.8))
+        cfg = PropagatorConfig(dt=0.01, t_final=0.5, snapshot_every=10)
+        record = evolve(psi0, PoschlTeller(nu=1.0, delta=0.2), AnyonicParams(phi=0.3, v=-1.0), cfg)
+        assert np.array_equal(record.snapshots[0].values, psi0.values)
+        assert not np.array_equal(record.snapshots[1].values, psi0.values)
+
+    def test_final_field_does_not_depend_on_the_snapshot_stride(self):
+        # P_- writes each snapshot aside; the loop carries the processed field on
+        grid = Grid(-30.0, 30.0, 512)
+        psi0 = gaussian_packet(grid, PacketSpec(center=-5.0, width=2.0, carrier=0.8))
+        args = (psi0, PoschlTeller(delta=-0.5, v0=3.0), AnyonicParams(phi=math.pi / 8, v=-2.0))
+        strided = evolve(*args, PropagatorConfig(dt=0.01, t_final=1.0, snapshot_every=7))
+        bare = evolve(*args, PropagatorConfig(dt=0.01, t_final=1.0, snapshot_every=10**9))
+        assert len(strided.snapshots) == 16 and len(bare.snapshots) == 2
+        assert np.array_equal(strided.final().values, bare.final().values)
+
+    def test_free_flight_is_exact_at_any_dt(self):
+        # V = 0: the processor is the identity and each step the exact propagator
+        grid = Grid(-60.0, 60.0, 1024)
+        params = AnyonicParams(phi=math.pi / 6, v=0.5)
+        psi0 = gaussian_packet(grid, PacketSpec(center=-10.0, width=4.0, carrier=1.0))
+        record = evolve(psi0, FREE, params, PropagatorConfig(dt=2.0, t_final=10.0, snapshot_every=1))
+        assert len(record.snapshots) == 6
+        for t, snap in zip(record.times, record.snapshots):
+            multiplier = np.exp(-1j * continuous_dispersion(grid.k, params) * t)
+            exact = np.fft.ifft(multiplier * np.fft.fft(psi0.values))
+            assert np.abs(snap.values - exact).max() < 1e-12
 
 
 class TestEvolveBatch:
@@ -221,6 +290,21 @@ class TestEvolveBatch:
                 assert np.array_equal(snap.values, ref)
         single = evolve(*fields[2], cfg)
         assert np.array_equal(single.final().values, records[2].final().values)
+
+    def test_tabulated_barrier_evolves_as_the_closed_form(self):
+        # the k0 barrier sampled on the config grid: W' is spectral for both,
+        # so the table gets the same fourth-order step, bit for bit
+        cfg = shipped_config("scatter_barrier_k0")
+        point = cfg.sweep_points()[1]  # phi = pi/8
+        table = Tabulated(cfg.grid, point.potential(cfg.grid.x))
+        psi0 = gaussian_packet(cfg.grid, cfg.packet(point.carrier))
+        prop = cfg.propagator
+        run = PropagatorConfig(dt=prop.dt, t_final=2.0, snapshot_every=prop.snapshot_every)
+        fields = [(psi0, point.potential, point.params), (psi0, table, point.params)]
+        closed, tabulated = evolve_batch(fields, run)
+        assert len(closed.snapshots) == 3
+        for a, b in zip(closed.snapshots, tabulated.snapshots):
+            assert np.array_equal(a.values, b.values)
 
     def test_fields_must_share_a_grid(self):
         psi_a = gaussian_packet(Grid(-20.0, 20.0, 256), PacketSpec(center=0.0, width=2.0))
@@ -286,166 +370,72 @@ class TestEvolveBatch:
         assert int(faults) < 10 * 500  # 500 steps
 
 
-# The step at which the Strang loop's splitting error is pinned: the shipped
-# configs' dt before the runners took the extrapolated field.
-STRANG_DT = 0.005
-
-
-@functools.cache
-def shipped_finals(name: str, dt: float) -> list:
-    """A shipped evolution config's Strang records at step dt, one per sweep point.
-
-    The fields are built as the scatter and amplify runners build them: a Gaussian
-    packet per point, or the dressed closed-form bound state on the config box.
-    """
-    cfg = ExperimentConfig.from_yaml(CONFIG_DIR / f"{name}.yaml")
-    points = cfg.sweep_points()
-    if cfg.experiment == "scatter":
-        starts = [gaussian_packet(cfg.grid, cfg.packet(p.carrier)) for p in points]
-    else:
-        e1 = cfg.ground_state_energy()
-        starts = [
-            moving_bound_state(
-                analytic_bound_state_pt(cfg.grid, p.delta, p.potential.well_nu), e1, p.params
-            )
-            for p in points
-        ]
-    run = PropagatorConfig(dt=dt, t_final=cfg.propagator.t_final, snapshot_every=10**9)
-    assert run.n_steps() * dt == pytest.approx(cfg.propagator.t_final, abs=1e-12)
-    fields = [(psi0, p.potential, p.params) for psi0, p in zip(starts, points)]
-    return evolve_batch(fields, run)
-
-
-def extrapolated_finals(name: str, dt: float) -> list:
-    """(4 psi_dt - psi_2dt) / 3 of each final field, as evolve_extrapolated combines them."""
-    pairs = zip(shipped_finals(name, dt), shipped_finals(name, 2.0 * dt))
-    return [(4.0 * fine.final().values - coarse.final().values) / 3.0 for fine, coarse in pairs]
-
-
-def richardson_errors(name: str) -> list:
-    """Richardson's relative L2 estimate |psi_dt - psi_2dt| / (3 |psi_dt|) of each final field."""
-    pairs = zip(shipped_finals(name, STRANG_DT), shipped_finals(name, 2.0 * STRANG_DT))
+def time_errors(name: str) -> list:
+    """Relative L2 distance of each shipped final field from the converged one."""
+    dt = shipped_config(name).propagator.dt
+    pairs = zip(shipped_records(name, dt), converged_records(name))
     return [
-        float(np.linalg.norm(fine.final().values - coarse.final().values))
-        / (3.0 * float(np.linalg.norm(fine.final().values)))
-        for fine, coarse in pairs
+        float(np.linalg.norm(field.final().values - ref.final().values))
+        / float(np.linalg.norm(ref.final().values))
+        for field, ref in pairs
     ]
 
 
-def norm_gaps(name: str, finals) -> list:
-    """N(t_f) / N(0) over e^{2 Im E t_f}, minus 1, for the first two points of ``name``.
+def norm_gaps(records) -> list:
+    """N(t_f) / N(0) over e^{2 Im E t_f}, minus 1, for the first two amplify_breakup points.
 
     Both start in an eigenstate that fits the box, so N(t) = N(0) e^{2 Im E t}.
     """
-    cfg = ExperimentConfig.from_yaml(CONFIG_DIR / f"{name}.yaml")
-    t, dx = cfg.propagator.t_final, cfg.grid.dx
+    cfg = shipped_config("amplify_breakup")
     gaps = []
-    for point, final in zip(cfg.sweep_points()[:2], finals):
+    for point, record in zip(cfg.sweep_points()[:2], records):
         energy = shifted_point_energy(cfg.ground_state_energy(), point.params)
-        start = shipped_finals(name, STRANG_DT)[point.index].norm[0]  # N(0) of every run
-        norm = trapz(np.abs(final) ** 2, dx)
-        gaps.append(norm / start / math.exp(2.0 * energy.imag * t) - 1.0)
+        growth = math.exp(2.0 * energy.imag * cfg.propagator.t_final)
+        gaps.append(record.norm[-1] / record.norm[0] / growth - 1.0)
     return gaps
 
 
-SHIPPED_ERRORS = {  # name: the pinned Strang error at STRANG_DT of each sweep point
-    "scatter_barrier_k0": [5.42e-6, 8.68e-6],  # phi = 0, pi/8
-    "scatter_barrier_k1": [8.21e-6, 7.70e-6],
-    "amplify_breakup": [7.62e-5, 2.11e-4, 1.29e-4],  # 0.2, 0.8, 0.95 v_c
+# The final-field error of the field the runners wrote before, (4 psi_dt -
+# psi_2dt) / 3 at dt = 0.01, against (4 psi_{dt/2} - psi_dt) / 3.
+EXTRAPOLATED_ERRORS = {
+    "scatter_barrier_k0": [1.82e-8, 9.69e-9],  # phi = 0, pi/8
+    "scatter_barrier_k1": [4.02e-8, 9.33e-9],
+    "amplify_breakup": [1.40e-7, 1.83e-7, 6.80e-8],  # 0.2, 0.8, 0.95 v_c
 }
 
 
-class TestSplittingError:
-    """The Strang splitting error of each shipped evolution, at STRANG_DT.
-
-    The kinetic-plus-drift step is exact in Fourier space, so the only time
-    error is the second-order splitting error, and halving dt quarters it.
-    """
-
-    @pytest.mark.parametrize("name, errors", list(SHIPPED_ERRORS.items()))
-    def test_shipped_final_field_error(self, name, errors):
-        assert richardson_errors(name) == pytest.approx(errors, rel=0.01)
-
-    def test_free_flight_is_exact(self):
-        # V = 0: the split step is the exact propagator, so only rounding is left
-        assert richardson_errors("null_scatter")[0] < 1e-12
-
-    def test_bound_state_norm_against_its_eigenvalue(self):
-        finals = [r.final().values for r in shipped_finals("amplify_breakup", STRANG_DT)]
-        assert norm_gaps("amplify_breakup", finals) == pytest.approx([-1.07e-4, -1.06e-4], rel=0.01)
-
-
-class TestExtrapolation:
-    """evolve_extrapolated: two Strang runs, at dt and 2 dt, combined at every snapshot."""
-
-    def test_is_the_combination_of_two_strang_runs(self):
-        grid = Grid(-30.0, 30.0, 512)
-        fields = [
-            (
-                gaussian_packet(grid, PacketSpec(center=-5.0, width=2.0, carrier=0.8)),
-                PoschlTeller(nu=1.0, delta=0.2),
-                AnyonicParams(phi=math.pi / 8, v=-1.0),
-            ),
-            (
-                gaussian_packet(grid, PacketSpec(center=4.0, width=2.5, carrier=-1.0)),
-                PoschlTeller(delta=-0.5, v0=3.0),
-                AnyonicParams(phi=0.0, v=-2.0),
-            ),
-        ]
-        # 100 steps, snapshots at 0, 40, 80 and 100: the last falls off the stride
-        cfg = PropagatorConfig(dt=0.01, t_final=1.0, snapshot_every=40)
-        half = PropagatorConfig(dt=0.02, t_final=1.0, snapshot_every=20)
-        records = evolve_extrapolated(fields, cfg)
-        pairs = zip(evolve_batch(fields, cfg), evolve_batch(fields, half))
-        for record, (fine, coarse) in zip(records, pairs):
-            assert np.array_equal(record.times, fine.times)
-            assert len(record.snapshots) == len(coarse.snapshots) == 4
-            for snap, f, c in zip(record.snapshots, fine.snapshots, coarse.snapshots):
-                assert np.array_equal(snap.values, (4.0 * f.values - c.values) / 3.0)
-            assert np.array_equal(record.norm, [s.norm_squared() for s in record.snapshots])
-
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            PropagatorConfig(dt=0.01, t_final=1.0, snapshot_every=25),
-            PropagatorConfig(dt=0.01, t_final=0.99, snapshot_every=10**9),
-        ],
-        ids=["snapshot_every-odd", "step-count-odd"],
-    )
-    def test_refuses_what_the_coarse_run_cannot_land_on(self, cfg):
-        grid = Grid(-20.0, 20.0, 256)
-        psi = gaussian_packet(grid, PacketSpec(center=0.0, width=2.0))
-        with pytest.raises(ContractError, match="must both be even"):
-            evolve_extrapolated([(psi, FREE, AnyonicParams(phi=0.0, v=0.0))], cfg)
+class TestTimeError:
+    """The time error of each shipped evolution at its dt, against ``converged_records``."""
 
     @pytest.mark.parametrize(
         "name, errors",
         [
-            ("scatter_barrier_k0", [1.82e-8, 9.69e-9]),  # phi = 0, pi/8
-            ("scatter_barrier_k1", [4.02e-8, 9.33e-9]),
-            ("amplify_breakup", [1.40e-7, 1.83e-7, 6.80e-8]),  # 0.2, 0.8, 0.95 v_c
+            ("scatter_barrier_k0", [6.11e-10, 5.84e-9]),  # phi = 0, pi/8
+            ("scatter_barrier_k1", [1.08e-8, 6.74e-9]),
+            ("amplify_breakup", [5.94e-8, 9.70e-8, 3.46e-8]),  # 0.2, 0.8, 0.95 v_c
         ],
     )
     def test_shipped_final_field_error(self, name, errors):
-        # against (4 psi_{dt/2} - psi_dt) / 3 at the shipped dt: 200 to 1900 times
-        # below the Strang field's error at STRANG_DT, where the gate asks for 10
-        dt = ExperimentConfig.from_yaml(CONFIG_DIR / f"{name}.yaml").propagator.dt
-        measured = [
-            float(np.linalg.norm(field - ref)) / float(np.linalg.norm(ref))
-            for field, ref in zip(extrapolated_finals(name, dt), extrapolated_finals(name, dt / 2))
-        ]
+        measured = time_errors(name)
         assert measured == pytest.approx(errors, rel=0.01)
-        assert all(10.0 * e <= strang for e, strang in zip(measured, SHIPPED_ERRORS[name]))
+        assert all(e <= old for e, old in zip(measured, EXTRAPOLATED_ERRORS[name]))
 
-    def test_bound_state_norm_gap_shrinks(self):
-        # the Strang field at STRANG_DT misses e^{2 Im E t} by -1.07e-4 and -1.06e-4
-        # (test_bound_state_norm_against_its_eigenvalue).  At 0.8 v_c the gap stays
-        # near +8e-7 when dt halves, so what is left there is not time error.
-        dt = ExperimentConfig.from_yaml(CONFIG_DIR / "amplify_breakup.yaml").propagator.dt
-        gaps = norm_gaps("amplify_breakup", extrapolated_finals("amplify_breakup", dt))
-        assert gaps == pytest.approx([-1.40e-7, 6.55e-7], rel=0.01)
-        assert all(100.0 * abs(g) < 1.06e-4 for g in gaps)
+    def test_free_flight_is_exact(self):
+        # V = 0: the split step is the exact propagator and the processor is 1,
+        # so 21 steps of 2.0 leave only rounding
+        assert time_errors("null_scatter")[0] < 1e-12
 
+    def test_bound_state_norm_against_its_eigenvalue(self):
+        # At 0.8 v_c the converged field misses e^{2 Im E t} by +8.08e-7, which is
+        # not time error.  What the shipped dt adds is below the 1.40e-7 and
+        # 1.53e-7 the extrapolated field added (its gaps: -1.40e-7, +6.55e-7).
+        dt = shipped_config("amplify_breakup").propagator.dt
+        shipped = norm_gaps(shipped_records("amplify_breakup", dt))
+        floor = norm_gaps(converged_records("amplify_breakup"))
+        assert shipped == pytest.approx([6.82e-8, 8.71e-7], rel=0.01)
+        assert abs(floor[0]) < 1e-9 and floor[1] == pytest.approx(8.08e-7, rel=0.01)
+        time_error = [abs(g - f) for g, f in zip(shipped, floor)]
+        assert all(e < old for e, old in zip(time_error, [1.40e-7, 1.53e-7]))
 
 class TestGauge:
     @pytest.mark.parametrize("v", [1.0, 2.0])
