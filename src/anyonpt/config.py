@@ -320,7 +320,8 @@ class ExperimentConfig:
                 f"spectrum: v = {drifting[0].v:.12g} at phi = {drifting[0].phi:.12g} "
                 "needs boundary: periodic"
             )
-        # spectrum solves densely; the others allocate a few vectors per grid point
+        # a spectrum run may fall back to a real- or complex-general solve, which holds
+        # an n x n copy; its other paths and the other runners take O(n) per grid point
         cap = DENSE_MAX_DIM if ex == "spectrum" else MAX_GRID_POINTS
         n = max((p.grid.n_points for p in points if p.grid is not None), default=0)
         if n > cap:

@@ -59,21 +59,21 @@ class LaserMapping:
     modulators_tuned: bool
 
 
-def map_to_anyonic(c: CavityParams, tol: float = 1e-9) -> LaserMapping:
+def map_to_anyonic(c: CavityParams) -> LaserMapping:
     """Map cavity parameters to (phi, v) with validity flags attached.
 
     ``CavityParams`` ensures phi lands in [0, pi/2).  Flags record whether
-    the reduction to a pure Hamiltonian flow holds: |g - l| < tol and
-    |Delta2/Delta1 - Dg/D| < tol (cavities without modulation,
+    the reduction to a pure Hamiltonian flow holds: |g - l| < 1e-9 and
+    |Delta2/Delta1 - Dg/D| < 1e-9 (cavities without modulation,
     Delta1 = Delta2 = 0, count as trivially tuned).
     """
     phi = math.atan(c.Dg / c.D)
     v = 1.0 - c.Tm / c.TR
-    gain_balanced = abs(c.g - c.l) < tol
+    gain_balanced = abs(c.g - c.l) < 1e-9
     if c.delta1 == 0 and c.delta2 == 0:
         modulators_tuned = True
     else:
-        modulators_tuned = abs(c.delta2 / c.delta1 - c.Dg / c.D) < tol
+        modulators_tuned = abs(c.delta2 / c.delta1 - c.Dg / c.D) < 1e-9
     return LaserMapping(
         params=AnyonicParams(phi=phi, v=v),
         gain_balanced=gain_balanced,

@@ -102,8 +102,8 @@ class Grid:
         k.flags.writeable = False
         return k
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return abs(self.x_min + self.x_max) < tol
+    def is_symmetric(self) -> bool:
+        return abs(self.x_min + self.x_max) < 1e-12
 
 
 def default_grid() -> Grid:

@@ -3,7 +3,8 @@
 The drifting operator is non-normal: its eigenfunctions are not orthogonal,
 so perturbations can be transiently amplified far beyond what the eigenvalues
 suggest.  ``g_t`` measures the worst-case power amplification at time t as the
-squared operator norm of the propagator relative to the dominant bound state;
+squared operator norm of the propagator relative to the dominant bound state,
+the largest Ritz value of P^H P from the Arnoldi driver of ``point_states``;
 its t -> infinity limit ``g_infinity`` is the excess-noise (Petermann) factor
 
     G = [ I |u|^2 e^{-v x sin phi} dx ] [ I |u|^2 e^{+v x sin phi} dx ] / | I u^2 dx |^2
@@ -32,7 +33,7 @@ from .model import (
     WaveFunction,
     _sech_complex,
 )
-from .spectra import _orthogonalize, delocalization_margin
+from .spectra import _largest_ritz_pair, delocalization_margin
 
 __all__ = [
     "analytic_bound_state_pt",
@@ -58,12 +59,6 @@ THETA_13 = 5.371920351148152
 FLUSH_FRACTION = 2.0**-53 / G_T_MAX_DIM**2
 # Column block width of g_t's band-limited products.
 BAND_BLOCK = 128
-# Golub-Kahan-Lanczos steps before g_t falls back to a dense SVD: on the
-# n = 1024 drifting well every t >= 0.05 converges within 56 steps, whether
-# P(t) comes as 1 or as several factors (t >= 0.5 within 19), while for
-# t <= 0.02, where P is close to I and its singular values cluster, it takes
-# 87 steps or more.  The cap bounds the two bases at 2 x 65 vectors of n.
-LANCZOS_MAXITER = 64
 
 
 def analytic_bound_state_pt(grid: Grid, delta: float, nu: float = 1.0) -> WaveFunction:
@@ -229,56 +224,31 @@ def _band_matmul(a: np.ndarray, a_spans, b: np.ndarray, b_spans) -> np.ndarray:
 
 
 def _sigma_max(*factors: np.ndarray) -> float:
-    """Largest singular value of the product P of ``factors``, by Golub-Kahan-Lanczos.
+    """Largest singular value of the product P of ``factors``: sqrt(theta) of P^H P.
 
-    The factors must commute, as functions of one G do.  The bidiagonalization
-    needs only P x and P^H x, so it applies the factors one after another and P is
-    never formed (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205, 1965).  Both bases
-    are kept, and each new vector is orthogonalized against all of its own.
-    Step m gives the m x m upper bidiagonal B_m (alpha on the diagonal, beta above
-    it), and sigma_1(B_m) is final once ARPACK's test for P^H P holds: beta_m |x_m|
-    <= eps sigma_1, x the left singular vector of B_m.  The fixed start vector makes
-    repeated calls agree bitwise.  When that takes more than LANCZOS_MAXITER steps,
-    or a step breaks down (alpha = 0), the dense SVD of the multiplied-out P is used
-    instead.  It is also used directly when the bound, the product of each factor's
-    sqrt(||F||_1 ||F||_inf), reaches 2^511: there the Gram product P^H P, whose
-    norm the bidiagonalization squares, can overflow.
+    The factors must commute, as functions of one G do.  theta is the Ritz
+    value of largest |theta| of x -> P^H (P x) (``_largest_ritz_pair``), which
+    applies the factors one after another, so P is never formed; m Arnoldi
+    steps on the Hermitian P^H P give the Ritz values of m Golub-Kahan steps
+    on P.  When that finds no final pair, or theta is not positive, the dense
+    SVD of the multiplied-out P is used instead.  It is also used directly when
+    the bound, the product of each factor's sqrt(||F||_1 ||F||_inf), reaches
+    2^255: the vectors P^H P x reach sigma^2, and the squares that their norm
+    sums overflow from sigma = 2^256 on.
     """
-    bound = math.prod(_norm_bound(f) for f in factors)
-    if bound < 2.0**511 and (sigma := _lanczos_sigma_max(factors)) is not None:
-        return sigma
+
+    def gram(x):
+        for f in reversed(factors):  # P x
+            x = f @ x
+        for f in factors:  # P^H (P x)
+            x = (x.conj() @ f).conj()
+        return x
+
+    if math.prod(_norm_bound(f) for f in factors) < 2.0**255:
+        pair = _largest_ritz_pair(gram, factors[0].shape[0])
+        if pair is not None and pair[0].real > 0.0:
+            return math.sqrt(pair[0].real)
     return float(np.linalg.svd(_multiplied_out(factors), compute_uv=False)[0])
-
-
-def _lanczos_sigma_max(factors) -> float | None:
-    """sigma_1 of the product of ``factors`` by the bidiagonalization of ``_sigma_max``, or None."""
-    n, steps, eps = factors[0].shape[0], LANCZOS_MAXITER, np.finfo(float).eps
-    us, vs = np.zeros((steps, n), dtype=complex), np.zeros((steps + 1, n), dtype=complex)
-    bidiagonal = np.zeros((steps, steps + 1))
-    vs[0] = 1.0 / math.sqrt(n)
-    for m in range(steps):
-        u = vs[m]
-        for f in reversed(factors):  # P v_m
-            u = f @ u
-        if m:
-            u -= bidiagonal[m - 1, m] * us[m - 1]
-        _orthogonalize(u, us[:m])
-        alpha = bidiagonal[m, m] = np.linalg.norm(u)
-        if not alpha > 0.0:
-            return None
-        us[m] = u / alpha
-        v = us[m]
-        for f in factors:  # P^H u_m
-            v = (v.conj() @ f).conj()
-        v -= alpha * vs[m]
-        _orthogonalize(v, vs[: m + 1])
-        beta = np.linalg.norm(v)
-        x, sigma, _ = np.linalg.svd(bidiagonal[: m + 1, : m + 1])
-        if beta * abs(x[m, 0]) <= eps * sigma[0]:
-            return float(sigma[0])
-        bidiagonal[m, m + 1] = beta
-        vs[m + 1] = v / beta
-    return None
 
 
 def _norm_bound(f: np.ndarray) -> float:
@@ -355,10 +325,10 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     list of B^(2^j) for the set bits j of q, and the top bit J of the largest
     q enters as its 2 or 3 copies of B^(2^(J - 1)), so the chain stops one
     squaring short.  The factors commute, as functions of one G, and
-    Golub-Kahan-Lanczos (``_sigma_max``) takes the norm of their product by
-    applying them in turn; when that does not converge within LANCZOS_MAXITER
-    steps, as for the clustered singular values of very small t, that one time
-    falls back to the dense SVD of the multiplied-out product.
+    ``_sigma_max`` takes the norm of their product by Arnoldi on P^H P,
+    applying them in turn; when that does not converge, as for the clustered
+    singular values of some very small t, that one time falls back to the
+    dense SVD of the multiplied-out product.
 
     After every product, entries at or below FLUSH_FRACTION of the largest
     are zeroed.  That moves the 2-norm by at most n * FLUSH_FRACTION * ||P||_2

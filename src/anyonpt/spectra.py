@@ -32,6 +32,7 @@ is labeled continuum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -71,8 +72,8 @@ ABERTH_TOL = 1e-13
 ABERTH_MAX_SWEEPS = 64
 ABERTH_BLOCK = 64
 ABERTH_RESCALE = 16
-# Shift-invert Arnoldi of point_states: a basis of at most ARNOLDI_VECTORS, ARPACK's
-# default, restarted from its ARNOLDI_KEEP Ritz vectors of largest |theta| at most
+# Arnoldi of _largest_ritz_pair: a basis of at most ARNOLDI_VECTORS, ARPACK's default,
+# restarted from its ARNOLDI_KEEP Ritz vectors of largest |theta| at most
 # ARNOLDI_MAX_RESTARTS times.
 ARNOLDI_VECTORS = 20
 ARNOLDI_KEEP = 10
@@ -576,32 +577,33 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return removed
 
 
-def _shift_invert_pair(h: HamiltonianMatrix, target: complex) -> tuple:
-    """The eigenpair of ``h`` nearest ``target``, by Arnoldi on (H - target)^{-1}.
+def _largest_ritz_pair(apply, n: int) -> tuple | None:
+    """The Ritz pair (theta, x) of largest |theta| of the linear map ``apply`` on C^n, or None.
 
-    The basis starts from the normalized ones vector and is orthogonalized by
-    ``_orthogonalize``.  A Ritz pair (theta, y) of the projected matrix is final
-    once ARPACK's test holds: its Ritz estimate, the norm of the last residual
-    times |y_m|, is at most eps |theta|; then lambda = target + 1/theta
-    (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  A full basis
-    restarts from its ARNOLDI_KEEP Ritz vectors of largest |theta|,
-    orthonormalized (a thick restart, Stewart, SIAM J. Matrix Anal. Appl. 23,
-    601, 2001).
+    Arnoldi from the normalized ones vector, so repeated calls agree bitwise,
+    orthogonalized by ``_orthogonalize``.  A Ritz pair (theta, y) of the
+    projected matrix is final once ARPACK's test holds: its Ritz estimate, the
+    norm of the last residual times |y_m|, is at most eps |theta| (Lehoucq,
+    Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  A full basis of
+    ARNOLDI_VECTORS restarts from its ARNOLDI_KEEP Ritz vectors of largest
+    |theta|, orthonormalized (a thick restart, Stewart, SIAM J. Matrix Anal.
+    Appl. 23, 601, 2001); None once ARNOLDI_MAX_RESTARTS restarts found no
+    final pair.
+    ``apply`` must return a new array.
     """
-    lu = _band_lu(h, target)
     size, eps = ARNOLDI_VECTORS, np.finfo(float).eps
-    basis = np.zeros((size + 1, h.dim), dtype=complex)  # rows v_1 .. v_{m+1}
-    proj = np.zeros((size + 1, size), dtype=complex)  # (H - target)^{-1} V_m = V_{m+1} proj
-    basis[0], start = 1.0 / math.sqrt(h.dim), 0
+    basis = np.zeros((size + 1, n), dtype=complex)  # rows v_1 .. v_{m+1}
+    proj = np.zeros((size + 1, size), dtype=complex)  # apply(V_m) = V_{m+1} proj
+    basis[0], start = 1.0 / math.sqrt(n), 0
     for _ in range(ARNOLDI_MAX_RESTARTS + 1):
         for m in range(start, size):
-            w = _band_solve(lu, basis[m])
+            w = apply(basis[m])
             proj[: m + 1, m] = _orthogonalize(w, basis[: m + 1])
             beta = proj[m + 1, m] = np.linalg.norm(w)
             theta, y = np.linalg.eig(proj[: m + 1, : m + 1])  # LinAlgError on inf or nan
             i = int(np.argmax(np.abs(theta)))
             if beta * abs(y[m, i]) <= eps * abs(theta[i]):
-                return complex(target + 1.0 / theta[i]), y[:, i] @ basis[: m + 1]
+                return theta[i], y[:, i] @ basis[: m + 1]
             basis[m + 1] = w / beta
         start = ARNOLDI_KEEP
         q = np.linalg.qr(y[:, np.argsort(-np.abs(theta))[:start]])[0]
@@ -609,27 +611,35 @@ def _shift_invert_pair(h: HamiltonianMatrix, target: complex) -> tuple:
         kept = q.conj().T @ proj[:size] @ q
         proj[:] = 0.0
         proj[:start, :start], proj[start, :start] = kept, beta * q[-1]
-    raise np.linalg.LinAlgError(f"no convergence after {ARNOLDI_MAX_RESTARTS} restarts")
+    return None
 
 
 def point_states(h: HamiltonianMatrix, targets) -> SpectrumResult:
     """The eigenpairs of ``h`` nearest each target, by shift-invert Arnoldi.
 
-    One solve per target (``_shift_invert_pair``) factors only the operator's
-    band, the ring's corners included, in O(n) (``_band_lu``), instead of solving
-    the whole dense spectrum.  Pairs come in target order, a pair reached from
-    two targets once, and are trapezoid-normalized.  A pair is a point state,
-    with its root length, when its participation ratio is below PR_BOX_FRACTION
-    and its root length below ROOT_SCREEN_FRACTION of the box.
-    The fixed start vector makes repeated calls agree bitwise.
+    Each target factors only the operator's band, the ring's corners included,
+    in O(n) (``_band_lu``), instead of solving the whole dense spectrum, and
+    takes the Ritz pair (theta, x) of largest |theta| of (H - target)^{-1}
+    (``_largest_ritz_pair``): lambda = target + 1/theta.  Its LU dies before
+    the next target's is built.  Pairs come in target order, a pair reached
+    from two targets once, and are trapezoid-normalized.  A pair is a point
+    state, with its root length, when its participation ratio is below
+    PR_BOX_FRACTION and its root length below ROOT_SCREEN_FRACTION of the box.
     """
     values, vectors = [], []
-    for target in targets:
-        try:
-            value, vec = _shift_invert_pair(h, complex(target))
+    for target in map(complex, targets):
+        where = f"near {target} (dim={h.dim}, boundary={h.boundary})"
+        try:  # the LU dies with the call, before the next target's is built
+            pair = _largest_ritz_pair(functools.partial(_band_solve, _band_lu(h, target)), h.dim)
         except np.linalg.LinAlgError as exc:
-            where = f"near {target} (dim={h.dim}, boundary={h.boundary})"
             raise NumericalError(f"shift-invert eigensolve {where} failed: {exc}") from exc
+        if pair is None:
+            raise NumericalError(
+                f"shift-invert eigensolve {where} failed: "
+                f"no convergence after {ARNOLDI_MAX_RESTARTS} restarts"
+            )
+        theta, vec = pair
+        value = complex(target + 1.0 / theta)
         # two shifts that reach one eigenvalue agree to roundoff; distinct ones lie far apart
         if not any(abs(value - w) <= SAME_EIGENVALUE_RTOL * abs(value) for w in values):
             values.append(value)

@@ -28,7 +28,7 @@ from anyonpt import (
     shifted_point_energy,
     solve_spectrum,
 )
-from anyonpt import nonnormal
+from anyonpt import nonnormal, spectra
 from anyonpt.nonnormal import (
     THETA_13,
     _band_matmul,
@@ -485,8 +485,8 @@ class TestGT:
 
     def test_clustered_small_times_match_oracle(self):
         # P(t) is close to the identity: its singular values cluster near one.
-        # At n = 256, t = 1e-4 and t = 1e-2 pass the Lanczos step cap and take
-        # the dense fallback.
+        # At n = 256, t = 1e-4 and t = 1e-2 restart the Arnoldi basis 30 and 9
+        # times before the Ritz value of P^H P is final.
         h, e_dom = self.drifting_h()
         times = [1e-4, 1e-2]
         for t, g in zip(times, g_t(h, e_dom, times)):
@@ -537,25 +537,51 @@ class TestGT:
         monkeypatch.setattr(nonnormal, "FLUSH_FRACTION", 0.0)
         assert g_t(h, e_dom, times) == pytest.approx(flushed, rel=1e-13, abs=0.0)
 
-    def test_lanczos_past_its_step_cap_falls_back_to_dense_svd(self, monkeypatch):
+    @staticmethod
+    def count_products_and_svds(monkeypatch):
+        """Log "gram" for each product with P^H P and "svd" for each dense SVD of g_t."""
+        events = []
+        driver, svd = nonnormal._largest_ritz_pair, np.linalg.svd
+
+        def counted(apply, n):
+            return driver(lambda x: events.append("gram") or apply(x), n)
+
+        def counted_svd(a, **kw):
+            events.extend(["svd"] if kw == {"compute_uv": False} else [])
+            return svd(a, **kw)
+
+        monkeypatch.setattr(nonnormal, "_largest_ritz_pair", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        return events
+
+    def test_sigma_max_past_its_restart_budget_falls_back_to_dense_svd(self, monkeypatch):
+        # at n = 256, t = 0.05 and t = 0.1 converge after 48 and 34 products,
+        # beyond the 20 + 10 of one restart
         h, e_dom = self.drifting_h()
-        times = [0.5, 2.0]
-        svd_calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(
-            np.linalg, "svd", lambda a, **kw: svd_calls.append(kw) or svd(a, **kw)
-        )
-        lanczos = g_t(h, e_dom, times)
-        # Lanczos converges at these times: every SVD is of its small bidiagonal
-        assert {"compute_uv": False} not in svd_calls
-        svd_calls.clear()
-        monkeypatch.setattr(nonnormal, "LANCZOS_MAXITER", 2)
+        times = [0.05, 0.1]
+        events = self.count_products_and_svds(monkeypatch)
+        arnoldi = g_t(h, e_dom, times)
+        assert events == ["gram"] * (48 + 34)
+        events.clear()
+        monkeypatch.setattr(spectra, "ARNOLDI_MAX_RESTARTS", 1)
         got = g_t(h, e_dom, times)
-        assert svd_calls.count({"compute_uv": False}) == len(times)
+        # each time gives up after a full basis and one restart, then takes one dense SVD
+        assert events == (["gram"] * 30 + ["svd"]) * len(times)
         monkeypatch.undo()
-        assert got == pytest.approx(lanczos, rel=1e-12, abs=0.0)
+        assert got == pytest.approx(arnoldi, rel=1e-12, abs=0.0)
         for t, g in zip(times, got):
             assert g == pytest.approx(self.svdvals_oracle(h, e_dom, t), rel=1e-10, abs=0.0)
+
+    def test_clustered_time_restarts_instead_of_dense_svd(self, monkeypatch):
+        # P(1e-4) is within 1e-4 of I, so its singular values cluster: the Ritz
+        # value of P^H P takes many restarts, still cheaper than the dense SVD
+        h, e_dom = self.drifting_h()
+        events = self.count_products_and_svds(monkeypatch)
+        (got,) = g_t(h, e_dom, [1e-4])
+        monkeypatch.undo()
+        budget = spectra.ARNOLDI_VECTORS + spectra.ARNOLDI_KEEP * spectra.ARNOLDI_MAX_RESTARTS
+        assert "svd" not in events and spectra.ARNOLDI_VECTORS < len(events) <= budget
+        assert got == pytest.approx(self.svdvals_oracle(h, e_dom, 1e-4), rel=1e-10, abs=0.0)
 
     def test_bitwise_repeatable_across_calls_and_threads(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -612,7 +638,7 @@ class TestGT:
             nonnormal._record_gain({}, 1.0, p)
 
     def test_huge_propagator_skips_lanczos_quietly(self, capfd, rng):
-        # sigma ~ 1e161: the Gram product that ARPACK iterates on would overflow
+        # sigma ~ 1e161: the Gram product P^H P that Arnoldi iterates on would overflow
         p = 1e160 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -620,8 +646,17 @@ class TestGT:
         assert got == float(scipy.linalg.svdvals(p)[0])
         assert capfd.readouterr() == ("", "")
 
+    def test_propagator_above_2_255_skips_arnoldi_quietly(self, capfd, rng):
+        # sigma ~ 1e101: the vectors P^H P x reach 1e202, whose squared norm overflows
+        p = 1e100 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigma_max(p)
+        assert got == pytest.approx(float(scipy.linalg.svdvals(p)[0]), rel=1e-14, abs=0.0)
+        assert capfd.readouterr() == ("", "")
+
     def test_huge_two_factor_propagator_skips_lanczos_quietly(self, capfd, rng):
-        # each factor's bound is ~1e81, so their product's reaches 2^511: the
+        # each factor's bound is ~1e81, so their product's reaches 2^255: the
         # factors are multiplied out and take the dense SVD
         a, b = (1e80 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
                 for _ in range(2))

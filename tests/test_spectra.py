@@ -874,6 +874,9 @@ class TestPointStates:
                 [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
             )
             assert out.stdout.split()[-2:] == ["0", "False"], (runner, out.stdout, out.stderr)
+        # the shipped G_t bytes: the benchmark checks them only to 1e-6
+        gt = (tmp_path / "amplify" / "gt_000.csv").read_text().splitlines()
+        assert gt == ["t,g_t", "0.5,2.07630202277", "2,8.55931235798", "5,20.0615653228"]
 
     def test_sparse_solver_not_imported_at_startup(self):
         # the solvers import scipy on first use, so a config parse loads none of it
