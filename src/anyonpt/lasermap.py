@@ -88,6 +88,4 @@ def mode_locking_threshold(c: CavityParams, well_depth_e1: float) -> float:
     energy ``well_depth_e1`` in the modulation-induced well.  Returns inf for
     a dispersion-only cavity (phi = 0), which has no finite threshold.
     """
-    if not well_depth_e1 < 0:
-        raise DomainError(f"well depth must be negative, got {well_depth_e1}")
     return critical_velocity(well_depth_e1, map_to_anyonic(c).params.phi)

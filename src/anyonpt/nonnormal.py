@@ -30,6 +30,7 @@ from .model import (
     AnyonicParams,
     Grid,
     HamiltonianMatrix,
+    PoschlTeller,
     WaveFunction,
     _sech_complex,
 )
@@ -70,8 +71,7 @@ def analytic_bound_state_pt(grid: Grid, delta: float, nu: float = 1.0) -> WaveFu
     which cuts its tail for nu below about 0.1.  It degenerates into the
     self-orthogonal 1/(x + i eps)^nu profile as delta approaches pi/2.
     """
-    if not (abs(delta) < math.pi / 2 and nu > 0):
-        raise DomainError(f"need |delta| < pi/2 (unbroken phase) and nu > 0, got {delta}, {nu}")
+    PoschlTeller(nu=nu, delta=delta)  # checks the unbroken phase, |delta| < pi/2 and nu > 0
     return WaveFunction(grid, _sech_complex(grid.x, delta) ** nu).normalized()
 
 
@@ -87,9 +87,8 @@ def gain_grid(delta: float, nu: float = 1.0) -> Grid:
     from 1e-3 to 50 then agrees with one on 4x the points to 6e-14.  A box
     above MAX_GRID_POINTS (|delta| within 4.9e-4 of pi/2 at nu = 1) is refused.
     """
+    PoschlTeller(nu=nu, delta=delta)  # checks the unbroken phase, |delta| < pi/2 and nu > 0
     d = math.pi / 2 - abs(delta)
-    if not (d > 0.0 and nu > 0.0):  # NaN fails too
-        raise DomainError(f"need |delta| < pi/2 (unbroken phase) and nu > 0, got {delta}, {nu}")
     exponent = TWIN_MIN_EXPONENT
     n = GAIN_BOX / math.pi * max(exponent / d, 4.0 * math.sqrt(exponent * nu) / math.cos(delta))
     if not n <= MAX_GRID_POINTS:
@@ -311,9 +310,9 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
 def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     """Squared operator norms of exp[-i (H - e1) t], one per time, in the order given.
 
-    With G = -i (H - e1), held as its three cyclic diagonals, whose 1-norm is
-    read off them, a time with t ||G||_1 <= THETA_13 takes P(t) = exp(G t) as
-    one Taylor series on those diagonals (``_expm_taylor``).  One
+    G = -i (H - e1) is held as its three cyclic diagonals, whose 1-norm is read
+    off them.  A time with t ||G||_1 <= THETA_13 is its own base step: P(t) is
+    one Taylor series on those diagonals (``_expm_taylor``).  One shared
     base step B = exp(G tau) serves every longer time: tau = t_0 / 2^s, with
     t_0 the smallest of them and the smallest s that gives tau ||G||_1 <=
     THETA_13, so q = floor(t / tau) <= 2 t ||G||_1 / THETA_13; a tiny time
@@ -349,20 +348,19 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
         raise DomainError(f"g_t is defined for finite t >= 0, got {times}")
     gains = {0.0: 1.0}
     positive = sorted(set(times) - {0.0})
-    if positive:
-        gen = -1j * h.cyclic_diagonals(e1)
-        norm1 = _norm1(gen)
-        for t in positive:
-            if t * norm1 <= THETA_13:  # one Taylor step, no squaring
-                _record_gain(gains, t, _flush_tiny(_expm_taylor(gen * t))[0])
-        chained = [t for t in positive if t * norm1 > THETA_13]
-        if chained:
-            _squaring_chain(gen, norm1, chained, gains)
+    gen = -1j * h.cyclic_diagonals(e1)
+    norm1 = _norm1(gen)
+    for t in positive:
+        if t * norm1 <= THETA_13:  # its own base step: no squaring, no remainder
+            _squaring_chain(gen, norm1, [t], gains)
+    chained = [t for t in positive if t * norm1 > THETA_13]
+    if chained:
+        _squaring_chain(gen, norm1, chained, gains)
     return [gains[t] for t in times]
 
 
 def _squaring_chain(gen, norm1: float, times: list, gains: dict) -> None:
-    """Record G_t for the sorted ``times``, each above THETA_13 / norm1, from one base step."""
+    """Record G_t for the sorted ``times`` from one base step, the first time halved as needed."""
     tau = times[0]
     while tau * norm1 > THETA_13:
         tau /= 2.0

@@ -50,9 +50,11 @@ __all__ = ["run_experiment", "run_spectrum", "run_delocalize", "run_scatter", "r
 
 
 def _map_points(fn, points, jobs: int):
-    if jobs <= 1 or len(points) <= 1:
+    """``fn`` over ``points`` in order, on at most ``jobs`` threads and no more than usable CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if min(jobs, cpus, len(points)) <= 1:
         return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=min(jobs, cpus)) as pool:
         return list(pool.map(fn, points))
 
 

@@ -110,10 +110,16 @@ def poschl_teller_energies(nu: float) -> tuple:
     return tuple(energies)
 
 
-def shifted_point_energy(e_n: float, params: AnyonicParams) -> complex:
-    """Bound energy in the moving frame: E_n e^{-i phi} - (v^2/4) e^{i phi}."""
+def _bound_decay_rate(e_n: float) -> float:
+    """sqrt(-E_n), the decay rate of the stationary state at bound energy E_n < 0."""
     if not e_n < 0:
         raise DomainError(f"bound energy must be negative, got {e_n}")
+    return math.sqrt(-e_n)
+
+
+def shifted_point_energy(e_n: float, params: AnyonicParams) -> complex:
+    """Bound energy in the moving frame: E_n e^{-i phi} - (v^2/4) e^{i phi}."""
+    _bound_decay_rate(e_n)  # checks that E_n is a bound energy
     return e_n * params.rotation + params.beta
 
 
@@ -123,29 +129,24 @@ def critical_velocity(e_n: float, phi: float) -> float:
     Returns inf for phi = 0: the Galilean-invariant case has no finite
     threshold.  The comparison against an actual drift should use |v|.
     """
-    if not e_n < 0:
-        raise DomainError(f"bound energy must be negative, got {e_n}")
+    rate = _bound_decay_rate(e_n)
     if not (0.0 <= phi <= math.pi / 2 + 1e-15):
         raise DomainError(f"phi must lie in [0, pi/2], got {phi}")
     if phi == 0.0:
         return math.inf
-    return 2.0 * math.sqrt(-e_n) / math.sin(phi)
+    return 2.0 * rate / math.sin(phi)
 
 
 def critical_wavenumber(e_n: float, phi: float) -> float:
     """Wavenumber sqrt(-E_n)/tan(phi) where the shifted bound energy meets the band."""
-    if not e_n < 0:
-        raise DomainError(f"bound energy must be negative, got {e_n}")
     if not (0.0 < phi <= math.pi / 2 + 1e-15):
         raise DomainError("critical wavenumber needs 0 < phi <= pi/2")
-    return math.sqrt(-e_n) / math.tan(phi)
+    return _bound_decay_rate(e_n) / math.tan(phi)
 
 
 def delocalization_margin(e_n: float, params: AnyonicParams) -> float:
     """sqrt(|E_n|) - |v/2| sin(phi); positive iff the drifting state is normalizable."""
-    if not e_n < 0:
-        raise DomainError(f"bound energy must be negative, got {e_n}")
-    return math.sqrt(-e_n) - abs(0.5 * params.v) * math.sin(params.phi)
+    return _bound_decay_rate(e_n) - abs(0.5 * params.v) * math.sin(params.phi)
 
 
 def moving_bound_state(u_n: WaveFunction, e_n: float, params: AnyonicParams):
@@ -360,39 +361,44 @@ class SpectrumResult:
             yield w.real, w.imag, str(label), float(length)
 
 
-def _band_order(h: HamiltonianMatrix) -> tuple:
-    """The order of the sites that makes ``h`` a band matrix, and the band's half-width.
+def _ring_band(h: HamiltonianMatrix, shift: complex = 0.0) -> tuple:
+    """H - shift as a band: the order of its sites, the band's half-width, and its rows.
 
     A Dirichlet operator is a band of half-width 1 as it stands.  A periodic ring,
     reordered 0, n-1, 1, n-2, ..., keeps each coupling within two places, a band of
-    half-width 2.
+    half-width 2.  Row j of the n x 5 array holds columns j - 2 .. j + 2 of the
+    reordered H - shift, so a Dirichlet chain's band has zero outer diagonals.
     """
     n = h.dim
-    if h.boundary != "periodic":
-        return np.arange(n), 1
-    order = np.empty(n, dtype=int)
-    order[0::2], order[1::2] = np.arange((n + 1) // 2), np.arange(n - 1, (n - 1) // 2, -1)
-    return order, 2
+    order, width = np.arange(n), 1
+    if h.boundary == "periodic":
+        order[0::2], order[1::2] = np.arange((n + 1) // 2), np.arange(n - 1, (n - 1) // 2, -1)
+        width = 2
+    where = np.empty(n, dtype=int)  # the place of each site
+    where[order] = np.arange(n)
+    rows = np.zeros((n, 5), dtype=complex)
+    for d, entries in zip((-1, 0, 1), h.cyclic_diagonals(shift)):
+        col = where[(np.arange(n) + d) % n] - where
+        keep = np.abs(col) <= width  # a Dirichlet chain's zero corners fall outside
+        rows[where[keep], col[keep] + 2] = entries[keep]
+    return order, width, rows
 
 
 def _banded_eigenvalues(k: HamiltonianMatrix) -> tuple:
     """The eigenvalues of a Hermitian ``k`` from LAPACK's band solver, and whether its bands are real.
 
-    The band is ``k`` in the order of ``_band_order``.
+    The band is ``k`` in the order of ``_ring_band``.
     """
     import scipy.linalg  # here, not at the top: it adds to every start-up
 
-    n = k.dim
-    order, width = _band_order(k)
+    _, width, rows = _ring_band(k)
     scale = max(1.0, np.abs(k.diagonal).max(), abs(k.upper))
     real = abs(k.upper.imag) <= HERMITIAN_RTOL * scale
-    upper, lower = (k.upper.real, k.lower.real) if real else (k.upper, k.lower)
-    # lower band storage: row d holds the entries (j + d, j) of the reordered matrix
-    band = np.zeros((width + 1, n), dtype=float if real else complex)
-    band[0] = k.diagonal.real[order]
+    # lower band storage: row d holds the entries (j + d, j), rows[j + d, 2 - d]
+    band = np.zeros((width + 1, k.dim), dtype=float if real else complex)
+    band[0] = rows[:, 2].real
     for d in range(1, width + 1):
-        step = (order[d:] - order[:-d]) % n
-        band[d, :-d] = np.where(step == 1, lower, np.where(step == n - 1, upper, 0.0))
+        band[d, :-d] = rows[d:, 2 - d].real if real else rows[d:, 2 - d]
     w = scipy.linalg.eig_banded(
         band, lower=True, eigvals_only=True, overwrite_a_band=True, check_finite=False
     )
@@ -498,28 +504,18 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
 
 
 def _band_lu(h: HamiltonianMatrix, shift: complex) -> tuple:
-    """LU factors of H - shift with partial pivoting, in the order of ``_band_order``.
+    """LU factors of H - shift with partial pivoting, in the order of ``_ring_band``.
 
-    The ring itself is factored, corners and all.  Written for half-width 2: row
-    j holds columns j - 2 .. j + 2, and a Dirichlet chain's band of half-width 1
-    sits in it with zero outer diagonals, which never win a pivot.  Each step
-    picks the largest of the three candidates in its column (the first on a
-    tie), as LAPACK's band LU does, so U has up to four entries right of its
-    diagonal.  Returns the order, each step's (pivot row offset, two
-    multipliers) and each U row as (1 / diagonal, four entries); a zero pivot
-    raises LinAlgError.
+    The ring itself is factored, corners and all, from the rows of ``_ring_band``;
+    a Dirichlet chain's zero outer diagonals never win a pivot.  Each step picks
+    the largest of the three candidates in its column (the first on a tie), as
+    LAPACK's band LU does, so U has up to four entries right of its diagonal.
+    Returns the order, each step's (pivot row offset, two multipliers) and each
+    U row as (1 / diagonal, four entries); a zero pivot raises LinAlgError.
     """
-    order, width = _band_order(h)
-    n = h.dim
-    where = np.empty(n, dtype=int)
-    where[order] = np.arange(n)
-    band = np.zeros((n + 3, 5), dtype=complex)  # three zero rows past the end
-    for d, entries in zip((-1, 0, 1), h.cyclic_diagonals(shift)):
-        col = where[(np.arange(n) + d) % n] - where
-        keep = np.abs(col) <= width  # a Dirichlet chain's zero corners fall outside
-        band[where[keep], col[keep] + 2] = entries[keep]
-    rows = list(map(tuple, band.tolist()))
+    order, _, band = _ring_band(h, shift)
     zero = 0j
+    rows = list(map(tuple, band.tolist())) + [(zero,) * 5] * 3  # three zero rows past the end
     # the three candidate rows of the current column j, each as its columns j .. j + 4
     a, b, c = rows[0][2:] + (zero, zero), rows[1][1:] + (zero,), rows[2]
     steps, upper = [], []

@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,12 @@ def amplify_on_grid(n_points: int, nu: float):
     return raw
 
 
+def shipped_with(name: str, section: str, **values):
+    raw = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
+    raw[section].update(values)
+    return raw
+
+
 def lasermap_dict(**overrides):
     return {"experiment": "lasermap", "e1": -1.0, "cavity": {"D": 1.0, "Dg": 1.0}, **overrides}
 
@@ -336,6 +343,17 @@ class TestParseTimeRejection:
                                                  "delta": [0.1, 0.2, 0.3], "nu": 5.0}},
             {**spectrum_dict(256), "potential": {"nu": 2.0, "v0": -2.0}},  # v0 would win
             {**spectrum_dict(256), "potential": {"kind": "poschl_teller", "file": "nope.csv"}},
+            # 2241 snapshots x 2 fields x 2^20 points x 16 bytes = 70 GiB of snapshots
+            {
+                **shipped_with("scatter_barrier_k1", "grid", n_points=2**20),
+                "propagator": {"dt": 0.0125, "t_final": 28.0, "snapshot_every": 1},
+            },
+            # 1001 snapshots x 1 field x 2^20 points x 16 bytes = 16 GiB
+            {
+                **amplify_on_grid(2**20, nu=1.0),
+                "amplify": {"evolve": True},
+                "propagator": {"dt": 0.01, "t_final": 10.0, "snapshot_every": 1},
+            },
         ],
         ids=[
             "propagator-absorber-key",
@@ -391,6 +409,8 @@ class TestParseTimeRejection:
             "tabulated-with-delta-and-nu",
             "nu-and-v0",
             "poschl_teller-with-file",
+            "scatter-snapshots-over-1-GiB",
+            "amplify-evolve-snapshots-over-1-GiB",
         ],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, monkeypatch, raw):
@@ -435,6 +455,17 @@ class TestParseTimeRejection:
         # at rest (the regression config), or at phi = 0, where the drift is a gauge
         for params in ({"phi": math.pi / 3, "v": 0.0}, {"phi": 0.0, "v": 1.0}):
             ExperimentConfig.from_dict({**spectrum_dict(256), "boundary": "dirichlet", "params": params})
+
+    def test_evolution_snapshots_up_to_1_GiB_parse(self):
+        # 2 fields x 8192 points x 16 bytes x 4096 snapshots is 1 GiB exactly
+        raw = scatter_with("grid", n_points=8192)
+        raw["params"]["phi"] = [0.0, 0.1]
+        raw["propagator"].update(dt=0.01, t_final=40.95, snapshot_every=1)  # 4095 steps
+        ExperimentConfig.from_dict(raw)
+        raw["propagator"]["t_final"] = 40.96  # one snapshot more
+        message = r"4097 snapshots x 2 fields x 8192 points hold 1074003968 bytes > 1073741824 \(1 GiB\)"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(raw)
 
     def test_grids_within_the_dense_cap_parse(self):
         ExperimentConfig.from_dict(spectrum_dict(8192))
@@ -656,6 +687,19 @@ class TestRunnersAndCLI:
             assert [p.name for p in a] == [p.name for p in b]
             for pa, pb in zip(a, b):
                 assert pa.read_bytes() == pb.read_bytes()
+
+    def test_jobs_start_at_most_one_thread_per_usable_cpu(self, tmp_path, monkeypatch):
+        # a 6-point sweep at jobs 6, in a process that may use two CPUs
+        import anyonpt.runners as runners
+
+        threads = set()
+        solve = runners.solve_spectrum
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(runners, "solve_spectrum", lambda h: threads.add(threading.get_ident()) or solve(h))
+        raw = spectrum_dict(1024)
+        raw["params"]["phi"] = [0.1 * i for i in range(6)]
+        run_experiment(ExperimentConfig.from_dict(raw), tmp_path, jobs=6)
+        assert 1 <= len(threads) <= 2 and threading.get_ident() not in threads
 
     def test_amplify_solves_each_ground_state_once(self, tmp_path, monkeypatch):
         import anyonpt.runners as runners

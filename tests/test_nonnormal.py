@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import yaml
 from scipy.integrate import quad
 
 from anyonpt import (
@@ -29,6 +30,7 @@ from anyonpt import (
     solve_spectrum,
 )
 from anyonpt import nonnormal, spectra
+from anyonpt.cli import main as cli_main
 from anyonpt.nonnormal import (
     THETA_13,
     _band_matmul,
@@ -281,6 +283,29 @@ class TestGInfinity:
     def test_nu_must_be_positive(self, nu):
         with pytest.raises(DomainError):
             self_orthogonality(0.2, nu)
+
+    def test_two_forms_agree_to_1e_6_at_nu_10_and_not_at_nu_11(self):
+        # at rest, delta = 1.2: the lattice sum of u^2 cancels as nu log(1/cos^2 delta) nears
+        # 22, and the forms' gap grows from 4.3e-7 at nu = 10 to 2.68e-6 at nu = 11
+        at_rest = AnyonicParams(phi=PHI3, v=0.0)
+        assert g_infinity(1.2, at_rest, 10.0) == pytest.approx(5.920013e16, rel=1e-6)
+        message = r"gain formulas disagree: weighted 3\.41932e\+18 vs biorthogonal 3\.41931e\+18"
+        with pytest.raises(NumericalError, match=message):
+            g_infinity(1.2, at_rest, 11.0)
+
+    @pytest.mark.parametrize("nu, code", [(10.0, 0), (11.0, 3)])
+    def test_two_form_check_exits_3_through_the_cli(self, tmp_path, capsys, nu, code):
+        raw = {
+            "experiment": "amplify",
+            "potential": {"kind": "poschl_teller", "nu": nu, "delta": 1.2},
+            "params": {"phi": PHI3, "v_over_vc": [0.0]},
+        }
+        path = tmp_path / "deep_well.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["amplify", "--config", str(path), "--output", str(tmp_path / "out")]) == code
+        disagree = "gain formulas disagree: weighted 3.41932e+18 vs biorthogonal 3.41931e+18"
+        assert (disagree in capsys.readouterr().err) == (code == 3)
+        assert (tmp_path / "out" / "ginf.csv").exists() == (code == 0)
 
     @pytest.mark.parametrize(
         "forms",

@@ -781,6 +781,15 @@ class TestPointStates:
         expected = {1.15: 2, 3.46: 1, 5.54: 0}.get(v, int(v < VC3))
         assert got.point_count == expected  # nu = 2 loses its states one by one
 
+    def test_gives_up_after_its_restarts(self, monkeypatch):
+        # without restarts a target gets one basis of ARNOLDI_VECTORS = 20 solves; the nu = 2
+        # targets at v = 3.46 need 7 (E = -4, still bound) and 42 (E = -1, delocalized)
+        monkeypatch.setattr(spectra, "ARNOLDI_MAX_RESTARTS", 0)
+        h, params = _verdict_operator(2.0, 3.46, Grid(-20.0, 20.0, 640))
+        assert point_states(h, [shifted_point_energy(-4.0, params)]).point_count == 1
+        with pytest.raises(NumericalError, match="no convergence after 0 restarts"):
+            point_states(h, [shifted_point_energy(-1.0, params)])
+
     def test_state_reached_twice_counts_once(self):
         # beyond both critical drifts the two nu = 2 targets meet the same band state
         params = AnyonicParams(phi=math.pi / 3, v=5.54)
