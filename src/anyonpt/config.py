@@ -29,7 +29,7 @@ from .lasermap import CavityParams
 from .model import DENSE_MAX_DIM, MAX_GRID_POINTS, AnyonicParams, Grid, PoschlTeller, Tabulated
 from .nonnormal import G_T_MAX_DIM, gain_grid
 from .propagation import PropagatorConfig
-from .scattering import PacketSpec
+from .scattering import PacketSpec, _auto_range
 from .spectra import critical_velocity, delocalization_margin, poschl_teller_energies
 
 __all__ = ["ExperimentConfig", "SweepPoint", "EXPERIMENTS"]
@@ -307,6 +307,8 @@ class ExperimentConfig:
                     packet = self.packet(p.carrier)
                     packet.validate_on(self.grid)
                     packet.check_approach(p.params, self.separatrix)
+                    if self.rt_sweep is not None:  # stationary_rt needs a decaying tail
+                        _auto_range(p.potential)
                 # g_infinity integrates the drifting state, normalizable only below v_c
                 if ex == "amplify" and delocalization_margin(e1, p.params) <= 0:
                     v, vc = p.params.v, critical_velocity(e1, p.params.phi)

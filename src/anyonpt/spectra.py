@@ -106,7 +106,6 @@ def poschl_teller_energies(nu: float) -> tuple:
     n_states = 1 + math.floor(nu)
     energies = [-((nu - (n - 1)) ** 2) for n in range(1, n_states + 1)]  # (nu - n) + 1 cancels for tiny nu
     energies = [e for e in energies if e < 0.0]
-    energies.sort()
     return tuple(energies)
 
 
@@ -130,8 +129,7 @@ def critical_velocity(e_n: float, phi: float) -> float:
     threshold.  The comparison against an actual drift should use |v|.
     """
     rate = _bound_decay_rate(e_n)
-    if not (0.0 <= phi <= math.pi / 2 + 1e-15):
-        raise DomainError(f"phi must lie in [0, pi/2], got {phi}")
+    AnyonicParams(phi=phi)  # checks phi's range
     if phi == 0.0:
         return math.inf
     return 2.0 * rate / math.sin(phi)
@@ -438,8 +436,6 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     length are those of that solve on H.  The result carries the vectors of
     the point states only.
     """
-    import scipy.linalg  # here, not at the top: it adds to every start-up
-
     rot = h.params.rotation.conjugate()  # exp(i phi)
     twin = build_twin(h)
     k = twin if twin is not None else h
@@ -461,6 +457,7 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
             # the transpose has the same eigenvalues and is in LAPACK's (Fortran)
             # layout, so that overwrite_a copies nothing
             solver = "real-general" if real else "complex-general"
+            import scipy.linalg  # only the dense solves need it; it adds to every start-up
             w = scipy.linalg.eigvals(
                 (k if real else h).dense(real_form=real).T, overwrite_a=True, check_finite=False
             )

@@ -166,6 +166,15 @@ def minimal_amplify_dict(**amplify):
     }
 
 
+def amplify_at(v_over_vc: float, **amplify):
+    """The minimal amplify well at one drift, with only the given amplify keys."""
+    params = {"phi": math.pi / 3, "v_over_vc": [v_over_vc]}
+    return {**minimal_amplify_dict(), "params": params, "amplify": amplify}
+
+
+SMALL_G_T_GRID = {"x_min": -12.0, "x_max": 12.0, "n_points": 128}
+
+
 class TestAmplifyValidation:
     """Bad amplify values exit 2 at parse time, before any eigensolve or expm."""
 
@@ -343,6 +352,9 @@ class TestParseTimeRejection:
                                                  "delta": [0.1, 0.2, 0.3], "nu": 5.0}},
             {**spectrum_dict(256), "potential": {"nu": 2.0, "v0": -2.0}},  # v0 would win
             {**spectrum_dict(256), "potential": {"kind": "poschl_teller", "file": "nope.csv"}},
+            # stationary_rt needs a decaying potential; this table is 0.5 at both ends
+            {**minimal_scatter_dict(), "potential": {"kind": "tabulated", "file": "flat.csv"},
+             "rt_sweep": {"k_min": 0.5, "k_max": 2.0, "num": 4}},
             # 2241 snapshots x 2 fields x 2^20 points x 16 bytes = 70 GiB of snapshots
             {
                 **shipped_with("scatter_barrier_k1", "grid", n_points=2**20),
@@ -409,12 +421,14 @@ class TestParseTimeRejection:
             "tabulated-with-delta-and-nu",
             "nu-and-v0",
             "poschl_teller-with-file",
+            "rt_sweep-potential-does-not-decay",
             "scatter-snapshots-over-1-GiB",
             "amplify-evolve-snapshots-over-1-GiB",
         ],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, monkeypatch, raw):
         write_tabulated_config(tmp_path)  # well.csv, read by the tabulated case
+        write_flat_table(tmp_path)  # flat.csv, read by the rt_sweep case
         monkeypatch.chdir(tmp_path)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
@@ -566,6 +580,12 @@ def write_tabulated_config(directory: Path, file: str = "well.csv") -> Path:
     return path
 
 
+def write_flat_table(directory: Path) -> None:
+    """flat.csv: V = 0.5 on 512 rows over +-60, a step that never decays."""
+    x = [-60.0 + 120.0 * (i + 0.5) / 512 for i in range(512)]
+    (directory / "flat.csv").write_text("x,re,im\n" + "".join(f"{xi},0.5,0.0\n" for xi in x))
+
+
 class TestTabulatedPotential:
     def test_file_resolves_against_config_directory(self, tmp_path, monkeypatch):
         path = write_tabulated_config(tmp_path / "configs")
@@ -601,6 +621,14 @@ class TestTabulatedPotential:
         outdir = tmp_path / "out"
         assert cli_main([experiment, "--config", str(path), "--output", str(outdir)]) == 2
         assert not outdir.exists()
+
+    def test_scatter_without_rt_sweep_runs_a_table_that_does_not_decay(self, tmp_path):
+        # only stationary_rt needs decaying ends; the evolution and its report do not
+        write_flat_table(tmp_path)
+        raw = {**minimal_scatter_dict(), "potential": {"kind": "tabulated", "file": "flat.csv"}}
+        path = tmp_path / "flat.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["scatter", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("file", ["missing.csv", "tabulated.yaml"], ids=["missing", "malformed"])
     def test_unreadable_file_exits_2(self, tmp_path, file):
@@ -769,6 +797,33 @@ class TestRunnersAndCLI:
         assert cli_main(["amplify", "--config", str(path), "--output", str(outdir)]) == 3
         assert not outdir.exists()
         assert g_t_calls == []
+
+    @pytest.mark.parametrize(
+        "raw, code",
+        [
+            # a quadrature grid widened for the margin would need 2^28 points; the gain box has 372
+            (amplify_at(0.99999), 0),
+            (amplify_at(0.5, g_t_times=[1e308], g_t_grid=SMALL_G_T_GRID), 3),
+            (amplify_at(0.5, g_t_times=[1e20], g_t_grid=SMALL_G_T_GRID), 3),
+            # P(1e-4) is close to I: sigma_max restarts its Arnoldi basis many times, and on
+            # the default 1024-point g_t grid it gives up and takes the dense SVD
+            (amplify_at(0.5, g_t_times=[1e-4], g_t_grid=SMALL_G_T_GRID), 0),
+            (amplify_at(0.5, g_t_times=[1e-4]), 0),
+        ],
+        ids=[
+            "amplify-quadrature-above-point-cap",
+            "g_t-step-count-overflows",
+            "g_t-chain-underflows",
+            "g_t-clustered-time",
+            "g_t-clustered-time-gives-up",
+        ],
+    )
+    def test_extreme_amplify_configs_exit_0_or_3(self, tmp_path, raw, code):
+        path = tmp_path / "extreme.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        outdir = tmp_path / "out"
+        assert cli_main(["amplify", "--config", str(path), "--output", str(outdir)]) == code
+        assert (outdir / "ginf.csv").exists() == (code == 0)
 
     def test_lasermap_failure_writes_nothing(self, tmp_path, monkeypatch):
         import anyonpt.runners as runners

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anyonpt import (
@@ -183,7 +183,9 @@ class TestRotation:
         assert _bits(p.rotation) == _bits(e_minus)
         assert _bits(p.alpha) == _bits(0.5 * v * e_plus)
         assert _bits(p.beta) == _bits(beta)
-        assert _bits(continuous_dispersion(k, p)) == _bits(e_minus * k * k - k * v)
+        # numpy's arithmetic, not Python's complex: at phi = pi/2, v = 0 and a subnormal k
+        # the two differ in the sign of a zero, and ks[0] is k
+        assert _bits(continuous_dispersion(k, p)) == _bits((e_minus * ks * ks - ks * v)[0])
         assert _bits(continuous_dispersion(ks, p)) == _bits(e_minus * ks * ks - ks * v)
         assert _bits(shifted_point_energy(e_n, p)) == _bits(e_n * e_minus + beta)
         assert _bits(reflected_wavenumber(k, p)) == _bits(-k + v * e_plus)
@@ -194,6 +196,7 @@ class TestRotation:
         self.check_bitwise(phi, v, 0.7, -1.0)
 
     @settings(max_examples=200)
+    @example(phi=math.pi / 2, v=0.0, k=-1.1125369292536007e-308, e_n=-1.0)
     @given(
         phi=st.floats(0.0, math.pi / 2),
         v=st.floats(-1e100, 1e100),

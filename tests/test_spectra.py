@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import yaml
 from conftest import dense_spectrum
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -869,9 +870,14 @@ class TestPointStates:
 
     def test_amplify_and_delocalize_never_import_scipy(self, tmp_path):
         root = CONFIG_DIR.parent
+        # a spectrum run whose every point drifts takes the root iteration alone
+        drifting = yaml.safe_load((CONFIG_DIR / "spectrum_drift_sweep.yaml").read_text())
+        drifting["params"]["v_over_vc"] = [0.5, 0.9]
+        (tmp_path / "drifting.yaml").write_text(yaml.safe_dump(drifting))
         runs = [
             ("amplify", root / "perfbench" / "gain_transient.yaml"),
             ("delocalize", CONFIG_DIR / "delocalize_sweep.yaml"),
+            ("spectrum", tmp_path / "drifting.yaml"),
         ]
         for runner, config in runs:
             code = (
