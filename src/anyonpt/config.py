@@ -36,7 +36,7 @@ __all__ = ["ExperimentConfig", "SweepPoint", "EXPERIMENTS"]
 
 EXPERIMENTS = ("spectrum", "delocalize", "scatter", "amplify", "lasermap")
 MAX_SWEEP_POINTS = 10_000
-EVOLUTION_MAX_BYTES = 16 * DENSE_MAX_DIM**2  # of snapshots: 1 GiB, a spectrum run's one dense copy
+EVOLUTION_MAX_BYTES = 16 * DENSE_MAX_DIM**2  # 1 GiB, a spectrum run's one dense copy
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,9 @@ class ExperimentConfig:
         n = max((p.grid.n_points for p in points if p.grid is not None), default=0)
         if n > cap:
             raise ConfigError(f"{ex}: grid of {n} points (config box, doubled near v_c) > {cap}")
-        if ex == "scatter" or evolves:  # evolve_batch keeps each snapshot of each field
+        # the size of an evolution: the complex fields at its stops, 16 bytes a point; a runner
+        # keeps 8 bytes of each density sample (at most half) and writes under 20 as text
+        if ex == "scatter" or evolves:
             snaps, n = len(self.propagator.snapshot_steps()), self.grid.n_points
             if (held := 16 * snaps * len(points) * n) > EVOLUTION_MAX_BYTES:
                 raise ConfigError(f"{ex}: {snaps} snapshots x {len(points)} fields x {n} points "

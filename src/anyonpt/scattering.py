@@ -214,6 +214,13 @@ def report_from_final(
     )
 
 
+def _packet_fields(cases, grid: Grid, separatrix: float) -> list:
+    """The ``(packet, spec, params)`` fields of ``cases``, once each packet is seen to approach."""
+    for _, params, packet in cases:
+        packet.check_approach(params, separatrix)
+    return [(gaussian_packet(grid, packet), spec, params) for spec, params, packet in cases]
+
+
 def run_packet_scattering(cases, config: PropagatorConfig, grid: Grid, separatrix: float = 0.0):
     """Scatter Gaussian packets off potentials; one (record, report) per case.
 
@@ -224,12 +231,7 @@ def run_packet_scattering(cases, config: PropagatorConfig, grid: Grid, separatri
     conclusive once the surviving density's centroid has cleared five packet
     widths.
     """
-    for _, params, packet in cases:
-        packet.check_approach(params, separatrix)
-    records = evolve_batch(
-        [(gaussian_packet(grid, packet), spec, params) for spec, params, packet in cases],
-        config,
-    )
+    records = evolve_batch(_packet_fields(cases, grid, separatrix), config)
     return [
         (record, report_from_final(record.final(), packet, params, separatrix))
         for record, (_, params, packet) in zip(records, cases)

@@ -874,23 +874,29 @@ class TestPointStates:
         drifting = yaml.safe_load((CONFIG_DIR / "spectrum_drift_sweep.yaml").read_text())
         drifting["params"]["v_over_vc"] = [0.5, 0.9]
         (tmp_path / "drifting.yaml").write_text(yaml.safe_dump(drifting))
+        # the two evolving runners: amplify_breakup's three fields, for 1.0 of its 30.0
+        breakup = yaml.safe_load((CONFIG_DIR / "amplify_breakup.yaml").read_text())
+        breakup["propagator"]["t_final"] = 1.0
+        (tmp_path / "breakup.yaml").write_text(yaml.safe_dump(breakup))
         runs = [
             ("amplify", root / "perfbench" / "gain_transient.yaml"),
             ("delocalize", CONFIG_DIR / "delocalize_sweep.yaml"),
             ("spectrum", tmp_path / "drifting.yaml"),
+            ("scatter", CONFIG_DIR / "null_scatter.yaml"),
+            ("amplify", tmp_path / "breakup.yaml"),
         ]
-        for runner, config in runs:
+        for i, (runner, config) in enumerate(runs):
             code = (
                 "import sys; from anyonpt.cli import main; "
                 "code = main(sys.argv[1:]); print(code, 'scipy' in sys.modules)"
             )
-            argv = [runner, "--config", str(config), "--output", str(tmp_path / runner)]
+            argv = [runner, "--config", str(config), "--output", str(tmp_path / f"{i}-{runner}")]
             out = subprocess.run(
                 [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
             )
             assert out.stdout.split()[-2:] == ["0", "False"], (runner, out.stdout, out.stderr)
         # the shipped G_t bytes: the benchmark checks them only to 1e-6
-        gt = (tmp_path / "amplify" / "gt_000.csv").read_text().splitlines()
+        gt = (tmp_path / "0-amplify" / "gt_000.csv").read_text().splitlines()
         assert gt == ["t,g_t", "0.5,2.07630202277", "2,8.55931235798", "5,20.0615653228"]
 
     def test_sparse_solver_not_imported_at_startup(self):
