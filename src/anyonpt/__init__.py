@@ -25,7 +25,6 @@ from .model import (
     build_h_eff,
     check_anyonic_symmetry,
     check_pt_condition,
-    default_grid,
 )
 from .spectra import (
     SpectrumResult,

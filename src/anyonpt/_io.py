@@ -33,15 +33,20 @@ def write_csv(path, header, rows) -> Path:
 
 
 def _round(value):
-    """A float, or each float of a list, rounded to 12 significant digits."""
+    """A float, or each float of a flat list, rounded to 12 digits; other values pass."""
     if isinstance(value, list):
-        return [_round(v) for v in value]
+        return [float(f"{v:.12g}") if isinstance(v, (float, np.floating)) else v for v in value]
     return float(f"{value:.12g}") if isinstance(value, (float, np.floating)) else value
 
 
 def write_ndjson(path, records) -> Path:
-    """One compact JSON line per flat record (an iterable of dicts), floats rounded."""
+    """One compact JSON line per flat record (an iterable of dicts), floats rounded.
+
+    Each line is written as it is made; an empty stream writes one newline.
+    """
     path = Path(path)
-    lines = [json.dumps({k: _round(v) for k, v in r.items()}, separators=(",", ":")) for r in records]
-    path.write_text("\n".join(lines) + "\n")
+    lines = (json.dumps({k: _round(v) for k, v in r.items()}, separators=(",", ":")) + "\n" for r in records)
+    with path.open("w") as fh:
+        fh.write(next(lines, "\n"))
+        fh.writelines(lines)
     return path

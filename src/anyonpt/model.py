@@ -34,7 +34,6 @@ __all__ = [
     "PotentialSpec",
     "WaveFunction",
     "HamiltonianMatrix",
-    "default_grid",
     "check_pt_condition",
     "build_h_eff",
     "build_twin",
@@ -104,11 +103,6 @@ class Grid:
 
     def is_symmetric(self) -> bool:
         return abs(self.x_min + self.x_max) < 1e-12
-
-
-def default_grid() -> Grid:
-    """Grid that resolves unit-width sech^2 features and their bound-state tails."""
-    return Grid(-40.0, 40.0, 2048)
 
 
 @dataclass(frozen=True)

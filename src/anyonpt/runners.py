@@ -226,7 +226,7 @@ def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
         incident = ks[group_velocity(ks, point.params) > 0]  # left-incident channels only
         rows = []
         if len(incident):
-            r, t = stationary_rt(point.potential, point.params, incident, cfg.grid)
+            r, t = stationary_rt(point.potential, point.params, incident)
             rows = zip(incident, r.real, r.imag, t.real, t.imag)
         return write_csv(outdir / f"rt_{i:03d}.csv", ("k", "re_r", "im_r", "re_t", "im_t"), rows)
 

@@ -34,6 +34,9 @@ __all__ = [
 EVANESCENT_TOL = 1e-9
 # stationary_rt starts where |V| stays below this on both sides
 TAIL_TOL = 1e-10
+# stationary_rt's RK4 substep, fixed so that r(k), t(k) do not depend on the
+# evolution grid: dx / 4 of a +-160 box at 8192 points
+RT_SUBSTEP = 5.0 / 512.0
 
 
 def reflected_wavenumber(k: float, params: AnyonicParams) -> complex:
@@ -114,18 +117,13 @@ def _auto_range(spec: PotentialSpec) -> float:
     raise ContractError(f"potential tail does not decay below {TAIL_TOL:g} within |x| <= 200")
 
 
-def stationary_rt(
-    spec: PotentialSpec,
-    params: AnyonicParams,
-    k,
-    grid: Grid,
-):
+def stationary_rt(spec: PotentialSpec, params: AnyonicParams, k):
     """Reflection and transmission amplitudes of stationary scattering states.
 
     For every incident wavenumber in ``k`` (scalar or array), integrates
     H_eff u = E(k) u as a second-order ODE from the transmitted side (pure
-    t e^{i k x} at x = +L0) down to x = -L0 with fixed-step RK4 at dx/4
-    substeps, all k in one loop, then decomposes onto the exact two-mode
+    t e^{i k x} at x = +L0) down to x = -L0 with fixed-step RK4 at
+    RT_SUBSTEP, all k in one loop, then decomposes onto the exact two-mode
     basis {e^{i k x}, e^{i k_r x}}; the basis handles evanescent k_r as-is.
     The incident amplitude is scaled to one, so r is the coefficient of the
     (possibly evanescent) reflected mode and t the transmitted one.  Returns
@@ -145,8 +143,7 @@ def stationary_rt(
     shift = eip * continuous_dispersion(k, params)
     drift = 1j * params.v * eip
 
-    h = grid.dx / 4.0
-    n_steps = int(math.ceil(2.0 * l0 / h))
+    n_steps = int(math.ceil(2.0 * l0 / RT_SUBSTEP))
     h = -2.0 * l0 / n_steps  # negative: right to left
     # Potential tabulated at half-substep resolution for the RK4 stages.
     xs = l0 + np.arange(2 * n_steps + 1) * (h / 2.0)

@@ -653,6 +653,7 @@ class TestIOFormat:
         assert p.read_text() == "a,b\n0.333333333333,x\n"
         q = write_ndjson(tmp_path / "t.ndjson", [{"t": 0.25, "v": [1.0, 2.0]}])
         assert q.read_text() == '{"t":0.25,"v":[1.0,2.0]}\n'
+        assert write_ndjson(tmp_path / "e.ndjson", iter(())).read_text() == "\n"
         # raw floats, in values and in lists, are rounded to 12 digits; other values pass
         raw = ({"t": t, "n": 7, "v": [np.float64(2.0 / 3.0), "x"]} for t in (1.0 / 3.0, 0.5))
         assert write_ndjson(tmp_path / "r.ndjson", raw).read_text() == (
@@ -789,6 +790,17 @@ class TestRunnersAndCLI:
             assert [p.name for p in a] == [p.name for p in b]
             for pa, pb in zip(a, b):
                 assert pa.read_bytes() == pb.read_bytes()
+
+    def test_rt_files_do_not_follow_the_evolution_grid(self, tmp_path):
+        # stationary_rt steps at its own RT_SUBSTEP: scatter_barrier_k0 on its
+        # 4096 points and on the 8192 it once ran writes the same r(k), t(k)
+        rt_files = {}
+        for n in (4096, 8192):
+            cfg = ExperimentConfig.from_dict(shipped_with("scatter_barrier_k0", "grid", n_points=n))
+            written = run_experiment(cfg, tmp_path / str(n))
+            rt_files[n] = {p.name: p.read_bytes() for p in written if p.name.startswith("rt_")}
+        assert sorted(rt_files[4096]) == ["rt_000.csv", "rt_001.csv"]
+        assert rt_files[4096] == rt_files[8192]
 
     def test_jobs_start_at_most_one_thread_per_usable_cpu(self, tmp_path, monkeypatch):
         # a 6-point sweep at jobs 6, in a process that may use two CPUs

@@ -381,6 +381,34 @@ def time_errors(name: str) -> list:
     ]
 
 
+def fourier_refine(psi: WaveFunction, fine: Grid) -> np.ndarray:
+    """psi's trigonometric interpolant sampled on ``fine``, the same box at twice the points.
+
+    Each fine point lies dx/4 to one side of a coarse one, so the coarse spectrum
+    takes the phase of that shift and is zero-padded; the Nyquist mode keeps its
+    negative wavenumber.
+    """
+    n = psi.grid.n_points
+    assert fine.n_points == 2 * n and (fine.x_min, fine.x_max) == (psi.grid.x_min, psi.grid.x_max)
+    coarse = np.fft.fft(psi.values) * np.exp(1j * psi.grid.k * (fine.x[0] - psi.grid.x[0]))
+    padded = np.zeros(2 * n, dtype=complex)
+    padded[: n // 2], padded[-(n - n // 2) :] = coarse[: n // 2], coarse[n // 2 :]
+    return 2.0 * np.fft.ifft(padded)
+
+
+def space_errors(name: str) -> list:
+    """Relative L2 distance of each shipped final field, interpolated, from the run at twice the points."""
+    cfg = shipped_config(name)
+    dt = cfg.propagator.dt
+    pairs = zip(shipped_records(name, dt), shipped_records(name, dt, 2 * cfg.grid.n_points))
+    gaps = []
+    for field, ref in pairs:
+        fine = ref.final()
+        gap = fourier_refine(field.final(), fine.grid) - fine.values
+        gaps.append(float(np.linalg.norm(gap)) / float(np.linalg.norm(fine.values)))
+    return gaps
+
+
 def norm_gaps(records) -> list:
     """N(t_f) / N(0) over e^{2 Im E t_f}, minus 1, for the first two amplify_breakup points.
 
@@ -436,6 +464,32 @@ class TestTimeError:
         assert abs(floor[0]) < 1e-9 and floor[1] == pytest.approx(8.08e-7, rel=0.01)
         time_error = [abs(g - f) for g, f in zip(shipped, floor)]
         assert all(e < old for e, old in zip(time_error, [1.40e-7, 1.53e-7]))
+
+
+class TestSpaceError:
+    """The spatial error of each shipped evolution: its final field against the run at twice the points.
+
+    Each bound is twice the measured gap, and at least 1e-12, below which the
+    gap is the round-off of the transforms rather than resolution.  The bounds
+    catch half the points: at n/2 the phi = 0 scatter rows read 4.0e-10 and
+    7.6e-10, and the 0.8 and 0.95 v_c rows 1.0e-9 and 1.8e-4.
+    """
+
+    @pytest.mark.parametrize(
+        "name, bounds",
+        [
+            ("scatter_barrier_k0", [1e-12, 1.1e-12]),  # 1.99e-13 / 5.05e-13 at phi = 0 / pi/8
+            ("scatter_barrier_k1", [1e-12, 4.1e-12]),  # 1.24e-13 / 2.03e-12
+            # 3.36e-14 / 2.56e-10 / 4.52e-5 at 0.2 / 0.8 / 0.95 v_c
+            ("amplify_breakup", [1e-12, 5.2e-10, 9.1e-5]),
+            ("null_scatter", [1e-12]),  # 3.02e-15
+        ],
+    )
+    def test_shipped_final_field_error(self, name, bounds):
+        measured = space_errors(name)
+        assert len(measured) == len(bounds)
+        assert all(e < bound for e, bound in zip(measured, bounds))
+
 
 class TestGauge:
     @pytest.mark.parametrize("v", [1.0, 2.0])
