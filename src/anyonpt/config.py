@@ -329,8 +329,8 @@ class ExperimentConfig:
         n = max((p.grid.n_points for p in points if p.grid is not None), default=0)
         if n > cap:
             raise ConfigError(f"{ex}: grid of {n} points (config box, doubled near v_c) > {cap}")
-        # the size of an evolution: the complex fields at its stops, 16 bytes a point; a runner
-        # keeps 8 bytes of each density sample (at most half) and writes under 20 as text
+        # an evolution's size: its complex fields at its stops, 16 bytes a point; evolve_batch keeps
+        # N(t), the last field and 8 bytes a kept density sample (at most half); text takes under 20
         if ex == "scatter" or evolves:
             snaps, n = len(self.propagator.snapshot_steps()), self.grid.n_points
             if (held := 16 * snaps * len(points) * n) > EVOLUTION_MAX_BYTES:

@@ -12,7 +12,9 @@ stable for any dt.  Strang's O(dt^2) error is removed at no cost per step
 carries W - c e^{-i phi} (W')^2, W = e^{-i phi} V and c = dt^2 / 12, and a
 processor exp(+-c [T, W]), to second order, acts once before the first step
 and on each written snapshot.  At the shipped dt = 0.0125 the final fields
-lie 6e-10 to 1e-7 from a converged run (README).
+lie 6e-10 to 1e-7 from a converged run (README).  ``evolve_batch`` is the one
+path through the loop, for the library and the runners alike: it takes each
+snapshot as it comes and keeps N(t), the strided density and the last field.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .model import AnyonicParams, PotentialSpec, WaveFunction
+from .model import AnyonicParams, PotentialSpec, WaveFunction, trapz
 from .spectra import continuous_dispersion
 
 __all__ = [
@@ -64,14 +66,15 @@ class PropagatorConfig:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionRecord:
-    """Strided snapshots with the trapezoidal norm N(t) at each snapshot time."""
+    """At each snapshot time the trapezoidal norm N(t) and the strided density; the last field."""
 
     times: np.ndarray
     norm: np.ndarray
-    snapshots: tuple
+    densities: tuple
+    last: WaveFunction
 
     def final(self) -> WaveFunction:
-        return self.snapshots[-1]
+        return self.last
 
 
 def _guard(values: np.ndarray):
@@ -99,11 +102,11 @@ def evolve(
     params: AnyonicParams,
     config: PropagatorConfig,
 ) -> EvolutionRecord:
-    """Propagate psi0 to t_final, logging norms and strided snapshots (see evolve_batch)."""
+    """Propagate psi0 to t_final, logging norms and snapshot densities (see evolve_batch)."""
     return evolve_batch([(psi0, spec, params)], config)[0]
 
 
-def evolve_batch(fields, config: PropagatorConfig) -> list:
+def evolve_batch(fields, config: PropagatorConfig, density_stride: int = 1) -> list:
     """Propagate several fields on one grid through one processed Strang loop.
 
     ``fields`` is a sequence of ``(psi0, spec, params)``; one EvolutionRecord
@@ -115,14 +118,24 @@ def evolve_batch(fields, config: PropagatorConfig) -> list:
     Each row runs in the frame co-moving with its potential: the static
     V(x) gives both half-step factors, built once, and the drift sits in
     the Fourier multiplier with the rest of the band dispersion.  The t = 0
-    snapshot is psi0 itself; every later one is the processed field.
+    snapshot is psi0 itself; every later one is the processed field.  Each
+    snapshot is taken as the loop yields it: a record keeps its N(t) and
+    |psi|^2 at every ``density_stride``-th point, and only the last
+    snapshot's complex field.
     """
+    if density_stride < 1:
+        raise ContractError("density_stride must be >= 1")
     grid, dt, stops = fields[0][0].grid, config.dt, config.snapshot_steps()
-    # WaveFunction copies its values, so the loop may keep working in place.
-    by_time = [[WaveFunction(grid, row) for row in psi] for psi in _strang(fields, dt, stops)]
+    norms, densities = [], []
+    for psi in _strang(fields, dt, stops):
+        rhos = [np.abs(row) ** 2 for row in psi]
+        norms.append([trapz(rho, grid.dx) for rho in rhos])
+        densities.append([np.ascontiguousarray(rho[::density_stride]) for rho in rhos])
+    times = np.multiply(stops, dt)
+    lasts = [WaveFunction(grid, row) for row in psi]  # the loop is done: psi is the last stop
     return [
-        EvolutionRecord(np.multiply(stops, dt), np.asarray([s.norm_squared() for s in snaps]), snaps)
-        for snaps in zip(*by_time)
+        EvolutionRecord(times, np.asarray(norm), density, last)
+        for norm, density, last in zip(zip(*norms), zip(*densities), lasts)
     ]
 
 
@@ -143,7 +156,8 @@ def _strang(fields, dt: float, stops):
     """Step the stacked (m, n) fields; yield psi0 at step 0, then P_- psi at each later stop.
 
     P_+- psi = psi +- cC(psi +- (c/2) C psi), C = [T, W], is the processor to
-    second order in Horner form; it runs in ``scratch`` and keeps psi.
+    second order in Horner form; it runs in ``scratch`` and keeps psi.  Each
+    yield is a working array that the next step overwrites.
     """
     grid = fields[0][0].grid
     if any(psi0.grid != grid for psi0, _, _ in fields):

@@ -6,9 +6,10 @@ threads when jobs > 1); a point's files are written as soon as it is done,
 and a summary table follows in sweep order, one row per point, each row a
 mapping from column name to value.  The runners that evolve fields
 (``scatter``, ``amplify``) split the points into one contiguous run per
-worker and evolve each run as one batch through the processed Strang loop,
-keeping of each stop only what the files need; a point's evolution files
-wait for its run.
+worker and evolve each run as one batch through the library's own path,
+``run_packet_scattering`` or ``evolve_batch``, which keeps of each stop
+only N(t) and the density at every density_stride-th point; a point's
+evolution files wait for its run.
 ``run_experiment`` hands every runner a hidden staging directory inside the
 output directory and moves the files into place only once the runner
 returns, so a failed run leaves nothing behind.  Outputs are CSV for curves
@@ -34,10 +35,10 @@ import numpy as np
 from ._io import write_csv, write_ndjson
 from .config import ExperimentConfig, SweepPoint
 from .lasermap import map_to_anyonic, mode_locking_threshold
-from .model import WaveFunction, build_h_eff, trapz
+from .model import build_h_eff
 from .nonnormal import analytic_bound_state_pt, g_infinity, g_t, self_orthogonality
-from .propagation import _strang
-from .scattering import _packet_fields, group_velocity, report_from_final, stationary_rt
+from .propagation import evolve_batch
+from .scattering import group_velocity, run_packet_scattering, stationary_rt
 from .spectra import (
     continuous_dispersion,
     delocalization_margin,
@@ -85,27 +86,9 @@ def _with_summary(outdir: Path, name: str, computed) -> list:
     return written + [write_csv(outdir / name, list(rows[0]), [r.values() for r in rows])]
 
 
-def _sampled_evolution(fields, cfg: ExperimentConfig) -> list:
-    """Evolve ``fields`` as one batch, keeping of each stop only what the files need.
-
-    At each stop of the Strang loop a field leaves its norm N(t) and its
-    density at every density_stride-th point; the complex fields are dropped,
-    all but the last stop's.  One ``(times, norms, densities, final field)``
-    per field.
-    """
-    grid, dt, stops = fields[0][0].grid, cfg.propagator.dt, cfg.propagator.snapshot_steps()
-    norms, densities = [], []
-    for psi in _strang(fields, dt, stops):
-        rhos = [np.abs(row) ** 2 for row in psi]
-        norms.append([trapz(rho, grid.dx) for rho in rhos])
-        densities.append([rho[:: cfg.density_stride].copy() for rho in rhos])
-    times = np.multiply(stops, dt)
-    finals = [WaveFunction(grid, row) for row in psi]  # the loop is done: psi is the last stop
-    return [(times, *run) for run in zip(zip(*norms), zip(*densities), finals)]
-
-
-def _write_evolution(outdir: Path, tag: str, times, norms, densities) -> list:
-    """Write evolution_<tag>.ndjson (t, N(t), density at each stop) and norm_<tag>.csv."""
+def _write_evolution(outdir: Path, tag: str, record, densities) -> list:
+    """Write evolution_<tag>.ndjson (t, N(t), ``densities`` at each stop) and norm_<tag>.csv."""
+    times, norms = record.times, record.norm
     ndjson = ({"t": t, "norm": n, "density": d.tolist()} for t, n, d in zip(times, norms, densities))
     return [
         write_ndjson(outdir / f"evolution_{tag}.ndjson", ndjson),
@@ -197,11 +180,10 @@ def run_scatter(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
 
     def scatter(chunk):
         cases = [(p.potential, p.params, cfg.packet(p.carrier)) for p in chunk]
-        runs = _sampled_evolution(_packet_fields(cases, cfg.grid, cfg.separatrix), cfg)
+        runs = run_packet_scattering(cases, cfg.propagator, cfg.grid, cfg.separatrix, cfg.density_stride)
         computed = []
-        for point, (_, params, packet), (times, norms, densities, final) in zip(chunk, cases, runs):
-            report = report_from_final(final, packet, params, cfg.separatrix)
-            paths = _write_evolution(outdir, f"{point.index:03d}", times, norms, densities)
+        for point, (record, report) in zip(chunk, runs):
+            paths = _write_evolution(outdir, f"{point.index:03d}", record, record.densities)
             row = {
                 **_point_columns(point),
                 "k": report.k_incident,
@@ -263,10 +245,10 @@ def run_amplify(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> list:
             row = dict(leading, g_infinity=ginf, self_orthogonality=sorth, margin=margin)
             computed.append((paths, row))
         # one batched evolution per chunk; densities divided by N(t) keep only their shape
-        runs = _sampled_evolution(fields, cfg) if fields else ()
-        for point, (paths, _), (times, norms, densities, _) in zip(chunk, computed, runs):
-            shapes = (d / n for d, n in zip(densities, norms))
-            paths += _write_evolution(outdir, f"{point.index:03d}", times, norms, shapes)
+        runs = evolve_batch(fields, cfg.propagator, cfg.density_stride) if fields else ()
+        for point, (paths, _), record in zip(chunk, computed, runs):
+            shapes = (d / n for d, n in zip(record.densities, record.norm))
+            paths += _write_evolution(outdir, f"{point.index:03d}", record, shapes)
         return computed
 
     return _with_summary(outdir, "ginf.csv", _map_chunks(compute, cfg.sweep_points(), jobs))

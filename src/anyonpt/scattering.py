@@ -211,24 +211,24 @@ def report_from_final(
     )
 
 
-def _packet_fields(cases, grid: Grid, separatrix: float) -> list:
-    """The ``(packet, spec, params)`` fields of ``cases``, once each packet is seen to approach."""
-    for _, params, packet in cases:
-        packet.check_approach(params, separatrix)
-    return [(gaussian_packet(grid, packet), spec, params) for spec, params, packet in cases]
-
-
-def run_packet_scattering(cases, config: PropagatorConfig, grid: Grid, separatrix: float = 0.0):
+def run_packet_scattering(
+    cases, config: PropagatorConfig, grid: Grid, separatrix: float = 0.0, density_stride: int = 1
+):
     """Scatter Gaussian packets off potentials; one (record, report) per case.
 
     ``cases`` is a sequence of ``(spec, params, packet)``, all evolved on
-    ``grid`` as one batch by ``evolve_batch``.  Each packet must start on one
+    ``grid`` as one batch by ``evolve_batch``, which keeps each record's
+    densities at every ``density_stride``-th point; the ``scatter`` runner
+    writes its files from these pairs.  Each packet must start on one
     side of the separatrix with group velocity carrying it toward the
     potential (moving frame: the barrier sits at the origin); a run is
     conclusive once the surviving density's centroid has cleared five packet
     widths.
     """
-    records = evolve_batch(_packet_fields(cases, grid, separatrix), config)
+    for _, params, packet in cases:
+        packet.check_approach(params, separatrix)
+    fields = [(gaussian_packet(grid, packet), spec, params) for spec, params, packet in cases]
+    records = evolve_batch(fields, config, density_stride)
     return [
         (record, report_from_final(record.final(), packet, params, separatrix))
         for record, (_, params, packet) in zip(records, cases)

@@ -205,11 +205,9 @@ def test_criterion_10_bound_state_breakup():
             fields.append((moving_bound_state(u1, e1, point.params), point.potential, point.params))
     outcomes = {}
     for frac, record in zip(fracs, evolve_batch(fields, cfg.propagator)):
-        x0 = grid.x[int(np.argmax(record.snapshots[0].density()))]
-        disp = [
-            abs(grid.x[int(np.argmax(s.density()))] - x0) for s in record.snapshots
-        ]
-        peak_pos = [abs(grid.x[int(np.argmax(s.density()))]) for s in record.snapshots]
+        peaks = [grid.x[int(np.argmax(density))] for density in record.densities]
+        disp = [abs(x - peaks[0]) for x in peaks]
+        peak_pos = [abs(x) for x in peaks]
         outcomes[frac] = (max(disp), max(peak_pos))
     assert outcomes[0.2][0] < 0.5  # survives
     assert outcomes[0.95][1] > 5.0  # destroyed: peak leaves |x| < 5

@@ -24,14 +24,15 @@ from anyonpt import (
     ExperimentConfig,
     Grid,
     NumericalError,
+    WaveFunction,
     build_h_eff,
 )
 from anyonpt._io import fmt, write_csv, write_ndjson
 from anyonpt.cli import main as cli_main
 from anyonpt.nonnormal import analytic_bound_state_pt, gain_grid
-from anyonpt.propagation import evolve_batch
+from anyonpt.propagation import _strang
 from anyonpt.runners import _write_evolution, run_experiment
-from anyonpt.scattering import run_packet_scattering
+from anyonpt.scattering import gaussian_packet, run_packet_scattering
 from anyonpt.spectra import moving_bound_state
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -662,11 +663,11 @@ class TestIOFormat:
         )
 
     def test_evolution_records_carry_12_digits(self, tmp_path):
-        from anyonpt import EvolutionRecord, Grid, WaveFunction
+        from anyonpt import EvolutionRecord
 
-        snap = WaveFunction(Grid(0.0, 1.0, 16), np.full(16, np.sqrt(1.0 / 3.0), dtype=complex))
-        record = EvolutionRecord(np.array([1.0 / 3.0]), np.array([2.0 / 3.0]), (snap,))
-        _write_evolution(tmp_path, "000", record.times, record.norm, [snap.density()[::8]])
+        last = WaveFunction(Grid(0.0, 1.0, 16), np.full(16, np.sqrt(1.0 / 3.0), dtype=complex))
+        record = EvolutionRecord(np.array([1.0 / 3.0]), np.array([2.0 / 3.0]), (last.density()[::8],), last)
+        _write_evolution(tmp_path, "000", record, record.densities)
         assert (tmp_path / "evolution_000.ndjson").read_text() == (
             '{"t":0.333333333333,"norm":0.666666666667,"density":[0.333333333333,0.333333333333]}\n'
         )
@@ -689,18 +690,26 @@ def evolving(name: str, snapshot_every: int) -> ExperimentConfig:
 class TestEvolutionFiles:
     """The runners take each snapshot from the evolution loop as it comes."""
 
-    @pytest.mark.parametrize("name", ["scatter", "amplify"])
+    @pytest.mark.parametrize("name", ["scatter", "amplify", "run_packet_scattering"])
     def test_held_memory_does_not_grow_with_the_snapshot_count(self, tmp_path, name):
         # 201 snapshots against 2: the 199 more, as complex fields, fill 6.5 MB,
-        # and a runner that held them grew by 103%.  It keeps N(t) and every
-        # 32nd density value of each (1/64 of that) and, while it writes a
-        # file, the file's text: 3.0% for scatter, 3.5% for amplify.
-        run_experiment(evolving(name, 200), tmp_path / "warm-up")  # numpy's own first-call caches
+        # and a path that held them grew by 101-103% of that.  Each keeps N(t)
+        # and every 32nd density value of each stop (1/64 of that), and a
+        # runner, while it writes a file, one line of its text: all three grow
+        # by 1.6%.  The library call returns its records; the runners write them.
+        def run(every):
+            if name == "run_packet_scattering":
+                cfg = evolving("scatter", every)
+                cases = [(p.potential, p.params, cfg.packet(p.carrier)) for p in cfg.sweep_points()]
+                return run_packet_scattering(cases, cfg.propagator, cfg.grid, cfg.separatrix, cfg.density_stride)
+            return run_experiment(evolving(name, every), tmp_path / str(every))
+
+        run(200)  # numpy's own first-call caches
         peaks = {}
         for every in (200, 1):
             tracemalloc.start()
             try:
-                run_experiment(evolving(name, every), tmp_path / str(every))
+                run(every)
                 peaks[every] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -710,33 +719,34 @@ class TestEvolutionFiles:
     @pytest.mark.parametrize("name", ["scatter", "amplify"])
     @pytest.mark.parametrize("every", [1, 7, 200])
     def test_files_match_the_library_evolution(self, tmp_path, name, every):
-        # the files evolve_batch's records give, written as the runners wrote
-        # them when they held every snapshot; amplify divides by N(t)
+        # the files that every full stop of the processed loop gives, written as
+        # the runners wrote them when they held every snapshot; amplify divides by N(t)
         cfg = evolving(name, every)
-        points = cfg.sweep_points()
+        points, prop = cfg.sweep_points(), cfg.propagator
         if name == "scatter":
-            cases = [(p.potential, p.params, cfg.packet(p.carrier)) for p in points]
-            runs = run_packet_scattering(cases, cfg.propagator, cfg.grid, cfg.separatrix)
-            records = [record for record, _ in runs]
+            starts = [gaussian_packet(cfg.grid, cfg.packet(p.carrier)) for p in points]
         else:
             e1 = cfg.ground_state_energy()
-            fields = [
-                (moving_bound_state(analytic_bound_state_pt(cfg.grid, p.delta, 1.0), e1, p.params),
-                 p.potential, p.params)
+            starts = [
+                moving_bound_state(analytic_bound_state_pt(cfg.grid, p.delta, 1.0), e1, p.params)
                 for p in points
             ]
-            records = evolve_batch(fields, cfg.propagator)
+        fields = [(psi0, p.potential, p.params) for psi0, p in zip(starts, points)]
+        stops = [psi.copy() for psi in _strang(fields, prop.dt, prop.snapshot_steps())]
+        times = np.multiply(prop.snapshot_steps(), prop.dt)
         run_experiment(cfg, tmp_path / "runner")
-        for point, record in zip(points, records):
-            divisors = record.norm if name == "amplify" else np.ones(len(record.norm))
+        for row, point in enumerate(points):
+            snaps = [WaveFunction(cfg.grid, psi[row]) for psi in stops]
+            norms = np.asarray([s.norm_squared() for s in snaps])
+            divisors = norms if name == "amplify" else np.ones(len(norms))
             tag = f"{point.index:03d}"
             ndjson = (
                 {"t": t, "norm": n, "density": (s.density() / d)[:: cfg.density_stride].tolist()}
-                for t, n, s, d in zip(record.times, record.norm, record.snapshots, divisors)
+                for t, n, s, d in zip(times, norms, snaps, divisors)
             )
             expected = [
                 write_ndjson(tmp_path / f"evolution_{tag}.ndjson", ndjson),
-                write_csv(tmp_path / f"norm_{tag}.csv", ("t", "norm"), zip(record.times, record.norm)),
+                write_csv(tmp_path / f"norm_{tag}.csv", ("t", "norm"), zip(times, norms)),
             ]
             for path in expected:
                 assert (tmp_path / "runner" / path.name).read_bytes() == path.read_bytes(), path.name

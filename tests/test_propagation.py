@@ -23,7 +23,7 @@ from anyonpt import (
     shifted_point_energy,
 )
 from anyonpt.model import trapz
-from anyonpt.propagation import AMPLITUDE_GUARD, _commutator, _guard
+from anyonpt.propagation import AMPLITUDE_GUARD, _commutator, _guard, _strang
 from anyonpt.spectra import continuous_dispersion
 from converged import converged_records, shipped_config, shipped_records
 
@@ -32,6 +32,11 @@ FREE = PoschlTeller(v0=0.0)
 
 def single_mode(grid: Grid, j: int) -> WaveFunction:
     return WaveFunction(grid, np.exp(1j * grid.k[j] * grid.x)).normalized()
+
+
+def strang_stops(fields, cfg: PropagatorConfig) -> list:
+    """Copies of the stacked complex fields the processed loop yields at each of cfg's stops."""
+    return [psi.copy() for psi in _strang(fields, cfg.dt, cfg.snapshot_steps())]
 
 
 def strang_steps(psi, spec, params, dt, n_steps) -> WaveFunction:
@@ -95,8 +100,8 @@ class TestEvolve:
         u = analytic_bound_state_pt(grid, 0.0)
         cfg = PropagatorConfig(dt=0.001, t_final=20.0, snapshot_every=4000)
         rec = evolve(u, well, AnyonicParams(phi=0.0, v=0.0), cfg)
-        for snap in rec.snapshots:
-            assert np.abs(snap.density() - u.density()).max() < 1e-6
+        for density in rec.densities:
+            assert np.abs(density - u.density()).max() < 1e-6
 
     def test_norm_conservation_iff_hermitian(self):
         grid = Grid(-80.0, 80.0, 2048)
@@ -148,7 +153,7 @@ class TestEvolve:
         rec = evolve(psi, FREE, AnyonicParams(phi=0.0, v=0.0), cfg)
         assert len(rec.times) == 5  # t = 0 plus four strides
         assert rec.times[-1] == pytest.approx(1.0)
-        assert len(rec.norm) == len(rec.snapshots) == 5
+        assert len(rec.norm) == len(rec.densities) == 5
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
@@ -232,8 +237,9 @@ class TestProcessor:
         psi0 = gaussian_packet(grid, PacketSpec(center=-5.0, width=2.0, carrier=0.8))
         cfg = PropagatorConfig(dt=0.01, t_final=0.5, snapshot_every=10)
         record = evolve(psi0, PoschlTeller(nu=1.0, delta=0.2), AnyonicParams(phi=0.3, v=-1.0), cfg)
-        assert np.array_equal(record.snapshots[0].values, psi0.values)
-        assert not np.array_equal(record.snapshots[1].values, psi0.values)
+        assert np.array_equal(record.densities[0], psi0.density())
+        assert record.norm[0] == psi0.norm_squared()
+        assert not np.array_equal(record.densities[1], psi0.density())
 
     def test_final_field_does_not_depend_on_the_snapshot_stride(self):
         # P_- writes each snapshot aside; the loop carries the processed field on
@@ -242,7 +248,7 @@ class TestProcessor:
         args = (psi0, PoschlTeller(delta=-0.5, v0=3.0), AnyonicParams(phi=math.pi / 8, v=-2.0))
         strided = evolve(*args, PropagatorConfig(dt=0.01, t_final=1.0, snapshot_every=7))
         bare = evolve(*args, PropagatorConfig(dt=0.01, t_final=1.0, snapshot_every=10**9))
-        assert len(strided.snapshots) == 16 and len(bare.snapshots) == 2
+        assert len(strided.densities) == 16 and len(bare.densities) == 2
         assert np.array_equal(strided.final().values, bare.final().values)
 
     def test_free_flight_is_exact_at_any_dt(self):
@@ -250,12 +256,15 @@ class TestProcessor:
         grid = Grid(-60.0, 60.0, 1024)
         params = AnyonicParams(phi=math.pi / 6, v=0.5)
         psi0 = gaussian_packet(grid, PacketSpec(center=-10.0, width=4.0, carrier=1.0))
-        record = evolve(psi0, FREE, params, PropagatorConfig(dt=2.0, t_final=10.0, snapshot_every=1))
-        assert len(record.snapshots) == 6
-        for t, snap in zip(record.times, record.snapshots):
+        cfg = PropagatorConfig(dt=2.0, t_final=10.0, snapshot_every=1)
+        stops = strang_stops([(psi0, FREE, params)], cfg)
+        assert len(stops) == 6
+        for t, (psi,) in zip(np.multiply(cfg.snapshot_steps(), cfg.dt), stops):
             multiplier = np.exp(-1j * continuous_dispersion(grid.k, params) * t)
             exact = np.fft.ifft(multiplier * np.fft.fft(psi0.values))
-            assert np.abs(snap.values - exact).max() < 1e-12
+            assert np.abs(psi - exact).max() < 1e-12
+        record = evolve(psi0, FREE, params, cfg)
+        assert np.array_equal(record.final().values, stops[-1][0])
 
 
 class TestEvolveBatch:
@@ -281,13 +290,16 @@ class TestEvolveBatch:
         # the last snapshot falls off the stride
         cfg = PropagatorConfig(dt=0.01, t_final=1.0, snapshot_every=30)
         records = evolve_batch(fields, cfg)
+        stops = strang_stops(fields, cfg)
         assert len(records) == 3
-        for record, field in zip(records, fields):
+        for row, (record, field) in enumerate(zip(records, fields)):
             snaps, norms = reference_evolve(*field, cfg)
-            assert len(record.snapshots) == len(snaps) == 5
+            assert len(stops) == len(record.densities) == len(snaps) == 5
             assert np.array_equal(record.norm, np.asarray(norms))
-            for snap, ref in zip(record.snapshots, snaps):
-                assert np.array_equal(snap.values, ref)
+            for stop, density, ref in zip(stops, record.densities, snaps):
+                assert np.array_equal(stop[row], ref)
+                assert np.array_equal(density, np.abs(ref) ** 2)
+            assert np.array_equal(record.final().values, snaps[-1])
         single = evolve(*fields[2], cfg)
         assert np.array_equal(single.final().values, records[2].final().values)
 
@@ -301,10 +313,25 @@ class TestEvolveBatch:
         prop = cfg.propagator
         run = PropagatorConfig(dt=prop.dt, t_final=2.0, snapshot_every=prop.snapshot_every)
         fields = [(psi0, point.potential, point.params), (psi0, table, point.params)]
-        closed, tabulated = evolve_batch(fields, run)
-        assert len(closed.snapshots) == 3
-        for a, b in zip(closed.snapshots, tabulated.snapshots):
-            assert np.array_equal(a.values, b.values)
+        stops = strang_stops(fields, run)
+        assert len(stops) == 3
+        for closed, tabulated in stops:
+            assert np.array_equal(closed, tabulated)
+
+    def test_densities_keep_every_density_stride_th_point(self):
+        grid = Grid(-30.0, 30.0, 512)
+        psi0 = gaussian_packet(grid, PacketSpec(center=-5.0, width=2.0, carrier=0.8))
+        fields = [(psi0, PoschlTeller(nu=1.0, delta=0.2), AnyonicParams(phi=math.pi / 8, v=-1.0))]
+        cfg = PropagatorConfig(dt=0.01, t_final=0.5, snapshot_every=10)
+        (full,), (strided,) = evolve_batch(fields, cfg), evolve_batch(fields, cfg, density_stride=3)
+        assert np.array_equal(strided.norm, full.norm)
+        assert np.array_equal(strided.final().values, full.final().values)
+        assert len(strided.densities) == len(full.densities) == 6
+        for every, kept in zip(full.densities, strided.densities):
+            assert np.array_equal(kept, every[::3])
+            assert kept.base is None  # a copy, which does not hold the whole density
+        with pytest.raises(ContractError, match="density_stride"):
+            evolve_batch(fields, cfg, density_stride=0)
 
     def test_fields_must_share_a_grid(self):
         psi_a = gaussian_packet(Grid(-20.0, 20.0, 256), PacketSpec(center=0.0, width=2.0))

@@ -197,14 +197,16 @@ class TestPacketRuns:
     def test_packet_matches_stationary_reflectance(self):
         # Hermitian drifting barrier: narrowband packet fraction ~ |r(k)|^2.
         # Strong-reflection carrier so the split centroid can clear 5 widths.
+        # The fraction misses |r|^2 by -1.504e-2 relative, the packet's
+        # spread in k, at 4096 points and dt = 0.0125 as at 8192 and 0.005.
         barrier = PoschlTeller(delta=0.0, v0=3.0)
         params = AnyonicParams(phi=0.0, v=-2.0)
         k = 0.3
         r, t = stationary_rt(barrier, params, k)
-        grid = Grid(-160.0, 160.0, 8192)
+        grid = Grid(-160.0, 160.0, 4096)
         [(_, report)] = run_packet_scattering(
             [(barrier, params, PacketSpec(center=-40.0, width=10.0, carrier=k))],
-            PropagatorConfig(dt=0.005, t_final=44.0, snapshot_every=10**9),
+            PropagatorConfig(dt=0.0125, t_final=44.0, snapshot_every=10**9),
             grid,
         )
         assert report.reflected_power_fraction == pytest.approx(abs(r) ** 2, rel=0.10)
@@ -250,7 +252,7 @@ class TestPacketRuns:
     def test_odd_counts_run(self, cfg, n_snapshots):
         case = (PoschlTeller(v0=0.0), AnyonicParams(phi=0.0, v=0.0), PacketSpec(-32.0, 10.0, 1.0))
         ((record, report),) = run_packet_scattering([case], cfg, Grid(-120.0, 120.0, 2048))
-        assert len(record.times) == len(record.snapshots) == n_snapshots
+        assert len(record.times) == len(record.densities) == n_snapshots
         assert record.times[-1] == pytest.approx(cfg.t_final)
         assert report.transmitted_power_fraction > 0.999
 
@@ -300,6 +302,7 @@ def stationary_oracle(spec, params, packet, t_final):
 
 # Two rows off the shipped configs, with delta and v inside perfbench's
 # scatter-barrier draws, (-0.6, -0.4) and (-2.1, -2.0), and another carrier.
+# They run on the shipped scatter box and its 4096 points.
 OFF_CONFIG = [
     (PoschlTeller(delta=-0.45, v0=3.0), AnyonicParams(phi=0.0, v=-2.05), PacketSpec(-32.0, 10.0, 0.5)),
     (PoschlTeller(delta=-0.55, v0=3.0), AnyonicParams(phi=math.pi / 8, v=-2.08), PacketSpec(-32.0, 10.0, 0.5)),
@@ -310,7 +313,7 @@ OFF_CONFIG = [
 def packet_runs(source: str) -> list:
     """One (case, t_final, record, report) per row of a shipped scatter config or OFF_CONFIG."""
     if source == "off-config":
-        cases, grid = OFF_CONFIG, Grid(-160.0, 160.0, 8192)
+        cases, grid = OFF_CONFIG, Grid(-160.0, 160.0, 4096)
         prop = PropagatorConfig(dt=0.0125, t_final=32.0, snapshot_every=10**9)
     else:
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / f"{source}.yaml")
@@ -331,10 +334,10 @@ class TestStationaryOracle:
 
     Each comment gives the gap at the shipped dt = 0.0125 and the floor: the
     gap of the converged field (``converged_records``, or OFF_CONFIG at dt / 4),
-    which is the oracle's own error.  The scatter configs' gaps are measured on
-    their 4096 points.  On the 8192 they ran before, all read the same to three
-    digits but the k0 reflected gap and floor, -8.925e-11 and -7.005e-11
-    against -8.919e-11 and -7.000e-11 now.  The floors follow the time left
+    which is the oracle's own error.  Every row runs on 4096 points.  On the
+    8192 they ran before, the OFF_CONFIG gaps and floors read the same to four
+    digits, and the scatter configs' to three but the k0 reflected gap and
+    floor, -8.925e-11 and -7.005e-11 against -8.919e-11 and -7.000e-11 now.  The floors follow the time left
     after the packet reaches the barrier, as the oracle assumes every component
     has scattered by t_final, which the slow tail of the packet's k-distribution
     has not.  Each bound is the one set at twice the gap of the field at
@@ -358,9 +361,9 @@ class TestStationaryOracle:
             # gaps +3.66e-8 and +5.01e-9; floors +2.59e-8 and +3.43e-9
             ("scatter_barrier_k1", 0, 6e-8, 7e-9, None),
             ("scatter_barrier_k1", 1, 4e-5, None, None),  # +1.68e-5; floor +1.68e-5
-            # gaps +1.10e-8 and +2.41e-10; floors +1.04e-8 and +1.89e-10
+            # gaps +1.099e-8 and +2.408e-10; floors +1.036e-8 and +1.893e-10
             ("off-config", 0, 4e-8, 7e-10, None),
-            ("off-config", 1, 5e-7, None, None),  # -2.55e-7; floor -2.47e-7
+            ("off-config", 1, 5e-7, None, None),  # -2.551e-7; floor -2.474e-7
         ],
     )
     def test_packet_matches_the_oracle(self, source, row, norm_bound, reflected_bound, reflected_floor):
