@@ -125,6 +125,8 @@ def evolve_batch(fields, config: PropagatorConfig, density_stride: int = 1) -> l
     """
     if density_stride < 1:
         raise ContractError("density_stride must be >= 1")
+    if not len(fields):
+        raise ContractError("no fields to evolve")
     grid, dt, stops = fields[0][0].grid, config.dt, config.snapshot_steps()
     norms, densities = [], []
     for psi in _strang(fields, dt, stops):

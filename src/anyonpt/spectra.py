@@ -7,10 +7,10 @@ drift stays below the critical velocity ``2 sqrt(|E_n|)/sin(phi)``.
 
 Numerical side: the eigenvalues of the discretized operator, and vectors
 only for its point states.  ``solve_spectrum`` takes the whole eigenvalue
-cloud in O(n^2) from the bands of a Hermitian operator (or of the Hermitian
-delta = 0 twin of a shifted well, which it builds itself from any operator
-of ``build_h_eff``) or from the roots of a drifting periodic operator's
-transfer-matrix determinant, and otherwise from a dense eigenvalue-only
+cloud from the parity halves or bands of a Hermitian operator (or of the
+Hermitian delta = 0 twin of a shifted well, which it builds itself from any
+operator of ``build_h_eff``) or in O(n^2) from the roots of a drifting periodic
+operator's transfer-matrix determinant, and otherwise from a dense eigenvalue-only
 solve; ``point_states`` takes the eigenpairs nearest given energies from
 shift-invert solves.
 A state's localization length is read off its eigenvalue: outside the well
@@ -78,6 +78,10 @@ ABERTH_RESCALE = 16
 ARNOLDI_VECTORS = 20
 ARNOLDI_KEEP = 10
 ARNOLDI_MAX_RESTARTS = 50
+# Largest n of the parity split, the largest shipped spectrum grid.  Per solve it costs more than
+# eig_banded (0.038 against 0.022 s at n = 1280, one BLAS thread) but spares scipy's import (0.12 s,
+# 26 MB): a run of 4 points at rest and n = 1280 spent less CPU split, one of 8 3% more.
+SPLIT_MAX_DIM = 1280
 # Tail fits of fit_localization_length: log|u| on [peak + offset, peak + offset
 # + span] on each side, over at least TAIL_MIN_POINTS samples above
 # TAIL_FLOOR times the peak.
@@ -383,15 +387,35 @@ def _ring_band(h: HamiltonianMatrix, shift: complex = 0.0) -> tuple:
 
 
 def _banded_eigenvalues(k: HamiltonianMatrix) -> tuple:
-    """The eigenvalues of a Hermitian ``k`` from LAPACK's band solver, and whether its bands are real.
+    """The eigenvalues of a Hermitian ``k``, and whether its bands are real.
 
-    The band is ``k`` in the order of ``_ring_band``.
+    A real ``k`` of dimension at most SPLIT_MAX_DIM whose diagonal is bitwise its own
+    mirror image splits by parity (Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976)
+    into an even and an odd tridiagonal half: k's diagonal and couplings t, +-t where the
+    middle sites meet and at a ring's corner, and at odd n sqrt(2) t to the middle site.
+    numpy's ``eigvalsh`` solves each, O((n/2)^3), 0.04 s at n = 1280 (one BLAS thread).
+    Any other ``k`` takes LAPACK's band solver, O(n^2) on ``k`` in ``_ring_band``'s order.
     """
+    scale = max(1.0, np.abs(k.diagonal).max(), abs(k.upper))
+    real = abs(k.upper.imag) <= HERMITIAN_RTOL * scale
+    n, m, d, t = k.dim, k.dim // 2, k.diagonal.real, k.lower.real
+    if real and n <= SPLIT_MAX_DIM and np.array_equal(d, d[::-1]):
+        w = []
+        for sign, size in ((1.0, n - m), (-1.0, m)):
+            a = np.diag(d[:size])
+            a[np.arange(1, size), np.arange(size - 1)] = t  # the lower triangle eigvalsh reads
+            if n % 2 == 0:
+                a[m - 1, m - 1] += sign * t
+            elif sign > 0:
+                a[m, m - 1] = math.sqrt(2.0) * t
+            if k.boundary == "periodic":
+                a[0, 0] += sign * t
+            w.append(np.linalg.eigvalsh(a))
+            del a  # before the next half's
+        return np.concatenate(w), True
     import scipy.linalg  # here, not at the top: it adds to every start-up
 
     _, width, rows = _ring_band(k)
-    scale = max(1.0, np.abs(k.diagonal).max(), abs(k.upper))
-    real = abs(k.upper.imag) <= HERMITIAN_RTOL * scale
     # lower band storage: row d holds the entries (j + d, j), rows[j + d, 2 - d]
     band = np.zeros((width + 1, k.dim), dtype=float if real else complex)
     band[0] = rows[:, 2].real
@@ -408,9 +432,9 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
 
     An eigenvalue-only solve gives the whole cloud, along one of the paths
     that ``solver`` names.  K = e^{i phi} H undoes the anyonic rotation.
-    A Hermitian K is solved on its bands by ``_banded_eigenvalues`` in O(n^2),
-    "real-symmetric" when its couplings are real, else "complex-hermitian"
-    (0.03 s at n = 1280, one BLAS thread, against 1.1 s for a real form).
+    A Hermitian K is solved by parity halves or on its bands by ``_banded_eigenvalues``,
+    "real-symmetric" when its couplings are real, else "complex-hermitian" (0.04 s
+    at n = 1280, one BLAS thread, against 1.1 s for a real form).
     ``build_twin(h)`` gives the delta = 0 twin of a shifted well from ``build_h_eff``,
     whose K is Hermitian and which has H's eigenvalues: the imaginary translation
     x -> x - i delta is a Fourier-space similarity, exact up to the aliasing of V at
@@ -427,7 +451,7 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     reliable dense option for these non-normal matrices, except that a periodic
     one first tries the O(n^2) ``_aberth_eigenvalues`` ("complex-aberth").
     Only the two general solves hold an n x n copy, which ``HamiltonianMatrix.dense``
-    refuses above dimension 8192; the other paths take O(n) memory at any n.
+    refuses above dimension 8192; the parity split holds two (n/2)^2 arrays, the others O(n).
     Eigenvalues are sorted by (Re, Im).
     Those whose root length is below ROOT_SCREEN_FRACTION of the box are
     solved again by ``point_states``; a state is labeled "point" when the

@@ -340,6 +340,10 @@ class TestEvolveBatch:
         with pytest.raises(ContractError):
             evolve_batch([(psi_a, FREE, params), (psi_b, FREE, params)], PropagatorConfig())
 
+    def test_empty_batch_is_contract_error(self):
+        with pytest.raises(ContractError, match="no fields"):
+            evolve_batch([], PropagatorConfig())
+
     def test_guard_matches_exact_modulus_test(self):
         base = np.full((2, 64), 0.3 + 0.4j)
         edge = AMPLITUDE_GUARD / math.sqrt(2.0)  # |Re| = |Im| puts |z| at the guard

@@ -272,6 +272,10 @@ class TestPacketRuns:
         with pytest.raises(ContractError):
             gaussian_packet(grid, PacketSpec(center=-15.0, width=3.0))
 
+    def test_no_cases_is_contract_error(self):
+        with pytest.raises(ContractError, match="no fields"):
+            run_packet_scattering([], PropagatorConfig(), Grid(-10.0, 10.0, 64))
+
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

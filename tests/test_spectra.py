@@ -119,9 +119,10 @@ SOLVER_CASES = [
 SOLVER_PARAMS = [pytest.param(make_h, solver, id=name) for name, make_h, solver in SOLVER_CASES]
 
 
-def _shipped_point(index=0):
-    # spectrum_drift_sweep.yaml's point at 0 (at rest), 0.5 or 0.9 v_c, as the runner builds it
-    cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "spectrum_drift_sweep.yaml")
+def _shipped_point(index=0, name="spectrum_drift_sweep"):
+    # a shipped spectrum config's operator at one sweep point, as the runner builds it:
+    # spectrum_drift_sweep.yaml's are at 0 (at rest), 0.5 and 0.9 v_c
+    cfg = ExperimentConfig.from_yaml(CONFIG_DIR / f"{name}.yaml")
     p = cfg.sweep_points()[index]
     return build_h_eff(p.potential, p.params, p.grid, cfg.boundary)
 
@@ -386,6 +387,7 @@ class TestSolveSpectrum:
         monkeypatch.setattr(spectra, "ABERTH_MAX_SWEEPS", 0)
         monkeypatch.setattr(scipy.linalg, "eigvals", fail)
         monkeypatch.setattr(scipy.linalg, "eig_banded", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)  # the parity split's solve
         norm1 = np.abs(h.dense()).sum(axis=0).max()
         with pytest.raises(NumericalError) as info:
             solve_spectrum(h)
@@ -550,9 +552,13 @@ class TestTwin:
         ],
         ids=["shipped-rest-point", "dirichlet-hermitian"],
     )
-    def test_no_dense_array(self, make_h, solver):
-        # bands only: far below one n x n float64 array (13 MB at n = 1280), which the
-        # real form holds
+    @pytest.mark.parametrize("split", [False, True], ids=["eig_banded", "parity-split"])
+    def test_no_dense_array(self, monkeypatch, make_h, solver, split):
+        # eig_banded holds bands only: far below one n x n float64 array (13 MB at
+        # n = 1280), which the real form holds.  The parity split holds an (n/2)^2
+        # half and LAPACK's copy of it, 6.6 MB at n = 1280; tracemalloc sees the half
+        if not split:
+            monkeypatch.setattr(spectra, "SPLIT_MAX_DIM", 0)
         h = make_h()
         tracemalloc.start()
         try:
@@ -561,7 +567,7 @@ class TestTwin:
         finally:
             tracemalloc.stop()
         assert res.solver == solver and res.point_count == 1
-        assert peak <= 0.1 * 8 * h.dim**2
+        assert peak <= (1.2 * 8 * (h.dim // 2) ** 2 if split else 0.1 * 8 * h.dim**2)
 
     def test_library_call_takes_the_twin(self):
         # the operator build_h_eff gives carries its potential, so solve_spectrum finds
@@ -591,6 +597,66 @@ class TestTwin:
         monkeypatch.setattr(spectra, "build_twin", lambda h: _well(math.pi / 3, v=0.5 * VC3))
         with pytest.raises(ContractError, match="Hermitian"):
             solve_spectrum(_well(math.pi / 3))
+
+
+def _solved_k(h):
+    """The Hermitian K that solve_spectrum hands to _banded_eigenvalues for ``h``."""
+    seen, solve = [], spectra._banded_eigenvalues
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectra, "_banded_eigenvalues", lambda k: seen.append(k) or solve(k))
+        solve_spectrum(h)
+    (k,) = seen
+    return k
+
+
+def _hermitian_well(grid, boundary="periodic", v=0.0):
+    # at phi = 0, K = H: real couplings at rest, complex ones under drift
+    return build_h_eff(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0, v=v), grid, boundary)
+
+
+class TestParitySplit:
+    """A real K whose diagonal mirrors itself splits by parity into two halves for numpy."""
+
+    @pytest.fixture
+    def eig_banded_calls(self, monkeypatch):
+        calls, band = [], scipy.linalg.eig_banded
+        monkeypatch.setattr(scipy.linalg, "eig_banded", lambda *a, **kw: calls.append(1) or band(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize(
+        "make_k",
+        [
+            *(lambda name=name: _solved_k(_shipped_point(0, name))
+              for name in ("spectrum_drift_sweep", "regression_spectrum", "null_spectrum")),
+            lambda: _hermitian_well(Grid(-20.0, 20.0, 257)),
+            lambda: _hermitian_well(Grid(-20.0, 20.0, 257), "dirichlet"),
+        ],
+        ids=["spectrum_drift_sweep-0", "regression_spectrum-0", "null_spectrum-0",
+             "odd-n-periodic", "odd-n-dirichlet"],
+    )
+    def test_matches_eig_banded(self, monkeypatch, eig_banded_calls, make_k):
+        # measured: 8.7e-15, 1.1e-15 and 8.7e-16 of max|lam| on the shipped operators
+        # (n = 1280, 600, 256), 6.2e-15 and 1.0e-15 at n = 257
+        k = make_k()
+        split, real = spectra._banded_eigenvalues(k)
+        assert real and not eig_banded_calls
+        monkeypatch.setattr(spectra, "SPLIT_MAX_DIM", k.dim - 1)
+        banded, _ = spectra._banded_eigenvalues(k)
+        assert eig_banded_calls == [1]
+        assert np.abs(np.sort(split) - np.sort(banded)).max() <= 2e-14 * np.abs(banded).max()
+
+    @pytest.mark.parametrize(
+        "make_k, real",
+        [
+            (lambda: _hermitian_well(OFF_CENTRE), True),
+            (lambda: _hermitian_well(Grid(-20.0, 20.0, 401), v=0.5 * VC3), False),
+            (lambda: _hermitian_well(Grid(-40.0, 40.0, spectra.SPLIT_MAX_DIM + 2)), True),
+        ],
+        ids=["off-centre-grid", "complex-hermitian", "above-the-ceiling"],
+    )
+    def test_other_operators_take_eig_banded(self, eig_banded_calls, make_k, real):
+        assert spectra._banded_eigenvalues(make_k())[1] == real
+        assert eig_banded_calls == [1]
 
 
 def reference_newton_ratios(h, z):
@@ -870,10 +936,6 @@ class TestPointStates:
 
     def test_amplify_and_delocalize_never_import_scipy(self, tmp_path):
         root = CONFIG_DIR.parent
-        # a spectrum run whose every point drifts takes the root iteration alone
-        drifting = yaml.safe_load((CONFIG_DIR / "spectrum_drift_sweep.yaml").read_text())
-        drifting["params"]["v_over_vc"] = [0.5, 0.9]
-        (tmp_path / "drifting.yaml").write_text(yaml.safe_dump(drifting))
         # the two evolving runners: amplify_breakup's three fields, for 1.0 of its 30.0
         breakup = yaml.safe_load((CONFIG_DIR / "amplify_breakup.yaml").read_text())
         breakup["propagator"]["t_final"] = 1.0
@@ -881,7 +943,11 @@ class TestPointStates:
         runs = [
             ("amplify", root / "perfbench" / "gain_transient.yaml"),
             ("delocalize", CONFIG_DIR / "delocalize_sweep.yaml"),
-            ("spectrum", tmp_path / "drifting.yaml"),
+            # as shipped: the points at rest take the parity split, the drifting ones the
+            # root iteration
+            ("spectrum", CONFIG_DIR / "spectrum_drift_sweep.yaml"),
+            ("spectrum", CONFIG_DIR / "regression_spectrum.yaml"),
+            ("spectrum", CONFIG_DIR / "null_spectrum.yaml"),
             ("scatter", CONFIG_DIR / "null_scatter.yaml"),
             ("amplify", tmp_path / "breakup.yaml"),
         ]
