@@ -118,7 +118,7 @@ _KEYS = (
     _Key("amplify.g_t_times", list, bound=(">=", 0.0), field="g_t_times"),
     _Key("amplify.g_t_grid.x_min", float, _REQUIRED, field="g_t_grid.x_min"),
     _Key("amplify.g_t_grid.x_max", float, _REQUIRED, field="g_t_grid.x_max"),
-    # the dense propagator's cap
+    # g_t's propagator cap
     _Key("amplify.g_t_grid.n_points", int, _REQUIRED, ("<=", G_T_MAX_DIM), "g_t_grid.n_points"),
     _Key("cavity.D", float, _REQUIRED),
     *(_Key(f"cavity.{name}", float) for name in ("Dg", "delta1", "delta2", "g", "l", "Tm", "TR")),

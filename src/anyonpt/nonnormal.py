@@ -3,8 +3,8 @@
 The drifting operator is non-normal: its eigenfunctions are not orthogonal,
 so perturbations can be transiently amplified far beyond what the eigenvalues
 suggest.  ``g_t`` measures the worst-case power amplification at time t as the
-squared operator norm of the propagator relative to the dominant bound state,
-the largest Ritz value of P^H P from the Arnoldi driver of ``point_states``;
+squared norm of the propagator, a band of column blocks, relative to the dominant
+bound state: the largest Ritz value of P^H P by the Arnoldi of ``point_states``;
 its t -> infinity limit ``g_infinity`` is the excess-noise (Petermann) factor
 
     G = [ I |u|^2 e^{-v x sin phi} dx ] [ I |u|^2 e^{+v x sin phi} dx ] / | I u^2 dx |^2
@@ -50,7 +50,7 @@ __all__ = [
 # so each side of a lattice sum is a geometric series.
 GAIN_BOX = 40.0
 
-# Dense propagators are n x n complex; g_t refuses larger operators.
+# A full-span band, like g_t's dense SVD fallback, is n x n complex; g_t refuses more.
 G_T_MAX_DIM = 2048
 # tau ||G||_1 cap of g_t's Taylor base step: the degree-13 Pade bound (Al-Mohy & Higham 2009).
 THETA_13 = 5.371920351148152
@@ -58,7 +58,7 @@ THETA_13 = 5.371920351148152
 # unit roundoff over n^2 at the largest n, so one flush moves ||P||_2 by at
 # most n * FLUSH_FRACTION * ||P||_2 <= 2^-53 / n * ||P||_2.
 FLUSH_FRACTION = 2.0**-53 / G_T_MAX_DIM**2
-# Column block width of g_t's band-limited products.
+# Column block width of g_t's propagator bands.
 BAND_BLOCK = 128
 
 
@@ -182,83 +182,107 @@ def g_infinity_poschl_teller(delta: float, params: AnyonicParams) -> float:
     return g_infinity(delta, params)
 
 
-def _flush_tiny(p: np.ndarray) -> tuple:
-    """Zero, in place, the entries of ``p`` at or below FLUSH_FRACTION of its largest one.
+def _flush_tiny(blocks) -> list:
+    """The band of the ``(lo, slab)`` column blocks from ``blocks``, its tiny entries zeroed.
 
-    Returns ``p`` with the nonzero row span of each block of BAND_BLOCK
-    columns, read off the same pass: ``spans[k] = (first, end)`` of the rows
-    that are nonzero somewhere in block k, or ``(n, 0)`` for an all-zero block.
+    A band holds each block of BAND_BLOCK columns, in order, as the slab of its
+    rows from lo, the first to the last with an entry above the floor,
+    FLUSH_FRACTION of the largest entry.  Each block is cut as it comes, at
+    FLUSH_FRACTION of the largest entry so far; the rows cut fall below the
+    final floor too.  A non-finite entry raises DivergenceError.
     """
-    mag = np.abs(p)
-    peak = float(mag.max())
-    if not math.isfinite(peak):
-        raise DivergenceError("propagator overflowed; retry with smaller t")
-    floor = FLUSH_FRACTION * peak
-    p[mag <= floor] = 0.0
-    rows = np.maximum.reduceat(mag, np.arange(0, p.shape[1], BAND_BLOCK), axis=1) > floor
-    n = p.shape[0]
-    spans = np.stack([rows.argmax(axis=0), n - rows[::-1].argmax(axis=0)], axis=1)
-    spans[~rows.any(axis=0)] = (n, 0)
-    return p, spans
+    band, peak = [], 0.0
+    for lo, slab in blocks:
+        rows = np.abs(slab).max(axis=1, initial=0.0)
+        peak = np.maximum(peak, rows.max(initial=0.0))  # NaN stays NaN
+        if not np.isfinite(peak):
+            raise DivergenceError("propagator overflowed; retry with smaller t")
+        band.append(_rows_above(lo, slab, rows, FLUSH_FRACTION * peak))
+    for k, (lo, slab) in enumerate(band):  # the final floor
+        mag = np.abs(slab)
+        slab[mag <= FLUSH_FRACTION * peak] = 0.0
+        band[k] = _rows_above(lo, slab, mag.max(axis=1, initial=0.0), FLUSH_FRACTION * peak)
+    return band
 
 
-def _band_matmul(a: np.ndarray, a_spans, b: np.ndarray, b_spans) -> np.ndarray:
-    """``a @ b``, multiplying only the nonzero spans given by ``_flush_tiny``.
+def _rows_above(lo: int, slab: np.ndarray, rows: np.ndarray, floor: float) -> tuple:
+    """``(lo, slab)`` cut to its first and last row whose largest entry, ``rows``, tops ``floor``."""
+    keep = np.flatnonzero(rows > floor)
+    first, end = (keep[0], keep[-1] + 1) if keep.size else (0, 0)
+    if (first, end) != (0, len(slab)):  # an empty block starts at 0; a copy frees the cut rows
+        lo, slab = lo + first if keep.size else 0, slab[first:end].copy()
+    return lo, slab
 
-    Block k of the columns of ``b`` is nonzero only in rows lo:hi, so it needs
-    only columns lo:hi of ``a``, and those are nonzero only in the union s0:s1
-    of the row spans of the blocks of ``a`` they fall in.  A dense or
-    corner-wrapped factor has full spans and takes full-width products.
+
+def _band_matmul(a: list, b: list) -> list:
+    """``a @ b`` for bands, block by block, flushed by ``_flush_tiny``.
+
+    Block k of ``b`` has rows lo:hi, so it meets only the blocks m of ``a``
+    with columns in lo:hi: each adds ``A_m[:, cols] @ B_k[rows]`` to the
+    product's block, whose rows are the union of their spans, all n for a dense
+    or corner-wrapped factor.
     """
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for k, (lo, hi) in enumerate(b_spans):
-        if lo >= hi:
-            continue
-        inner = a_spans[lo // BAND_BLOCK : (hi - 1) // BAND_BLOCK + 1]
-        s0, s1 = inner[:, 0].min(), inner[:, 1].max()
-        if s0 < s1:
-            cols = slice(k * BAND_BLOCK, (k + 1) * BAND_BLOCK)
-            np.matmul(a[s0:s1, lo:hi], b[lo:hi, cols], out=out[s0:s1, cols])
-    return out
+
+    def blocks():
+        for lo, slab in b:
+            hi = lo + len(slab)
+            inner = [(c0, *a[c0 // BAND_BLOCK]) for c0 in range(lo - lo % BAND_BLOCK, hi, BAND_BLOCK)]
+            s0 = min((f_lo for _, f_lo, f in inner if len(f)), default=0)
+            s1 = max((f_lo + len(f) for _, f_lo, f in inner if len(f)), default=0)
+            out = np.zeros((s1 - s0, slab.shape[1]), dtype=complex)
+            for c0, f_lo, f in inner:  # an empty f adds no rows
+                r0, r1 = max(lo, c0), min(hi, c0 + BAND_BLOCK)
+                out[f_lo - s0 : f_lo - s0 + len(f)] += f[:, r0 - c0 : r1 - c0] @ slab[r0 - lo : r1 - lo]
+            yield s0, out
+
+    return _flush_tiny(blocks())
 
 
-def _sigma_max(*factors: np.ndarray) -> float:
-    """Largest singular value of the product P of ``factors``: sqrt(theta) of P^H P.
+def _sigma_max(*factors: list) -> float:
+    """Largest singular value of the product P of the bands ``factors``: sqrt(theta) of P^H P.
 
     The factors must commute, as functions of one G do.  theta is the Ritz
     value of largest |theta| of x -> P^H (P x) (``_largest_ritz_pair``), which
-    applies the factors one after another, so P is never formed; m Arnoldi
-    steps on the Hermitian P^H P give the Ritz values of m Golub-Kahan steps
-    on P.  When that finds no final pair, or theta is not positive, the dense
-    SVD of the multiplied-out P is used instead.  It is also used directly when
-    the bound, the product of each factor's sqrt(||F||_1 ||F||_inf), reaches
-    2^255: the vectors P^H P x reach sigma^2, and the squares that their norm
-    sums overflow from sigma = 2^256 on.
+    applies the factors one after another, slab by slab, so P is never formed;
+    m Arnoldi steps on the Hermitian P^H P give the Ritz values of m
+    Golub-Kahan steps on P.  When that finds no final pair, or theta is not
+    positive, the dense SVD of the multiplied-out P is used instead.  It is
+    also used directly when the bound, the product of each factor's
+    sqrt(||F||_1 ||F||_inf), reaches 2^255: the vectors P^H P x reach sigma^2,
+    and the squares that their norm sums overflow from sigma = 2^256 on.
     """
 
     def gram(x):
         for f in reversed(factors):  # P x
-            x = f @ x
+            x, y = np.zeros_like(x), x
+            for k, (lo, slab) in enumerate(f):
+                x[lo : lo + len(slab)] += slab @ y[k * BAND_BLOCK : (k + 1) * BAND_BLOCK]
         for f in factors:  # P^H (P x)
-            x = (x.conj() @ f).conj()
+            x = np.concatenate([(x[lo : lo + len(slab)].conj() @ slab).conj() for lo, slab in f])
         return x
 
     if math.prod(_norm_bound(f) for f in factors) < 2.0**255:
-        pair = _largest_ritz_pair(gram, factors[0].shape[0])
+        pair = _largest_ritz_pair(gram, sum(slab.shape[1] for _, slab in factors[0]))
         if pair is not None and pair[0].real > 0.0:
             return math.sqrt(pair[0].real)
     return float(np.linalg.svd(_multiplied_out(factors), compute_uv=False)[0])
 
 
-def _norm_bound(f: np.ndarray) -> float:
-    """sqrt(||f||_1 ||f||_inf), an upper bound on ||f||_2; |f| dies on return."""
-    mag = np.abs(f)
-    return math.sqrt(mag.sum(axis=0).max()) * math.sqrt(mag.sum(axis=1).max())
+def _norm_bound(f: list) -> float:
+    """sqrt(||F||_1 ||F||_inf), an upper bound on ||F||_2, read off the band ``f``."""
+    col_sum, row_sums = 0.0, np.zeros(BAND_BLOCK * len(f))
+    for lo, slab in f:
+        mag = np.abs(slab)
+        col_sum = max(col_sum, float(mag.sum(axis=0).max()))
+        row_sums[lo : lo + len(slab)] += mag.sum(axis=1)
+    return math.sqrt(col_sum) * math.sqrt(row_sums.max())
 
 
 def _multiplied_out(factors) -> np.ndarray:
-    """The dense product of ``factors``; DivergenceError when it is not finite."""
-    p = functools.reduce(np.matmul, factors)
+    """The dense product of the bands ``factors``; DivergenceError when it is not finite."""
+    n = sum(slab.shape[1] for _, slab in factors[0])
+    dense = ([np.pad(slab, ((lo, n - lo - len(slab)), (0, 0))) for lo, slab in f] for f in factors)
+    p = functools.reduce(np.matmul, map(np.hstack, dense))
     if not np.isfinite(p).all():
         raise DivergenceError("propagator overflowed; retry with smaller t")
     return p
@@ -270,13 +294,13 @@ def _norm1(diagonals: np.ndarray) -> float:
     return float((np.roll(mag[2], 1) + mag[1] + np.roll(mag[0], -1)).max())
 
 
-def _expm_taylor(a: np.ndarray) -> np.ndarray:
-    """exp(A) as a dense array: the Taylor series of A, summed on cyclic diagonals.
+def _expm_taylor(a: np.ndarray) -> list:
+    """exp(A) as a band (``_flush_tiny``): the Taylor series of A, summed on cyclic diagonals.
 
     ``a`` holds A's three cyclic diagonals, as ``HamiltonianMatrix.cyclic_diagonals``
     does: row 1 + d the entries (j, (j + d) mod n).  Term k, A^k / k!, is kept as
     its 2k + 1 diagonals d = -k .. k, which may wrap more than once round a small
-    ring; the sum is scattered into an n x n array only at the end.  The series
+    ring; the sum is scattered into the column slabs only at the end.  The series
     stops after the first term k whose 1-norm bound x^k / k!, x = ||A||_1, is at
     most 2^-53; the count depends on x alone, so results repeat bitwise.
     """
@@ -299,11 +323,16 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
             nxt[1 + e : 2 * k + e] += term * shifted[1 + e][rows]
         term = nxt / k
         total[last - k : last + k + 1] += term
-    out = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    for d, diagonal in enumerate(total, start=-last):
-        out[cols, (cols + d) % n] += diagonal
-    return out
+
+    def blocks():
+        for c0 in range(0, n, BAND_BLOCK):
+            cols = np.arange(c0, min(c0 + BAND_BLOCK, n))
+            rows = (cols + last - np.arange(2 * last + 1)[:, None]) % n  # row last + d: diagonal d
+            slab = np.zeros((np.ptp(rows) + 1, cols.size), dtype=complex)
+            np.add.at(slab, (rows - rows.min(), cols - c0), np.take_along_axis(total, rows, axis=1))
+            yield rows.min(), slab  # add.at sums the diagonals that wrap onto one entry in order
+
+    return _flush_tiny(blocks())
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises DivergenceError
@@ -325,24 +354,25 @@ def g_t(h: HamiltonianMatrix, e1: complex, times) -> list:
     q enters as its 2 or 3 copies of B^(2^(J - 1)), so the chain stops one
     squaring short.  The factors commute, as functions of one G, and
     ``_sigma_max`` takes the norm of their product by Arnoldi on P^H P,
-    applying them in turn; when that does not converge, as for the clustered
-    singular values of some very small t, that one time falls back to the
-    dense SVD of the multiplied-out product.
+    applying them in turn, slab by slab; when that does not converge, as for
+    the clustered singular values of some very small t, that one time falls
+    back to the dense SVD of the multiplied-out product.
 
     After every product, entries at or below FLUSH_FRACTION of the largest
     are zeroed.  That moves the 2-norm by at most n * FLUSH_FRACTION * ||P||_2
-    <= 2^-53 / n * ||P||_2, below rounding, and keeps the early powers of B
-    banded, as the exponential of a banded matrix is up to rounding (Iserles,
-    NZ J. Math. 29, 2000).  Every product multiplies only the nonzero spans
-    of its factors (``_band_matmul``).  A time whose step count overflows, or
-    whose propagator underflows to zero, raises NumericalError; one whose
-    propagator or its norm overflows raises DivergenceError.
+    <= 2^-53 / n * ||P||_2, below rounding, and keeps the powers of B banded,
+    as the exponential of a banded matrix is up to rounding (Iserles, NZ J.
+    Math. 29, 2000).  Each is held as that band (``_flush_tiny``) and formed
+    block by block (``_band_matmul``); only the dense SVD fallback makes an
+    n x n array.  A time whose step count overflows, or whose propagator
+    underflows to zero, raises NumericalError; one whose propagator or its
+    norm overflows raises DivergenceError.
 
     For a normal operator G_t never exceeds one when e1 is the dominant
     eigenvalue; values above one quantify transient non-normal amplification.
     """
     if h.dim > G_T_MAX_DIM:
-        raise ContractError(f"dense propagator capped at dimension {G_T_MAX_DIM}, got {h.dim}")
+        raise ContractError(f"g_t propagator capped at dimension {G_T_MAX_DIM}, got {h.dim}")
     times = [float(t) for t in times]
     if not all(0.0 <= t < math.inf for t in times):
         raise DomainError(f"g_t is defined for finite t >= 0, got {times}")
@@ -374,23 +404,23 @@ def _squaring_chain(gen, norm1: float, times: list, gains: dict) -> None:
     top = max(max(steps.values()).bit_length() - 2, 0)
     levels = {t: [j for j in range(top) if (q >> j) & 1] + [top] * (q >> top)
               for t, q in steps.items()}
-    power = _flush_tiny(_expm_taylor(gen * tau))  # B^(2^j) with its spans
+    power = _expm_taylor(gen * tau)  # B^(2^j), a band
     held = {}  # the powers B^(2^j) that a time not yet recorded needs
     for j in range(top + 1):
         if j:
-            power = _flush_tiny(_band_matmul(*power, *power))
-        held[j] = power[0]
+            power = _band_matmul(power, power)
+        held[j] = power
         for t in [t for t, need in levels.items() if need[-1] == j]:
             factors = [held[i] for i in levels.pop(t)]
             rho = t - steps[t] * tau
             if rho != 0.0:
-                factors.append(_flush_tiny(_expm_taylor(gen * rho))[0])
+                factors.append(_expm_taylor(gen * rho))
             _record_gain(gains, t, *factors)
             del factors  # exp(G rho) does not outlive its time
         held = {i: held[i] for need in levels.values() for i in need if i <= j}
 
 
-def _record_gain(gains: dict, t: float, *factors: np.ndarray) -> None:
+def _record_gain(gains: dict, t: float, *factors: list) -> None:
     """gains[t] = sigma_max(F_1 ... F_k)^2; DivergenceError at inf, NumericalError at 0."""
     sigma_max = _sigma_max(*factors)
     if sigma_max == 0.0:

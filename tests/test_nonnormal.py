@@ -32,6 +32,7 @@ from anyonpt import (
 from anyonpt import nonnormal, spectra
 from anyonpt.cli import main as cli_main
 from anyonpt.nonnormal import (
+    BAND_BLOCK,
     THETA_13,
     _band_matmul,
     _expm_taylor,
@@ -344,14 +345,29 @@ def band_structure(kind, rng):
 BAND_KINDS = ["narrow", "skewed", "zero-columns", "zero", "periodic", "dense"]
 
 
+def band(a):
+    """The dense square ``a`` as a band with full spans: each column block a slab of all rows."""
+    return [(0, a[:, c : c + BAND_BLOCK]) for c in range(0, a.shape[1], BAND_BLOCK)]
+
+
+def dense(band):
+    """The n x n array that ``band`` holds."""
+    return nonnormal._multiplied_out([band])
+
+
+def spans(band):
+    """The row span (lo, hi) of each column block of ``band``."""
+    return [(lo, lo + len(slab)) for lo, slab in band]
+
+
 class TestBandMatmul:
     @pytest.mark.parametrize("kind_a", BAND_KINDS)
     @pytest.mark.parametrize("kind_b", BAND_KINDS)
     def test_matches_dense_product(self, kind_a, kind_b, rng):
         a, b = band_structure(kind_a, rng), band_structure(kind_b, rng)
-        (a_flushed, a_spans), (b_flushed, b_spans) = _flush_tiny(a.copy()), _flush_tiny(b.copy())
-        assert np.array_equal(a_flushed, a) and np.array_equal(b_flushed, b)
-        got = _band_matmul(a, a_spans, b, b_spans)
+        a_band, b_band = _flush_tiny(band(a.copy())), _flush_tiny(band(b.copy()))
+        assert np.array_equal(dense(a_band), a) and np.array_equal(dense(b_band), b)
+        got = dense(_band_matmul(a_band, b_band))
         bound = 4 * BAND_N * np.finfo(float).eps * (np.abs(a) @ np.abs(b)).max()
         assert np.abs(got - a @ b).max() <= bound
 
@@ -359,9 +375,43 @@ class TestBandMatmul:
         a = np.zeros((BAND_N, BAND_N), dtype=complex)
         a[np.arange(BAND_N), np.arange(BAND_N)] = 1.0
         a[BAND_N - 1, 0] = 1e-30  # below the flush floor: zeroed, not a span
-        _, spans = _flush_tiny(a)
-        assert a[BAND_N - 1, 0] == 0.0
-        assert spans.tolist() == [[0, 128], [128, 256], [256, 384], [384, 400]]
+        got = _flush_tiny(band(a))
+        assert dense(got)[BAND_N - 1, 0] == 0.0
+        assert spans(got) == [(0, 128), (128, 256), (256, 384), (384, 400)]
+        # each slab holds only its span, not the whole height
+        assert [slab.shape for _, slab in got] == [(128, 128)] * 3 + [(16, 16)]
+
+    def test_zero_factor_keeps_no_rows(self, rng):
+        # every block of an all-zero factor is empty, and so is every block of its products
+        zero = _flush_tiny(band(np.zeros((BAND_N, BAND_N), dtype=complex)))
+        full = _flush_tiny(band(band_structure("dense", rng)))
+        assert all(len(slab) == 0 for _, slab in zero)
+        for product in (_band_matmul(zero, full), _band_matmul(full, zero)):
+            assert all(len(slab) == 0 for _, slab in product)
+            assert not dense(product).any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)])
+    def test_non_finite_entry_is_divergence(self, bad, rng):
+        # a non-finite entry in any block, or a finite product that overflows
+        a = band_structure("narrow", rng)
+        a[300, 301] = bad
+        with pytest.raises(DivergenceError, match="propagator overflowed"):
+            _flush_tiny(band(a))
+        huge = _flush_tiny(band(1e200 * band_structure("dense", rng)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="propagator overflowed"):
+                _band_matmul(huge, huge)
+
+    def test_periodic_factor_has_full_spans(self, rng):
+        # the ring's corners put row n - 1 in the first block and row 0 in the last,
+        # so those blocks span every row; the blocks between stay narrow
+        a = band_structure("periodic", rng)
+        got = _flush_tiny(band(a.copy()))
+        assert spans(got) == [(0, 400), (127, 257), (255, 385), (0, 400)]
+        product = _band_matmul(got, got)
+        bound = 4 * BAND_N * np.finfo(float).eps * (np.abs(a) @ np.abs(a)).max()
+        assert np.abs(dense(product) - a @ a).max() <= bound
+        assert spans(product) == [(0, 400), (126, 258), (254, 386), (0, 400)]
 
 
 class TestGT:
@@ -435,7 +485,7 @@ class TestGT:
         tau = step_norm / np.abs(gen).sum(axis=0).max()
         if boundary == "periodic":
             assert gen[0, -1] != 0.0 and gen[-1, 0] != 0.0
-        got = _expm_taylor(-1j * h.cyclic_diagonals(e_dom) * tau)
+        got = dense(_expm_taylor(-1j * h.cyclic_diagonals(e_dom) * tau))
         oracle = scipy.linalg.expm(gen * tau)
         assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
@@ -446,7 +496,7 @@ class TestGT:
             h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), params, Grid(-8.0, 8.0, 16), "periodic")
         gen = -1j * (h.dense() + np.eye(h.dim))
         tau = THETA_13 * (1.0 - 1e-6) / np.abs(gen).sum(axis=0).max()
-        got = _expm_taylor(-1j * h.cyclic_diagonals(-1.0) * tau)
+        got = dense(_expm_taylor(-1j * h.cyclic_diagonals(-1.0) * tau))
         oracle = scipy.linalg.expm(gen * tau)
         assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
@@ -470,10 +520,11 @@ class TestGT:
         return h, point_states(h, [shifted_point_energy(-1.0, params)]).eigenvalues[0]
 
     def test_peak_memory_at_n_1024(self):
-        # P(t) is never multiplied out.  The widest moment is a squaring: it
-        # holds B^256, which t = 5 still needs, the fresh B^512 and the flush's
-        # |B^512| (half an array), 2.57 arrays in all; the base step adds one
-        # dense array and no n x n generator.  The bound leaves 0.43 arrays.
+        # P(t) is never multiplied out, and each propagator is held as the
+        # slabs of its column blocks' nonzero rows.  The widest moment is a
+        # squaring: it holds B^256 (0.53 of a dense array), which t = 5 still
+        # needs, and the blocks of B^512 made so far (0.66 when done); 1.43
+        # arrays in all, 2.57 when every power was dense.  The bound leaves 0.57.
         h, e_dom = self.gain_transient_h()
         tracemalloc.start()
         try:
@@ -482,7 +533,36 @@ class TestGT:
         finally:
             tracemalloc.stop()
         assert got[2] > got[1] > got[0] > 1.0
-        assert peak <= 3 * 16 * h.dim**2
+        assert peak <= 2 * 16 * h.dim**2
+
+    def test_many_factors_stay_banded_at_n_1024(self, monkeypatch):
+        # t_0 = 1.3: P(4.5) and P(5) are 9 factors each, powers B^(2^j) and a remainder,
+        # each applied slab by slab, never as a dense matrix (10.57 arrays when
+        # every factor was dense); the values are those of the dense SVD of the
+        # multiplied-out factors
+        h, e_dom = self.gain_transient_h()
+        times = [1.3, 4.5, 5.0]
+        tracemalloc.start()
+        try:
+            got = g_t(h, e_dom, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * h.dim**2
+        factor_counts, oracle = {}, {}
+        record_gain = nonnormal._record_gain
+
+        def recorded(gains, t, *factors):
+            factor_counts[t] = len(factors)
+            p = nonnormal._multiplied_out(factors)
+            oracle[t] = float(np.linalg.svd(p, compute_uv=False)[0]) ** 2
+            record_gain(gains, t, *factors)
+
+        monkeypatch.setattr(nonnormal, "_record_gain", recorded)
+        assert g_t(h, e_dom, times) == got
+        assert factor_counts == {1.3: 1, 4.5: 9, 5.0: 9}
+        for t, g in zip(times, got):
+            assert g == pytest.approx(oracle[t], rel=1e-12, abs=0.0)
 
     def test_chain_makes_nine_band_products_at_n_1024(self, monkeypatch):
         # tau = 0.5 / 128 gives q = 128, 512 and 1280.  The squarings stop at
@@ -660,14 +740,14 @@ class TestGT:
         # sigma ~ 1e161 is finite but sigma^2 is not: no G_t sample is ever inf or NaN
         p = 1e160 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         with pytest.raises(DivergenceError, match="norm overflowed"):
-            nonnormal._record_gain({}, 1.0, p)
+            nonnormal._record_gain({}, 1.0, band(p))
 
     def test_huge_propagator_skips_lanczos_quietly(self, capfd, rng):
         # sigma ~ 1e161: the Gram product P^H P that Arnoldi iterates on would overflow
         p = 1e160 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _sigma_max(p)
+            got = _sigma_max(band(p))
         assert got == float(scipy.linalg.svdvals(p)[0])
         assert capfd.readouterr() == ("", "")
 
@@ -676,7 +756,7 @@ class TestGT:
         p = 1e100 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _sigma_max(p)
+            got = _sigma_max(band(p))
         assert got == pytest.approx(float(scipy.linalg.svdvals(p)[0]), rel=1e-14, abs=0.0)
         assert capfd.readouterr() == ("", "")
 
@@ -687,7 +767,7 @@ class TestGT:
                 for _ in range(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _sigma_max(a, b)
+            got = _sigma_max(band(a), band(b))
         assert got == float(scipy.linalg.svdvals(a @ b)[0])
         assert capfd.readouterr() == ("", "")
 
@@ -698,7 +778,7 @@ class TestGT:
         assert np.isfinite(a).all()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="propagator overflowed"):
-                nonnormal._record_gain({}, 1.0, a, a)
+                nonnormal._record_gain({}, 1.0, band(a), band(a))
 
     @pytest.mark.parametrize("zero", ["factor", "product"])
     def test_factors_whose_product_is_zero_underflow(self, zero):
@@ -708,7 +788,7 @@ class TestGT:
         corner[0, -1] = 1.0
         factors = (corner, np.zeros_like(corner)) if zero == "factor" else (corner, corner)
         with pytest.raises(NumericalError, match="underflowed to zero"):
-            nonnormal._record_gain({}, 1.0, *factors)
+            nonnormal._record_gain({}, 1.0, *map(band, factors))
 
     def test_lanczos_on_factors_matches_their_product(self, rng):
         # commuting non-normal factors exp(A), exp(2 A) and exp(A / 3), in any order
@@ -717,5 +797,5 @@ class TestGT:
         factors = [scipy.linalg.expm(s * a) for s in (1.0, 2.0, 1.0 / 3.0)]
         oracle = float(scipy.linalg.svdvals(factors[0] @ factors[1] @ factors[2])[0])
         for order in ([0, 1, 2], [2, 0, 1]):
-            got = _sigma_max(*(factors[i] for i in order))
+            got = _sigma_max(*(band(factors[i]) for i in order))
             assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
