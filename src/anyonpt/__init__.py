@@ -24,13 +24,11 @@ from .model import (
     WaveFunction,
     build_h_eff,
     check_anyonic_symmetry,
-    check_pt_condition,
 )
 from .spectra import (
     SpectrumResult,
     continuous_dispersion,
     critical_velocity,
-    critical_wavenumber,
     delocalization_margin,
     fit_localization_length,
     moving_bound_state,

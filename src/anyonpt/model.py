@@ -34,7 +34,6 @@ __all__ = [
     "PotentialSpec",
     "WaveFunction",
     "HamiltonianMatrix",
-    "check_pt_condition",
     "build_h_eff",
     "build_twin",
     "check_anyonic_symmetry",
@@ -430,17 +429,6 @@ def build_twin(h: HamiltonianMatrix):
     if (h.params.v and h.params.phi) or not min(aliasing, edges) > TWIN_MIN_EXPONENT:
         return None
     return _assemble(replace(spec, delta=0.0), h.params, grid, h.boundary)
-
-
-def check_pt_condition(spec: PotentialSpec, grid: Grid, tol: float = 1e-12) -> bool:
-    """True iff max_x |V(-x) - V*(x)| < tol on the grid.
-
-    Requires a grid symmetric about the origin so that reflection is exact.
-    """
-    if not grid.is_symmetric():
-        raise ContractError("PT check needs a grid symmetric about x = 0")
-    v = np.asarray(spec(grid.x), dtype=complex)
-    return bool(np.abs(v[::-1] - np.conj(v)).max() < tol)
 
 
 def check_anyonic_symmetry(h: HamiltonianMatrix) -> bool:

@@ -47,7 +47,7 @@ __all__ = [
     "poschl_teller_energies",
     "shifted_point_energy",
     "critical_velocity",
-    "critical_wavenumber",
+    "delocalization_margin",
     "moving_bound_state",
     "solve_spectrum",
     "point_states",
@@ -137,13 +137,6 @@ def critical_velocity(e_n: float, phi: float) -> float:
     if phi == 0.0:
         return math.inf
     return 2.0 * rate / math.sin(phi)
-
-
-def critical_wavenumber(e_n: float, phi: float) -> float:
-    """Wavenumber sqrt(-E_n)/tan(phi) where the shifted bound energy meets the band."""
-    if not (0.0 < phi <= math.pi / 2 + 1e-15):
-        raise DomainError("critical wavenumber needs 0 < phi <= pi/2")
-    return _bound_decay_rate(e_n) / math.tan(phi)
 
 
 def delocalization_margin(e_n: float, params: AnyonicParams) -> float:
@@ -643,8 +636,11 @@ def point_states(h: HamiltonianMatrix, targets) -> SpectrumResult:
     state, with its root length, when its participation ratio is below
     PR_BOX_FRACTION and its root length below ROOT_SCREEN_FRACTION of the box.
     """
+    targets = list(map(complex, targets))
+    if not targets:
+        raise ContractError("no target energies")
     values, vectors = [], []
-    for target in map(complex, targets):
+    for target in targets:
         where = f"near {target} (dim={h.dim}, boundary={h.boundary})"
         try:  # the LU dies with the call, before the next target's is built
             pair = _largest_ritz_pair(functools.partial(_band_solve, _band_lu(h, target)), h.dim)

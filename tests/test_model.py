@@ -1,11 +1,15 @@
+import ast
 import cmath
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import anyonpt
 from anyonpt import (
     AnyonicParams,
     ContractError,
@@ -17,7 +21,6 @@ from anyonpt import (
     WaveFunction,
     build_h_eff,
     check_anyonic_symmetry,
-    check_pt_condition,
     continuous_dispersion,
     reflected_wavenumber,
     shifted_point_energy,
@@ -114,33 +117,6 @@ class TestPotentials:
         path.write_text("0.0,1.0,0.0\n1.0,0.5,0.0\n")
         with pytest.raises(ContractError):
             Tabulated.from_csv(path)
-
-
-class TestPTCondition:
-    def test_pt_well_true(self, sym_grid):
-        assert check_pt_condition(PoschlTeller(nu=1.0, delta=0.2), sym_grid)
-
-    def test_hermitian_limit(self, sym_grid):
-        assert check_pt_condition(PoschlTeller(nu=1.0, delta=0.0), sym_grid)
-
-    def test_perturbed_tabulated_false(self, sym_grid):
-        vals = np.asarray(PoschlTeller(nu=1.0, delta=0.2)(sym_grid.x))
-        vals = vals.copy()
-        vals[100] += 1e-6
-        assert not check_pt_condition(Tabulated(sym_grid, vals), sym_grid, tol=1e-9)
-
-    def test_asymmetric_grid_rejected(self):
-        with pytest.raises(ContractError):
-            check_pt_condition(PoschlTeller(), Grid(-4.0, 5.0, 90))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        nu=st.floats(0.3, 3.0),
-        delta=st.floats(-1.4, 1.4),
-    )
-    def test_every_real_shift_is_pt(self, nu, delta):
-        grid = Grid(-20.0, 20.0, 200)
-        assert check_pt_condition(PoschlTeller(nu=nu, delta=delta), grid, tol=1e-12)
 
 
 class TestGaugeFactors:
@@ -303,9 +279,9 @@ class TestBuildHEff:
 
 
 class TestAnyonicSymmetry:
-    def test_stationary_pt_well(self, sym_grid):
-        phi = math.pi / 3
-        h = build_h_eff(PoschlTeller(nu=1.0, delta=0.2), AnyonicParams(phi=phi), sym_grid)
+    @pytest.mark.parametrize("phi, delta", [(math.pi / 3, 0.2), (0.0, 0.2), (0.0, 0.0)])
+    def test_stationary_pt_well(self, sym_grid, phi, delta):
+        h = build_h_eff(PoschlTeller(nu=1.0, delta=delta), AnyonicParams(phi=phi), sym_grid)
         assert check_anyonic_symmetry(h)
 
     def test_random_potential_breaks_it(self, sym_grid, rng):
@@ -314,6 +290,28 @@ class TestAnyonicSymmetry:
         )
         h = build_h_eff(Tabulated(sym_grid, vals), AnyonicParams(phi=0.3), sym_grid)
         assert not check_anyonic_symmetry(h)
+
+    def test_perturbed_tabulated_breaks_it(self, sym_grid):
+        vals = np.array(PoschlTeller(nu=1.0, delta=0.2)(sym_grid.x))
+        assert check_anyonic_symmetry(
+            build_h_eff(Tabulated(sym_grid, vals), AnyonicParams(phi=0.0), sym_grid)
+        )
+        vals[100] += 1e-6
+        h = build_h_eff(Tabulated(sym_grid, vals), AnyonicParams(phi=0.0), sym_grid)
+        assert not check_anyonic_symmetry(h)
+
+    def test_asymmetric_grid_rejected(self):
+        grid = Grid(-4.0, 5.0, 90)
+        h = build_h_eff(PoschlTeller(), AnyonicParams(phi=0.0), grid)
+        with pytest.raises(ContractError):
+            check_anyonic_symmetry(h)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nu=st.floats(0.3, 3.0), delta=st.floats(-1.4, 1.4))
+    def test_every_real_shift_is_pt(self, nu, delta):
+        grid = Grid(-20.0, 20.0, 400)
+        h = build_h_eff(PoschlTeller(nu=nu, delta=delta), AnyonicParams(phi=0.0), grid)
+        assert check_anyonic_symmetry(h)
 
     def test_drifting_barrier(self, sym_grid):
         # drift included: the first-order block is PT-even, the rest rotates
@@ -375,3 +373,19 @@ class TestWaveFunction:
         psi = WaveFunction(sym_grid, np.ones(sym_grid.n_points, dtype=complex))
         with pytest.raises(ValueError):
             psi.values[0] = 2.0
+
+
+def test_package_exports_are_exported_by_their_modules():
+    # each name anyonpt/__init__.py imports is one `from anyonpt.<module> import *` gives:
+    # the module's __all__, or its public names where it declares none
+    imports = [
+        node
+        for node in ast.parse(Path(anyonpt.__file__).read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"anyonpt.{node.module}")
+        exported = getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
+        missing = [alias.name for alias in node.names if alias.name not in exported]
+        assert not missing, (node.module, missing)

@@ -1,4 +1,5 @@
 import cmath
+import csv
 import dataclasses
 import math
 import subprocess
@@ -28,7 +29,6 @@ from anyonpt import (
     build_h_eff,
     continuous_dispersion,
     critical_velocity,
-    critical_wavenumber,
     delocalization_margin,
     fit_localization_length,
     moving_bound_state,
@@ -199,7 +199,7 @@ class TestShiftsAndThresholds:
         phi = math.pi / 3
         vc = critical_velocity(-1.0, phi)
         assert vc == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-14)
-        kc = critical_wavenumber(-1.0, phi)
+        kc = vc * math.cos(phi) / 2.0  # sqrt(-E)/tan(phi), where the band meets E
         assert kc == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
         p = AnyonicParams(phi=phi, v=vc)
         assert abs(shifted_point_energy(-1.0, p) - continuous_dispersion(kc, p)) < 1e-12
@@ -208,7 +208,7 @@ class TestShiftsAndThresholds:
     @given(e=st.floats(-9.0, -0.05), phi=st.floats(0.05, math.pi / 2))
     def test_coalescence_property(self, e, phi):
         vc = critical_velocity(e, phi)
-        kc = critical_wavenumber(e, phi)
+        kc = vc * math.cos(phi) / 2.0
         p = AnyonicParams(phi=phi, v=vc)
         scale = max(1.0, abs(e), vc**2)
         assert abs(shifted_point_energy(e, p) - continuous_dispersion(kc, p)) < 1e-12 * scale
@@ -217,19 +217,13 @@ class TestShiftsAndThresholds:
         assert critical_velocity(-1.0, math.pi / 2) == pytest.approx(2.0)
         assert critical_velocity(-4.0, math.pi / 2) == pytest.approx(4.0)
         assert critical_velocity(-1.0, 0.0) == math.inf
+        with pytest.raises(DomainError):
+            critical_velocity(1.0, 0.3)
 
     def test_critical_velocity_monotone_in_phi(self):
         phis = np.linspace(0.1, math.pi / 2, 30)
         vals = [critical_velocity(-1.0, p) for p in phis]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_critical_wavenumber_values(self):
-        assert critical_wavenumber(-1.0, math.pi / 4) == pytest.approx(1.0)
-        assert abs(critical_wavenumber(-1.0, math.pi / 2)) < 1e-15
-        with pytest.raises(DomainError):
-            critical_wavenumber(-1.0, 0.0)
-        with pytest.raises(DomainError):
-            critical_velocity(1.0, 0.3)
 
 
 class TestMovingBoundState:
@@ -876,6 +870,12 @@ class TestPointStates:
         assert a.eigenvalues[0] == b.eigenvalues[0]
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
+    def test_no_targets_is_contract_error(self):
+        h = build_h_eff(PoschlTeller(), AnyonicParams(phi=0.0), Grid(-10.0, 10.0, 200))
+        for targets in ([], np.empty(0), iter(())):
+            with pytest.raises(ContractError, match="no target energies"):
+                point_states(h, targets)
+
     def test_singular_shift_is_numerical_error(self):
         grid = Grid(-10.0, 10.0, 200)
         h = HamiltonianMatrix(grid, np.zeros(200), 0.0, 0.0, "dirichlet", AnyonicParams(0.0))
@@ -964,6 +964,22 @@ class TestPointStates:
                 [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
             )
             assert out.stdout.split()[-2:] == ["0", "False"], (runner, out.stdout, out.stderr)
+            if runner != "spectrum":
+                continue
+            # each point counts as many point states as bound states survive
+            with open(tmp_path / f"{i}-{runner}" / "manifest.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows, config
+            for row in rows:
+                tag = f"{int(row['index']):03d}"
+                with open(tmp_path / f"{i}-{runner}" / f"bound_{tag}.csv") as fh:
+                    surviving = sum(b["survives"] == "true" for b in csv.DictReader(fh))
+                assert int(row["numerical_point_count"]) == surviving, (config.stem, tag)
+        # the three spectrum runs above are every shipped spectrum config
+        kinds = {c: yaml.safe_load(c.read_text())["experiment"] for c in CONFIG_DIR.glob("*.yaml")}
+        assert sorted(c for c, kind in kinds.items() if kind == "spectrum") == sorted(
+            config for runner, config in runs if runner == "spectrum"
+        )
         # the shipped G_t bytes: the benchmark checks them only to 1e-6
         gt = (tmp_path / "0-amplify" / "gt_000.csv").read_text().splitlines()
         assert gt == ["t,g_t", "0.5,2.07630202277", "2,8.55931235798", "5,20.0615653228"]
