@@ -67,7 +67,7 @@ ROOT_SCREEN_FRACTION = 2.5 * PR_BOX_FRACTION
 # Two eigenvalues this close, relative to their size, are one eigenvalue.
 SAME_EIGENVALUE_RTOL = 1e-9
 # Root iteration: a root is final once its step is below ABERTH_TOL of the 1-norm,
-# all within ABERTH_MAX_SWEEPS (the shipped drifts, 0.5 and 0.9 v_c, take 20 and 18).
+# all within ABERTH_MAX_SWEEPS (the shipped drifts, 0.5 and 0.9 v_c, take 8 and 6).
 ABERTH_TOL = 1e-13
 ABERTH_MAX_SWEEPS = 64
 ABERTH_BLOCK = 64
@@ -289,13 +289,17 @@ def _aberth_eigenvalues(h: HamiltonianMatrix):
 
     A sweep moves each active z_k by N_k / (1 - N_k S_k), N_k = f/f' and S_k = sum_{j != k}
     1/(z_k - z_j) from ``_aberth_pull`` (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl.
-    27, 153, 2005), starting at the free ring's eigenvalues plus a fixed jitter.  None when a
-    root still moves after ABERTH_MAX_SWEEPS, or two come within SAME_EIGENVALUE_RTOL (it crawls).
+    27, 153, 2005).  The free ring is circulant: its eigenvectors are Fourier modes of uniform
+    modulus, so to first order the potential shifts each of its eigenvalues by the mean of the
+    diagonal, and the sweeps start at mean(d) + upper e^{i theta_k} + lower e^{-i theta_k},
+    theta_k = 2 pi k/n, plus a fixed jitter of norm1/(100 n) that splits the coinciding
+    +-theta pairs of a ring with upper = lower.  None when a root still moves after
+    ABERTH_MAX_SWEEPS, or two come within SAME_EIGENVALUE_RTOL (it crawls).
     """
     norm1 = float(np.abs(h.diagonal).max() + abs(h.upper) + abs(h.lower))
-    theta = 2.0 * np.pi * (np.arange(h.dim) + 0.5) / h.dim
-    z = h.diagonal[0] + h.upper * np.exp(1j * theta) + h.lower * np.exp(-1j * theta)
-    z += norm1 / h.dim * np.exp(2j * np.arange(h.dim))  # splits the ring's degenerate pairs
+    theta = 2.0 * np.pi * np.arange(h.dim) / h.dim
+    z = h.diagonal.mean() + h.upper * np.exp(1j * theta) + h.lower * np.exp(-1j * theta)
+    z += norm1 / (100 * h.dim) * np.exp(2j * np.arange(h.dim))  # splits the ring's degenerate pairs
     active = np.arange(h.dim)
     with np.errstate(all="ignore"):  # a root driven to inf or nan ends in None
         for _ in range(ABERTH_MAX_SWEEPS):
@@ -437,6 +441,10 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     ``dataclasses.replace`` has no potential and so no twin.  The twin's banded
     solve gives the cloud ("hermitian-twin"); root lengths and point states still
     come from H.
+    A Dirichlet chain whose couplings differ (under drift) gives its cloud from the
+    chain with both couplings sqrt(upper lower), similar to H by D = diag(s^j), s =
+    sqrt(lower/upper) (the imaginary gauge): D's condition number |lower/upper|^(n-1)
+    leaves a dense solve of H with points of its pseudospectrum.
     Otherwise a PT-symmetric K (at rest, or at phi = 0) is similar to the real
     matrix ``K.dense(real_form=True)`` (Bender & Boettcher, PRL 80, 5243, 1998)
     and goes to the real general solver ("real-general"); every other matrix
@@ -454,8 +462,9 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
     the point states only.
     """
     rot = h.params.rotation.conjugate()  # exp(i phi)
-    twin = build_twin(h)
-    k = twin if twin is not None else h
+    twin, g = build_twin(h), np.sqrt(h.upper * h.lower)
+    chain = replace(h, upper=g, lower=g) if h.boundary == "dirichlet" and h.upper != h.lower else h
+    k = twin if twin is not None else chain
     if h.params.phi:  # K = H at phi = 0
         k = replace(k, diagonal=k.diagonal * rot, upper=k.upper * rot, lower=k.lower * rot)
     hermitian = k.is_hermitian()
@@ -476,7 +485,7 @@ def solve_spectrum(h: HamiltonianMatrix) -> SpectrumResult:
             solver = "real-general" if real else "complex-general"
             import scipy.linalg  # only the dense solves need it; it adds to every start-up
             w = scipy.linalg.eigvals(
-                (k if real else h).dense(real_form=real).T, overwrite_a=True, check_finite=False
+                (k if real else chain).dense(real_form=real).T, overwrite_a=True, check_finite=False
             )
     except np.linalg.LinAlgError as exc:
         norm1 = float(np.abs(h.diagonal).max() + abs(h.upper) + abs(h.lower))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -14,6 +16,13 @@ _DENSE_SPECTRA = {}
 def dense_spectrum(h) -> SpectrumResult:
     """The dense oracle for ``solve_spectrum``: every eigenpair from ``np.linalg.eig``.
 
+    A Dirichlet chain whose couplings differ (under drift) takes its eigenvalues from
+    the chain with both couplings sqrt(upper lower), its image under the imaginary
+    gauge, since a dense solve of H returns points of its pseudospectrum; each keeps
+    H's vector of the nearest of H's eigenvalues.  Only a localized state's vector
+    counts, and that state is well-conditioned: a state piled against a wall is
+    continuum by its root length.
+
     Vectors are normalized under trapezoidal quadrature and labeled by the
     same rule: participation ratio below PR_BOX_FRACTION and root length
     below ROOT_SCREEN_FRACTION of the box.  A point state's length is the
@@ -24,6 +33,10 @@ def dense_spectrum(h) -> SpectrumResult:
     key = (h.grid, h.boundary, h.upper, h.lower, h.diagonal.tobytes())
     if key not in _DENSE_SPECTRA:
         w, vecs = np.linalg.eig(h.dense())
+        if h.boundary == "dirichlet" and h.upper != h.lower:
+            g = np.sqrt(h.upper * h.lower)
+            gauged = np.linalg.eigvals(dataclasses.replace(h, upper=g, lower=g).dense())
+            w, vecs = gauged, vecs[:, np.abs(gauged[:, None] - w).argmin(axis=1)]
         order = np.lexsort((w.imag, w.real))
         w, vecs = w[order], vecs[:, order]
         vecs = vecs / np.sqrt(np.trapezoid(np.abs(vecs) ** 2, dx=h.grid.dx, axis=0))
