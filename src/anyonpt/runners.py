@@ -89,7 +89,7 @@ def _with_summary(outdir: Path, name: str, computed) -> list:
 def _write_evolution(outdir: Path, tag: str, record, densities) -> list:
     """Write evolution_<tag>.ndjson (t, N(t), ``densities`` at each stop) and norm_<tag>.csv."""
     times, norms = record.times, record.norm
-    ndjson = ({"t": t, "norm": n, "density": d.tolist()} for t, n, d in zip(times, norms, densities))
+    ndjson = ({"t": t, "norm": n, "density": d} for t, n, d in zip(times, norms, densities))
     return [
         write_ndjson(outdir / f"evolution_{tag}.ndjson", ndjson),
         write_csv(outdir / f"norm_{tag}.csv", ("t", "norm"), zip(times, norms)),

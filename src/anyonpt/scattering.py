@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InconclusiveError, NumericalError
-from .model import AnyonicParams, Grid, PotentialSpec, Tabulated, WaveFunction, trapz
+from .model import AnyonicParams, Grid, PoschlTeller, PotentialSpec, Tabulated, WaveFunction, trapz
 from .propagation import PropagatorConfig, evolve_batch
 from .spectra import continuous_dispersion
 
@@ -32,11 +32,13 @@ __all__ = [
 ]
 
 EVANESCENT_TOL = 1e-9
-# stationary_rt starts where |V| stays below this on both sides
+# stationary_rt integrates a tabulated potential from where |V| stays below this
 TAIL_TOL = 1e-10
-# stationary_rt's RK4 substep, fixed so that r(k), t(k) do not depend on the
-# evolution grid: dx / 4 of a +-160 box at 8192 points
+# stationary_rt's RK4 substep on tabulated potentials, fixed so that r(k), t(k)
+# do not depend on the evolution grid: dx / 4 of a +-160 box at 8192 points
 RT_SUBSTEP = 5.0 / 512.0
+_LANCZOS = (0.9999999999998099, 676.5203681218851, -1259.1392167224028, 771.3234287776531, -176.6150291621406,
+            12.507343278686905, -0.13857109526572012, 9.984369578019572e-06, 1.5056327351493116e-07)
 
 
 def reflected_wavenumber(k: float, params: AnyonicParams) -> complex:
@@ -117,32 +119,39 @@ def _auto_range(spec: PotentialSpec) -> float:
     raise ContractError(f"potential tail does not decay below {TAIL_TOL:g} within |x| <= 200")
 
 
-def stationary_rt(spec: PotentialSpec, params: AnyonicParams, k):
-    """Reflection and transmission amplitudes of stationary scattering states.
+def _log_gamma(z) -> np.ndarray:
+    """log Gamma(z) up to a multiple of 2 pi i: Lanczos's series at g = 7, reflected below Re z = 1/2."""
+    flip = z.real < 0.5
+    w = np.where(flip, 1.0 - z, z) - 1.0
+    series = _LANCZOS[0] + sum(c / (w + i) for i, c in enumerate(_LANCZOS[1:], start=1))
+    lg = 0.5 * math.log(2.0 * math.pi) + (w + 0.5) * np.log(w + 7.5) - (w + 7.5) + np.log(series)
+    return np.where(flip, math.log(math.pi) - np.log(np.sin(math.pi * z)) - lg, lg)
 
-    For every incident wavenumber in ``k`` (scalar or array), integrates
-    H_eff u = E(k) u as a second-order ODE from the transmitted side (pure
-    t e^{i k x} at x = +L0) down to x = -L0 with fixed-step RK4 at
-    RT_SUBSTEP, all k in one loop, then decomposes onto the exact two-mode
-    basis {e^{i k x}, e^{i k_r x}}; the basis handles evanescent k_r as-is.
-    The incident amplitude is scaled to one, so r is the coefficient of the
-    (possibly evanescent) reflected mode and t the transmitted one.  Returns
-    complex arrays (r, t) shaped like ``k``.
+
+def _sech2_rt(spec: PoschlTeller, params: AnyonicParams, k: np.ndarray):
+    """r(k), t(k) of A sech^2(x - i delta) in closed form (Cooper, Khare & Sukhatme, Phys. Rep. 251, 267).
+
+    u = e^{i v e^{i phi} x / 2} w turns H_eff u = E(k) u into -w'' + A sech^2(x - i delta) w =
+    kappa^2 w, kappa = k - (v / 2) e^{i phi}; the shift multiplies r by e^{-2 kappa delta}.
     """
-    shape = np.shape(k)
-    k = np.asarray(k, dtype=float).reshape(-1)
-    vg = group_velocity(k, params)
-    if np.any(vg <= 0):
-        raise ContractError(f"incident k needs positive group velocity, got v_g = {vg.min()}")
+    kappa = k - 0.5 * params.v * params.rotation.conjugate()
+    nu = -0.5 + np.sqrt(complex(0.25 - spec.amplitude))
+    z = -1j * kappa
+    with np.errstate(all="ignore"):
+        t = np.exp(_log_gamma(z - nu) + _log_gamma(1.0 + nu + z) - _log_gamma(z) - _log_gamma(1.0 + z))
+        r = 1j * np.sin(math.pi * nu) / np.sinh(math.pi * kappa) * t * np.exp(-2.0 * kappa * spec.delta)
+    if not np.all(np.isfinite(r) & np.isfinite(t)):
+        raise NumericalError("closed-form r, t overflow at this k")
+    return r, t
+
+
+def _rk4_rt(spec: PotentialSpec, params: AnyonicParams, k: np.ndarray):
+    """r(k), t(k) by RK4 at RT_SUBSTEP from the transmitted side, all k in one loop."""
     l0 = _auto_range(spec)
     kr = reflected_wavenumber(k, params)
-    if np.any(np.abs(k - kr) < 1e-6):
-        raise NumericalError("incident and reflected modes nearly degenerate; decomposition ill-conditioned")
-
     eip = params.rotation.conjugate()
     shift = eip * continuous_dispersion(k, params)
     drift = 1j * params.v * eip
-
     n_steps = int(math.ceil(2.0 * l0 / RT_SUBSTEP))
     h = -2.0 * l0 / n_steps  # negative: right to left
     # Potential tabulated at half-substep resolution for the RK4 stages.
@@ -170,7 +179,27 @@ def stationary_rt(spec: PotentialSpec, params: AnyonicParams, k):
     b_ref = (up - 1j * k * u) / det * np.exp(-1j * kr * x)
     if np.any(a_inc == 0.0):
         raise NumericalError("vanishing incident amplitude; cannot normalize r, t")
-    return (b_ref / a_inc).reshape(shape), (1.0 / a_inc).reshape(shape)
+    return b_ref / a_inc, 1.0 / a_inc
+
+
+def stationary_rt(spec: PotentialSpec, params: AnyonicParams, k):
+    """Reflection and transmission amplitudes of stationary scattering states.
+
+    For every incident wavenumber in ``k`` (scalar or array) the state is
+    t e^{i k x} on the far side and e^{i k x} + r e^{i k_r x} on the incident
+    one, where k_r may be evanescent.  ``PoschlTeller`` potentials take the
+    closed form; ``Tabulated`` ones are integrated by RK4 at RT_SUBSTEP from
+    the transmitted side.  Returns complex arrays (r, t) shaped like ``k``.
+    """
+    shape = np.shape(k)
+    k = np.asarray(k, dtype=float).reshape(-1)
+    vg = group_velocity(k, params)
+    if np.any(vg <= 0):
+        raise ContractError(f"incident k needs positive group velocity, got v_g = {vg.min()}")
+    if np.any(np.abs(k - reflected_wavenumber(k, params)) < 1e-6):
+        raise NumericalError("incident and reflected modes nearly degenerate; decomposition ill-conditioned")
+    r, t = (_sech2_rt if isinstance(spec, PoschlTeller) else _rk4_rt)(spec, params, k)
+    return r.reshape(shape), t.reshape(shape)
 
 
 def report_from_final(

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anyonpt import (
@@ -27,7 +27,7 @@ from anyonpt import (
     WaveFunction,
     build_h_eff,
 )
-from anyonpt._io import fmt, write_csv, write_ndjson
+from anyonpt._io import _json_value, _round, fmt, write_csv, write_ndjson
 from anyonpt.cli import main as cli_main
 from anyonpt.nonnormal import analytic_bound_state_pt, gain_grid
 from anyonpt.propagation import _strang
@@ -661,6 +661,35 @@ class TestIOFormat:
             '{"t":0.333333333333,"n":7,"v":[0.666666666667,"x"]}\n'
             '{"t":0.5,"n":7,"v":[0.666666666667,"x"]}\n'
         )
+
+    # every float64, plus the values where %.12g and the JSON float can differ:
+    # nan, inf, zeros, subnormals of every scale, near-integers, and exponent form from 1e11 on.
+    # Without its examples, each of _json_value's three redo terms still fails it.
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.floats(width=64)
+            | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+            | st.integers(1, 52).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)).map(lambda n: n * 5e-324)
+            | st.builds(lambda i, d: i + d, st.integers(-(10**12), 10**12).map(float), st.floats(-1e-9, 1e-9))
+            | st.floats(min_value=1e10, max_value=1e18)
+            | st.floats(min_value=-1e18, max_value=-1e10),
+            max_size=40,
+        )
+    )
+    @example([0.0, -0.0, 5e-324, 4.8e-321, 2.2250738585072014e-308, 2.225073858507201e-308])
+    @example([math.inf, -math.inf, math.nan, 3.0, 2.9999999999996, -7.000000000004, 0.5, 1e-5])
+    @example([99999999999.95, 999999999999.5, 1234567890123.0, 1e16, 12345678901234567.0])
+    def test_array_rows_write_what_the_list_rule_writes(self, values):
+        a = np.array(values, dtype=np.float64)
+        assert _json_value(a) == json.dumps(_round(a.tolist()), separators=(",", ":"))
+
+    def test_a_record_with_an_array_is_its_list_record(self, tmp_path):
+        density = np.array([0.25, 1.0 / 3.0, 4.8e-321, 0.0, 2.0, 1e13, math.nan])
+        record = {"t": 0.1, "norm": np.float64(2.0 / 3.0), "density": density}
+        as_lists = {k: _round(v) for k, v in {**record, "density": density.tolist()}.items()}
+        line = json.dumps(as_lists, separators=(",", ":")) + "\n"
+        assert write_ndjson(tmp_path / "a.ndjson", [record]).read_text() == line
 
     def test_evolution_records_carry_12_digits(self, tmp_path):
         from anyonpt import EvolutionRecord

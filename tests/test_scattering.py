@@ -21,8 +21,9 @@ from anyonpt import (
     run_packet_scattering,
     stationary_rt,
 )
+from anyonpt import scattering
 from anyonpt.model import trapz
-from anyonpt.scattering import RT_SUBSTEP, _auto_range, gaussian_packet, report_from_final
+from anyonpt.scattering import RT_SUBSTEP, _auto_range, _log_gamma, _rk4_rt, gaussian_packet, report_from_final
 from anyonpt.spectra import continuous_dispersion
 from converged import converged_records
 
@@ -142,10 +143,11 @@ def scalar_rt(spec, params, k):
 class TestStationaryRTVector:
     @pytest.mark.parametrize("phi", [0.0, math.pi / 8])
     def test_matches_scalar_rk4_per_k(self, phi):
+        # the RK4 path that tabulated potentials take, on all k at once
         barrier = PoschlTeller(delta=-0.5, v0=3.0)
         params = AnyonicParams(phi=phi, v=-2.0)
         ks = np.linspace(0.0, 2.0, 6)
-        r, t = stationary_rt(barrier, params, ks)
+        r, t = _rk4_rt(barrier, params, ks)
         assert r.shape == t.shape == ks.shape
         for j, k in enumerate(ks):
             r_ref, t_ref = scalar_rt(barrier, params, float(k))
@@ -161,6 +163,72 @@ class TestStationaryRTVector:
     def test_one_backward_k_rejects_the_sweep(self):
         with pytest.raises(ContractError):
             stationary_rt(PoschlTeller(nu=1.0), AnyonicParams(phi=0.0, v=2.0), [2.0, 0.5])
+
+
+class TestClosedFormRT:
+    """``stationary_rt``'s closed form for sech^2 potentials against RK4 at RT_SUBSTEP / 16."""
+
+    def test_log_gamma_matches_scipy(self):
+        from scipy.special import loggamma
+
+        re, im = np.meshgrid(np.linspace(-6.0, 6.0, 97), np.linspace(-6.0, 6.0, 97))
+        z = (re + 1j * im).ravel()
+        z = z[(z.imag != 0) | (z.real > 0) | (z.real != np.round(z.real))]  # no poles
+        gap = _log_gamma(z) - loggamma(z)
+        gap -= 2j * math.pi * np.round(gap.imag / (2 * math.pi))  # the branches may differ
+        # 9-term Lanczos at g = 7: the gap reads 3.1e-14 at most
+        assert np.abs(gap).max() < 6e-14
+
+    @pytest.mark.parametrize(
+        "spec, params, ks",
+        [
+            # scatter_barrier_k0's phi = 0 row on its rt_sweep: 5.8e-11 (r), 4.1e-11 (t)
+            (PoschlTeller(delta=-0.5, v0=3.0), AnyonicParams(phi=0.0, v=-2.0), np.linspace(0.0, 2.0, 41)),
+            # OFF_CONFIG's phi = 0 row on its oracle's k: 6.7e-11, 5.1e-11
+            (PoschlTeller(delta=-0.45, v0=3.0), AnyonicParams(phi=0.0, v=-2.05), np.linspace(-0.3, 1.3, 41)),
+            # the barrier at rest: 5.5e-10, 7.1e-10
+            (PoschlTeller(v0=3.0), AnyonicParams(phi=0.0, v=0.0), np.linspace(0.05, 2.0, 40)),
+        ],
+        ids=["k0", "off-config", "at-rest"],
+    )
+    def test_barrier_rows_at_phi_0_match_rk4(self, monkeypatch, spec, params, ks):
+        monkeypatch.setattr(scattering, "RT_SUBSTEP", RT_SUBSTEP / 16)
+        r, t = stationary_rt(spec, params, ks)
+        r_ref, t_ref = _rk4_rt(spec, params, ks)
+        assert np.max(np.abs(r - r_ref) / np.abs(r_ref)) < 1e-9
+        assert np.max(np.abs(t - t_ref) / np.abs(t_ref)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "spec, params, ks",
+        [
+            # scatter_barrier_k0's phi = pi/8 row: 1.8e-9 (r), 1.2e-12 (t)
+            (PoschlTeller(delta=-0.5, v0=3.0), AnyonicParams(phi=math.pi / 8, v=-2.0), np.linspace(0.0, 2.0, 41)),
+            # a drifting, shifted nu = 1.6 well: 2.9e-9, 4.5e-11
+            (PoschlTeller(nu=1.6, delta=0.3), AnyonicParams(phi=math.pi / 3, v=0.5), np.linspace(0.5, 2.0, 31)),
+            # the same well at phi = 0: 3.7e-12, 1.6e-12
+            (PoschlTeller(nu=1.6, delta=0.3), AnyonicParams(phi=0.0, v=0.5), np.linspace(0.5, 2.0, 31)),
+        ],
+        ids=["k0-evanescent", "well-evanescent", "well"],
+    )
+    def test_rows_match_rk4_started_further_out(self, monkeypatch, spec, params, ks):
+        # RK4 starts where |V| < TAIL_TOL, and the cut limits its r: from the shipped
+        # 1e-10, r stalls at 1.2e-7, 7.7e-7 and 3.0e-9 of the closed form on these
+        # rows, at 16 and at 32 times the steps alike.  An evanescent k_r amplifies
+        # the cut.  From |V| < 1e-13 it reads the gaps above.
+        monkeypatch.setattr(scattering, "RT_SUBSTEP", RT_SUBSTEP / 16)
+        monkeypatch.setattr(scattering, "TAIL_TOL", 1e-13)
+        r, t = stationary_rt(spec, params, ks)
+        r_ref, t_ref = _rk4_rt(spec, params, ks)
+        assert np.max(np.abs(r - r_ref) / np.abs(r_ref)) < 1e-8
+        assert np.max(np.abs(t - t_ref) / np.abs(t_ref)) < 1e-9
+
+    def test_overflow_is_a_numerical_error(self):
+        # sin(pi z) in the reflection formula overflows once |Im z| = |k - v/2| passes 226;
+        # RK4 at RT_SUBSTEP raised the same error at this k
+        barrier, params = PoschlTeller(delta=-0.5, v0=3.0), AnyonicParams(phi=0.0, v=-2.0)
+        assert np.isfinite(stationary_rt(barrier, params, 220.0)[1])
+        with pytest.raises(NumericalError, match="overflow"):
+            stationary_rt(barrier, params, 230.0)
 
 
 class TestPacketFit:
@@ -330,7 +398,7 @@ def packet_runs(source: str) -> list:
 # The gap of the converged scatter_barrier_k0, phi = 0 field's reflected
 # fraction from the oracle's.  A field without time error misses the oracle by
 # this much, so that row's bound gates the distance from it.
-K0_REFLECTED_FLOOR = -7.01e-11
+K0_REFLECTED_FLOOR = -7.41e-11
 
 
 class TestStationaryOracle:
@@ -341,14 +409,19 @@ class TestStationaryOracle:
     which is the oracle's own error.  Every row runs on 4096 points.  On the
     8192 they ran before, the OFF_CONFIG gaps and floors read the same to four
     digits, and the scatter configs' to three but the k0 reflected gap and
-    floor, -8.925e-11 and -7.005e-11 against -8.919e-11 and -7.000e-11 now.  The floors follow the time left
+    floor, -8.925e-11 and -7.005e-11 against -8.919e-11 and -7.000e-11 with
+    the RK4 oracle.  The oracle takes r(k), t(k) in closed form; with RK4 at
+    RT_SUBSTEP, the k0, phi = 0 gaps read -1.02e-8 and -8.92e-11, the k1,
+    phi = 0 gaps +3.66e-8 and +5.01e-9 on floors of +2.59e-8 and +3.43e-9,
+    and the OFF_CONFIG phi = 0 gaps +1.10e-8 and +2.41e-10: most of the k1
+    floor was RK4's error.  The floors follow the time left
     after the packet reaches the barrier, as the oracle assumes every component
     has scattered by t_final, which the slow tail of the packet's k-distribution
     has not.  Each bound is the one set at twice the gap of the field at
     dt = 0.01 that the runners once wrote.  The bounds gate the gap itself,
-    except on the k0, phi = 0 reflected row: there the floor, -7.0e-11, lies
+    except on the k0, phi = 0 reflected row: there the floor, -7.4e-11, lies
     beyond the 5e-11 bound, so that bound gates the gap minus the floor, the
-    program's own time error.  At the old Strang step 0.005 the first three
+    program's own time error.  At the old Strang step 0.005 and with RK4 the first three
     rows missed by 3.8e-7, 1.6e-5 and 2.2e-6 in the norm, and 5.3e-8 and
     3.4e-7 in the reflected fraction.  On the k1, phi = pi/8 row the oracle
     itself is off: its final norm is damped to 4.8e-8, and the packet's
@@ -359,13 +432,13 @@ class TestStationaryOracle:
     @pytest.mark.parametrize(
         "source, row, norm_bound, reflected_bound, reflected_floor",
         [
-            # gaps -1.02e-8 and -8.92e-11; floors -1.00e-8 and -7.00e-11
+            # gaps -1.38e-8 and -9.33e-11; floors -1.36e-8 and -7.41e-11
             ("scatter_barrier_k0", 0, 2e-8, 5e-11, K0_REFLECTED_FLOOR),
-            ("scatter_barrier_k0", 1, 9e-7, None, None),  # +4.17e-7; floor +4.21e-7
-            # gaps +3.66e-8 and +5.01e-9; floors +2.59e-8 and +3.43e-9
+            ("scatter_barrier_k0", 1, 9e-7, None, None),  # +4.16e-7; floor +4.21e-7
+            # gaps +1.14e-8 and +1.75e-9; floors +7.27e-10 and +1.58e-10
             ("scatter_barrier_k1", 0, 6e-8, 7e-9, None),
             ("scatter_barrier_k1", 1, 4e-5, None, None),  # +1.68e-5; floor +1.68e-5
-            # gaps +1.099e-8 and +2.408e-10; floors +1.036e-8 and +1.893e-10
+            # gaps -4.639e-10 and -1.138e-10; floors -1.091e-9 and -1.653e-10
             ("off-config", 0, 4e-8, 7e-10, None),
             ("off-config", 1, 5e-7, None, None),  # -2.551e-7; floor -2.474e-7
         ],

@@ -1028,6 +1028,8 @@ class TestPointStates:
             ("spectrum", CONFIG_DIR / "regression_spectrum.yaml"),
             ("spectrum", CONFIG_DIR / "null_spectrum.yaml"),
             ("scatter", CONFIG_DIR / "null_scatter.yaml"),
+            # its rt_sweep reaches stationary_rt's closed form and its Lanczos log Gamma
+            ("scatter", CONFIG_DIR / "scatter_barrier_k0.yaml"),
             ("amplify", tmp_path / "breakup.yaml"),
         ]
         for i, (runner, config) in enumerate(runs):
